@@ -652,6 +652,8 @@ def cmd_simulate(cfg, out, chash):
               timings, chash)
     _write_report(os.path.join(out, "sim_report.json"), dict(
         frames=int(sc["steps"]), scenario=sc["scenario"], solver=sc["solver"],
+        # with colliders every step reassembles and factorizes K directly
+        solver_used="direct" if colliders else sc["solver"],
         max_det_deviation=max(det_dev), det_deviation=det_dev,
     ), chash)
     return EXIT_OK

@@ -9,25 +9,22 @@ matrices with unit determinant (volume term):
 
 R(F) is the polar rotation.  V(F) is the closest unit-determinant matrix,
 found by adjusting the singular values of F under a product constraint.
-Both projections and their derivatives with respect to F live here; the
-derivatives feed the equilibrium Jacobians used during material fitting.
+That volume projection is one batched secular solve: each element reduces
+to a few bracketed scalar roots, one per floor-clamp pattern and branch,
+and the closest feasible candidate wins.  Single-element functions are
+batch calls of size one.  Both projections and their derivatives with
+respect to F live here; the derivatives feed the equilibrium Jacobians used
+during material fitting.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # floor applied to the singular values of the volume projection
 SV_FLOOR = 0.01
 # smallest admissible material coefficient during fitting
 GAMMA_FLOOR = 1e-3
-
-_NEWTON_ITERS = 20
-_NEWTON_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +108,8 @@ def svd_rv(F):
     Reflections are pushed into the singular values, so the last entry of s
     turns negative exactly when det F < 0.
     """
-    U, s, Wt = np.linalg.svd(F)
-    W = Wt.T.copy()
-    s = s.copy()
-    if np.linalg.det(U) < 0.0:
-        U = U.copy()
-        U[:, 2] *= -1.0
-        s[2] = -s[2]
-    if np.linalg.det(W) < 0.0:
-        W[:, 2] *= -1.0
-        s[2] = -s[2]
-    return U, s, W
+    U, s, W = svd_rv_batch(np.asarray(F, dtype=float)[None])
+    return U[0], s[0], W[0]
 
 
 def svd_rv_batch(F):
@@ -154,242 +142,160 @@ def project_so3(F):
 
 # ---------------------------------------------------------------------------
 # volume projection: singular-value optimization under a product constraint
+#
+# Minimize |s - sigma|^2 subject to s0*s1*s2 = 1 and s_i >= f = SV_FLOOR.
+# With sigma sorted descending the optimal s is sorted the same way, so only
+# trailing entries can sit on the floor: no clamp, s2 clamped, or s1 and s2
+# clamped, the last with the closed form (1/f^2, f, f).  A free entry
+# satisfies s_i^2 - sigma_i s_i + lam = 0.  Parametrize a pattern by t, the
+# value of its smallest free entry m: lam = t (sigma_m - t), the other free
+# entries take the larger root, and the product constraint becomes the
+# secular equation
+#
+#     phi(t) = log t + sum_i log s_i(t) + |clamped| log f = 0.
+#
+# phi increases on t >= sigma_m / 2, so that branch has one root.  The fold
+# t < sigma_m / 2 (entry m on the smaller root) can hold a root only when
+# phi(sigma_m / 2) >= 0: the expansive case, whose optimum at
+# sigma = (2, 2, 2) is the golden-ratio triple rather than the identity.
+# Every candidate is a bracketed root; the feasible one closest to sigma wins.
+
+# per pattern (no clamp, s2 clamped): the smallest free entry, the other
+# free entries (weight 0 marks padding) and the number of clamped entries
+_SM = [2, 1]
+_SO = [[0, 1], [0, 0]]
+_WO = np.array([[1.0, 1.0], [1.0, 0.0]])
+_NC = np.array([0.0, 1.0])
+_FOLD_GRID = 16
+_ROOT_ITERS = 100
 
 
-def _sl3_p(s):
-    return np.array([s[1] * s[2], s[0] * s[2], s[0] * s[1]])
+def _secular(u, sm, so):
+    """phi and d phi / d log t at t = exp(u) for both clamp patterns.
 
-
-def _sl3_residual(sigma, s, lam, free):
-    p = _sl3_p(s)
-    r = np.zeros(4)
-    r[:3] = np.where(free, s - sigma + lam * p, 0.0)
-    r[3] = s[0] * s[1] * s[2] - 1.0
-    return r
-
-
-def _sl3_newton_free(sigma, s0, lam0, free, iters=_NEWTON_ITERS):
-    """Newton iteration on the stationarity system with some entries frozen.
-
-    Free entries satisfy s_i - sigma_i + lam * prod_{k != i} s_k = 0, frozen
-    ones keep their value, and the full product must equal one.
+    The last axis of u and sm runs over the patterns; so carries one more
+    axis for the other free entries.  Returns (phi, dphi, t, s_other, lam).
     """
-    s = s0.copy()
-    lam = lam0
-    idx = np.flatnonzero(free)
-    nf = idx.size
-    if nf == 0:
-        return s, lam, False
-    for _ in range(iters):
-        r = _sl3_residual(sigma, s, lam, free)
-        rn = np.max(np.abs(np.concatenate([r[idx], r[3:]])))
-        if rn < _NEWTON_TOL:
-            return s, lam, True
-        p = _sl3_p(s)
-        J = np.zeros((nf + 1, nf + 1))
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                J[a, b] = 1.0 if i == j else lam * s[3 - i - j]
-            J[a, nf] = p[i]
-            J[nf, a] = p[i]
-        rhs = -np.concatenate([r[idx], r[3:]])
-        try:
-            delta = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            return s, lam, False
-        # damped update, retried with shorter steps if the residual grows
-        step = 1.0
-        for _try in range(6):
-            s_new = s.copy()
-            s_new[idx] = s[idx] + step * delta[:nf]
-            lam_new = lam + step * delta[nf]
-            r_new = _sl3_residual(sigma, s_new, lam_new, free)
-            rn_new = np.max(np.abs(np.concatenate([r_new[idx], r_new[3:]])))
-            if rn_new < rn or rn_new < _NEWTON_TOL:
-                break
-            step *= 0.5
-        s, lam = s_new, lam_new
-    r = _sl3_residual(sigma, s, lam, free)
-    ok = np.max(np.abs(np.concatenate([r[idx], r[3:]]))) < 1e-10
-    return s, lam, ok
+    t = np.exp(u)
+    lam = t * (sm - t)
+    rt = np.sqrt(np.maximum(so * so - 4.0 * lam[..., None], 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # larger root of s^2 - sigma s + lam, free of cancellation
+        s = np.where(so >= 0.0, 0.5 * (so + rt), -2.0 * lam[..., None] / (rt - so))
+        s = np.where(_WO > 0.0, s, 1.0)
+        phi = u + np.sum(_WO * np.log(s), axis=-1) + _NC * np.log(SV_FLOOR)
+        inv = np.where(_WO > 0.0, 1.0 / (s * rt), 0.0)
+        dphi = 1.0 + t * (2.0 * t - sm) * np.sum(inv, axis=-1)
+    return phi, dphi, t, s, lam
 
 
-def _sl3_solve_clamping(sigma, s_init, lam_init):
-    """Run the free Newton solve, clamping floor violations between rounds."""
-    free = np.ones(3, dtype=bool)
-    s = s_init.copy()
-    lam = lam_init
-    for _round in range(3):
-        s = np.where(free, s, SV_FLOOR)
-        s, lam, ok = _sl3_newton_free(sigma, s, lam, free)
-        if not ok:
-            return None
-        viol = free & (s < SV_FLOOR - 1e-12)
-        if not np.any(viol):
-            return s, lam, ~free
-        free = free & ~viol
-        if np.sum(free) == 1:
-            # the remaining value is fixed by the product constraint
-            i = int(np.flatnonzero(free)[0])
-            s = np.full(3, SV_FLOOR)
-            s[i] = 1.0 / (SV_FLOOR * SV_FLOOR)
-            p = _sl3_p(s)
-            lam = (sigma[i] - s[i]) / p[i]
-            return s, lam, ~free
-    return None
+def _secular_root(lo, hi, u, sm, so):
+    """Root of phi in [lo, hi], given phi(lo) <= 0 <= phi(hi), by Newton in
+    log t with a bisection step whenever Newton leaves the bracket."""
+    for _ in range(_ROOT_ITERS):
+        phi, dphi, *_ = _secular(u, sm, so)
+        neg = phi < 0.0
+        lo = np.where(neg, u, lo)
+        hi = np.where(neg, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            un = u - phi / dphi
+        newton = np.isfinite(dphi) & (un >= lo) & (un <= hi)
+        un = np.where(phi == 0.0, u, np.where(newton, un, 0.5 * (lo + hi)))
+        done = np.all(np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u)))
+        u = un
+        if done:
+            break
+    return u
+
+
+def sl3_sigma_project_batch(sig):
+    """Closest singular-value triples with unit product and floored entries.
+
+    For each row of sig (B, 3), minimizes |s - sigma|^2 subject to
+    s1*s2*s3 = 1 and s_i >= SV_FLOOR by one batched secular solve: each
+    clamp pattern and branch gives a bracketed scalar root, and the feasible
+    candidate with the least objective wins.  Returns (s, lam, clamped): the
+    singular values, the multiplier of the free-entry stationarity
+    condition s_i - sigma_i + lam * prod_{k != i} s_k = 0, and the clamp
+    mask, all in the input order.
+    """
+    sig = np.asarray(sig, dtype=float)
+    B = sig.shape[0]
+    f = SV_FLOOR
+    order = np.argsort(-sig, axis=1, kind="stable")
+    ss = np.take_along_axis(sig, order, axis=1)
+    sm, so = ss[:, _SM], ss[:, _SO]
+
+    # branch t >= sigma_m / 2; phi(t) >= (1 + #others) log t + |clamped| log f
+    # there bounds the root from above, and t >= f is needed for feasibility
+    lo = np.log(np.maximum(f, 0.5 * sm))
+    phi_lo = _secular(lo, sm, so)[0]
+    plus_ok = phi_lo <= 0.0
+    hi = np.maximum(lo, -_NC * np.log(f) / (1.0 + _WO.sum(axis=1)))
+    hi = np.where(plus_ok, hi, lo)
+    u_plus = _secular_root(lo, hi, np.clip(np.log(np.maximum(sm, f)), lo, hi), sm, so)
+
+    # fold t < sigma_m / 2 when phi(sigma_m / 2) >= 0: bracket the first
+    # sign change of a log-grid scan over [f, sigma_m / 2]
+    fold_ok = (sm > 2.0 * f) & (phi_lo >= 0.0)
+    u_fold = np.full((B, 2), np.log(f))
+    rows = np.flatnonzero(fold_ok.any(axis=1))
+    if len(rows):
+        smr, sor = sm[rows], so[rows]
+        w = np.linspace(0.0, 1.0, _FOLD_GRID)[:, None, None]
+        grid = np.log(f) + w * np.log(np.maximum(0.5 * smr / f, 1.0))
+        phig = _secular(grid, smr, sor)[0]
+        up = (phig[:-1] < 0.0) & (phig[1:] >= 0.0)
+        k = np.argmax(up, axis=0)[None]
+        glo = np.take_along_axis(grid, k, axis=0)[0]
+        ghi = np.take_along_axis(grid, k + 1, axis=0)[0]
+        fold_ok[rows] &= up.any(axis=0)
+        ghi = np.where(fold_ok[rows], ghi, glo)
+        u_fold[rows] = _secular_root(glo, ghi, 0.5 * (glo + ghi), smr, sor)
+
+    # candidates (B, 5, 3): plus and fold branch of both patterns, then the
+    # closed form (1/f^2, f, f) with s1 and s2 on the floor
+    _, _, t, s_o, lam = _secular(np.stack([u_plus, u_fold], axis=1), sm[:, None], so[:, None])
+    cand = np.empty((B, 2, 2, 3))
+    cand[..., 0] = s_o[..., 0]
+    cand[..., 0, 1:] = np.stack([s_o[..., 0, 1], t[..., 0]], axis=-1)
+    cand[..., 1, 1:] = np.stack([t[..., 1], np.full_like(t[..., 1], f)], axis=-1)
+    cand = np.concatenate([cand.reshape(B, 4, 3), np.broadcast_to([1.0 / f**2, f, f], (B, 1, 3))], axis=1)
+    lam = np.concatenate([lam.reshape(B, 4), (ss[:, :1] - 1.0 / f**2) / f**2], axis=1)
+    ok = np.concatenate([plus_ok, fold_ok, np.ones((B, 1), dtype=bool)], axis=1)
+    obj = np.where(ok, np.sum((cand - ss[:, None]) ** 2, axis=2), np.inf)
+    best = np.argmin(obj, axis=1)
+    rows = np.arange(B)
+    s_sorted = cand[rows, best]
+    clamped_sorted = np.array([[0, 0, 0], [0, 0, 1]] * 2 + [[0, 1, 1]], dtype=bool)[best]
+
+    s = np.empty_like(s_sorted)
+    clamped = np.empty_like(clamped_sorted)
+    np.put_along_axis(s, order, s_sorted, axis=1)
+    np.put_along_axis(clamped, order, clamped_sorted, axis=1)
+    return s, lam[rows, best], clamped
 
 
 def sl3_sigma_project(sigma):
-    """Closest singular-value triple with unit product and floored entries.
-
-    Minimizes |s - sigma|^2 subject to s1*s2*s3 = 1 and s_i >= SV_FLOOR.
-    Several Newton starts guard against stray stationary points; the winner
-    by objective value is returned together with its multiplier and the
-    clamp pattern.  Returns (s, lam, clamped, ok).
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    starts = [np.clip(sigma, SV_FLOOR, None), np.ones(3)]
-    prod = float(np.prod(sigma))
-    if prod > 1e-12:
-        starts.append(np.clip(sigma / np.cbrt(prod), SV_FLOOR, None))
-    if prod > 1.0:
-        # large products admit a cheaper stationary branch that keeps two
-        # values near sigma and pays the whole constraint on the smallest
-        j = int(np.argmin(sigma))
-        others = float(np.prod(np.delete(sigma, j)))
-        if others > 1e-12:
-            s0 = np.clip(sigma, SV_FLOOR, None)
-            s0[j] = max(1.0 / others, SV_FLOOR)
-            starts.append(s0)
-    best = None
-    for s0 in starts:
-        p = _sl3_p(s0)
-        denom = float(p @ p)
-        lam0 = (float(np.prod(s0)) - 1.0) / denom if denom > 1e-300 else 0.0
-        out = _sl3_solve_clamping(sigma, s0, lam0)
-        if out is None:
-            continue
-        s, lam, clamped = out
-        if np.min(s) < SV_FLOOR - 1e-9 or abs(np.prod(s) - 1.0) > 1e-8:
-            continue
-        obj = float(np.sum((s - sigma) ** 2))
-        if best is None or obj < best[0] - 1e-15:
-            best = (obj, s, lam, clamped)
-    if best is not None:
-        _, s, lam, clamped = best
-        return s, lam, clamped, True
-    # fallback: uniform scaling onto the constraint, floored and renormalized
-    s = np.abs(sigma)
-    s = np.clip(s, SV_FLOOR, None)
-    for _ in range(3):
-        s = np.clip(s / np.cbrt(np.prod(s)), SV_FLOOR, None)
-    log.warning("volume projection Newton failed for sigma=%s, using uniform scaling", sigma)
-    return s, 0.0, s <= SV_FLOOR, False
+    """Volume projection of one singular-value triple, a B=1 call of
+    sl3_sigma_project_batch.  Returns (s, lam, clamped, ok); every input has
+    a feasible answer, so ok is always True."""
+    s, lam, clamped = sl3_sigma_project_batch(np.asarray(sigma, dtype=float)[None])
+    return s[0], float(lam[0]), clamped[0], True
 
 
 def project_sl3(F):
     """Closest matrix to F with unit determinant, singular values floored.
 
     The projection keeps the singular frames of F and optimizes the singular
-    values under the product constraint, so det of the result is 1 up to the
-    Newton tolerance even when F itself is degenerate or inverted.
+    values under the product constraint, so det of the result is 1 to
+    roundoff even when F itself is degenerate or inverted.
     """
-    F = np.asarray(F, dtype=float)
-    if not np.all(np.isfinite(F)):
-        raise ValueError("non-finite deformation gradient")
-    U, sig, W = svd_rv(F)
-    s, _, _, _ = sl3_sigma_project(sig)
-    return (U * s) @ W.T
+    return batch_projections(np.asarray(F, dtype=float)[None])[1][0]
 
 
 # ---------------------------------------------------------------------------
 # batched projections for the per-element local solves
-
-
-def _sl3_batch_newton(sig, s0=None):
-    """Vectorized unclamped Newton over a batch of singular-value triples."""
-    B = sig.shape[0]
-    s = np.clip(sig, SV_FLOOR, None) if s0 is None else np.array(s0, dtype=float)
-    p = np.stack([s[:, 1] * s[:, 2], s[:, 0] * s[:, 2], s[:, 0] * s[:, 1]], axis=1)
-    denom = np.maximum(np.sum(p * p, axis=1), 1e-300)
-    lam = (np.prod(s, axis=1) - 1.0) / denom
-    for _ in range(_NEWTON_ITERS):
-        p = np.stack([s[:, 1] * s[:, 2], s[:, 0] * s[:, 2], s[:, 0] * s[:, 1]], axis=1)
-        r = np.empty((B, 4))
-        r[:, :3] = s - sig + lam[:, None] * p
-        r[:, 3] = np.prod(s, axis=1) - 1.0
-        if np.max(np.abs(r)) < _NEWTON_TOL:
-            break
-        J = np.zeros((B, 4, 4))
-        J[:, 0, 0] = J[:, 1, 1] = J[:, 2, 2] = 1.0
-        J[:, 0, 1] = J[:, 1, 0] = lam * s[:, 2]
-        J[:, 0, 2] = J[:, 2, 0] = lam * s[:, 1]
-        J[:, 1, 2] = J[:, 2, 1] = lam * s[:, 0]
-        J[:, :3, 3] = p
-        J[:, 3, :3] = p
-        try:
-            delta = np.linalg.solve(J, -r[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            return s, lam, np.zeros(B, dtype=bool)
-        s = s + delta[:, :3]
-        lam = lam + delta[:, 3]
-    p = np.stack([s[:, 1] * s[:, 2], s[:, 0] * s[:, 2], s[:, 0] * s[:, 1]], axis=1)
-    r3 = np.abs(s - sig + lam[:, None] * p).max(axis=1)
-    rc = np.abs(np.prod(s, axis=1) - 1.0)
-    ok = (np.maximum(r3, rc) < 1e-10) & np.isfinite(s).all(axis=1)
-    return s, lam, ok
-
-
-def sl3_sigma_project_batch(sig):
-    """Batched volume projection in singular-value space.
-
-    The vectorized Newton handles the benign bulk; elements that fail it,
-    need clamping, or look extreme enough to risk a stray stationary point
-    are re-solved one by one with the robust scalar path.
-    """
-    sig = np.asarray(sig, dtype=float)
-    s, lam, ok = _sl3_batch_newton(sig)
-    clamped = np.zeros(sig.shape, dtype=bool)
-    feasible = ok & (np.min(s, axis=1) >= SV_FLOOR - 1e-12)
-    obj = np.sum((s - sig) ** 2, axis=1)
-    obj[~feasible] = np.inf
-    prod = np.prod(sig, axis=1)
-    # expansive triples admit a second stationary branch that keeps two
-    # values near sigma and pays the whole constraint on the smallest; run
-    # the Newton again from that start and keep the better feasible answer
-    big = np.flatnonzero(prod > 1.0)
-    if len(big):
-        sub = sig[big]
-        rows = np.arange(len(big))
-        j = np.argmin(sub, axis=1)
-        others = prod[big] / np.maximum(sub[rows, j], 1e-300)
-        s0 = np.clip(sub, SV_FLOOR, None)
-        s0[rows, j] = np.clip(1.0 / np.maximum(others, 1e-12), SV_FLOOR, None)
-        s_b, lam_b, ok_b = _sl3_batch_newton(sub, s0)
-        obj_b = np.sum((s_b - sub) ** 2, axis=1)
-        take = ok_b & (np.min(s_b, axis=1) >= SV_FLOOR - 1e-12)
-        take &= obj_b < obj[big] - 1e-15
-        idx = big[take]
-        s[idx] = s_b[take]
-        lam[idx] = lam_b[take]
-        obj[idx] = obj_b[take]
-        feasible[idx] = True
-    suspicious = (
-        ~feasible
-        | (np.min(sig, axis=1) < 0.2)
-        | (np.max(np.abs(sig), axis=1) > 5.0)
-    )
-    # feasible reference candidate: uniformly scaled sigma; beating it is a
-    # cheap necessary condition for having found the global minimum
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ref = sig / np.cbrt(np.maximum(prod, 1e-300))[:, None]
-    ref_valid = (prod > 1e-12) & (np.min(ref, axis=1) >= SV_FLOOR)
-    obj_ref = np.sum((ref - sig) ** 2, axis=1)
-    suspicious |= ref_valid & (obj > obj_ref + 1e-12)
-    for i in np.flatnonzero(suspicious):
-        s_i, lam_i, cl_i, _ = sl3_sigma_project(sig[i])
-        s[i], lam[i], clamped[i] = s_i, lam_i, cl_i
-    return s, lam, clamped
 
 
 def batch_projections(F):
@@ -417,74 +323,35 @@ def _pair_indices():
             yield i, j, 3 * i + j, 3 * j + i
 
 
-def _sl3_ds_dsigma(sigma, s, lam, clamped):
-    """Sensitivity ds/dsigma of the constrained singular-value solve.
+def _sl3_ds_dsigma(s, lam, clamped):
+    """Sensitivities ds/dsigma of the constrained singular-value solve, (B, 3, 3).
 
-    Obtained by differentiating the stationarity system; clamped entries are
-    insensitive, so their rows and columns vanish.
+    Obtained by differentiating the stationarity system bordered by the
+    product constraint; clamped entries are insensitive, so their rows and
+    columns are masked out of the (B, 4, 4) system.
     """
     free = ~clamped
-    idx = np.flatnonzero(free)
-    nf = idx.size
-    D = np.zeros((3, 3))
-    if nf == 0:
-        return D
-    p = _sl3_p(s)
-    A = np.zeros((nf + 1, nf + 1))
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            A[a, b] = 1.0 if i == j else lam * s[3 - i - j]
-        A[a, nf] = p[i]
-        A[nf, a] = p[i]
-    rhs = np.zeros((nf + 1, nf))
-    rhs[:nf, :nf] = np.eye(nf)
-    sol = np.linalg.solve(A, rhs)
-    D[np.ix_(idx, idx)] = sol[:nf, :]
-    return D
-
-
-def _conjugate(L, U, W):
-    Q = np.kron(U, W)  # row-major vec: vec(U X W^T) = kron(U, W) vec(X)
-    return Q @ L @ Q.T
+    both = free[:, :, None] & free[:, None, :]
+    p = np.stack([s[:, 1] * s[:, 2], s[:, 0] * s[:, 2], s[:, 0] * s[:, 1]], axis=1)
+    A = np.zeros((s.shape[0], 4, 4))
+    for i, j, _, _ in _pair_indices():
+        A[:, i, j] = A[:, j, i] = lam * s[:, 3 - i - j]
+    A[:, :3, :3] *= both
+    A[:, :3, 3] = A[:, 3, :3] = p * free
+    A[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    rhs = np.zeros((s.shape[0], 4, 3))
+    rhs[:, :3] = np.eye(3) * both
+    return np.linalg.solve(A, rhs)[:, :3]
 
 
 def rotation_jacobian(F):
     """Derivative of the rotation projection, d vec(R) / d vec(F)."""
-    U, sig, W = svd_rv(F)
-    L = np.zeros((9, 9))
-    for i, j, a, b in _pair_indices():
-        den = sig[i] + sig[j]
-        if abs(den) < 1e-8:
-            den = np.copysign(1e-8, den if den != 0.0 else 1.0)
-        c = 1.0 / den
-        L[a, a] = L[b, b] = c
-        L[a, b] = L[b, a] = -c
-    return _conjugate(L, U, W)
+    return projection_jacobians_batch(np.asarray(F, dtype=float)[None])[0][0]
 
 
 def sl3_jacobian(F):
     """Derivative of the volume projection, d vec(V) / d vec(F)."""
-    U, sig, W = svd_rv(F)
-    s, lam, clamped, _ = sl3_sigma_project(sig)
-    ds = _sl3_ds_dsigma(sig, s, lam, clamped)
-    L = np.zeros((9, 9))
-    dia = (0, 4, 8)
-    for i in range(3):
-        for j in range(3):
-            L[dia[i], dia[j]] = ds[i, j]
-    for i, j, a, b in _pair_indices():
-        dd = sig[i] - sig[j]
-        if abs(dd) > 1e-7 * max(1.0, abs(sig[i]), abs(sig[j])):
-            cs = (s[i] - s[j]) / dd
-        else:
-            cs = ds[i, i] - ds[i, j]  # confluent divided difference
-        den = sig[i] + sig[j]
-        if abs(den) < 1e-8:
-            den = np.copysign(1e-8, den if den != 0.0 else 1.0)
-        ca = (s[i] + s[j]) / den
-        L[a, a] = L[b, b] = 0.5 * (cs + ca)
-        L[a, b] = L[b, a] = 0.5 * (cs - ca)
-    return _conjugate(L, U, W)
+    return projection_jacobians_batch(np.asarray(F, dtype=float)[None])[1][0]
 
 
 def projection_jacobians_batch(F):
@@ -496,13 +363,8 @@ def projection_jacobians_batch(F):
 
     LR = np.zeros((B, 9, 9))
     LV = np.zeros((B, 9, 9))
-    dia = (0, 4, 8)
-    ds = np.zeros((B, 3, 3))
-    for e in range(B):
-        ds[e] = _sl3_ds_dsigma(sig[e], s[e], lam[e], clamped[e])
-    for i in range(3):
-        for j in range(3):
-            LV[:, dia[i], dia[j]] = ds[:, i, j]
+    ds = _sl3_ds_dsigma(s, lam, clamped)
+    LV[:, ::4, ::4] = ds  # the diagonal entries of vec(F) sit at 0, 4, 8
     for i, j, a, b in _pair_indices():
         den = sig[:, i] + sig[:, j]
         den = np.where(np.abs(den) < 1e-8, np.copysign(1e-8, np.where(den == 0.0, 1.0, den)), den)

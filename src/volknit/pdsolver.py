@@ -751,13 +751,18 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
             state.pin_targets = pin_path[i]
         f = None if forces is None else forces[i]
         sv = solver if not state.colliders else None
+        polish = polish_tol is not None and not state.colliders
+        if polish:
+            x_start, xh = state.x.copy(), _predicted(state, f, mesh)
         pd_step(state, mesh, gammas, iterations=iterations, forces=f,
                 solver=sv, damping=damping)
-        if polish_tol is not None and not state.colliders:
-            xh = _predicted(state, f, mesh)
+        if polish:
+            # polish toward this step's prediction, then rebuild v from the
+            # polished positions as pd_step does from its own
             state.x, _, _ = newton_polish(
                 mesh, gammas, state.x, dt=dt, pins=pins,
                 pin_vals=state.pin_targets, xhat=xh, tol=polish_tol,
             )
+            state.v = damping * (state.x - x_start) / dt
         frames[i] = state.x
     return frames

@@ -372,6 +372,18 @@ def test_simulate_twist_reports_det_deviation(pipeline_ws, tmp_path):
     assert len(rep["det_deviation"]) == 6
 
 
+def test_simulate_colliders_report_direct_solver_used(pipeline_ws, tmp_path):
+    floor = {"kind": "plane", "point": [0.0, -1.0, 0.0], "normal": [0.0, 1.0, 0.0]}
+    cfg = alias_cfg(pipeline_ws,
+                    simulate={"scenario": "hold", "steps": 2, "dt": 1e-2,
+                              "solver": "cms", "colliders": [floor]})
+    rc, out = run_cli("simulate", tmp_path / "plane", cfg)
+    assert rc == cli.EXIT_OK
+    rep = read_report(out, "sim_report.json")
+    assert rep["solver"] == "cms"
+    assert rep["solver_used"] == "direct"
+
+
 # ---------------------------------------------------------------------------
 # compare
 

@@ -10,13 +10,16 @@ from conftest import random_f, random_rotation
 
 
 def central_diff(fun, F, h=1e-6):
-    """9x9 Jacobian d vec(fun) / d vec(F) by central differences, row-major vec."""
-    J = np.empty((9, 9))
+    """9x9 Jacobian d vec(fun) / d vec(F) by central differences, row-major vec.
+
+    F may carry leading batch axes when fun maps each element on its own.
+    """
+    J = np.empty(F.shape[:-2] + (9, 9))
     for c in range(9):
         dF = np.zeros(9)
         dF[c] = h
         dF = dF.reshape(3, 3)
-        J[:, c] = (fun(F + dF) - fun(F - dF)).reshape(-1) / (2.0 * h)
+        J[..., c] = (fun(F + dF) - fun(F - dF)).reshape(F.shape[:-2] + (9,)) / (2.0 * h)
     return J
 
 
@@ -144,8 +147,10 @@ def _grid_polish_oracle(sigma, floor=mat.SV_FLOOR):
 
 
 def test_sl3_matches_grid_polish_oracle(rng):
-    for _ in range(12):
-        sigma = np.exp(rng.uniform(-3.0, 1.5, size=3))
+    samples = [np.exp(rng.uniform(-3.0, 1.5, size=3)) for _ in range(12)]
+    # inverted elements: the signed smallest singular value is negative
+    samples += [np.exp(rng.uniform(-3.0, 1.5, size=3)) * [1.0, 1.0, -1.0] for _ in range(8)]
+    for sigma in samples:
         s, lam, clamped, ok = mat.sl3_sigma_project(sigma)
         assert abs(np.prod(s) - 1.0) < 1e-8
         assert s.min() >= mat.SV_FLOOR - 1e-9
@@ -191,10 +196,17 @@ def test_sl3_uniform_expansion_symmetry_breaking():
 
 
 def test_sl3_hard_clamp():
-    s, lam, clamped, ok = mat.sl3_sigma_project(np.array([100.0, 100.0, 1e-5]))
+    # with s3 on the floor, s1 s2 = 100 and s1 + s2 = 100 at the optimum;
+    # (10, 10, 0.01) is only a stationary point, objective 16,200 vs 9,800
+    sigma = np.array([100.0, 100.0, 1e-5])
+    s, lam, clamped, ok = mat.sl3_sigma_project(sigma)
     assert ok
-    assert np.abs(s - np.array([10.0, 10.0, 0.01])).max() < 1e-6
+    r = np.sqrt(2400.0)
+    assert np.abs(s - np.array([50.0 + r, 50.0 - r, 0.01])).max() < 1e-6
     assert list(clamped) == [False, False, True]
+    ours = np.sum((s - sigma) ** 2)
+    assert abs(ours - 9800.0) < 1e-3
+    assert ours <= _grid_polish_oracle(sigma) + 1e-6
 
 
 def test_sl3_degenerate_input():
@@ -242,20 +254,55 @@ def test_jacobians_symmetric(rng):
         assert np.abs(mat.sl3_jacobian(F) - mat.sl3_jacobian(F).T).max() < 1e-9
 
 
-def test_jacobian_batch_matches_scalar(rng):
-    F = np.eye(3) + 0.4 * rng.normal(size=(40, 3, 3))
+def _hard_batch(rng, n, min_gap=0.0):
+    """F = Q1 diag(sigma) Q2^T with every third element inverted and every
+    third one squashed hard enough to put a singular value on the floor."""
+    F = np.empty((n, 3, 3))
+    for k in range(n):
+        while True:
+            sigma = np.sort(np.exp(rng.uniform(-1.0, 1.0, size=3)))[::-1]
+            if k % 3 == 1:
+                sigma[2] = -sigma[2]
+            elif k % 3 == 2:
+                sigma *= np.array([20.0, 12.0, 0.004]) / np.sqrt(np.e)
+            i, j = np.triu_indices(3, 1)
+            if min(np.abs(sigma[i] - sigma[j]).min(), np.abs(sigma[i] + sigma[j]).min()) > min_gap:
+                break
+        F[k] = random_rotation(rng) @ np.diag(sigma) @ random_rotation(rng).T
+    return F
+
+
+def _assert_hard_batch(F):
+    _, sig, _ = mat.svd_rv_batch(F)
+    _, _, clamped = mat.sl3_sigma_project_batch(sig)
+    assert np.any(np.linalg.det(F) < 0.0)
+    assert np.any(clamped)
+
+
+def test_jacobian_batch_matches_fd(rng):
+    F = _hard_batch(rng, 30, min_gap=5e-2)
+    _assert_hard_batch(F)
     JR, JV = mat.projection_jacobians_batch(F)
-    for k in range(40):
-        assert np.abs(JR[k] - mat.rotation_jacobian(F[k])).max() < 1e-9
-        assert np.abs(JV[k] - mat.sl3_jacobian(F[k])).max() < 1e-9
+    JRfd = central_diff(lambda G: mat.batch_projections(G)[0], F)
+    JVfd = central_diff(lambda G: mat.batch_projections(G)[1], F)
+    for J, Jfd in ((JR, JRfd), (JV, JVfd)):
+        rel = np.linalg.norm(J - Jfd, axis=(1, 2)) / np.linalg.norm(Jfd, axis=(1, 2))
+        assert rel.max() < 1e-5, rel.max()
 
 
-def test_batch_projection_matches_scalar(rng):
-    F = np.eye(3) + 0.7 * rng.normal(size=(60, 3, 3))
+def test_batch_projection_matches_oracle(rng):
+    F = np.concatenate([np.eye(3) + 0.7 * rng.normal(size=(30, 3, 3)), _hard_batch(rng, 30)])
+    _assert_hard_batch(F)
     R, V = mat.batch_projections(F)
-    for k in range(60):
-        assert np.abs(R[k] - mat.project_so3(F[k])).max() < 1e-9
-        assert np.abs(V[k] - mat.project_sl3(F[k])).max() < 1e-8
+    for k in range(len(F)):
+        # closest rotation with a reflection folded into the last axis
+        U, sv, Wt = np.linalg.svd(F[k])
+        d = np.sign(np.linalg.det(U @ Wt))
+        assert np.abs(R[k] - U @ np.diag([1.0, 1.0, d]) @ Wt).max() < 1e-9
+        assert abs(np.linalg.det(V[k]) - 1.0) < 1e-8
+        assert np.linalg.svd(V[k], compute_uv=False).min() >= mat.SV_FLOOR - 1e-8
+        sigma = sv * np.array([1.0, 1.0, np.sign(np.linalg.det(F[k]))])
+        assert np.sum((F[k] - V[k]) ** 2) <= _grid_polish_oracle(sigma) + 1e-6
 
 
 # ---------------------------------------------------------------------------
