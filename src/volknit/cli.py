@@ -181,6 +181,12 @@ def validate_config(cfg):
         raise ConfigError("simulate.polish_tol must be positive")
     if any(g < 0 for g in cfg["fit"]["gamma_init"]):
         raise ConfigError("fit.gamma_init entries must be non-negative")
+    for section, key, allowed in (
+            ("generate", "scenario", ("stretch", "twist", "hold", "drape")),
+            ("simulate", "scenario", ("hold", "stretch", "twist")),
+            ("simulate", "solver", ("direct", "cms"))):
+        if cfg[section][key] not in allowed:
+            raise ConfigError(f"unknown {section}.{key} {cfg[section][key]!r}")
 
 
 def config_hash(cfg):
@@ -312,28 +318,23 @@ def _x_rotation(theta):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def scenario_pin_path(points, scenario, steps, stretch, twist_angle):
-    """Pinned vertices plus their per-step target path for one scenario.
+def scenario_pin_path(points, moving, scenario, steps, stretch, ext, center,
+                      twist_angle):
+    """Per-step targets (steps, nP, 3) of pinned points for one scenario.
 
-    The left extreme stays put; the right extreme translates (stretch) or
-    rotates about the x axis through its centroid (twist).
+    Points outside the `moving` mask stay put; the moving ones translate
+    along x by up to stretch * ext (stretch) or rotate about the x axis
+    through `center` by up to twist_angle (twist).
     """
-    left, right, ext = _end_groups(points)
-    pins = np.concatenate([left, right])
-    path = np.repeat(points[pins][None], steps, axis=0)
+    path = np.repeat(points[None], steps, axis=0)
     s = (np.arange(steps) + 1.0) / steps
     if scenario == "stretch":
-        path[:, len(left):, 0] += s[:, None] * stretch * ext
+        path[:, moving, 0] += s[:, None] * stretch * ext
     elif scenario == "twist":
-        center = points[right].mean(axis=0)
         for i in range(steps):
             R = _x_rotation(s[i] * twist_angle)
-            path[i, len(left):] = (points[right] - center) @ R.T + center
-    elif scenario == "hold":
-        pass
-    else:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    return pins, path
+            path[i, moving] = (points[moving] - center) @ R.T + center
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +350,15 @@ def cmd_generate(cfg, out, chash):
     gravity = np.asarray(gen["gravity"], dtype=float)
     forces = model.vertex_mass()[:, None] * gravity
 
+    left, right, ext = _end_groups(model.rest_vertices)
     if gen["scenario"] == "drape":
-        left, _, _ = _end_groups(model.rest_vertices)
         pins, path = left, None
     else:
-        pins, path = scenario_pin_path(model.rest_vertices, gen["scenario"],
-                                       gen["steps"], gen["stretch"],
-                                       gen["twist_angle"])
+        pins = np.concatenate([left, right])
+        path = scenario_pin_path(
+            model.rest_vertices[pins], np.arange(len(pins)) >= len(left),
+            gen["scenario"], gen["steps"], gen["stretch"], ext,
+            model.rest_vertices[right].mean(axis=0), gen["twist_angle"])
 
     ws = _workspace(cfg, out)
     comment = f"config {chash}"
@@ -561,6 +564,7 @@ def cmd_simulate(cfg, out, chash):
     clock("load", t)
 
     sc = cfg["simulate"]
+    pins, pin_path = np.empty(0, dtype=int), None
     if len(seq.pins):
         # each yarn pin group (min-x / max-x extreme) drags the full node set
         # of its host tets rigidly, mirroring the generation-side pin motion
@@ -569,71 +573,40 @@ def cmd_simulate(cfg, out, chash):
         right_nodes = np.unique(mesh.tets[emb.host_elem[seq.pins[yr]]])
         pins = np.union1d(left_nodes, right_nodes)
         moving = np.isin(pins, np.setdiff1d(right_nodes, left_nodes))
-    else:
-        pins = np.empty(0, dtype=int)
-    if len(pins):
         _, yarn_right, ext = _end_groups(model.rest_vertices)
-        pin_path = np.repeat(mesh.nodes[pins][None], sc["steps"], axis=0)
-        s = (np.arange(sc["steps"]) + 1.0) / sc["steps"]
-        if sc["scenario"] == "stretch":
-            pin_path[:, moving, 0] += s[:, None] * sc["stretch"] * ext
-        elif sc["scenario"] == "twist":
-            center = model.rest_vertices[yarn_right].mean(axis=0)
-            base = mesh.nodes[pins][moving]
-            for i in range(sc["steps"]):
-                R = _x_rotation(s[i] * sc["twist_angle"])
-                pin_path[i, moving] = (base - center) @ R.T + center
-        elif sc["scenario"] != "hold":
-            raise ConfigError(f"unknown scenario {sc['scenario']!r}")
-    else:
-        pin_path = None
+        pin_path = scenario_pin_path(
+            mesh.nodes[pins], moving, sc["scenario"], sc["steps"], sc["stretch"],
+            ext, model.rest_vertices[yarn_right].mean(axis=0), sc["twist_angle"])
 
     gravity = np.asarray(sc["gravity"], dtype=float)
     forces = mesh.node_mass[:, None] * gravity
     colliders = parse_colliders(sc["colliders"])
 
-    t = time.perf_counter()
-    K = pdsolver.assemble_global(mesh, field, sc["dt"])
-    free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
-    clock("assemble", t)
-    t = time.perf_counter()
-    if sc["solver"] == "cms":
-        cms = pdsolver.build_cms(K[free][:, free].tocsc(), mesh,
-                                 n_domains=sc["domains"],
-                                 modes_per_domain=sc["modes_per_domain"],
-                                 free=free)
-        solver = pdsolver.GlobalSolver(K, free, pins, mode="cms", cms=cms,
-                                       refine_sweeps=sc["refine_sweeps"],
-                                       aggregation=sc["aggregation"],
-                                       chebyshev=sc["chebyshev"])
-    elif sc["solver"] == "direct":
-        solver = pdsolver.GlobalSolver(K, free, pins)
-    else:
-        raise ConfigError(f"unknown solver {sc['solver']!r}")
-    clock("factorize", t)
+    solver = None
+    if not colliders:
+        # with colliders every step assembles and factorizes its own matrix
+        t = time.perf_counter()
+        K = pdsolver.assemble_global(mesh, field, sc["dt"])
+        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        clock("assemble", t)
+        t = time.perf_counter()
+        solver = pdsolver.GlobalSolver(
+            K, free, pins, mode=sc["solver"], mesh=mesh, n_domains=sc["domains"],
+            modes_per_domain=sc["modes_per_domain"],
+            refine_sweeps=sc["refine_sweeps"], aggregation=sc["aggregation"],
+            chebyshev=sc["chebyshev"])
+        clock("factorize", t)
 
     frames_dir = os.path.join(out, "frames")
     os.makedirs(frames_dir, exist_ok=True)
     tris = volmesh.boundary_faces(mesh)
     comment = f"config {chash}"
-
-    state = pdsolver.SimState(
-        x=mesh.nodes.copy(), v=np.zeros_like(mesh.nodes), dt=sc["dt"],
-        pins=pins, pin_targets=None if pin_path is None else pin_path[0],
-        colliders=colliders)
     yarn_frames = np.empty((sc["steps"], model.n_vertices, 3))
     det_dev = []
-    for i in range(sc["steps"]):
-        if pin_path is not None:
-            state.pin_targets = pin_path[i]
-        t = time.perf_counter()
-        try:
-            pdsolver.pd_step(state, mesh, field, iterations=sc["pd_iters"],
-                             forces=forces, solver=solver if not colliders else None,
-                             damping=sc["damping"])
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+
+    def write_frame(i, state):
+        # a step's time runs from the end of the previous write
+        nonlocal t
         clock(f"step_{i:04d}", t)
         t = time.perf_counter()
         F = mesh.deformation_gradients(state.x.reshape(-1))
@@ -644,6 +617,14 @@ def cmd_simulate(cfg, out, chash):
         _write_obj(os.path.join(frames_dir, f"yarn_{i:04d}.obj"),
                    yarn_frames[i], lines=model.polylines, comment=comment)
         clock(f"write_{i:04d}", t)
+        t = time.perf_counter()
+
+    t = time.perf_counter()
+    pdsolver.simulate_mesh(
+        mesh, field, sc["steps"], sc["dt"], forces=forces, pins=pins,
+        pin_targets=pin_path, colliders=colliders, iterations=sc["pd_iters"],
+        solver=solver, damping=sc["damping"], polish_tol=sc["polish_tol"],
+        on_step=write_frame)
 
     sim_seq = yarn_model.YarnSequence(frames=yarn_frames, dt=sc["dt"],
                                       pins=seq.pins)

@@ -200,10 +200,15 @@ class SimState:
 
 class GlobalSolver:
     """Solves K X = B for the scalar global matrix, directly or via a
-    component-mode subspace with aggregated-Jacobi refinement."""
+    component-mode subspace with aggregated-Jacobi refinement.
 
-    def __init__(self, K, free, pins, mode="direct", cms=None, refine_sweeps=0,
-                 aggregation=2, omega=JACOBI_OMEGA, chebyshev=False):
+    mode="cms" partitions `mesh` into n_domains and builds the subspace of
+    the free-free block itself.
+    """
+
+    def __init__(self, K, free, pins, mode="direct", mesh=None, n_domains=2,
+                 modes_per_domain=20, refine_sweeps=0, aggregation=2,
+                 omega=JACOBI_OMEGA, chebyshev=False):
         self.K = K
         self.free = free
         self.pins = pins
@@ -218,7 +223,8 @@ class GlobalSolver:
             self._solve = spla.factorized(self.Kff)
             self.cms = None
         elif mode == "cms":
-            self.cms = cms
+            self.cms = build_cms(self.Kff, mesh, n_domains=n_domains,
+                                 modes_per_domain=modes_per_domain, free=free)
         else:
             raise ValueError(f"unknown solver mode {mode!r}")
 
@@ -708,12 +714,16 @@ def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA,
 
 
 def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=None,
-                  colliders=(), iterations=PD_ITERS_DEFAULT, solver_mode="direct",
-                  n_domains=2, modes_per_domain=20, refine_sweeps=30, aggregation=2,
-                  chebyshev=False, damping=1.0, polish_tol=None, x0=None):
-    """Run a forward simulation and return the frame stack (steps, nV, 3).
+                  colliders=(), iterations=PD_ITERS_DEFAULT, solver=None, damping=1.0,
+                  polish_tol=None, on_step=None):
+    """Run a forward simulation from rest and return the frames (steps, nV, 3).
 
-    pin_targets may be constant (nP, 3) or a per-step path (steps, nP, 3).
+    forces is one constant (nV, 3) load.  pin_targets may be constant
+    (nP, 3) or a per-step path (steps, nP, 3).  solver is a prebuilt
+    GlobalSolver for the pinned global matrix; None builds a direct one.
+    With colliders every step assembles and factorizes its own matrix, so
+    no solver is built or used and polish_tol is ignored.  on_step(i, state)
+    is called after each (polished) step.
     """
     pins = np.asarray(pins, dtype=int)
     pin_path = None
@@ -723,39 +733,28 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
             pin_path = pin_targets
             pin_targets = pin_path[0]
     state = SimState(
-        x=mesh.nodes.copy() if x0 is None else np.asarray(x0, dtype=float).copy(),
+        x=mesh.nodes.copy(),
         v=np.zeros_like(mesh.nodes),
         dt=dt,
         pins=pins,
         pin_targets=pin_targets,
         colliders=tuple(colliders),
     )
-    free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
-    K = assemble_global(mesh, gammas, dt)
-    if solver_mode == "cms":
-        cms = build_cms(K[free][:, free].tocsc(), mesh, n_domains=n_domains,
-                        modes_per_domain=modes_per_domain, free=free)
-        solver = GlobalSolver(K, free, pins, mode="cms", cms=cms,
-                              refine_sweeps=refine_sweeps, aggregation=aggregation,
-                              chebyshev=chebyshev)
-    else:
-        solver = GlobalSolver(K, free, pins)
+    if state.colliders:
+        solver = None
+    elif solver is None:
+        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        solver = GlobalSolver(assemble_global(mesh, gammas, dt), free, pins)
 
-    if forces is not None:
-        forces = np.asarray(forces, dtype=float)
-        if forces.ndim == 2:
-            forces = np.broadcast_to(forces, (steps,) + forces.shape)
     frames = np.empty((steps, mesh.n_nodes, 3))
+    polish = polish_tol is not None and not state.colliders
     for i in range(steps):
         if pin_path is not None:
             state.pin_targets = pin_path[i]
-        f = None if forces is None else forces[i]
-        sv = solver if not state.colliders else None
-        polish = polish_tol is not None and not state.colliders
         if polish:
-            x_start, xh = state.x.copy(), _predicted(state, f, mesh)
-        pd_step(state, mesh, gammas, iterations=iterations, forces=f,
-                solver=sv, damping=damping)
+            x_start, xh = state.x.copy(), _predicted(state, forces, mesh)
+        pd_step(state, mesh, gammas, iterations=iterations, forces=forces,
+                solver=solver, damping=damping)
         if polish:
             # polish toward this step's prediction, then rebuild v from the
             # polished positions as pd_step does from its own
@@ -765,4 +764,6 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
             )
             state.v = damping * (state.x - x_start) / dt
         frames[i] = state.x
+        if on_step is not None:
+            on_step(i, state)
     return frames

@@ -372,7 +372,26 @@ def test_simulate_twist_reports_det_deviation(pipeline_ws, tmp_path):
     assert len(rep["det_deviation"]) == 6
 
 
-def test_simulate_colliders_report_direct_solver_used(pipeline_ws, tmp_path):
+def test_simulate_polish_tol_changes_replay(pipeline_ws, tmp_path):
+    frames = []
+    for name, tol in (("plain", None), ("polished", 1e-9)):
+        sim = dict(PIPELINE_CFG["simulate"], steps=3, polish_tol=tol)
+        rc, out = run_cli("simulate", tmp_path / name,
+                          alias_cfg(pipeline_ws, simulate=sim))
+        assert rc == cli.EXIT_OK
+        frames.append(yarn_model.read_sequence(
+            os.path.join(out, "sim_yarn"))[1].frames)
+    assert np.all(np.isfinite(frames[1]))
+    assert not np.array_equal(frames[0], frames[1])
+
+
+def test_simulate_colliders_report_direct_solver_used(pipeline_ws, tmp_path,
+                                                      monkeypatch):
+    # every step builds its own collider solver, so no CMS basis is built
+    calls = []
+    build_cms = pdsolver.build_cms
+    monkeypatch.setattr(pdsolver, "build_cms",
+                        lambda *a, **k: calls.append(1) or build_cms(*a, **k))
     floor = {"kind": "plane", "point": [0.0, -1.0, 0.0], "normal": [0.0, 1.0, 0.0]}
     cfg = alias_cfg(pipeline_ws,
                     simulate={"scenario": "hold", "steps": 2, "dt": 1e-2,
@@ -382,6 +401,7 @@ def test_simulate_colliders_report_direct_solver_used(pipeline_ws, tmp_path):
     rep = read_report(out, "sim_report.json")
     assert rep["solver"] == "cms"
     assert rep["solver_used"] == "direct"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +462,26 @@ def test_nonpositive_dt_exits_2(tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("simulate", "scenario", "shear"),
+    ("simulate", "solver", "multigrid"),
+    ("generate", "scenario", "drop"),
+])
+def test_validate_config_rejects_unknown_enum(section, key, value):
+    cfg = cli.load_config()
+    cfg[section][key] = value
+    with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
+        cli.validate_config(cfg)
+
+
 def test_console_entry_point_reports_usage_errors():
+    # the subprocess imports the same volknit package this test imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "volknit.cli", "generate", "--out",
          "/tmp/volknit_entry_test", "--config", "/nonexistent.json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == cli.EXIT_USAGE
     assert "error:" in proc.stderr
 

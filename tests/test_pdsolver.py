@@ -152,7 +152,8 @@ class TestStepping:
     def test_free_fall_discrete_closed_form(self):
         # uniform translation is an exact fixed point of the global solve,
         # so implicit Euler gives x_n = x0 + g dt^2 n(n+1)/2 to roundoff,
-        # with or without the Newton polish after each step
+        # with or without the Newton polish after each step; on_step sees
+        # each returned frame as it is made
         mesh, _, _ = wavy_mesh()
         mesh.node_mass = np.full(mesh.n_nodes, 1e-3)
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
@@ -160,8 +161,12 @@ class TestStepping:
         g = np.array([0.0, -9.8, 0.0])
         f = mesh.node_mass[:, None] * g
         for polish_tol in (None, 1e-9):
-            frames = pdsolver.simulate_mesh(mesh, gam, steps, dt, forces=f, iterations=3,
-                                            polish_tol=polish_tol)
+            seen = []
+            frames = pdsolver.simulate_mesh(
+                mesh, gam, steps, dt, forces=f, iterations=3, polish_tol=polish_tol,
+                on_step=lambda i, st: seen.append((i, st.x.copy())))
+            assert [i for i, _ in seen] == list(range(steps))
+            assert np.array_equal(np.array([x for _, x in seen]), frames)
             for n in range(1, steps + 1):
                 expect = mesh.nodes + g * dt**2 * n * (n + 1) / 2.0
                 assert np.abs(frames[n - 1] - expect).max() < 1e-12, (polish_tol, n)
@@ -515,8 +520,10 @@ class TestSimulate:
         f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])
         kw = dict(forces=f, pins=pins, pin_targets=mesh.nodes[pins], iterations=8)
         direct = pdsolver.simulate_mesh(mesh, gam, 4, dt, **kw)
-        reduced = pdsolver.simulate_mesh(mesh, gam, 4, dt, solver_mode="cms",
-                                         n_domains=2, modes_per_domain=12,
-                                         refine_sweeps=200, **kw)
+        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        cms = pdsolver.GlobalSolver(
+            pdsolver.assemble_global(mesh, gam, dt), free, pins, mode="cms",
+            mesh=mesh, n_domains=2, modes_per_domain=12, refine_sweeps=200)
+        reduced = pdsolver.simulate_mesh(mesh, gam, 4, dt, solver=cms, **kw)
         scale = np.abs(direct[-1]).max()
         assert np.abs(direct - reduced).max() < 1e-7 * max(scale, 1.0)
