@@ -5,6 +5,10 @@ All commands operate on a workspace directory given with --out:
 
     config.resolved.json            merged config and its hash
     sequence/                       ground-truth yarn frames     (generate)
+        rest.yarn                   rest polylines, text
+        frames.npy                  (frames, vertices, 3) float64 poses
+        external_force.npy          per-frame forces; sim_yarn/ lacks it
+        sequence.json               dt, pins, density, radius
     mesh.node/.ele/.json            tetrahedral mesh             (voxelize)
     material.csv, convergence.csv, fit_report.json               (fit)
     fit_state.json                  checkpoint for --resume      (fit)
@@ -303,14 +307,14 @@ def build_yarn(cfg, rng):
     return model
 
 
-def _end_groups(points):
-    """Vertex indices at the min-x and max-x extremes."""
+def _end_groups(points, model):
+    """Indices of points within half the shortest rest segment of the min-x
+    and max-x extremes, so a jittered end column is pinned whole."""
     x = points[:, 0]
-    ext = x.max() - x.min()
-    eps = max(1e-12, 1e-6 * ext)
-    left = np.flatnonzero(x <= x.min() + eps)
-    right = np.flatnonzero(x >= x.max() - eps)
-    return left, right, ext
+    tol = 0.5 * model.rest_lengths.min()
+    left = np.flatnonzero(x <= x.min() + tol)
+    right = np.flatnonzero(x >= x.max() - tol)
+    return left, right, x.max() - x.min()
 
 
 def _x_rotation(theta):
@@ -350,7 +354,7 @@ def cmd_generate(cfg, out, chash):
     gravity = np.asarray(gen["gravity"], dtype=float)
     forces = model.vertex_mass()[:, None] * gravity
 
-    left, right, ext = _end_groups(model.rest_vertices)
+    left, right, ext = _end_groups(model.rest_vertices, model)
     if gen["scenario"] == "drape":
         pins, path = left, None
     else:
@@ -568,12 +572,12 @@ def cmd_simulate(cfg, out, chash):
     if len(seq.pins):
         # each yarn pin group (min-x / max-x extreme) drags the full node set
         # of its host tets rigidly, mirroring the generation-side pin motion
-        yl, yr, _ = _end_groups(model.rest_vertices[seq.pins])
+        yl, yr, _ = _end_groups(model.rest_vertices[seq.pins], model)
         left_nodes = np.unique(mesh.tets[emb.host_elem[seq.pins[yl]]])
         right_nodes = np.unique(mesh.tets[emb.host_elem[seq.pins[yr]]])
         pins = np.union1d(left_nodes, right_nodes)
         moving = np.isin(pins, np.setdiff1d(right_nodes, left_nodes))
-        _, yarn_right, ext = _end_groups(model.rest_vertices)
+        _, yarn_right, ext = _end_groups(model.rest_vertices, model)
         pin_path = scenario_pin_path(
             mesh.nodes[pins], moving, sc["scenario"], sc["steps"], sc["stretch"],
             ext, model.rest_vertices[yarn_right].mean(axis=0), sc["twist_angle"])
@@ -602,7 +606,7 @@ def cmd_simulate(cfg, out, chash):
     tris = volmesh.boundary_faces(mesh)
     comment = f"config {chash}"
     yarn_frames = np.empty((sc["steps"], model.n_vertices, 3))
-    det_dev = []
+    det_dev, polish = [], []
 
     def write_frame(i, state):
         # a step's time runs from the end of the previous write
@@ -611,6 +615,8 @@ def cmd_simulate(cfg, out, chash):
         t = time.perf_counter()
         F = mesh.deformation_gradients(state.x.reshape(-1))
         det_dev.append(float(np.abs(np.linalg.det(F) - 1.0).max()))
+        if state.polish is not None:
+            polish.append(state.polish)
         yarn_frames[i] = transfer.v2y(emb, state.x)
         _write_obj(os.path.join(frames_dir, f"mesh_{i:04d}.obj"), state.x,
                    faces=tris, comment=comment)
@@ -636,6 +642,8 @@ def cmd_simulate(cfg, out, chash):
         # with colliders every step reassembles and factorizes K directly
         solver_used="direct" if colliders else sc["solver"],
         max_det_deviation=max(det_dev), det_deviation=det_dev,
+        polish_iters=[it for _, it in polish],
+        polish_unconverged=sum(not ok for ok, _ in polish),
     ), chash)
     return EXIT_OK
 

@@ -187,6 +187,7 @@ class SimState:
     pins: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     pin_targets: np.ndarray = None
     colliders: tuple = ()
+    polish: tuple = None          # (converged, iterations) of the last polish
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float).reshape(-1, 3).copy()
@@ -723,7 +724,8 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
     GlobalSolver for the pinned global matrix; None builds a direct one.
     With colliders every step assembles and factorizes its own matrix, so
     no solver is built or used and polish_tol is ignored.  on_step(i, state)
-    is called after each (polished) step.
+    is called after each (polished) step; state.polish then holds that
+    step's polish outcome.
     """
     pins = np.asarray(pins, dtype=int)
     pin_path = None
@@ -758,10 +760,11 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
         if polish:
             # polish toward this step's prediction, then rebuild v from the
             # polished positions as pd_step does from its own
-            state.x, _, _ = newton_polish(
+            state.x, ok, iters = newton_polish(
                 mesh, gammas, state.x, dt=dt, pins=pins,
                 pin_vals=state.pin_targets, xhat=xh, tol=polish_tol,
             )
+            state.polish = (ok, iters)
             state.v = damping * (state.x - x_start) / dt
         frames[i] = state.x
         if on_step is not None:

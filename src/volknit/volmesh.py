@@ -71,10 +71,18 @@ class VolumeMesh:
     def __post_init__(self):
         if self.volume is None:
             self._build_operators()
-        self._voxel_lookup = {tuple(v): i for i, v in enumerate(self.voxels)}
-        self._voxel_tets = {}
-        for e, c in enumerate(self.tet_voxel):
-            self._voxel_tets.setdefault(int(c), []).append(e)
+        # occupied cells by sorted integer key, and the elements of each cell
+        # ascending, padded with n_elements; the empty last row is cell -1's
+        self._lo = self.voxels.min(axis=0)
+        self._dims = self.voxels.max(axis=0) - self._lo + 1
+        keys = np.ravel_multi_index((self.voxels - self._lo).T, self._dims)
+        self._key_order = np.argsort(keys)
+        self._keys = keys[self._key_order]
+        order = np.argsort(self.tet_voxel, kind="stable")
+        count = np.bincount(self.tet_voxel, minlength=len(self.voxels) + 1)
+        slot = np.arange(len(order)) - (np.cumsum(count) - count)[self.tet_voxel[order]]
+        self._voxel_tets = np.full((len(count), count.max()), self.n_elements)
+        self._voxel_tets[self.tet_voxel[order], slot] = order
 
     def _build_operators(self):
         x = self.nodes[self.tets]                      # (nE, 4, 3)
@@ -117,46 +125,59 @@ class VolumeMesh:
         xe = x.reshape(-1, 3)[self.tets].reshape(-1, 12)
         return np.einsum("eab,eb->ea", self.diff_op, xe).reshape(-1, 3, 3)
 
-    def grid_cell(self, p):
-        """Integer cell containing point p, with snapping at grid planes."""
-        g = (np.asarray(p, dtype=float) - self.origin) / self.cell_size
-        k = np.rint(g)
-        g = np.where(np.abs(g - k) < _SNAP * np.maximum(1.0, np.abs(g)), k, g)
-        return np.floor(g).astype(int)
+    def voxel_index(self, cells):
+        """Index into voxels of integer cells (..., 3); -1 where unoccupied."""
+        rel = cells - self._lo
+        inside = np.all((rel >= 0) & (rel < self._dims), axis=-1)
+        keys = np.ravel_multi_index(np.moveaxis(rel, -1, 0), self._dims, mode="clip")
+        pos = np.searchsorted(self._keys, keys).clip(max=len(self._keys) - 1)
+        return np.where(inside & (self._keys[pos] == keys), self._key_order[pos], -1)
 
-    def candidate_elements(self, p):
-        """Elements of the cell containing p and of plane-adjacent cells."""
-        g = (np.asarray(p, dtype=float) - self.origin) / self.cell_size
+    def candidate_elements(self, points):
+        """Candidate elements (B, K) of points (B, 3), ascending per row.
+
+        They are the elements of the cell containing each point and, where
+        the point snaps to grid planes, of the cells across them.  Unused
+        slots hold n_elements, so they sort last.
+        """
+        g = (points - self.origin) / self.cell_size
         k = np.rint(g)
         on_plane = np.abs(g - k) < _SNAP * np.maximum(1.0, np.abs(g))
         base = np.where(on_plane, k, np.floor(g)).astype(int)
-        cells = [base]
-        for ax in range(3):
-            if on_plane[ax]:
-                cells = cells + [c - np.eye(3, dtype=int)[ax] for c in cells]
-        out = []
-        for c in cells:
-            out.extend(self._voxel_tets.get(self._voxel_lookup.get(tuple(c), -1), []))
-        return sorted(set(out))
+        step = -_CELL_CORNERS                       # 0 or -1 along each axis
+        vox = self.voxel_index(base[:, None] + step)
+        vox[~np.all(on_plane[:, None] | (step == 0), axis=2)] = -1
+        return np.sort(self._voxel_tets[vox].reshape(len(points), -1), axis=1)
 
-    def barycentric(self, elem, p):
-        """Barycentric coordinates of p in element elem."""
-        x0 = self.nodes[self.tets[elem, 0]]
-        xi = np.linalg.solve(self.jacobian[elem], np.asarray(p, dtype=float) - x0)
-        return np.concatenate([[1.0 - xi.sum()], xi])
+    def barycentric(self, elems, points):
+        """Barycentric coordinates (..., 4) of points (..., 3) in elems (...)."""
+        x0 = self.nodes[self.tets[elems, 0]]
+        xi = np.linalg.solve(self.jacobian[elems], (points - x0)[..., None])[..., 0]
+        return np.concatenate([1.0 - xi.sum(axis=-1, keepdims=True), xi], axis=-1)
 
-    def locate(self, p):
-        """Host element and barycentric weights of point p.
+    def locate(self, points):
+        """Host elements (...) and barycentric weights (..., 4) of points (..., 3).
 
-        Candidates come from the surrounding cells; ties on shared faces go
-        to the lowest element index.  Raises if p is outside the mesh.
+        Candidates are tried in ascending element order, so ties on shared
+        faces go to the lowest element index; the first candidate with all
+        weights >= -1e-12 wins, else >= -1e-9, else >= -1e-6.  Raises if a
+        point is outside the mesh.
         """
+        points = np.asarray(points, dtype=float)
+        flat = points.reshape(-1, 3)
+        cand = self.candidate_elements(flat)
+        row, col = np.nonzero(cand < self.n_elements)
+        lam = np.full(cand.shape + (4,), np.nan)
+        lam[row, col] = self.barycentric(cand[row, col], flat[row])
+        pick = np.full(len(flat), -1)
         for tol in (1e-12, 1e-9, 1e-6):
-            for e in self.candidate_elements(p):
-                lam = self.barycentric(e, p)
-                if np.all(lam >= -tol):
-                    return e, lam
-        raise ValueError(f"point {p} lies outside the mesh")
+            inside = np.all(lam >= -tol, axis=2)
+            pick = np.where((pick < 0) & inside.any(axis=1), inside.argmax(axis=1), pick)
+        if np.any(pick < 0):
+            raise ValueError(f"point {flat[np.argmax(pick < 0)]} lies outside the mesh")
+        rows = np.arange(len(flat))
+        return (cand[rows, pick].reshape(points.shape[:-1]),
+                lam[rows, pick].reshape(points.shape[:-1] + (4,)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,44 +379,34 @@ class YarnEmbedding:
     yarn_mass: np.ndarray       # (nY,) lumped yarn vertex masses
 
 
-def _clip_segment(mesh, p0, p1, candidates):
-    """Partition of [0, 1] into per-element pieces along one segment."""
-    intervals = []
-    for e in candidates:
-        la = mesh.barycentric(e, p0)
-        lb = mesh.barycentric(e, p1)
-        t0, t1 = 0.0, 1.0
-        ok = True
-        for k in range(4):
-            dl = lb[k] - la[k]
-            if abs(dl) < 1e-14:
-                if la[k] < -_BARY_TOL:
-                    ok = False
-                    break
-                continue
-            tc = (-_BARY_TOL - la[k]) / dl
-            if dl > 0.0:
-                t0 = max(t0, tc)
-            else:
-                t1 = min(t1, tc)
-        if ok and t1 - t0 > 1e-12:
-            intervals.append((t0, t1, e))
-    breaks = {0.0, 1.0}
-    for t0, t1, _ in intervals:
-        breaks.add(min(max(t0, 0.0), 1.0))
-        breaks.add(min(max(t1, 0.0), 1.0))
-    breaks = sorted(breaks)
-    pieces = []
-    for u0, u1 in zip(breaks[:-1], breaks[1:]):
-        if u1 - u0 < 1e-12:
-            continue
-        mid = 0.5 * (u0 + u1)
-        owners = [e for (t0, t1, e) in intervals if t0 - 1e-9 <= mid <= t1 + 1e-9]
-        if not owners:
-            pm = p0 + mid * (p1 - p0)
-            owners = [mesh.locate(pm)[0]]
-        pieces.append((u0, u1, min(owners)))
-    return pieces
+def _segment_intervals(mesh, yarn):
+    """Parameter interval of every segment inside each of its candidates.
+
+    Candidates are the elements of the cells a segment crosses.  Returns
+    (segment, element, t0, t1) of the non-empty intervals, ordered by
+    segment, then element.
+    """
+    rest, segs = yarn.rest_vertices, yarn.segments
+    cells = [segment_cells(rest[a], rest[b], mesh.cell_size, mesh.origin) for a, b in segs]
+    tets = mesh._voxel_tets[mesh.voxel_index(np.array([c for cs in cells for c in cs]))]
+    seg = np.repeat(np.arange(len(segs)), [len(cs) for cs in cells])
+    key = np.unique((seg[:, None] * mesh.n_elements + tets)[tets < mesh.n_elements])
+    seg, elem = np.divmod(key, mesh.n_elements)
+    la = mesh.barycentric(elem, rest[segs[seg, 0]])
+    lb = mesh.barycentric(elem, rest[segs[seg, 1]])
+    t0, t1 = np.zeros(len(key)), np.ones(len(key))
+    ok = np.ones(len(key), dtype=bool)
+    for k in range(4):
+        dl = lb[:, k] - la[:, k]
+        flat = np.abs(dl) < 1e-14
+        ok &= ~flat | (la[:, k] >= -_BARY_TOL)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tc = (-_BARY_TOL - la[:, k]) / dl
+        # strict comparisons keep the earlier bound on ties, like max/min
+        t0 = np.where(~flat & (dl > 0.0) & (tc > t0), tc, t0)
+        t1 = np.where(~flat & (dl < 0.0) & (tc < t1), tc, t1)
+    keep = ok & (t1 - t0 > 1e-12)
+    return seg[keep], elem[keep], t0[keep], t1[keep]
 
 
 def embed_yarn(mesh, yarn):
@@ -407,56 +418,54 @@ def embed_yarn(mesh, yarn):
     """
     rest = yarn.rest_vertices
     n_yarn = len(rest)
-    host = np.empty(n_yarn, dtype=int)
-    weights = np.empty((n_yarn, 4))
-    for v in range(n_yarn):
-        host[v], weights[v] = mesh.locate(rest[v])
-    w = np.clip(weights, 0.0, 1.0)
-    w /= w.sum(axis=1, keepdims=True)
-    weights = w
+    host, weights = mesh.locate(rest)
+    weights = np.clip(weights, 0.0, 1.0)
+    weights /= weights.sum(axis=1, keepdims=True)
     rows = np.repeat(np.arange(n_yarn), 4)
     cols = mesh.tets[host].reshape(-1)
     interp = sp.csr_matrix((weights.reshape(-1), (rows, cols)), shape=(n_yarn, mesh.n_nodes))
 
-    pc_e, pc_s, pc_a, pc_b = [], [], [], []
-    for si, s in enumerate(yarn.segments):
-        cells = segment_cells(rest[s[0]], rest[s[1]], mesh.cell_size, mesh.origin)
-        cand = []
-        for c in cells:
-            cand.extend(mesh._voxel_tets.get(mesh._voxel_lookup.get(c, -1), []))
-        for u0, u1, e in _clip_segment(mesh, rest[s[0]], rest[s[1]], sorted(set(cand))):
-            pc_e.append(e)
-            pc_s.append(si)
-            pc_a.append(u0)
-            pc_b.append(u1)
+    seg, elem, t0, t1 = _segment_intervals(mesh, yarn)
+    bounds = np.searchsorted(seg, np.arange(yarn.n_segments + 1)).tolist()
+    elem, t0, t1 = elem.tolist(), t0.tolist(), t1.tolist()
+    pieces = []
+    for si, (a, b) in enumerate(yarn.segments):
+        # cut [0, 1] at every interval end; each piece goes to the lowest
+        # element whose interval holds its midpoint
+        lo, hi = bounds[si], bounds[si + 1]
+        intervals = list(zip(t0[lo:hi], t1[lo:hi], elem[lo:hi]))
+        breaks = sorted({0.0, 1.0} | {min(max(t, 0.0), 1.0) for t in t0[lo:hi] + t1[lo:hi]})
+        for u0, u1 in zip(breaks[:-1], breaks[1:]):
+            if u1 - u0 < 1e-12:
+                continue
+            mid = 0.5 * (u0 + u1)
+            owners = [e for (v0, v1, e) in intervals if v0 - 1e-9 <= mid <= v1 + 1e-9]
+            if not owners:
+                owners = [int(mesh.locate(rest[a] + mid * (rest[b] - rest[a]))[0])]
+            pieces.append((min(owners), si, u0, u1))
 
-    seg_len = np.linalg.norm(rest[yarn.segments[:, 1]] - rest[yarn.segments[:, 0]], axis=1)
-    seg_rho = yarn.segment_density()
-    ym = np.zeros(n_yarn)
-    np.add.at(ym, yarn.segments[:, 0], 0.5 * seg_len * seg_rho)
-    np.add.at(ym, yarn.segments[:, 1], 0.5 * seg_len * seg_rho)
-
+    pe, ps, pa, pb = map(np.array, zip(*pieces))
     return YarnEmbedding(
         host_elem=host,
         host_weights=weights,
         interp=interp,
-        piece_elem=np.asarray(pc_e, dtype=int),
-        piece_seg=np.asarray(pc_s, dtype=int),
-        piece_t0=np.asarray(pc_a),
-        piece_t1=np.asarray(pc_b),
-        yarn_mass=ym,
+        piece_elem=pe,
+        piece_seg=ps,
+        piece_t0=pa,
+        piece_t1=pb,
+        yarn_mass=yarn.vertex_mass(),
     )
 
 
-def scatter_line_mass(mesh, elem, p0, p1, mass, out):
-    """Add the lumped share of a straight mass-carrying piece to its nodes.
+def scatter_line_mass(mesh, elems, p0, p1, mass, out):
+    """Add the lumped shares of straight mass-carrying pieces to their nodes.
 
-    The shape functions are linear along the piece, so the line integral of
+    The shape functions are linear along a piece, so the line integral of
     each one is the average of its endpoint values times the piece mass.
+    Pieces (elems (...), ends (..., 3), mass (...)) are added in order.
     """
-    la = mesh.barycentric(elem, p0)
-    lb = mesh.barycentric(elem, p1)
-    out[mesh.tets[elem]] += mass * 0.5 * (la + lb)
+    lam = mesh.barycentric(elems, p0) + mesh.barycentric(elems, p1)
+    np.add.at(out, mesh.tets[elems], (np.asarray(mass) * 0.5)[..., None] * lam)
 
 
 def lump_mass(mesh, yarn, embedding=None):
@@ -472,14 +481,13 @@ def lump_mass(mesh, yarn, embedding=None):
     segs = yarn.segments
     seg_len = np.linalg.norm(rest[segs[:, 1]] - rest[segs[:, 0]], axis=1)
     seg_rho = yarn.segment_density()
+    si, t0, t1 = embedding.piece_seg, embedding.piece_t0, embedding.piece_t1
+    a = rest[segs[si, 0]]
+    d = rest[segs[si, 1]] - a
+    m = seg_rho[si] * seg_len[si] * (t1 - t0)
     masses = np.zeros(mesh.n_nodes)
-    for e, si, t0, t1 in zip(
-        embedding.piece_elem, embedding.piece_seg, embedding.piece_t0, embedding.piece_t1
-    ):
-        a = rest[segs[si, 0]]
-        d = rest[segs[si, 1]] - rest[segs[si, 0]]
-        m = seg_rho[si] * seg_len[si] * (t1 - t0)
-        scatter_line_mass(mesh, e, a + t0 * d, a + t1 * d, m, masses)
+    scatter_line_mass(mesh, embedding.piece_elem, a + t0[:, None] * d,
+                      a + t1[:, None] * d, m, masses)
     mesh.node_mass = masses
     return masses
 
@@ -511,27 +519,19 @@ def element_adjacency(mesh):
 
 
 def boundary_faces(mesh):
-    """Outward-oriented triangles of the mesh boundary."""
-    counts = {}
-    for e, t in enumerate(mesh.tets):
-        for k in range(4):
-            face = tuple(np.delete(t, k))
-            key = tuple(sorted(face))
-            counts.setdefault(key, []).append((e, k))
-    out = []
-    for key, hits in counts.items():
-        if len(hits) != 1:
-            continue
-        e, k = hits[0]
-        t = mesh.tets[e]
-        face = list(np.delete(t, k))
-        a, b, c = (mesh.nodes[i] for i in face)
-        inner = mesh.nodes[t[k]]
-        n = np.cross(b - a, c - a)
-        if np.dot(n, inner - a) > 0.0:
-            face = [face[0], face[2], face[1]]
-        out.append(face)
-    return np.array(sorted(out), dtype=int)
+    """Outward-oriented triangles of the mesh boundary, in sorted order."""
+    # face k of a tet drops its node k; boundary faces belong to one tet
+    drop = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    faces = mesh.tets[:, drop].reshape(-1, 3)
+    _, first, count = np.unique(np.sort(faces, axis=1), axis=0,
+                                return_index=True, return_counts=True)
+    idx = first[count == 1]
+    face = faces[idx]
+    a, b, c = (mesh.nodes[face[:, j]] for j in range(3))
+    inner = mesh.nodes[mesh.tets[idx // 4, idx % 4]]
+    flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), inner - a) > 0.0
+    face[flip] = face[flip][:, [0, 2, 1]]
+    return face[np.lexsort(face.T[::-1])]
 
 
 # ---------------------------------------------------------------------------

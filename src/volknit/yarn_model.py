@@ -23,14 +23,13 @@ from .material import minimal_rotation
 
 
 class YarnModel:
-    """Polyline yarn geometry with rest and deformed states.
+    """Polyline yarn geometry in its rest state.
 
     polylines are runs of vertex indices; consecutive pairs form segments.
     linear_density is mass per unit length, constant along each polyline.
     """
 
-    def __init__(self, rest_vertices, polylines, linear_density=1.0, radius=None,
-                 deformed_vertices=None):
+    def __init__(self, rest_vertices, polylines, linear_density=1.0, radius=None):
         self.rest_vertices = np.array(rest_vertices, dtype=float)
         if self.rest_vertices.ndim != 2 or self.rest_vertices.shape[1] != 3:
             raise ValueError("rest vertices must be (n, 3)")
@@ -66,12 +65,6 @@ class YarnModel:
             raise ValueError("need one linear density per polyline")
         self.linear_density = dens
         self.radius = float(radius) if radius is not None else 0.25 * float(np.median(rl))
-        if deformed_vertices is None:
-            self.deformed_vertices = self.rest_vertices.copy()
-        else:
-            self.deformed_vertices = np.array(deformed_vertices, dtype=float)
-            if self.deformed_vertices.shape != self.rest_vertices.shape:
-                raise ValueError("deformed vertices must match rest vertex count")
         self.segment_normals = None    # (nS, 2, 3) once computed
 
     @property
@@ -99,17 +92,6 @@ class YarnModel:
     def polyline_segments(self, pi):
         """Indices of the segments belonging to polyline pi, in order."""
         return np.flatnonzero(self.segment_poly == pi)
-
-    def with_deformed(self, x):
-        out = YarnModel(
-            self.rest_vertices,
-            self.polylines,
-            linear_density=self.linear_density,
-            radius=self.radius,
-            deformed_vertices=x,
-        )
-        out.segment_normals = self.segment_normals
-        return out
 
 
 def compute_segment_normals(model):
@@ -212,14 +194,23 @@ def _pair_laplacian(n, pairs, weights):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _pair_rhs(pairs, weights, targets, n):
-    """Accumulate w * S^T p for pair difference constraints."""
-    rhs = np.zeros((n, 3))
-    if len(pairs):
-        wp = weights[:, None] * targets
-        np.add.at(rhs, pairs[:, 1], wp)
-        np.add.at(rhs, pairs[:, 0], -wp)
-    return rhs
+def _incidence(n, pairs):
+    """Signed (n, m) incidence S of pair differences: S^T x = x[j] - x[i]."""
+    m = len(pairs)
+    return sp.csr_matrix((np.repeat([1.0, -1.0], m),
+                          (pairs[:, ::-1].T.reshape(-1), np.tile(np.arange(m), 2))),
+                         shape=(n, m))
+
+
+def _pair_rhs(incidence, weights, targets):
+    """w * S p for pair difference constraints."""
+    return incidence @ (weights[:, None] * targets)
+
+
+def _pair_keys(pairs, n):
+    """Order-free integer key of each vertex pair."""
+    s = np.sort(pairs, axis=1)
+    return s[:, 0] * n + s[:, 1]
 
 
 def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
@@ -238,7 +229,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
     params = params or RodParams()
     n = model.n_vertices
     rest = model.rest_vertices
-    x = model.deformed_vertices.copy()
+    x = rest.copy()
     v = np.zeros((n, 3))
     mass = model.vertex_mass()
 
@@ -269,6 +260,9 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
         + _pair_laplacian(n, stretch, w_stretch)
         + _pair_laplacian(n, bend, w_bend)
     )
+    S_stretch, S_bend = _incidence(n, stretch), _incidence(n, bend)
+    connected = _pair_keys(np.concatenate([stretch, bend]), n)
+    base_solver = None
     blow = 10.0 * float(model.rest_lengths.max())
     frames = np.empty((steps, n, 3))
     rec_forces = np.empty((steps, n, 3)) if record_forces else None
@@ -281,16 +275,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
         if params.contacts and model.radius > 0.0:
             tree = cKDTree(xhat)
             raw = tree.query_pairs(model.radius, output_type="ndarray")
-            if len(raw):
-                skip = np.zeros(len(raw), dtype=bool)
-                con = set(map(tuple, np.sort(stretch, axis=1)))
-                con |= set(map(tuple, np.sort(bend, axis=1))) if len(bend) else set()
-                for k, (a, b) in enumerate(np.sort(raw, axis=1)):
-                    if (a, b) in con:
-                        skip[k] = True
-                contacts = raw[~skip]
-            else:
-                contacts = raw
+            contacts = raw[~np.isin(_pair_keys(raw, n), connected)]
         else:
             contacts = np.empty((0, 2), dtype=int)
         w_contact = np.full(len(contacts), params.contact_stiffness / max(model.radius, 1e-12))
@@ -310,36 +295,44 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
                 raise ValueError(f"unknown collider kind {kind!r}")
         w_coll = params.contact_stiffness / max(model.radius, 1e-12)
 
-        A = base + _pair_laplacian(n, contacts, w_contact)
-        for idx, *_ in coll_idx:
-            if len(idx):
-                A = A + sp.csr_matrix(
-                    (np.full(len(idx), w_coll), (idx, idx)), shape=(n, n)
-                )
-        Aff = A[free][:, free].tocsc()
-        Afp = A[free][:, pins] if len(pins) else None
-        solve = spla.factorized(Aff)
+        # the base matrix is factorized once and reused by every step that
+        # adds no contact or collider rows
+        extra = len(contacts) > 0 or any(len(idx) for idx, *_ in coll_idx)
+        if extra or base_solver is None:
+            A = base + _pair_laplacian(n, contacts, w_contact)
+            for idx, *_ in coll_idx:
+                if len(idx):
+                    A = A + sp.csr_matrix(
+                        (np.full(len(idx), w_coll), (idx, idx)), shape=(n, n)
+                    )
+            solver = (A[free][:, pins] if len(pins) else None,
+                      spla.factorized(A[free][:, free].tocsc()))
+            if not extra:
+                base_solver = solver
+        Afp, solve = solver if extra else base_solver
+        S_contact = _incidence(n, contacts)
 
         xp = pin_path[step]
         xi = xhat.copy()
         xi[pins] = xp
         const_rhs = (mass[:, None] / dt**2 * xhat)[free]
+        pin_rhs = Afp @ xp if len(pins) else 0.0
         for _ in range(params.pd_iters):
             d = xi[stretch[:, 1]] - xi[stretch[:, 0]]
             ln = np.linalg.norm(d, axis=1)
             tgt = d * (model.rest_lengths / np.maximum(ln, 1e-12))[:, None]
-            rhs = _pair_rhs(stretch, w_stretch, tgt, n)
+            rhs = _pair_rhs(S_stretch, w_stretch, tgt)
             if len(bend):
                 d = xi[bend[:, 1]] - xi[bend[:, 0]]
                 ln = np.linalg.norm(d, axis=1)
                 tgt = d * (bend_rest / np.maximum(ln, 1e-12))[:, None]
-                rhs += _pair_rhs(bend, w_bend, tgt, n)
+                rhs += _pair_rhs(S_bend, w_bend, tgt)
             if len(contacts):
                 d = xi[contacts[:, 1]] - xi[contacts[:, 0]]
                 ln = np.linalg.norm(d, axis=1)
                 goal = np.maximum(ln, model.radius)
                 tgt = d * (goal / np.maximum(ln, 1e-12))[:, None]
-                rhs += _pair_rhs(contacts, w_contact, tgt, n)
+                rhs += _pair_rhs(S_contact, w_contact, tgt)
             for idx, kind, a0, a1 in coll_idx:
                 if not len(idx):
                     continue
@@ -350,10 +343,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
                     ln = np.linalg.norm(rel, axis=1)
                     q = a0 + rel * (np.maximum(ln, a1) / np.maximum(ln, 1e-12))[:, None]
                 rhs[idx] += w_coll * q
-            b = const_rhs + rhs[free]
-            if len(pins):
-                b = b - Afp @ xp
-            xi[free] = solve(b)
+            xi[free] = solve(const_rhs + rhs[free] - pin_rhs)
 
         if not np.all(np.isfinite(xi)) or np.abs(xi - x).max() > blow:
             err = RuntimeError(f"yarn simulation diverged at frame {step}")
@@ -434,15 +424,16 @@ def rib_patch(courses=10, wales=40, course_spacing=0.01, wale_spacing=0.01,
 # ---------------------------------------------------------------------------
 # file formats
 
+FRAMES = "frames.npy"
 
-def write_yarn(model, path, deformed=False, comment=None):
+
+def write_yarn(model, path, comment=None):
     """Text format: `yarn <nV> <nP>` header, `v x y z` lines, `l i0 i1 ...` lines."""
-    pts = model.deformed_vertices if deformed else model.rest_vertices
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(f"yarn {model.n_vertices} {len(model.polylines)}\n")
-        for p in pts:
+        for p in model.rest_vertices:
             fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
         for run in model.polylines:
             fh.write("l " + " ".join(str(int(i)) for i in run) + "\n")
@@ -468,19 +459,15 @@ def read_yarn(path, linear_density=1.0, radius=None):
 
 
 def write_sequence(model, seq, directory, comment=None):
-    """Write rest yarn, one frame file per pose, and sequence.json."""
+    """Write rest.yarn, the (nF, nY, 3) float64 frames.npy, sequence.json and,
+    with recorded forces, external_force.npy."""
     os.makedirs(directory, exist_ok=True)
     write_yarn(model, os.path.join(directory, "rest.yarn"), comment=comment)
-    names = []
-    for i in range(seq.n_frames):
-        name = f"frame_{i:04d}.yarn"
-        write_yarn(model.with_deformed(seq.frames[i]), os.path.join(directory, name),
-                   deformed=True, comment=comment)
-        names.append(name)
+    np.save(os.path.join(directory, FRAMES), seq.frames)
     meta = {
         "dt": seq.dt,
         "rest": "rest.yarn",
-        "frames": names,
+        "frames": FRAMES,
         "pins": [int(i) for i in seq.pins],
         "linear_density": [float(v) for v in model.linear_density],
         "radius": model.radius,
@@ -498,19 +485,20 @@ def read_sequence(directory):
     """Read what write_sequence wrote; returns (model, sequence)."""
     with open(os.path.join(directory, "sequence.json")) as fh:
         meta = json.load(fh)
+    frames = os.path.join(directory, FRAMES)
+    if not os.path.exists(frames):
+        raise ValueError(f"sequence {directory} has no {FRAMES}; a sequence written "
+                         "as one file per frame must be regenerated")
     model = read_yarn(
         os.path.join(directory, meta["rest"]),
         linear_density=np.asarray(meta.get("linear_density", 1.0)),
         radius=meta.get("radius"),
     )
-    frames = np.stack([
-        read_yarn(os.path.join(directory, nm)).rest_vertices for nm in meta["frames"]
-    ])
     ext = None
     if "external_force" in meta:
         ext = np.load(os.path.join(directory, meta["external_force"]))
     return model, YarnSequence(
-        frames=frames,
+        frames=np.load(frames),
         dt=float(meta["dt"]),
         pins=np.asarray(meta.get("pins", []), dtype=int),
         external_force=ext,

@@ -207,6 +207,20 @@ def test_generate_drape_settles_on_sphere(tmp_path):
     assert motion < 2e-4
 
 
+def test_generate_jittered_rib_pins_whole_end_columns(tmp_path):
+    courses, wales = 4, 12
+    cfg = {"yarn": {"kind": "rib", "courses": courses, "wales": wales,
+                    "jitter": 1e-4},
+           "generate": {"scenario": "stretch", "steps": 2, "dt": 2e-3,
+                        "rod": PIPELINE_CFG["generate"]["rod"]}}
+    rc, out = run_cli("generate", tmp_path / "jitter", cfg)
+    assert rc == cli.EXIT_OK
+    _, seq = yarn_model.read_sequence(os.path.join(out, "sequence"))
+    ends = [c * wales + w for c in range(courses) for w in (0, wales - 1)]
+    assert len(seq.pins) == 2 * courses
+    assert sorted(seq.pins) == ends
+
+
 def test_generate_bad_yarn_path_exits_2(tmp_path):
     cfg = {"paths": {"yarn_file": str(tmp_path / "no_such_file.obj")}}
     rc, _ = run_cli("generate", tmp_path / "bad", cfg)
@@ -373,7 +387,7 @@ def test_simulate_twist_reports_det_deviation(pipeline_ws, tmp_path):
 
 
 def test_simulate_polish_tol_changes_replay(pipeline_ws, tmp_path):
-    frames = []
+    frames, reports = [], []
     for name, tol in (("plain", None), ("polished", 1e-9)):
         sim = dict(PIPELINE_CFG["simulate"], steps=3, polish_tol=tol)
         rc, out = run_cli("simulate", tmp_path / name,
@@ -381,8 +395,16 @@ def test_simulate_polish_tol_changes_replay(pipeline_ws, tmp_path):
         assert rc == cli.EXIT_OK
         frames.append(yarn_model.read_sequence(
             os.path.join(out, "sim_yarn"))[1].frames)
+        reports.append(read_report(out, "sim_report.json"))
     assert np.all(np.isfinite(frames[1]))
     assert not np.array_equal(frames[0], frames[1])
+    assert reports[0]["polish_iters"] == []
+    assert reports[0]["polish_unconverged"] == 0
+    # one polish per step, within newton_polish's default cap of 20; a
+    # step stops short of the tolerance only by reaching that cap
+    iters = reports[1]["polish_iters"]
+    assert len(iters) == 3 and all(1 <= it <= 20 for it in iters)
+    assert reports[1]["polish_unconverged"] == sum(it == 20 for it in iters)
 
 
 def test_simulate_colliders_report_direct_solver_used(pipeline_ws, tmp_path,

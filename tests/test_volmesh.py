@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from volknit import volmesh as vm
 from volknit import yarn_model as ym
 
@@ -172,6 +173,64 @@ def test_segment_pieces_tile_unit_interval(rng):
         assert np.abs(t1[:-1] - t0[1:]).max() < 1e-9
 
 
+def assert_same_embedding(mesh, yarn):
+    """Batched embedding and node masses equal the loop oracle's bits."""
+    got, want = vm.embed_yarn(mesh, yarn), oracles.embed_yarn(mesh, yarn)
+    for name in ("host_elem", "host_weights", "piece_elem", "piece_seg",
+                 "piece_t0", "piece_t1", "yarn_mass"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.interp, name), getattr(want.interp, name)), name
+    assert np.array_equal(vm.lump_mass(mesh, yarn, got), oracles.lump_mass(mesh, yarn, want))
+
+
+def test_embedding_matches_loop_oracle_on_jittered_rib(rng):
+    y = ym.rib_patch(courses=5, wales=24, course_spacing=0.005, wale_spacing=0.005,
+                     amplitude=0.002)
+    y = ym.YarnModel(y.rest_vertices + 1e-4 * rng.standard_normal((y.n_vertices, 3)),
+                     y.polylines, 0.002)
+    for cell in (0.011, 0.03):
+        assert_same_embedding(vm.voxelize(y, cell), y)
+
+
+def test_embedding_matches_loop_oracle_on_grid_planes():
+    # a 4x2x2 block of cells with exact binary planes, and a strand through
+    # a face, an edge, an 8-cell corner, a cell's main diagonal (6 tets), a
+    # boundary corner, and points within 1e-12, 1e-9 and 1e-6 slack of the
+    # locate ladder
+    h = 0.125
+    c = [0.0625, 0.1875]
+    snake = [(c[0], c[0], c[0]), (0.4375, c[0], c[0]), (0.4375, c[1], c[0]),
+             (c[0], c[1], c[0]), (c[0], c[1], c[1]), (0.4375, c[1], c[1]),
+             (0.4375, c[0], c[1]), (c[0], c[0], c[1])]
+    block = ym.YarnModel(np.array(snake), [np.arange(len(snake))])
+    mesh = vm.voxelize(block, h, origin=np.zeros(3))
+    assert len(mesh.voxels) == 16
+    pts = np.array([[0.25, 0.0625, 0.0625], [0.25, 0.125, 0.0625],
+                    [0.25, 0.125, 0.125], [0.1875, 0.1875, 0.1875],
+                    [0.375, 0.125, 0.25],
+                    # just across an interior face, and just outside the
+                    # x = 0.5 end face near a diagonal of its cell
+                    [0.25 + 1e-10 * h, 0.0625, 0.0625],
+                    [0.5 + 5e-10 * h, 0.0625 - 2e-9 * h, 0.0625],
+                    [0.5 + 5e-10 * h, 0.0625, 0.1875],
+                    [0.5 + 2e-9 * h, 0.2, 0.1], [0.5, 0.25, 0.25]])
+    y = ym.YarnModel(pts, [np.arange(len(pts))])
+    assert len(oracles.candidate_elements(mesh, pts[2])) == 48
+    assert oracles.locate(mesh, pts[7])[1].min() < -1e-12
+    assert oracles.locate(mesh, pts[8])[1].min() < -1e-9
+
+    def first_within(p, tol):
+        return next(e for e in oracles.candidate_elements(mesh, p)
+                    if oracles.barycentric(mesh, e, p).min() >= -tol)
+
+    # a lower element inside only the wider slack loses to a higher one
+    for p in pts[[5, 6]]:
+        assert oracles.locate(mesh, p)[0] != first_within(p, 1e-6)
+    assert_same_embedding(mesh, y)
+
+
 # ---------------------------------------------------------------------------
 # mass lumping
 
@@ -288,6 +347,7 @@ def test_element_adjacency(rng):
 def test_boundary_faces_orientation(rng):
     mesh = vm.voxelize(random_yarn(rng, 6), 0.25)
     tris = vm.boundary_faces(mesh)
+    assert np.array_equal(tris, oracles.boundary_faces(mesh))
     center = mesh.nodes.mean(axis=0)
     outward = 0
     for f in tris:

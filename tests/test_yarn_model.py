@@ -1,6 +1,9 @@
 """Yarn model and rod simulator: frame construction, dynamics invariants,
 and an independent energy-minimization oracle for static equilibria."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -183,6 +186,48 @@ def test_contacts_separate_close_strands():
     assert gap1 > gap0
 
 
+def add_at_rhs(pairs, weights, targets, n):
+    """w * S p for pair differences by unbuffered scatter-adds."""
+    rhs = np.zeros((n, 3))
+    wp = weights[:, None] * targets
+    np.add.at(rhs, pairs[:, 1], wp)
+    np.add.at(rhs, pairs[:, 0], -wp)
+    return rhs
+
+
+def test_pair_rhs_incidence_matches_add_at(rng):
+    y = ym.rib_patch(courses=4, wales=12)
+    n = y.n_vertices
+    # stretch and bend pairs give each vertex at most two terms: same bits
+    for pairs in (y.segments, ym._second_neighbors(y)):
+        w = rng.uniform(0.5, 2.0, len(pairs))
+        tgt = rng.normal(size=(len(pairs), 3))
+        got = ym._pair_rhs(ym._incidence(n, pairs), w, tgt)
+        assert np.array_equal(got, add_at_rhs(pairs, w, tgt, n))
+    # contact pairs repeat vertices, so only the summation order differs
+    pairs = rng.integers(0, 8, size=(60, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    w = rng.uniform(0.5, 2.0, len(pairs))
+    tgt = rng.normal(size=(len(pairs), 3))
+    got = ym._pair_rhs(ym._incidence(n, pairs), w, tgt)
+    want = add_at_rhs(pairs, w, tgt, n)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_contact_filter_keys_match_set_reference(rng):
+    y = ym.rib_patch(courses=3, wales=10)
+    n = y.n_vertices
+    connected = np.concatenate([y.segments, ym._second_neighbors(y)])
+    raw = np.concatenate([connected[rng.permutation(len(connected))[:25], ::-1],
+                          rng.integers(0, n, size=(80, 2))])
+    raw = raw[raw[:, 0] != raw[:, 1]]
+    keep = ~np.isin(ym._pair_keys(raw, n), ym._pair_keys(connected, n))
+    con = set(map(tuple, np.sort(connected, axis=1).tolist()))
+    want = np.array([tuple(sorted(p)) not in con for p in raw.tolist()])
+    assert np.array_equal(keep, want)
+    assert 25 <= (~keep).sum() < len(raw)
+
+
 def test_collider_sphere_keeps_vertices_out():
     y = ym.straight_strand(12, 0.6, origin=(-0.3, 0.0, 0.06))
     forces = y.vertex_mass()[:, None] * np.array([0.0, 0.0, -9.81])
@@ -205,6 +250,8 @@ def test_sequence_roundtrip(tmp_path):
     seq = ym.simulate_yarn(y, 6, 0.01, forces=f, pins=[0],
                            params=ym.RodParams(contacts=False))
     ym.write_sequence(y, seq, str(tmp_path), comment="cfg 123abc")
+    assert sorted(os.listdir(tmp_path)) == [
+        "external_force.npy", "frames.npy", "rest.yarn", "sequence.json"]
     y2, seq2 = ym.read_sequence(str(tmp_path))
     assert np.abs(y2.rest_vertices - y.rest_vertices).max() == 0.0
     assert np.abs(seq2.frames - seq.frames).max() == 0.0
@@ -213,6 +260,17 @@ def test_sequence_roundtrip(tmp_path):
     assert np.abs(seq2.external_force - seq.external_force).max() == 0.0
     assert np.array_equal(y2.linear_density, y.linear_density)
     assert y2.radius == y.radius
+
+
+def test_sequence_per_frame_layout_rejected(tmp_path):
+    # the text layout of one frame_NNNN.yarn per pose is no longer read
+    y = ym.straight_strand(4, 0.3)
+    ym.write_yarn(y, str(tmp_path / "rest.yarn"))
+    ym.write_yarn(y, str(tmp_path / "frame_0000.yarn"))
+    (tmp_path / "sequence.json").write_text(json.dumps(
+        {"dt": 0.01, "rest": "rest.yarn", "frames": ["frame_0000.yarn"], "pins": []}))
+    with pytest.raises(ValueError, match="frames.npy"):
+        ym.read_sequence(str(tmp_path))
 
 
 def test_yarn_file_rejects_malformed(tmp_path):
