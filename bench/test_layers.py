@@ -1,0 +1,52 @@
+"""Layer bench: per-call times of the kernels one projective-dynamics round
+runs, at fixed sizes and seeds.
+
+    python -m pytest bench --benchmark-json=BENCH_layers.json
+
+Kept outside tests/ so the test suite does not time anything.  Sizes follow
+the benchmark patch (a 6x40 rib at cell 0.03: 192 tets, 81 nodes) and the
+acceptance patch's element count (1,560 tets).
+"""
+
+import numpy as np
+import pytest
+
+from volknit import material as mat
+from volknit import pdsolver, volmesh, yarn_model
+
+SPREAD = {"mild": 0.05, "severe": 0.6}
+
+
+@pytest.mark.parametrize("size", [192, 1560])
+@pytest.mark.parametrize("kind", sorted(SPREAD))
+def test_batch_projections(benchmark, kind, size):
+    rng = np.random.default_rng(size)
+    F = np.eye(3) + SPREAD[kind] * rng.normal(size=(size, 3, 3))
+    benchmark(mat.batch_projections, F)
+
+
+@pytest.fixture(scope="module")
+def patch():
+    """Fitted-size patch: its global matrix, the end nodes pinned, and three
+    right-hand side columns."""
+    model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
+                                 wale_spacing=0.005, amplitude=0.002,
+                                 rib_period=4, linear_density=0.002)
+    mesh = volmesh.voxelize(model, 0.03)
+    volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
+    K = pdsolver.assemble_global(mesh, mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
+    x = mesh.nodes[:, 0]
+    pins = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
+    free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+    rng = np.random.default_rng(0)
+    return mesh, K, pins, free, rng.normal(size=(mesh.n_nodes, 3)), mesh.nodes[pins]
+
+
+@pytest.mark.parametrize("mode", ["direct", "cms"])
+def test_global_solve(benchmark, patch, mode):
+    mesh, K, pins, free, B, pin_vals = patch
+    # the CLI's simulate defaults for the CMS solver
+    solver = pdsolver.GlobalSolver(K, free, pins, mode=mode, mesh=mesh, n_domains=2,
+                                   modes_per_domain=20, refine_sweeps=30, aggregation=2)
+    X = benchmark(solver.solve, B, pin_vals)
+    assert np.all(np.isfinite(X))

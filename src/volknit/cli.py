@@ -390,7 +390,7 @@ def cmd_generate(cfg, out, chash):
 
 def cmd_voxelize(cfg, out, chash):
     ws = _workspace(cfg, out)
-    model, _ = yarn_model.read_sequence(ws["sequence"])
+    model, _ = _read_sequence(ws["sequence"])
     cell = cfg["mesh"]["cell_size"]
     if cell is None:
         cell = volmesh.auto_cell_size(model)
@@ -407,10 +407,19 @@ def cmd_voxelize(cfg, out, chash):
     return EXIT_OK
 
 
+def _read_sequence(directory):
+    """read_sequence with a bad layout, such as a sequence written as one
+    file per frame, reported as a usage error."""
+    try:
+        return yarn_model.read_sequence(directory)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_stage(cfg, out):
     """Sequence, mesh, and embedding shared by fit and simulate."""
     ws = _workspace(cfg, out)
-    model, seq = yarn_model.read_sequence(ws["sequence"])
+    model, seq = _read_sequence(ws["sequence"])
     yarn_model.compute_segment_normals(model)
     mesh = volmesh.read_mesh(ws["mesh"])
     emb = volmesh.embed_yarn(mesh, model)
@@ -650,8 +659,8 @@ def cmd_simulate(cfg, out, chash):
 
 def cmd_compare(cfg, out, chash):
     ws = _workspace(cfg, out)
-    model_a, seq_a = yarn_model.read_sequence(ws["sim"])
-    model_b, seq_b = yarn_model.read_sequence(ws["ref"])
+    model_a, seq_a = _read_sequence(ws["sim"])
+    model_b, seq_b = _read_sequence(ws["ref"])
     if model_a.n_vertices != model_b.n_vertices:
         raise ConfigError("sequences have different vertex counts")
     overlap = min(seq_a.n_frames, seq_b.n_frames)

@@ -112,16 +112,23 @@ def svd_rv(F):
     return U[0], s[0], W[0]
 
 
+def _det3(A):
+    """Cofactor determinant of a stack of 3x3 matrices."""
+    return (A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
+            - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
+            + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]))
+
+
 def svd_rv_batch(F):
     U, s, Wt = np.linalg.svd(F)
     W = np.ascontiguousarray(np.swapaxes(Wt, -1, -2))
     s = s.copy()
-    flip = np.linalg.det(U) < 0.0
-    U[flip, :, 2] *= -1.0
-    s[flip, 2] *= -1.0
-    flip = np.linalg.det(W) < 0.0
-    W[flip, :, 2] *= -1.0
-    s[flip, 2] *= -1.0
+    # U and W are orthogonal, so their determinants are +-1 and the
+    # cofactor expansion gives the sign without an LU factorization
+    sign = np.where(_det3(np.stack([U, W])) < 0.0, -1.0, 1.0)
+    U[:, :, 2] *= sign[0][:, None]
+    W[:, :, 2] *= sign[1][:, None]
+    s[:, 2] *= sign[0] * sign[1]
     return U, s, W
 
 
@@ -160,52 +167,89 @@ def project_so3(F):
 # sigma = (2, 2, 2) is the golden-ratio triple rather than the identity.
 # Every candidate is a bracketed root; the feasible one closest to sigma wins.
 
-# per pattern (no clamp, s2 clamped): the smallest free entry, the other
-# free entries (weight 0 marks padding) and the number of clamped entries
-_SM = [2, 1]
-_SO = [[0, 1], [0, 0]]
-_WO = np.array([[1.0, 1.0], [1.0, 0.0]])
-_NC = np.array([0.0, 1.0])
+# A clamp pattern p in {0, 1} puts the last p sorted entries on the floor;
+# its smallest free entry is m = 2 - p and the entries before m are the
+# other free ones.
 _FOLD_GRID = 16
 _ROOT_ITERS = 100
 
 
-def _secular(u, sm, so):
-    """phi and d phi / d log t at t = exp(u) for both clamp patterns.
+def _secular(u, sm, so, p):
+    """phi and d phi / d log t at t = exp(u) for clamp pattern p.
 
-    The last axis of u and sm runs over the patterns; so carries one more
-    axis for the other free entries.  Returns (phi, dphi, t, s_other, lam).
+    so holds the other free entries on a leading axis and broadcasts
+    against u and sm behind it.  Returns (phi, dphi, t, s_other, lam).
     """
     t = np.exp(u)
     lam = t * (sm - t)
-    rt = np.sqrt(np.maximum(so * so - 4.0 * lam[..., None], 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # larger root of s^2 - sigma s + lam, free of cancellation
-        s = np.where(so >= 0.0, 0.5 * (so + rt), -2.0 * lam[..., None] / (rt - so))
-        s = np.where(_WO > 0.0, s, 1.0)
-        phi = u + np.sum(_WO * np.log(s), axis=-1) + _NC * np.log(SV_FLOOR)
-        inv = np.where(_WO > 0.0, 1.0 / (s * rt), 0.0)
-        dphi = 1.0 + t * (2.0 * t - sm) * np.sum(inv, axis=-1)
+    rt = np.sqrt(np.maximum(so * so - 4.0 * lam, 0.0))
+    # larger root of s^2 - sigma s + lam, free of cancellation
+    s = np.where(so >= 0.0, 0.5 * (so + rt), -2.0 * lam / (rt - so))
+    phi = u + np.log(s).sum(axis=0) + p * np.log(SV_FLOOR)
+    dphi = 1.0 + t * (2.0 * t - sm) * (1.0 / (s * rt)).sum(axis=0)
     return phi, dphi, t, s, lam
 
 
-def _secular_root(lo, hi, u, sm, so):
+def _secular_root(lo, hi, u, sm, so, p):
     """Root of phi in [lo, hi], given phi(lo) <= 0 <= phi(hi), by Newton in
     log t with a bisection step whenever Newton leaves the bracket."""
     for _ in range(_ROOT_ITERS):
-        phi, dphi, *_ = _secular(u, sm, so)
+        phi, dphi, *_ = _secular(u, sm, so, p)
         neg = phi < 0.0
         lo = np.where(neg, u, lo)
         hi = np.where(neg, hi, u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            un = u - phi / dphi
+        un = u - phi / dphi
         newton = np.isfinite(dphi) & (un >= lo) & (un <= hi)
         un = np.where(phi == 0.0, u, np.where(newton, un, 0.5 * (lo + hi)))
-        done = np.all(np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u)))
+        done = (np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u))).all()
         u = un
         if done:
             break
     return u
+
+
+def _pattern_candidates(ss, p):
+    """Plus- and fold-branch candidates of clamp pattern p for rows of
+    descending sigma ss (R, 3).  Returns (cand, lam, ok): (R, 2, 3) sorted
+    singular values, (R, 2) multipliers and (R, 2) feasibility, plus first.
+    Lanes at a bracket end or without a feasible root divide by zero or
+    take logs of negatives on the way; they are masked out, so those
+    warnings are silenced here once."""
+    f = SV_FLOOR
+    m = 2 - p
+    sm, so = ss[:, m], ss[:, :m].T
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # branch t >= sigma_m / 2; phi(t) >= (1 + #others) log t + |clamped|
+        # log f there bounds the root from above, and t >= f is needed for
+        # feasibility
+        lo = np.log(np.maximum(f, 0.5 * sm))
+        phi_lo = _secular(lo, sm, so, p)[0]
+        plus_ok = phi_lo <= 0.0
+        hi = np.where(plus_ok, np.maximum(lo, -p * np.log(f) / (1.0 + m)), lo)
+        u_plus = _secular_root(lo, hi, np.clip(np.log(np.maximum(sm, f)), lo, hi), sm, so, p)
+
+        # fold t < sigma_m / 2 when phi(sigma_m / 2) >= 0: bracket the first
+        # sign change of a log-grid scan over [f, sigma_m / 2]
+        fold_ok = (sm > 2.0 * f) & (phi_lo >= 0.0)
+        u_fold = np.full(len(ss), np.log(f))
+        rows = np.flatnonzero(fold_ok)
+        if len(rows):
+            smr, sor = sm[rows], so[:, rows]
+            w = np.linspace(0.0, 1.0, _FOLD_GRID)[:, None]
+            grid = np.log(f) + w * np.log(np.maximum(0.5 * smr / f, 1.0))
+            phig = _secular(grid, smr, sor[:, None], p)[0]
+            up = (phig[:-1] < 0.0) & (phig[1:] >= 0.0)
+            k = np.argmax(up, axis=0)[None]
+            glo = np.take_along_axis(grid, k, axis=0)[0]
+            ghi = np.take_along_axis(grid, k + 1, axis=0)[0]
+            fold_ok[rows] &= up.any(axis=0)
+            ghi = np.where(fold_ok[rows], ghi, glo)
+            u_fold[rows] = _secular_root(glo, ghi, 0.5 * (glo + ghi), smr, sor, p)
+
+        _, _, t, s_o, lam = _secular(np.stack([u_plus, u_fold]), sm, so[:, None], p)
+    cand = np.concatenate([s_o, t[None], np.full((p,) + t.shape, f)])
+    return cand.T, lam.T, np.stack([plus_ok, fold_ok], axis=1)
 
 
 def sl3_sigma_project_batch(sig):
@@ -224,46 +268,30 @@ def sl3_sigma_project_batch(sig):
     f = SV_FLOOR
     order = np.argsort(-sig, axis=1, kind="stable")
     ss = np.take_along_axis(sig, order, axis=1)
-    sm, so = ss[:, _SM], ss[:, _SO]
-
-    # branch t >= sigma_m / 2; phi(t) >= (1 + #others) log t + |clamped| log f
-    # there bounds the root from above, and t >= f is needed for feasibility
-    lo = np.log(np.maximum(f, 0.5 * sm))
-    phi_lo = _secular(lo, sm, so)[0]
-    plus_ok = phi_lo <= 0.0
-    hi = np.maximum(lo, -_NC * np.log(f) / (1.0 + _WO.sum(axis=1)))
-    hi = np.where(plus_ok, hi, lo)
-    u_plus = _secular_root(lo, hi, np.clip(np.log(np.maximum(sm, f)), lo, hi), sm, so)
-
-    # fold t < sigma_m / 2 when phi(sigma_m / 2) >= 0: bracket the first
-    # sign change of a log-grid scan over [f, sigma_m / 2]
-    fold_ok = (sm > 2.0 * f) & (phi_lo >= 0.0)
-    u_fold = np.full((B, 2), np.log(f))
-    rows = np.flatnonzero(fold_ok.any(axis=1))
-    if len(rows):
-        smr, sor = sm[rows], so[rows]
-        w = np.linspace(0.0, 1.0, _FOLD_GRID)[:, None, None]
-        grid = np.log(f) + w * np.log(np.maximum(0.5 * smr / f, 1.0))
-        phig = _secular(grid, smr, sor)[0]
-        up = (phig[:-1] < 0.0) & (phig[1:] >= 0.0)
-        k = np.argmax(up, axis=0)[None]
-        glo = np.take_along_axis(grid, k, axis=0)[0]
-        ghi = np.take_along_axis(grid, k + 1, axis=0)[0]
-        fold_ok[rows] &= up.any(axis=0)
-        ghi = np.where(fold_ok[rows], ghi, glo)
-        u_fold[rows] = _secular_root(glo, ghi, 0.5 * (glo + ghi), smr, sor)
 
     # candidates (B, 5, 3): plus and fold branch of both patterns, then the
     # closed form (1/f^2, f, f) with s1 and s2 on the floor
-    _, _, t, s_o, lam = _secular(np.stack([u_plus, u_fold], axis=1), sm[:, None], so[:, None])
-    cand = np.empty((B, 2, 2, 3))
-    cand[..., 0] = s_o[..., 0]
-    cand[..., 0, 1:] = np.stack([s_o[..., 0, 1], t[..., 0]], axis=-1)
-    cand[..., 1, 1:] = np.stack([t[..., 1], np.full_like(t[..., 1], f)], axis=-1)
-    cand = np.concatenate([cand.reshape(B, 4, 3), np.broadcast_to([1.0 / f**2, f, f], (B, 1, 3))], axis=1)
-    lam = np.concatenate([lam.reshape(B, 4), (ss[:, :1] - 1.0 / f**2) / f**2], axis=1)
-    ok = np.concatenate([plus_ok, fold_ok, np.ones((B, 1), dtype=bool)], axis=1)
+    cand = np.zeros((B, 5, 3))
+    lam = np.zeros((B, 5))
+    ok = np.zeros((B, 5), dtype=bool)
+    cand[:, [0, 2]], lam[:, [0, 2]], ok[:, [0, 2]] = _pattern_candidates(ss, 0)
+    cand[:, 4], lam[:, 4], ok[:, 4] = [1.0 / f**2, f, f], (ss[:, 0] - 1.0 / f**2) / f**2, True
     obj = np.where(ok, np.sum((cand - ss[:, None]) ** 2, axis=2), np.inf)
+
+    # a candidate with s2 on the floor has s0 s1 = 1/f, so one of them is at
+    # least 1/sqrt(f), and as sigma_1 <= sigma_0 it costs at least
+    # (sigma_2 - f)^2 plus (1/sqrt(f) - sigma_0)^2 if positive; half of
+    # 1/sqrt(f) keeps the bound clear of the roots' rounding.  Only rows
+    # whose best unclamped candidate is not strictly below the bound solve
+    # the s2-clamped pattern; the slots of the others stay finite and
+    # infeasible
+    bound = (f - ss[:, 2]) ** 2 + np.maximum(0.0, 0.5 / np.sqrt(f) - ss[:, 0]) ** 2
+    rows = np.flatnonzero(~(obj[:, [0, 2]].min(axis=1) < bound))
+    if len(rows):
+        sel = (rows[:, None], [1, 3])
+        cand[sel], lam[sel], ok[sel] = _pattern_candidates(ss[rows], 1)
+        obj[sel] = np.where(ok[sel], np.sum((cand[sel] - ss[rows, None]) ** 2, axis=2), np.inf)
+
     best = np.argmin(obj, axis=1)
     rows = np.arange(B)
     s_sorted = cand[rows, best]

@@ -221,7 +221,7 @@ class GlobalSolver:
         self.omega = omega
         self.chebyshev = chebyshev
         if mode == "direct":
-            self._solve = spla.factorized(self.Kff)
+            self._solve = spla.splu(self.Kff).solve
             self.cms = None
         elif mode == "cms":
             self.cms = build_cms(self.Kff, mesh, n_domains=n_domains,
@@ -230,7 +230,8 @@ class GlobalSolver:
             raise ValueError(f"unknown solver mode {mode!r}")
 
     def solve(self, B, pin_vals):
-        """Solve with pinned values eliminated; B is (nV, k)."""
+        """Solve with pinned values eliminated; B is (nV, k), and all k
+        columns go through one factorization or subspace call."""
         Bf = B[self.free]
         if self.Kfp is not None and len(self.pins):
             Bf = Bf - self.Kfp @ pin_vals
@@ -238,18 +239,16 @@ class GlobalSolver:
         if len(self.pins):
             out[self.pins] = pin_vals
         if self.mode == "direct":
-            for k in range(Bf.shape[1]):
-                out[self.free, k] = self._solve(Bf[:, k])
+            out[self.free] = self._solve(Bf)
             return out
-        for k in range(Bf.shape[1]):
-            xk = self.cms.solve(Bf[:, k])
-            if self.refine_sweeps > 0:
-                xk, _ = a_jacobi_refine(
-                    self.Kff, Bf[:, k], xk, sweeps=self.refine_sweeps,
-                    aggregation=self.aggregation, omega=self.omega,
-                    chebyshev=self.chebyshev,
-                )
-            out[self.free, k] = xk
+        X = self.cms.solve(Bf)
+        if self.refine_sweeps > 0:
+            X, _ = a_jacobi_refine(
+                self.Kff, Bf, X, sweeps=self.refine_sweeps,
+                aggregation=self.aggregation, omega=self.omega,
+                chebyshev=self.chebyshev,
+            )
+        out[self.free] = X
         return out
 
 
@@ -405,14 +404,13 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
         return x, True, 0
 
     H = assemble_global(mesh, gammas, dt)     # GN Hessian + M/dt^2, scalar
-    solve = spla.factorized(H[free][:, free].tocsc())
+    solve = spla.splu(H[free][:, free].tocsc()).solve
     fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
     mass_diag = np.repeat(mesh.node_mass, 3) / dt**2
 
     def gn_step(gc):
         step = np.zeros_like(x)
-        for k in range(3):
-            step[free, k] = solve(-gc[free, k])
+        step[free] = solve(-gc[free])
         return step
 
     def exact_step(xc, gc):
@@ -538,13 +536,12 @@ class CmsSubspace:
                 blocks.append(None)
                 continue
             Kii = K[sel][:, sel].tocsc()
-            solve_ii = spla.factorized(Kii)
             m = min(modes_per_domain, len(sel))
             Phi = self._modes(Kii, m)
             Psi = None
             if nb:
                 Kib = np.asarray(K[sel][:, self.boundary].todense())
-                Psi = -np.column_stack([solve_ii(Kib[:, j]) for j in range(nb)])
+                Psi = -spla.splu(Kii).solve(Kib)
             blocks.append((sel, Phi, Psi))
             col_count += Phi.shape[1]
         self.blocks = blocks
@@ -580,7 +577,7 @@ class CmsSubspace:
         self.K_red = (self.T.T @ K @ self.T).tocsc()
         # symmetrize away assembly roundoff before factorizing
         self.K_red = 0.5 * (self.K_red + self.K_red.T)
-        self._solve = spla.factorized(self.K_red)
+        self._solve = spla.splu(self.K_red).solve
 
     @staticmethod
     def _modes(Kii, m):
@@ -636,6 +633,12 @@ def _power_rho(K, invd, omega, iters=30, seed=0):
     return min(rho, 0.9999)
 
 
+def _column_norms(r):
+    """2-norm of each column of r (n, k), each reduced over one contiguous
+    row so a column gets the same bits whatever k is."""
+    return np.linalg.norm(np.ascontiguousarray(r.T), axis=1)
+
+
 def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA,
                     chebyshev=False, rho=None):
     """Aggregated weighted-Jacobi refinement of K x = b.
@@ -646,67 +649,68 @@ def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA,
     the classical semi-iterative weights using a power-iteration estimate
     of the smoother's spectral radius.
 
-    Returns (x, info) where info carries the residual history and a
-    `diverged` flag; on divergence the best iterate seen is returned.
+    b and x0 are (n,) or (n, k); the k columns are refined together, each
+    as if alone: a column that diverges stops moving while the others go
+    on.  Returns (x, info) where info carries the residual history and a
+    `diverged` flag, both per column for 2-D input; a column that diverged
+    or ended above its best residual returns the best iterate seen.
     """
     if aggregation not in (2, 3):
         raise ValueError("aggregation must be 2 or 3")
     d = K.diagonal()
     if np.any(d <= 0.0):
         raise ValueError("matrix diagonal must be positive")
-    invd = 1.0 / d
-    x = np.asarray(x0, dtype=float).copy()
+    invd = (1.0 / d)[:, None]
+    b = np.asarray(b, dtype=float)
+    vector = b.ndim == 1
+    b = b.reshape(len(d), -1)
+    x = np.array(x0, dtype=float).reshape(b.shape)
     r = b - K @ x
-    best_x, best_r = x.copy(), np.linalg.norm(r)
-    history = [best_r]
-    info = {"diverged": False}
+    rn = _column_norms(r)
+    best_x, best_r = x.copy(), rn
+    history = [rn]
+    length = np.ones(b.shape[1], dtype=int)
+    diverged = np.zeros(b.shape[1], dtype=bool)
 
     if chebyshev:
         if rho is None:
-            rho = _power_rho(K, invd, omega)
-        x_prev = x.copy()
-        w = 1.0
-        total = sweeps * aggregation
-        for k in range(total):
+            rho = _power_rho(K, invd[:, 0], omega)
+        x_prev, w = x, 1.0
+    for k in range(sweeps * aggregation if chebyshev else sweeps):
+        if chebyshev:
             y = x + omega * (invd * (b - K @ x))
-            if k == 0:
-                x_new = y
-                w = 2.0 / (2.0 - rho**2)
-            else:
-                x_new = w * (y - x_prev) + x_prev
-                w = 4.0 / (4.0 - rho**2 * w)
+            x_new = y if k == 0 else w * (y - x_prev) + x_prev
+            w = 2.0 / (2.0 - rho**2) if k == 0 else 4.0 / (4.0 - rho**2 * w)
+            x_new[:, diverged] = x[:, diverged]
             x_prev, x = x, x_new
-            rn = np.linalg.norm(b - K @ x)
-            history.append(rn)
-            if rn < best_r:
-                best_r, best_x = rn, x.copy()
-            if rn > 10.0 * best_r:
-                info["diverged"] = True
-                info["residuals"] = history
-                return best_x, info
-        info["residuals"] = history
-        return (best_x if best_r < history[-1] else x), info
-
-    for _ in range(sweeps):
-        # fused aggregation: e accumulates the next `aggregation` updates
-        e = np.zeros_like(x)
-        s = r.copy()
-        for _ in range(aggregation):
-            cs = omega * (invd * s)
-            e += cs
-            s -= K @ cs
-        x = x + e
-        r = s
-        rn = np.linalg.norm(r)
+            r = b - K @ x
+        else:
+            # fused aggregation: e accumulates the next `aggregation` updates
+            e = np.zeros_like(x)
+            s = r.copy()
+            for _ in range(aggregation):
+                cs = omega * (invd * s)
+                cs[:, diverged] = 0.0
+                e += cs
+                s -= K @ cs
+            x, r = x + e, s
+        rn = _column_norms(r)
+        live = ~diverged
         history.append(rn)
-        if rn < best_r:
-            best_r, best_x = rn, x.copy()
-        if rn > 10.0 * best_r:
-            info["diverged"] = True
+        length[live] += 1
+        better = live & (rn < best_r)
+        best_r = np.where(better, rn, best_r)
+        best_x[:, better] = x[:, better]
+        diverged |= live & (rn > 10.0 * best_r)
+        if diverged.all():
             break
-    info["residuals"] = history
-    if info["diverged"] or history[-1] > best_r:
-        return best_x, info
+
+    history = np.array(history)
+    x = np.where(diverged | (rn > best_r), best_x, x)
+    info = {"diverged": diverged,
+            "residuals": [history[:n, c].tolist() for c, n in enumerate(length)]}
+    if vector:
+        return x[:, 0], {"diverged": bool(diverged[0]), "residuals": info["residuals"][0]}
     return x, info
 
 
@@ -758,11 +762,12 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
         pd_step(state, mesh, gammas, iterations=iterations, forces=forces,
                 solver=solver, damping=damping)
         if polish:
-            # polish toward this step's prediction, then rebuild v from the
-            # polished positions as pd_step does from its own
+            # polish toward this step's prediction with the exact Jacobian
+            # (quadratic near the solution), then rebuild v from the polished
+            # positions as pd_step does from its own
             state.x, ok, iters = newton_polish(
                 mesh, gammas, state.x, dt=dt, pins=pins,
-                pin_vals=state.pin_targets, xhat=xh, tol=polish_tol,
+                pin_vals=state.pin_targets, xhat=xh, tol=polish_tol, exact=True,
             )
             state.polish = (ok, iters)
             state.v = damping * (state.x - x_start) / dt

@@ -219,7 +219,7 @@ class Y2VOperator:
     with w_e = 1 on covered elements and FILL_WEIGHT on uncovered ones (the
     fill keeps the system positive definite when some elements carry no
     yarn).  The three coordinates decouple, so a single scalar matrix is
-    factored once and solved with three right-hand sides.
+    factored once and solved for all three right-hand sides in one call.
     """
 
     def __init__(self, mesh, embedding, model, alpha=MASS_ANCHOR_WEIGHT,
@@ -257,7 +257,7 @@ class Y2VOperator:
         if self._factor is None or self._factor[0] != key:
             A = self._assemble(covered)
             try:
-                solve = spla.factorized(A)
+                solve = spla.splu(A).solve
             except RuntimeError as exc:
                 raise ValueError(f"y2v system is singular: {exc}") from exc
             self._factor = (key, solve)
@@ -274,7 +274,7 @@ class Y2VOperator:
         np.add.at(rhs, mesh.tets.reshape(-1), GT.reshape(-1, 3))
         My2 = self.embedding.yarn_mass[:, None] ** 2
         rhs += 2.0 * self.alpha * (self.embedding.interp.T @ (My2 * yarn_pose))
-        return np.column_stack([solve(rhs[:, i]) for i in range(3)])
+        return solve(rhs)
 
     def transfer(self, deformed, frame=-1):
         """y2v: reconstruct mesh node positions for one yarn pose."""
@@ -289,7 +289,7 @@ class Y2VOperator:
         solve = self._factorize(np.ones(self.mesh.n_elements, dtype=bool))
         My2 = self.embedding.yarn_mass[:, None] ** 2
         rhs = 2.0 * self.alpha * (self.embedding.interp.T @ (My2 * np.asarray(vec, dtype=float)))
-        return np.column_stack([solve(rhs[:, i]) for i in range(3)])
+        return solve(rhs)
 
     def objective(self, x, targets, yarn_pose):
         """Value of the reconstruction objective at node positions x."""

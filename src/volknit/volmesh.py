@@ -64,7 +64,6 @@ class VolumeMesh:
     volume: np.ndarray = field(default=None)        # (nE,)
     jacobian: np.ndarray = field(default=None)      # (nE, 3, 3) rest edge matrix
     diff_op: np.ndarray = field(default=None)       # (nE, 9, 12) nodes -> vec(F)
-    dtd: np.ndarray = field(default=None)           # (nE, 12, 12) diff_op^T diff_op
     shape_grad: np.ndarray = field(default=None)    # (nE, 4, 3) shape function gradients
     node_mass: np.ndarray = field(default=None)     # (nV,) lumped masses
 
@@ -104,7 +103,6 @@ class VolumeMesh:
                 for j in range(3):
                     D[:, 3 * i + j, 3 * n + i] = G[:, n, j]
         self.diff_op = D
-        self.dtd = np.einsum("eki,ekj->eij", D, D)
 
     # -- basic queries ----------------------------------------------------
 

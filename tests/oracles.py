@@ -1,12 +1,15 @@
-"""Loop references for code that src/ computes in batches.
+"""Reference versions of code that src/ computes in batches or prunes.
 
-Each function here does one point, pair or piece at a time, as the
-batched code it checks once did, so tests can require equal bits.
+The embedding functions here do one point, pair or piece at a time, as the
+batched code they check once did, so tests can require equal bits.  The
+volume projection solves both clamp patterns on every row, which the
+pruned solve in src/ must reproduce.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from volknit import material as mat
 from volknit import volmesh as vm
 
 
@@ -168,3 +171,123 @@ def boundary_faces(mesh):
             face = [face[0], face[2], face[1]]
         out.append(face)
     return np.array(sorted(out), dtype=int)
+
+
+# ---------------------------------------------------------------------------
+# volume projection: both clamp patterns solved side by side on every row
+
+
+# per pattern (no clamp, s2 clamped): the smallest free entry, the other
+# free entries (weight 0 marks padding) and the number of clamped entries
+_SM = [2, 1]
+_SO = [[0, 1], [0, 0]]
+_WO = np.array([[1.0, 1.0], [1.0, 0.0]])
+_NC = np.array([0.0, 1.0])
+_FOLD_GRID = 16
+_ROOT_ITERS = 100
+
+
+def _secular(u, sm, so):
+    """phi and d phi / d log t at t = exp(u) for both clamp patterns.
+
+    The last axis of u and sm runs over the patterns; so carries one more
+    axis for the other free entries.  Returns (phi, dphi, t, s_other, lam).
+    """
+    t = np.exp(u)
+    lam = t * (sm - t)
+    rt = np.sqrt(np.maximum(so * so - 4.0 * lam[..., None], 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # larger root of s^2 - sigma s + lam, free of cancellation
+        s = np.where(so >= 0.0, 0.5 * (so + rt), -2.0 * lam[..., None] / (rt - so))
+        s = np.where(_WO > 0.0, s, 1.0)
+        phi = u + np.sum(_WO * np.log(s), axis=-1) + _NC * np.log(mat.SV_FLOOR)
+        inv = np.where(_WO > 0.0, 1.0 / (s * rt), 0.0)
+        dphi = 1.0 + t * (2.0 * t - sm) * np.sum(inv, axis=-1)
+    return phi, dphi, t, s, lam
+
+
+def _secular_root(lo, hi, u, sm, so):
+    """Root of phi in [lo, hi], given phi(lo) <= 0 <= phi(hi), by Newton in
+    log t with a bisection step whenever Newton leaves the bracket."""
+    for _ in range(_ROOT_ITERS):
+        phi, dphi, *_ = _secular(u, sm, so)
+        neg = phi < 0.0
+        lo = np.where(neg, u, lo)
+        hi = np.where(neg, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            un = u - phi / dphi
+        newton = np.isfinite(dphi) & (un >= lo) & (un <= hi)
+        un = np.where(phi == 0.0, u, np.where(newton, un, 0.5 * (lo + hi)))
+        done = np.all(np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u)))
+        u = un
+        if done:
+            break
+    return u
+
+
+def sl3_sigma_project_batch(sig):
+    """Closest singular-value triples with unit product and floored entries.
+
+    For each row of sig (B, 3), minimizes |s - sigma|^2 subject to
+    s1*s2*s3 = 1 and s_i >= mat.SV_FLOOR by one batched secular solve: each
+    clamp pattern and branch gives a bracketed scalar root, and the feasible
+    candidate with the least objective wins.  Returns (s, lam, clamped): the
+    singular values, the multiplier of the free-entry stationarity
+    condition s_i - sigma_i + lam * prod_{k != i} s_k = 0, and the clamp
+    mask, all in the input order.
+    """
+    sig = np.asarray(sig, dtype=float)
+    B = sig.shape[0]
+    f = mat.SV_FLOOR
+    order = np.argsort(-sig, axis=1, kind="stable")
+    ss = np.take_along_axis(sig, order, axis=1)
+    sm, so = ss[:, _SM], ss[:, _SO]
+
+    # branch t >= sigma_m / 2; phi(t) >= (1 + #others) log t + |clamped| log f
+    # there bounds the root from above, and t >= f is needed for feasibility
+    lo = np.log(np.maximum(f, 0.5 * sm))
+    phi_lo = _secular(lo, sm, so)[0]
+    plus_ok = phi_lo <= 0.0
+    hi = np.maximum(lo, -_NC * np.log(f) / (1.0 + _WO.sum(axis=1)))
+    hi = np.where(plus_ok, hi, lo)
+    u_plus = _secular_root(lo, hi, np.clip(np.log(np.maximum(sm, f)), lo, hi), sm, so)
+
+    # fold t < sigma_m / 2 when phi(sigma_m / 2) >= 0: bracket the first
+    # sign change of a log-grid scan over [f, sigma_m / 2]
+    fold_ok = (sm > 2.0 * f) & (phi_lo >= 0.0)
+    u_fold = np.full((B, 2), np.log(f))
+    rows = np.flatnonzero(fold_ok.any(axis=1))
+    if len(rows):
+        smr, sor = sm[rows], so[rows]
+        w = np.linspace(0.0, 1.0, _FOLD_GRID)[:, None, None]
+        grid = np.log(f) + w * np.log(np.maximum(0.5 * smr / f, 1.0))
+        phig = _secular(grid, smr, sor)[0]
+        up = (phig[:-1] < 0.0) & (phig[1:] >= 0.0)
+        k = np.argmax(up, axis=0)[None]
+        glo = np.take_along_axis(grid, k, axis=0)[0]
+        ghi = np.take_along_axis(grid, k + 1, axis=0)[0]
+        fold_ok[rows] &= up.any(axis=0)
+        ghi = np.where(fold_ok[rows], ghi, glo)
+        u_fold[rows] = _secular_root(glo, ghi, 0.5 * (glo + ghi), smr, sor)
+
+    # candidates (B, 5, 3): plus and fold branch of both patterns, then the
+    # closed form (1/f^2, f, f) with s1 and s2 on the floor
+    _, _, t, s_o, lam = _secular(np.stack([u_plus, u_fold], axis=1), sm[:, None], so[:, None])
+    cand = np.empty((B, 2, 2, 3))
+    cand[..., 0] = s_o[..., 0]
+    cand[..., 0, 1:] = np.stack([s_o[..., 0, 1], t[..., 0]], axis=-1)
+    cand[..., 1, 1:] = np.stack([t[..., 1], np.full_like(t[..., 1], f)], axis=-1)
+    cand = np.concatenate([cand.reshape(B, 4, 3), np.broadcast_to([1.0 / f**2, f, f], (B, 1, 3))], axis=1)
+    lam = np.concatenate([lam.reshape(B, 4), (ss[:, :1] - 1.0 / f**2) / f**2], axis=1)
+    ok = np.concatenate([plus_ok, fold_ok, np.ones((B, 1), dtype=bool)], axis=1)
+    obj = np.where(ok, np.sum((cand - ss[:, None]) ** 2, axis=2), np.inf)
+    best = np.argmin(obj, axis=1)
+    rows = np.arange(B)
+    s_sorted = cand[rows, best]
+    clamped_sorted = np.array([[0, 0, 0], [0, 0, 1]] * 2 + [[0, 1, 1]], dtype=bool)[best]
+
+    s = np.empty_like(s_sorted)
+    clamped = np.empty_like(clamped_sorted)
+    np.put_along_axis(s, order, s_sorted, axis=1)
+    np.put_along_axis(clamped, order, clamped_sorted, axis=1)
+    return s, lam[rows, best], clamped

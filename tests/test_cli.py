@@ -400,11 +400,11 @@ def test_simulate_polish_tol_changes_replay(pipeline_ws, tmp_path):
     assert not np.array_equal(frames[0], frames[1])
     assert reports[0]["polish_iters"] == []
     assert reports[0]["polish_unconverged"] == 0
-    # one polish per step, within newton_polish's default cap of 20; a
-    # step stops short of the tolerance only by reaching that cap
+    # one polish per step; the exact-Jacobian Newton reaches the tolerance
+    # on every step, well inside newton_polish's default cap of 20
     iters = reports[1]["polish_iters"]
-    assert len(iters) == 3 and all(1 <= it <= 20 for it in iters)
-    assert reports[1]["polish_unconverged"] == sum(it == 20 for it in iters)
+    assert len(iters) == 3 and all(1 <= it < 20 for it in iters)
+    assert reports[1]["polish_unconverged"] == 0
 
 
 def test_simulate_colliders_report_direct_solver_used(pipeline_ws, tmp_path,
@@ -506,6 +506,20 @@ def test_console_entry_point_reports_usage_errors():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == cli.EXIT_USAGE
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("cmd", ["fit", "simulate", "compare"])
+def test_sequence_without_frame_stack_exits_2(pipeline_ws, tmp_path, cmd, capsys):
+    # a sequence/ directory written before frames.npy existed
+    old = tmp_path / "old_sequence"
+    shutil.copytree(os.path.join(str(pipeline_ws), "sequence"), old)
+    os.remove(old / yarn_model.FRAMES)
+    cfg = alias_cfg(pipeline_ws)
+    cfg["paths"].update(sequence=str(old), sim=str(old), ref=str(old))
+    rc, _ = run_cli(cmd, tmp_path / "w", cfg)
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and yarn_model.FRAMES in err
 
 
 def test_artifacts_carry_one_config_hash(pipeline_ws):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from volknit import material as mat
 from conftest import random_f, random_rotation
 
@@ -212,6 +213,42 @@ def test_sl3_hard_clamp():
 def test_sl3_degenerate_input():
     V = mat.project_sl3(np.zeros((3, 3)))
     assert abs(np.linalg.det(V) - 1.0) < 1e-6
+
+
+def _bound_rows():
+    """Rows with sigma_min at, just around and well off the floor, and
+    sigma_max on both sides of the 1/sqrt(f) and 0.5/sqrt(f) marks that the
+    s2-clamped bound uses."""
+    f = mat.SV_FLOOR
+    lows = [f, f * (1 - 1e-12), f * (1 + 1e-12), 0.5 * f, 2.0 * f, 0.0, -f]
+    highs = [0.3, 1.0, 4.999, 5.0, 5.001, 9.99, 10.0, 10.01, 12.0, 15.0, 20.0,
+             30.0, 50.0, 1e4]
+    rows = [[hi, mid, lo] for hi in highs for lo in lows
+            for mid in (hi, 0.5 * hi, 0.1 * hi, 2.0 * f, lo)]
+    return np.array(rows)
+
+
+def test_sl3_pruned_matches_two_lane_reference(rng):
+    # the clamped lane runs only on rows the bound cannot rule out, so the
+    # answer must be the reference's, which solves both lanes on every row
+    sets = {
+        "mild": mat.svd_rv_batch(np.eye(3) + 0.05 * rng.normal(size=(400, 3, 3)))[1],
+        "compress": mat.svd_rv_batch(np.eye(3) + 0.3 * rng.normal(size=(400, 3, 3)))[1]
+        * [1.0, 1.0, 0.3],
+        "severe 0.6": mat.svd_rv_batch(np.eye(3) + 0.6 * rng.normal(size=(1000, 3, 3)))[1],
+        "severe 2.0": mat.svd_rv_batch(np.eye(3) + 2.0 * rng.normal(size=(1000, 3, 3)))[1],
+        "inverted": np.exp(rng.uniform(-3.0, 1.5, size=(400, 3))) * [1.0, 1.0, -1.0],
+        "hand": np.array([[2.0, 2.0, 2.0], [100.0, 100.0, 1e-5], [1.0, 1.0, 1.0]]),
+        "bound": _bound_rows(),
+    }
+    for name, sig in sets.items():
+        s, lam, clamped = mat.sl3_sigma_project_batch(sig)
+        s_ref, _, clamped_ref = oracles.sl3_sigma_project_batch(sig)
+        assert np.array_equal(clamped, clamped_ref), name
+        assert np.all(np.abs(s - s_ref) <= 1e-15 * np.maximum(1.0, np.abs(s_ref))), name
+        obj = np.sum((s - sig) ** 2, axis=1)
+        obj_ref = np.sum((s_ref - sig) ** 2, axis=1)
+        assert np.all(obj <= obj_ref + 1e-15 * np.maximum(1.0, obj_ref)), name
 
 
 # ---------------------------------------------------------------------------

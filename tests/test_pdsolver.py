@@ -446,6 +446,27 @@ class TestAJacobi:
         r_out = np.linalg.norm(b - A @ x)
         assert r_out <= min(info["residuals"]) * (1 + 1e-12)
 
+    def test_columns_refine_as_if_alone(self, rng):
+        # column 0 starts at its exact solution, column 1 diverges at 2.5
+        A = random_spd(rng, 50)
+        xs = rng.normal(size=50)
+        b = np.column_stack([A @ xs, rng.normal(size=50)])
+        x0 = np.column_stack([xs, rng.normal(size=50)])
+        for omega, chebyshev, flags in ((2.5, False, [False, True]),
+                                        (2.5, True, [False, True]),
+                                        (0.7, False, [False, False])):
+            X, info = pdsolver.a_jacobi_refine(
+                A, b, x0, sweeps=60, aggregation=3, omega=omega, chebyshev=chebyshev)
+            assert list(info["diverged"]) == flags
+            for k in range(2):
+                xk, ik = pdsolver.a_jacobi_refine(
+                    A, b[:, k], x0[:, k], sweeps=60, aggregation=3, omega=omega,
+                    chebyshev=chebyshev)
+                assert np.array_equal(X[:, k], xk)
+                assert ik["diverged"] is flags[k]
+                assert info["residuals"][k] == ik["residuals"]
+        assert np.array_equal(X[:, 0], xs)
+
     def test_chebyshev_converges_no_slower(self, rng):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
         gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
@@ -509,6 +530,23 @@ class TestColliders:
     def test_unknown_collider_kind_rejected(self):
         with pytest.raises(ValueError):
             pdsolver.collider_targets(np.zeros((1, 3)), [("torus", 0, 1)])
+
+
+class TestGlobalSolver:
+    def test_direct_block_solve_equals_column_solves(self, rng):
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        K = pdsolver.assemble_global(mesh, gam, 1e-2)
+        pins = np.arange(0, mesh.n_nodes, 7)
+        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        B = rng.normal(size=(mesh.n_nodes, 3))
+        pin_vals = rng.normal(size=(len(pins), 3))
+        X = pdsolver.GlobalSolver(K, free, pins).solve(B, pin_vals)
+        lu = spla.splu(K[free][:, free].tocsc())
+        rhs = B[free] - K[free][:, pins].tocsc() @ pin_vals
+        for k in range(3):
+            assert np.array_equal(X[free, k], lu.solve(rhs[:, k]))
+        assert np.array_equal(X[pins], pin_vals)
 
 
 class TestSimulate:

@@ -118,12 +118,6 @@ def test_diff_op_reproduces_affine(rng):
     assert np.abs(F - A[None]).max() < 1e-12
 
 
-def test_dtd_consistent(rng):
-    mesh = vm.voxelize(random_yarn(rng, 8), 0.2)
-    ref = np.einsum("eki,ekj->eij", mesh.diff_op, mesh.diff_op)
-    assert np.abs(mesh.dtd - ref).max() < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # embedding
 
