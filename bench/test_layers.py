@@ -1,5 +1,5 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
-runs, at fixed sizes and seeds.
+runs, and of the fit's exact-Hessian assembly, at fixed sizes and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
@@ -50,3 +50,15 @@ def test_global_solve(benchmark, patch, mode):
                                    modes_per_domain=20, refine_sweeps=30, aggregation=2)
     X = benchmark(solver.solve, B, pin_vals)
     assert np.all(np.isfinite(X))
+
+
+@pytest.mark.parametrize("layer", ["elastic_rhs", "exact_elastic_hessian"])
+def test_element_operator(benchmark, patch, layer):
+    """One local-step right-hand side, or one exact-Hessian assembly with
+    its projection Jacobians, on the patch stretched by 10 % with noise."""
+    mesh = patch[0]
+    rng = np.random.default_rng(1)
+    x = mesh.nodes * np.array([1.1, 1.0, 1.0]) + 1e-3 * rng.normal(size=mesh.nodes.shape)
+    gammas = mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
+    out = benchmark(getattr(pdsolver, layer), mesh, gammas, x)
+    assert np.all(np.isfinite(out[0] if layer == "elastic_rhs" else out.data))

@@ -461,7 +461,7 @@ def cmd_fit(cfg, out, chash):
         for i in indices
     ]
     fit_dt = seq.dt if fc["dt"] is None else fc["dt"]
-    problem = fitting.FitProblem(mesh, emb, dt=fit_dt, alpha=fc["alpha"])
+    problem = fitting.FitProblem(op, dt=fit_dt)
     nE = mesh.n_elements
     state_path = os.path.join(out, "fit_state.json")
     logger = fitting.FitLogger()

@@ -90,54 +90,29 @@ def build_sample(op, frames, i, dt=None, yarn_pins=(), yarn_force=None):
 
 
 class FitProblem:
-    """Mesh, embedding, and loss plumbing shared across samples."""
+    """Pose-matching loss and equilibrium plumbing shared across samples.
 
-    def __init__(self, mesh, embedding, dt=1e-2, alpha=transfer.MASS_ANCHOR_WEIGHT,
-                 fill_weight=transfer.FILL_WEIGHT):
+    The loss is the y2v objective of `op` (a transfer.Y2VOperator) at the
+    sample's targets and yarn pose, so at the transferred pose it is the
+    reconstruction optimum; its weights and Hessian are the operator's.
+    """
+
+    def __init__(self, op, dt=1e-2):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.mesh = mesh
-        self.embedding = embedding
+        self.op = op
+        self.mesh = op.mesh
         self.dt = dt
-        self.alpha = alpha
-        self.fill_weight = float(fill_weight)
-        self.interp = embedding.interp
-        self.yarn_mass2 = embedding.yarn_mass**2
-        self._anchor = 2.0 * alpha * (
-            self.interp.T @ sp.diags(self.yarn_mass2) @ self.interp)
-
-    def element_weights(self, sample):
-        """Volume-scaled weights, fill elements down to fill_weight.  Same
-        weighting as the y2v reconstruction, so at the transferred pose the
-        loss coincides with the reconstruction objective."""
-        w = np.where(sample.targets.covered, 1.0, self.fill_weight)
-        return w * self.mesh.volume
 
     def loss(self, x, sample):
-        """Pose-matching loss: weighted per-element gradient mismatch plus
-        the mass-weighted yarn anchor."""
-        F = self.mesh.deformation_gradients(x.reshape(-1))
-        d = F - sample.targets.per_element_f
-        w = self.element_weights(sample)
-        r = self.embedding.yarn_mass[:, None] * (self.interp @ x - sample.yarn_pose)
-        return float(np.sum(w * np.sum(d * d, axis=(1, 2)))) \
-            + self.alpha * float(np.sum(r * r))
+        return self.op.objective(x, sample.targets, sample.yarn_pose)
 
     def loss_grad_x(self, x, sample):
-        F = self.mesh.deformation_gradients(x.reshape(-1))
-        d = F - sample.targets.per_element_f
-        w = self.element_weights(sample)
-        GT = 2.0 * np.einsum("e,enj,eij->eni", w, self.mesh.shape_grad, d)
-        g = np.zeros((self.mesh.n_nodes, 3))
-        np.add.at(g, self.mesh.tets.reshape(-1), GT.reshape(-1, 3))
-        g += 2.0 * self.alpha * (self.interp.T @ (
-            self.yarn_mass2[:, None] * (self.interp @ x - sample.yarn_pose)))
-        return g
+        return self.op.gradient(x, sample.targets, sample.yarn_pose)
 
     def loss_hessian_scalar(self, sample):
         """Constant loss Hessian; the same matrix acts on each coordinate."""
-        w = self.element_weights(sample)
-        return (pdsolver.scatter_scalar(self.mesh, 2.0 * w) + self._anchor).tocsr()
+        return self.op.matrix(sample.targets.covered)
 
     def solve_equilibrium(self, gammas, sample, x0=None, tol=1e-6,
                           pd_iters=6, max_newton=60):
@@ -153,7 +128,7 @@ class FitProblem:
         x, ok, _ = pdsolver.newton_polish(
             self.mesh, gammas, x, dt=self.dt, pins=sample.pins,
             pin_vals=sample.pin_vals, inertia_target=sample.inertia,
-            tol=tol, max_iters=max_newton, exact=True)
+            tol=tol, max_iters=max_newton)
         free = np.setdiff1d(np.arange(self.mesh.n_nodes), sample.pins)
         g = (pdsolver.elastic_gradient(self.mesh, gammas, x)
              + (self.mesh.node_mass[:, None] / self.dt**2) * sample.inertia)
@@ -173,21 +148,18 @@ def gamma_jacobian(mesh, x):
     """Sparse d(residual)/d(gamma), shape (3nV, 2nE).
 
     The equilibrium residual is linear in the coefficients, so the column
-    for each coefficient is that element's unit-coefficient force pattern.
+    for each coefficient is that element's unit-coefficient force pattern:
+    kron(D, I3)^T applied to a column holding 2 V_e vec((F - R)^T) (shape)
+    or 2 V_e vec((F - V)^T) (volume) in the element's nine rows.
     """
-    F = mesh.deformation_gradients(x.reshape(-1))
+    F = mesh.deformation_gradients(x)
     R, V = mat.batch_projections(F)
-    Js = 2.0 * mesh.volume[:, None] * np.einsum(
-        "eab,ea->eb", mesh.diff_op, (F - R).reshape(-1, 9))
-    Jv = 2.0 * mesh.volume[:, None] * np.einsum(
-        "eab,ea->eb", mesh.diff_op, (F - V).reshape(-1, 9))
+    P = 2.0 * mesh.volume[:, None, None] * np.stack([F - R, F - V])
     nE = mesh.n_elements
-    dofs = mesh.element_dofs().reshape(-1)
-    rows = np.concatenate([dofs, dofs])
-    cols = np.concatenate([np.repeat(np.arange(nE), 12),
-                           np.repeat(np.arange(nE, 2 * nE), 12)])
-    vals = np.concatenate([Js.reshape(-1), Jv.reshape(-1)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(3 * mesh.n_nodes, 2 * nE))
+    cols = sp.csc_matrix(
+        (P.transpose(0, 1, 3, 2).reshape(-1), np.tile(np.arange(9 * nE), 2),
+         np.arange(0, 18 * nE + 1, 9)), shape=(9 * nE, 2 * nE))
+    return (mesh.dof_grad_op.T @ cols).tocsr()
 
 
 @dataclass
@@ -313,23 +285,6 @@ def adjoint_gauss_newton(problem, sample, state, kappa=None, basis=None,
     return d, kappa, True
 
 
-def dense_gauss_newton_direction(problem, sample, state, kappa):
-    """Oracle route: explicit sensitivity columns, dense normal equations.
-
-    Only feasible on small problems; exists to cross-check the sparse
-    block solve.
-    """
-    Hlu = spla.splu(state.H)
-    J = state.J
-    m = J.shape[1]
-    S = np.column_stack([
-        Hlu.solve(-np.asarray(J[:, j].todense()).ravel()) for j in range(m)])
-    G_scalar = problem.loss_hessian_scalar(sample)
-    G = sp.kron(G_scalar, sp.eye(3)).tocsr()[state.fdofs][:, state.fdofs]
-    P = S.T @ (G @ S)
-    return np.linalg.solve(P + kappa * np.eye(m), -state.grad)
-
-
 # ---------------------------------------------------------------------------
 # safeguarded stepping
 
@@ -339,15 +294,16 @@ def safeguarded_update(gamma, d, step, eval_loss, current_loss,
                        max_halvings=MAX_HALVINGS):
     """Backtracking update with a positivity floor.
 
-    Trials gamma + t*step*d, halving t while the loss increases; trial
-    entries that go negative are set to the floor and their indices cached.
-    Returns (gamma', loss', accepted, t).
+    Trials gamma + t*step*d, halving t while the loss does not decrease;
+    trial entries that go negative are set to the floor and their indices
+    cached.  floor None leaves negative entries, for parameters that map to
+    the coefficients elsewhere.  Returns (gamma', loss', accepted, t).
     """
     t = 1.0
     for _ in range(max_halvings + 1):
         trial = gamma + t * step * d
         neg = trial < 0.0
-        if neg.any():
+        if floor is not None and neg.any():
             trial = trial.copy()
             trial[neg] = floor
             if clamp_cache is not None:
@@ -401,8 +357,9 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
 
     With `basis` the parameters live in the spectral subspace (vector q of
     length 2r, coefficients = basis @ q floored elementwise); otherwise in
-    the full per-element space with clamp caching and pivoting.  Every
-    trial re-solves the equilibrium from the current state.  `init_state`
+    the full per-element space with clamp caching and pivoting.  Both
+    search along their directions with safeguarded_update, and every trial
+    re-solves the equilibrium from the current state.  `init_state`
     is an optional (loss, x, resid) triple for gamma0, used by the staged
     schedule so a stage starts exactly at the previous optimum instead of
     re-evaluating it.  Returns FitResult (and the final q when reduced).
@@ -414,17 +371,19 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
     reduced = basis is not None
     r = basis.shape[1] if reduced else 0
 
-    def to_gamma(qv):
-        g = np.concatenate([basis @ qv[:r], basis @ qv[r:]])
-        return np.maximum(g, floor)
+    def to_gamma(pv):
+        if not reduced:
+            return pv
+        return np.maximum(np.concatenate([basis @ pv[:r], basis @ pv[r:]]), floor)
 
     if reduced:
-        q = (np.asarray(q0, dtype=float).copy() if q0 is not None else
-             np.concatenate([basis.T @ gamma0[:nE], basis.T @ gamma0[nE:]]))
-        gamma = to_gamma(q)
+        params = (np.asarray(q0, dtype=float).copy() if q0 is not None else
+                  np.concatenate([basis.T @ gamma0[:nE], basis.T @ gamma0[nE:]]))
+        guard = dict(floor=None)
     else:
-        q = None
-        gamma = np.maximum(np.asarray(gamma0, dtype=float), floor)
+        params = np.maximum(np.asarray(gamma0, dtype=float), floor)
+        guard = dict(floor=floor, clamp_cache=clamp_cache)
+    gamma = to_gamma(params)
 
     def eval_at(gamma_vec, warm):
         gfield = _to_field(mesh, gamma_vec)
@@ -438,35 +397,19 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         loss, x, resid = eval_at(gamma, sample.x_init)
     losses = [loss]
     stalled = False
+    trial_state = None
+
+    def eval_loss(trial):
+        # every trial starts from the current state; safeguarded_update
+        # accepts the last trial it evaluates, so its state is kept
+        nonlocal trial_state
+        val, *trial_state = eval_at(to_gamma(trial), x)
+        return val
 
     def reduce_grad(g_full):
         if not reduced:
             return g_full
         return np.concatenate([basis.T @ g_full[:nE], basis.T @ g_full[nE:]])
-
-    def line_search(d, step):
-        """Backtracking trial of the direction; mutates the current state."""
-        nonlocal gamma, q, loss, x, resid
-        t = step
-        for _ in range(MAX_HALVINGS + 1):
-            if reduced:
-                q_try = q + t * d
-                trial = to_gamma(q_try)
-            else:
-                raw = gamma + t * d
-                trial = raw.copy()
-                neg = raw < 0.0
-                if neg.any():
-                    trial[neg] = floor
-                    clamp_cache.update(np.flatnonzero(neg).tolist())
-            val, x_try, r_try = eval_at(trial, x)
-            if val < loss:
-                gamma, loss, x, resid = trial, val, x_try, r_try
-                if reduced:
-                    q = q_try
-                return True, t
-            t *= 0.5
-        return False, 0.0
 
     # phase 1: gradient descent
     for it in range(gd_iters):
@@ -476,9 +419,11 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         gnorm = float(np.linalg.norm(grad_eff))
         if gnorm < 1e-10:
             break
-        accepted, t = line_search(-grad_eff, GD_STEP)
-        logger.log_iter(sample.index, "gd", it, loss,
-                        t if accepted else 0.0, gnorm)
+        params, loss, accepted, t = safeguarded_update(
+            params, -grad_eff, GD_STEP, eval_loss, loss, **guard)
+        if accepted:
+            gamma, (x, resid) = to_gamma(params), trial_state
+        logger.log_iter(sample.index, "gd", it, loss, GD_STEP * t, gnorm)
         losses.append(loss)
         if not accepted:
             break                               # flat for GD; GN may still move
@@ -526,9 +471,11 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
                         d = -grad_eff
                         d[push] = 0.0
 
-        accepted, t = line_search(d, GN_STEP)
-        logger.log_iter(sample.index, "gn", it, loss,
-                        t if accepted else 0.0, gnorm)
+        params, loss, accepted, t = safeguarded_update(
+            params, d, GN_STEP, eval_loss, loss, **guard)
+        if accepted:
+            gamma, (x, resid) = to_gamma(params), trial_state
+        logger.log_iter(sample.index, "gn", it, loss, GN_STEP * t, gnorm)
         losses.append(loss)
         if not accepted:
             stalled = True
@@ -542,7 +489,7 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
 
     result = FitResult(gamma=gamma, loss=loss, x=x, losses=losses,
                        stalled=stalled, resid=resid)
-    return (result, q) if reduced else result
+    return (result, params) if reduced else result
 
 
 # ---------------------------------------------------------------------------

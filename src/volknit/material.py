@@ -312,16 +312,6 @@ def sl3_sigma_project(sigma):
     return s[0], float(lam[0]), clamped[0], True
 
 
-def project_sl3(F):
-    """Closest matrix to F with unit determinant, singular values floored.
-
-    The projection keeps the singular frames of F and optimizes the singular
-    values under the product constraint, so det of the result is 1 to
-    roundoff even when F itself is degenerate or inverted.
-    """
-    return batch_projections(np.asarray(F, dtype=float)[None])[1][0]
-
-
 # ---------------------------------------------------------------------------
 # batched projections for the per-element local solves
 
@@ -372,16 +362,6 @@ def _sl3_ds_dsigma(s, lam, clamped):
     return np.linalg.solve(A, rhs)[:, :3]
 
 
-def rotation_jacobian(F):
-    """Derivative of the rotation projection, d vec(R) / d vec(F)."""
-    return projection_jacobians_batch(np.asarray(F, dtype=float)[None])[0][0]
-
-
-def sl3_jacobian(F):
-    """Derivative of the volume projection, d vec(V) / d vec(F)."""
-    return projection_jacobians_batch(np.asarray(F, dtype=float)[None])[1][0]
-
-
 def projection_jacobians_batch(F):
     """Batched (d vec R / d vec F, d vec V / d vec F), each (B, 9, 9)."""
     F = np.asarray(F, dtype=float)
@@ -412,42 +392,6 @@ def projection_jacobians_batch(F):
     JR = Q @ LR @ Qt
     JV = Q @ LV @ Qt
     return JR, JV
-
-
-# ---------------------------------------------------------------------------
-# element energy and forces
-
-
-def element_energy(F, gamma_s, gamma_v, volume):
-    """Elastic energy of one element at deformation gradient F."""
-    R = project_so3(F)
-    V = project_sl3(F)
-    return volume * (
-        gamma_s * float(np.sum((F - R) ** 2)) + gamma_v * float(np.sum((F - V) ** 2))
-    )
-
-
-def element_force_and_dgamma(diff_op, F, gamma_s, gamma_v, volume):
-    """Energy gradient of one element and its derivatives in the two gammas.
-
-    diff_op is the (9, 12) operator mapping element node positions to vec(F).
-    Returns (force, d_gs, d_gv), all 12-vectors on the element dofs, with
-    force = gamma_s * d_gs + gamma_v * d_gv; the two patterns double as the
-    columns of the equilibrium derivative with respect to the coefficients.
-    """
-    R = project_so3(F)
-    V = project_sl3(F)
-    d_gs = 2.0 * volume * (diff_op.T @ (F - R).reshape(9))
-    d_gv = 2.0 * volume * (diff_op.T @ (F - V).reshape(9))
-    return gamma_s * d_gs + gamma_v * d_gv, d_gs, d_gv
-
-
-def batch_energies(F, gamma_s, gamma_v, volumes):
-    """Per-element energies for a batch of deformation gradients."""
-    R, V = batch_projections(F)
-    ds = np.sum((F - R) ** 2, axis=(1, 2))
-    dv = np.sum((F - V) ** 2, axis=(1, 2))
-    return volumes * (gamma_s * ds + gamma_v * dv)
 
 
 class MaterialField:

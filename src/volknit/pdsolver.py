@@ -29,16 +29,6 @@ CONTACT_STIFFNESS = 1e4     # collider weight as a multiple of the matrix diagon
 # assembly
 
 
-def scatter_scalar(mesh, per_element):
-    """Assemble sum_e c_e G_e G_e^T into an (nV, nV) sparse matrix."""
-    G = mesh.shape_grad
-    S4 = per_element[:, None, None] * np.einsum("eni,emi->enm", G, G)
-    rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
-    cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
-    return sp.csr_matrix((S4.reshape(-1), (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes))
-
-
 def assemble_global(mesh, gammas, dt):
     """Scalar global PD matrix K = M/dt^2 + sum_e 2 V_e (g_s + g_v) G G^T.
 
@@ -52,28 +42,31 @@ def assemble_global(mesh, gammas, dt):
     if mesh.node_mass is None:
         raise ValueError("mesh node masses not lumped yet")
     w = 2.0 * mesh.volume * (gammas.gamma_s + gammas.gamma_v)
-    K = scatter_scalar(mesh, w) + sp.diags(mesh.node_mass / dt**2)
+    K = mesh.laplacian(w) + sp.diags(mesh.node_mass / dt**2)
     return K.tocsc()
 
 
+def _coefficients(mesh, gammas):
+    """Per-element 2 V_e gamma_s and 2 V_e gamma_v, shaped to scale (nE, 3, 3)."""
+    w = 2.0 * mesh.volume[:, None, None]
+    return w * gammas.gamma_s[:, None, None], w * gammas.gamma_v[:, None, None]
+
+
 def elastic_rhs(mesh, gammas, x):
-    """Local-step right-hand side sum_e 2 V_e G^T (g_s R + g_v V), (nV, 3).
+    """Local-step right-hand side sum_e 2 V_e (g_s R + g_v V) G^T, (nV, 3).
 
     Also returns the element projections so callers can reuse them for
     energies.
     """
-    F = mesh.deformation_gradients(np.asarray(x, dtype=float).reshape(-1))
+    F = mesh.deformation_gradients(x)
     R, V = mat.batch_projections(F)
-    P = gammas.gamma_s[:, None, None] * R + gammas.gamma_v[:, None, None] * V
-    GT = 2.0 * mesh.volume[:, None, None] * np.einsum("enj,eij->eni", mesh.shape_grad, P)
-    rhs = np.zeros((mesh.n_nodes, 3))
-    np.add.at(rhs, mesh.tets.reshape(-1), GT.reshape(-1, 3))
-    return rhs, F, R, V
+    cs, cv = _coefficients(mesh, gammas)
+    return mesh.scatter(cs * R + cv * V), F, R, V
 
 
 def elastic_energy(mesh, gammas, x, FRV=None):
     if FRV is None:
-        F = mesh.deformation_gradients(np.asarray(x, dtype=float).reshape(-1))
+        F = mesh.deformation_gradients(x)
         R, V = mat.batch_projections(F)
     else:
         F, R, V = FRV
@@ -88,13 +81,14 @@ def elastic_gradient(mesh, gammas, x):
     The projections are minimizers of their matrix distances, so their
     dependence on x drops out of the first derivative.
     """
-    F = mesh.deformation_gradients(np.asarray(x, dtype=float).reshape(-1))
+    F = mesh.deformation_gradients(x)
     R, V = mat.batch_projections(F)
-    P = gammas.gamma_s[:, None, None] * (F - R) + gammas.gamma_v[:, None, None] * (F - V)
-    GT = 2.0 * mesh.volume[:, None, None] * np.einsum("enj,eij->eni", mesh.shape_grad, P)
-    out = np.zeros((mesh.n_nodes, 3))
-    np.add.at(out, mesh.tets.reshape(-1), GT.reshape(-1, 3))
-    return out
+    cs, cv = _coefficients(mesh, gammas)
+    return mesh.scatter(cs * (F - R) + cv * (F - V))
+
+
+# row-major vec(F) index 3i + j of the entry of vec(F^T) at 3j + i
+_VEC_T = np.arange(9).reshape(3, 3).T.reshape(-1)
 
 
 def exact_elastic_hessian(mesh, gammas, x):
@@ -102,20 +96,20 @@ def exact_elastic_hessian(mesh, gammas, x):
 
     Unlike the frozen-projection form used by the global PD matrix, this
     carries the projection sensitivities, so it is the true Jacobian of the
-    elastic gradient; symmetric, not necessarily definite.
+    elastic gradient; symmetric, not necessarily definite.  It is
+    kron(D, I3)^T M kron(D, I3) with M block diagonal, each 9x9 block the
+    element's d2E/dF2 permuted to the vec(F^T) order of kron(D, I3).
     """
-    F = mesh.deformation_gradients(np.asarray(x, dtype=float).reshape(-1))
+    F = mesh.deformation_gradients(x)
     LR, LV = mat.projection_jacobians_batch(F)
     I9 = np.eye(9)
-    M9 = (gammas.gamma_s[:, None, None] * (I9 - LR)
-          + gammas.gamma_v[:, None, None] * (I9 - LV))
-    He = 2.0 * mesh.volume[:, None, None] * np.einsum(
-        "eia,eij,ejb->eab", mesh.diff_op, M9, mesh.diff_op)
-    dofs = mesh.element_dofs()
-    rows = np.repeat(dofs, 12, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, 12)).reshape(-1)
-    n = 3 * mesh.n_nodes
-    return sp.csr_matrix((He.reshape(-1), (rows, cols)), shape=(n, n))
+    cs, cv = _coefficients(mesh, gammas)
+    M9 = cs * (I9 - LR) + cv * (I9 - LV)
+    nE = mesh.n_elements
+    M = sp.bsr_matrix((M9[:, _VEC_T][:, :, _VEC_T], np.arange(nE), np.arange(nE + 1)),
+                      shape=(9 * nE, 9 * nE))
+    D3 = mesh.dof_grad_op
+    return (D3.T @ (M @ D3)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +155,6 @@ def surface_targets(points, colliders):
     idx, tgt = collider_targets(out, colliders)
     out[idx] = tgt
     return out
-
-
-def collide_project(state, colliders=None):
-    """Snap penetrating nodes of a state to the collider surfaces."""
-    colliders = state.colliders if colliders is None else colliders
-    idx, tgt = collider_targets(state.x, colliders)
-    if len(idx):
-        state.x = state.x.copy()
-        state.x[idx] = tgt
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +294,6 @@ def pd_step(state, mesh, gammas, iterations=PD_ITERS_DEFAULT, forces=None,
     return state
 
 
-def pd_objective(state_or_x, mesh, gammas, xhat, dt):
-    """Inertia plus elastic potential minimized by one implicit step."""
-    x = state_or_x.x if isinstance(state_or_x, SimState) else np.asarray(state_or_x)
-    d = x - xhat
-    inertia = 0.5 / dt**2 * float(np.sum(mesh.node_mass[:, None] * d * d))
-    return inertia + elastic_energy(mesh, gammas, x)
-
-
 def pd_equilibrium(mesh, gammas, inertia_target, x0, pins, pin_vals, dt,
                    iterations=PD_ITERS_DEFAULT, solver=None):
     """Proximal local/global rounds on the quasi-static objective
@@ -344,30 +320,23 @@ def pd_equilibrium(mesh, gammas, inertia_target, x0, pins, pin_vals, dt,
     return x
 
 
-def quasi_static_objective(mesh, gammas, inertia_target, x, dt):
-    lin = float(np.sum(mesh.node_mass[:, None] * inertia_target * x)) / dt**2
-    return elastic_energy(mesh, gammas, x) + lin
-
-
 # ---------------------------------------------------------------------------
 # Newton polish
 
 
 def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
-                  inertia_target=None, xhat=None, tol=1e-5, max_iters=20,
-                  exact=False):
-    """Drive the step residual below tol with Newton-type iterations.
+                  inertia_target=None, xhat=None, tol=1e-5, max_iters=20):
+    """Drive the step residual below tol with Newton iterations.
 
     Two residual flavors share the machinery: the dynamic step residual
     (M/dt^2)(x - xhat) + dE, or the quasi-static fitting residual
-    (M/dt^2) a + dE with a constant inertia target.  The default iteration
-    matrix is the frozen-projection elastic Hessian plus M/dt^2, which is
-    positive definite, so steps are descent directions for the associated
-    objective; a halving line search keeps it monotone.  That iteration is
-    only linearly convergent, so `exact` switches to the true residual
-    Jacobian (projection sensitivities included) for quadratic convergence
-    at tight tolerances, falling back to the definite matrix whenever the
-    exact step fails to decrease the objective.
+    (M/dt^2) a + dE with a constant inertia target.  Each step solves with
+    the true residual Jacobian (projection sensitivities included), which
+    converges quadratically near the solution, and a halving line search
+    keeps the associated objective monotone.  That Jacobian need not be
+    definite, so whenever its step fails the iteration falls back to the
+    frozen-projection elastic Hessian plus M/dt^2, which is positive
+    definite and so always gives a descent direction.
 
     Returns (x, converged flag, iterations used).
     """
@@ -442,11 +411,8 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
     obj = objective(x)
     stall = 0
     for it in range(1, max_iters + 1):
-        xn = None
-        if exact:
-            step = exact_step(x, g)
-            if step is not None:
-                xn, on = try_step(step, obj)
+        step = exact_step(x, g)
+        xn, on = (None, obj) if step is None else try_step(step, obj)
         if xn is None:
             xn, on = try_step(gn_step(g), obj)
         if xn is None:
@@ -767,7 +733,7 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
             # positions as pd_step does from its own
             state.x, ok, iters = newton_polish(
                 mesh, gammas, state.x, dt=dt, pins=pins,
-                pin_vals=state.pin_targets, xhat=xh, tol=polish_tol, exact=True,
+                pin_vals=state.pin_targets, xhat=xh, tol=polish_tol,
             )
             state.polish = (ok, iters)
             state.v = damping * (state.x - x_start) / dt

@@ -197,14 +197,6 @@ def element_targets(mesh, embedding, model, deformed, frame=-1):
     return TargetDeformation(per_element_f=F, covered=covered, frame=frame)
 
 
-def dump_targets_csv(targets, path):
-    """One row per element: index, covered flag, nine F entries."""
-    with open(path, "w") as fh:
-        fh.write("element,covered," + ",".join(f"f{i}{j}" for i in range(3) for j in range(3)) + "\n")
-        for e, (F, c) in enumerate(zip(targets.per_element_f, targets.covered)):
-            fh.write(f"{e},{int(c)}," + ",".join(f"{v:.12g}" for v in F.reshape(-1)) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # yarn-to-mesh solve
 
@@ -212,14 +204,16 @@ def dump_targets_csv(targets, path):
 class Y2VOperator:
     """Prefactored least-squares reconstruction of mesh poses from yarn poses.
 
-    Minimizes over node positions x:
+    Minimizes over node positions x the y2v objective
 
         sum_e w_e V_e || F_e(x) - T_e ||^2  +  alpha || M_y (N x - x_yarn) ||^2
 
     with w_e = 1 on covered elements and FILL_WEIGHT on uncovered ones (the
     fill keeps the system positive definite when some elements carry no
-    yarn).  The three coordinates decouple, so a single scalar matrix is
-    factored once and solved for all three right-hand sides in one call.
+    yarn).  The objective is quadratic and the three coordinates decouple,
+    so its Hessian is one scalar matrix, factored once and solved for all
+    three right-hand sides in one call.  Material fitting uses the same
+    objective as its pose-matching loss.
     """
 
     def __init__(self, mesh, embedding, model, alpha=MASS_ANCHOR_WEIGHT,
@@ -229,52 +223,36 @@ class Y2VOperator:
         self.model = model
         self.alpha = float(alpha)
         self.fill_weight = float(fill_weight)
+        self._anchor = 2.0 * self.alpha * (
+            embedding.interp.T @ sp.diags(embedding.yarn_mass**2) @ embedding.interp)
         self._factor = None
 
-    def _element_weights(self, covered):
-        w = np.where(covered, 1.0, self.fill_weight)
-        return w * self.mesh.volume
+    def weights(self, covered):
+        """Per-element target weights w_e V_e for a coverage mask."""
+        return np.where(covered, 1.0, self.fill_weight) * self.mesh.volume
 
-    def _assemble(self, covered):
-        mesh = self.mesh
-        G = mesh.shape_grad                       # (nE, 4, 3)
-        wv = self._element_weights(covered)
-        S4 = 2.0 * wv[:, None, None] * np.einsum("eni,emi->enm", G, G)
-        rows = np.repeat(mesh.tets, 4, axis=1).reshape(-1)
-        cols = np.tile(mesh.tets, (1, 4)).reshape(-1)
-        A = sp.csr_matrix(
-            (S4.reshape(-1), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-        )
-        My2 = sp.diags(self.embedding.yarn_mass**2)
-        A = A + 2.0 * self.alpha * (self.embedding.interp.T @ My2 @ self.embedding.interp)
-        return A.tocsc()
+    def matrix(self, covered):
+        """Objective Hessian, one (nV, nV) matrix acting on each coordinate."""
+        return (self.mesh.laplacian(2.0 * self.weights(covered)) + self._anchor).tocsc()
 
     def _factorize(self, covered):
         if self.alpha <= 0.0:
             # translations lie exactly in the elastic null space
             raise ValueError("y2v system is singular without a positive mass anchor")
-        key = self._element_weights(covered).tobytes()
+        key = self.weights(covered).tobytes()
         if self._factor is None or self._factor[0] != key:
-            A = self._assemble(covered)
             try:
-                solve = spla.splu(A).solve
+                solve = spla.splu(self.matrix(covered)).solve
             except RuntimeError as exc:
                 raise ValueError(f"y2v system is singular: {exc}") from exc
             self._factor = (key, solve)
         return self._factor[1]
 
     def solve_with_targets(self, targets, yarn_pose):
-        """Node positions minimizing the reconstruction objective."""
-        mesh = self.mesh
+        """Node positions minimizing the objective: the objective is
+        quadratic, so they solve (matrix) x = -gradient at x = 0."""
         solve = self._factorize(targets.covered)
-        wv = self._element_weights(targets.covered)
-        # rhs per coordinate i: 2 sum_e w V G^T T_e[i, :]  +  anchor term
-        GT = 2.0 * np.einsum("e,enj,eij->eni", wv, mesh.shape_grad, targets.per_element_f)
-        rhs = np.zeros((mesh.n_nodes, 3))
-        np.add.at(rhs, mesh.tets.reshape(-1), GT.reshape(-1, 3))
-        My2 = self.embedding.yarn_mass[:, None] ** 2
-        rhs += 2.0 * self.alpha * (self.embedding.interp.T @ (My2 * yarn_pose))
-        return solve(rhs)
+        return solve(-self.gradient(np.zeros((self.mesh.n_nodes, 3)), targets, yarn_pose))
 
     def transfer(self, deformed, frame=-1):
         """y2v: reconstruct mesh node positions for one yarn pose."""
@@ -286,19 +264,27 @@ class Y2VOperator:
         """Solve with zero gradient targets: transfers displacement-like
         yarn vectors (differences, accelerations) onto the mesh.  Constant
         vectors pass through exactly."""
-        solve = self._factorize(np.ones(self.mesh.n_elements, dtype=bool))
-        My2 = self.embedding.yarn_mass[:, None] ** 2
-        rhs = 2.0 * self.alpha * (self.embedding.interp.T @ (My2 * np.asarray(vec, dtype=float)))
-        return solve(rhs)
+        nE = self.mesh.n_elements
+        zero = TargetDeformation(per_element_f=np.zeros((nE, 3, 3)),
+                                 covered=np.ones(nE, dtype=bool))
+        return self.solve_with_targets(zero, np.asarray(vec, dtype=float))
 
     def objective(self, x, targets, yarn_pose):
-        """Value of the reconstruction objective at node positions x."""
+        """Value of the objective at node positions x."""
         x = np.asarray(x, dtype=float).reshape(-1, 3)
-        F = self.mesh.deformation_gradients(x.reshape(-1))
-        wv = self._element_weights(targets.covered)
+        F = self.mesh.deformation_gradients(x)
+        wv = self.weights(targets.covered)
         val = float(np.sum(wv * np.sum((F - targets.per_element_f) ** 2, axis=(1, 2))))
         d = self.embedding.yarn_mass[:, None] * (self.embedding.interp @ x - yarn_pose)
         return val + self.alpha * float(np.sum(d * d))
+
+    def gradient(self, x, targets, yarn_pose):
+        """Gradient of the objective in the node positions x, (nV, 3)."""
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        F = self.mesh.deformation_gradients(x)
+        P = 2.0 * self.weights(targets.covered)[:, None, None] * (F - targets.per_element_f)
+        r = self.embedding.yarn_mass[:, None] ** 2 * (self.embedding.interp @ x - yarn_pose)
+        return self.mesh.scatter(P) + 2.0 * self.alpha * (self.embedding.interp.T @ r)
 
 
 # ---------------------------------------------------------------------------

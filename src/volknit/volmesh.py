@@ -10,6 +10,7 @@ pieces, and node masses are lumped from the yarn's line density.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -52,7 +53,15 @@ _CELL_CORNERS = np.array([[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(8)]
 
 @dataclass
 class VolumeMesh:
-    """Tetrahedral mesh on a voxel grid, with precomputed element operators."""
+    """Tetrahedral mesh on a voxel grid, with its element gradient operator.
+
+    grad_op is the one linear map the element terms use: the sparse D of
+    shape (3nE, nV), 12 nonzeros per element, whose row (e, j) holds
+    shape_grad[e, n, j] at column tets[e, n].  D @ X for node positions X
+    (nV, 3) stacks every element's F^T, so deformation gradients, node-force
+    scatters (D^T), scalar Laplacians (D^T diag D) and the exact Hessian
+    (through kron(D, I3)) are all products with D or its transpose.
+    """
 
     nodes: np.ndarray          # (nV, 3) positions
     tets: np.ndarray           # (nE, 4) node indices, positive orientation
@@ -61,15 +70,16 @@ class VolumeMesh:
     node_grid: np.ndarray      # (nV, 3) integer grid coordinates
     voxels: np.ndarray         # (nC, 3) occupied cells, lexicographic order
     tet_voxel: np.ndarray      # (nE,) index into voxels
-    volume: np.ndarray = field(default=None)        # (nE,)
+    volume: np.ndarray = field(default=None)        # (nE,) rest volumes
     jacobian: np.ndarray = field(default=None)      # (nE, 3, 3) rest edge matrix
-    diff_op: np.ndarray = field(default=None)       # (nE, 9, 12) nodes -> vec(F)
     shape_grad: np.ndarray = field(default=None)    # (nE, 4, 3) shape function gradients
+    grad_op: sp.csr_matrix = field(default=None)    # (3nE, nV) D: positions -> stacked F^T
     node_mass: np.ndarray = field(default=None)     # (nV,) lumped masses
 
     def __post_init__(self):
         if self.volume is None:
             self._build_operators()
+        self._grad_op_t = self.grad_op.T.tocsr()
         # occupied cells by sorted integer key, and the elements of each cell
         # ascending, padded with n_elements; the empty last row is cell -1's
         self._lo = self.voxels.min(axis=0)
@@ -96,13 +106,18 @@ class VolumeMesh:
         G[:, 1:] = Dminv                               # shape gradient rows
         G[:, 0] = -Dminv.sum(axis=1)
         self.shape_grad = G
-        D = np.zeros((len(det), 9, 12))
-        # F[i, j] = sum_n x[3n + i] * G[n, j]
-        for n in range(4):
-            for i in range(3):
-                for j in range(3):
-                    D[:, 3 * i + j, 3 * n + i] = G[:, n, j]
-        self.diff_op = D
+        # row (e, j) holds G[e, n, j] at column tets[e, n]: F[e, i, j] is
+        # sum_n x[tets[e, n], i] G[e, n, j]
+        nE = len(det)
+        self.grad_op = sp.csr_matrix(
+            (np.swapaxes(G, 1, 2).reshape(-1), np.repeat(self.tets, 3, axis=0).reshape(-1),
+             np.arange(0, 12 * nE + 1, 4)), shape=(3 * nE, self.n_nodes))
+
+    @functools.cached_property
+    def dof_grad_op(self):
+        """kron(D, I3), (9nE, 3nV): node-major x, y, z DOFs to the row-major
+        vec(F^T) of every element."""
+        return sp.kron(self.grad_op, sp.identity(3), format="csr")
 
     # -- basic queries ----------------------------------------------------
 
@@ -114,14 +129,23 @@ class VolumeMesh:
     def n_elements(self):
         return self.tets.shape[0]
 
-    def element_dofs(self):
-        """(nE, 12) global dof indices in node-major x, y, z order."""
-        return (3 * self.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
-
     def deformation_gradients(self, x):
-        """Per-element F for node positions x, shape (nE, 3, 3)."""
-        xe = x.reshape(-1, 3)[self.tets].reshape(-1, 12)
-        return np.einsum("eab,eb->ea", self.diff_op, xe).reshape(-1, 3, 3)
+        """Per-element F for node positions x ((nV, 3) or flat), (nE, 3, 3)."""
+        X = np.asarray(x, dtype=float).reshape(-1, 3)
+        return (self.grad_op @ X).reshape(-1, 3, 3).transpose(0, 2, 1)
+
+    def scatter(self, P):
+        """Node vectors (nV, 3) sum_e P_e G_e^T of per-element matrices P
+        (nE, 3, 3): the transpose of deformation_gradients, so 2 V_e c_e P_e
+        gives the node forces of an energy with dE/dF_e = 2 V_e c_e P_e."""
+        return self._grad_op_t @ P.transpose(0, 2, 1).reshape(-1, 3)
+
+    def laplacian(self, c):
+        """Scalar (nV, nV) matrix sum_e c_e G_e G_e^T, i.e. D^T diag(c) D
+        with each c_e repeated over the element's three rows."""
+        D = self.grad_op
+        return self._grad_op_t @ sp.csr_matrix(
+            (D.data * np.repeat(c, 12), D.indices, D.indptr), shape=D.shape)
 
     def voxel_index(self, cells):
         """Index into voxels of integer cells (..., 3); -1 where unoccupied."""

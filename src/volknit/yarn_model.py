@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .material import minimal_rotation
+from .pdsolver import collider_targets, surface_targets
 
 
 class YarnModel:
@@ -280,31 +281,21 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
             contacts = np.empty((0, 2), dtype=int)
         w_contact = np.full(len(contacts), params.contact_stiffness / max(model.radius, 1e-12))
 
-        coll_idx = []
-        for kind, *args in colliders:
-            if kind == "plane":
-                pnt, nrm = np.asarray(args[0], float), np.asarray(args[1], float)
-                nrm = nrm / np.linalg.norm(nrm)
-                pen = (xhat - pnt) @ nrm < 0.0
-                coll_idx.append((np.flatnonzero(pen), kind, pnt, nrm))
-            elif kind == "sphere":
-                c, r = np.asarray(args[0], float), float(args[1])
-                pen = np.linalg.norm(xhat - c, axis=1) < r
-                coll_idx.append((np.flatnonzero(pen), kind, c, r))
-            else:
-                raise ValueError(f"unknown collider kind {kind!r}")
+        # per collider, the vertices it holds for this whole step, found on
+        # the prediction
+        coll = [(collider_targets(xhat, [c])[0], c) for c in colliders]
+        coll = [(idx, c) for idx, c in coll if len(idx)]
         w_coll = params.contact_stiffness / max(model.radius, 1e-12)
 
         # the base matrix is factorized once and reused by every step that
         # adds no contact or collider rows
-        extra = len(contacts) > 0 or any(len(idx) for idx, *_ in coll_idx)
+        extra = len(contacts) > 0 or len(coll) > 0
         if extra or base_solver is None:
             A = base + _pair_laplacian(n, contacts, w_contact)
-            for idx, *_ in coll_idx:
-                if len(idx):
-                    A = A + sp.csr_matrix(
-                        (np.full(len(idx), w_coll), (idx, idx)), shape=(n, n)
-                    )
+            for idx, _ in coll:
+                A = A + sp.csr_matrix(
+                    (np.full(len(idx), w_coll), (idx, idx)), shape=(n, n)
+                )
             solver = (A[free][:, pins] if len(pins) else None,
                       spla.factorized(A[free][:, free].tocsc()))
             if not extra:
@@ -333,16 +324,10 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
                 goal = np.maximum(ln, model.radius)
                 tgt = d * (goal / np.maximum(ln, 1e-12))[:, None]
                 rhs += _pair_rhs(S_contact, w_contact, tgt)
-            for idx, kind, a0, a1 in coll_idx:
-                if not len(idx):
-                    continue
-                if kind == "plane":
-                    q = xi[idx] - np.minimum((xi[idx] - a0) @ a1, 0.0)[:, None] * a1
-                else:
-                    rel = xi[idx] - a0
-                    ln = np.linalg.norm(rel, axis=1)
-                    q = a0 + rel * (np.maximum(ln, a1) / np.maximum(ln, 1e-12))[:, None]
-                rhs[idx] += w_coll * q
+            for idx, c in coll:
+                # the surface projection while inside, held where it is once
+                # separated
+                rhs[idx] += w_coll * surface_targets(xi[idx], [c])
             xi[free] = solve(const_rhs + rhs[free] - pin_rhs)
 
         if not np.all(np.isfinite(xi)) or np.abs(xi - x).max() > blow:
@@ -359,28 +344,6 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
             rec_forces[step] = f_ext
 
     return YarnSequence(frames=frames, dt=dt, pins=pins, external_force=rec_forces)
-
-
-def rod_energy(model, x, params=None, forces=None):
-    """Discrete elastic + external energy of the simulator's spring system.
-
-    Used by tests as the objective of an independent equilibrium oracle.
-    Contact terms are omitted (oracle scenes keep yarns separated).
-    """
-    params = params or RodParams()
-    x = x.reshape(-1, 3)
-    rest = model.rest_vertices
-    d = x[model.segments[:, 1]] - x[model.segments[:, 0]]
-    w = params.stretch_stiffness / model.rest_lengths
-    e = 0.5 * np.sum(w * (np.linalg.norm(d, axis=1) - model.rest_lengths) ** 2)
-    bend = _second_neighbors(model)
-    if len(bend):
-        br = np.linalg.norm(rest[bend[:, 1]] - rest[bend[:, 0]], axis=1)
-        d = x[bend[:, 1]] - x[bend[:, 0]]
-        e += 0.5 * np.sum(params.bend_stiffness / br * (np.linalg.norm(d, axis=1) - br) ** 2)
-    if forces is not None:
-        e -= float(np.sum(forces * x))
-    return e
 
 
 # ---------------------------------------------------------------------------

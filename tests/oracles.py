@@ -1,16 +1,23 @@
-"""Reference versions of code that src/ computes in batches or prunes.
+"""Reference versions of code that src/ computes in batches or prunes, and
+the library that only tests call.
 
 The embedding functions here do one point, pair or piece at a time, as the
 batched code they check once did, so tests can require equal bits.  The
 volume projection solves both clamp patterns on every row, which the
-pruned solve in src/ must reproduce.
+pruned solve in src/ must reproduce.  The element operators are the dense
+per-element (9, 12) maps that the sparse gradient operator replaced.  The
+objectives, energies and single-element functions serve as oracles for the
+solvers.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from volknit import material as mat
+from volknit import pdsolver
 from volknit import volmesh as vm
+from volknit import yarn_model as ym
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +298,177 @@ def sl3_sigma_project_batch(sig):
     np.put_along_axis(s, order, s_sorted, axis=1)
     np.put_along_axis(clamped, order, clamped_sorted, axis=1)
     return s, lam[rows, best], clamped
+
+
+# ---------------------------------------------------------------------------
+# dense per-element operators
+
+
+def diff_op(shape_grad):
+    """(..., 9, 12) map from element node positions (node-major x, y, z) to
+    row-major vec(F), built entry by entry from (..., 4, 3) shape gradients."""
+    G = np.asarray(shape_grad, dtype=float)
+    D = np.zeros(G.shape[:-2] + (9, 12))
+    # F[i, j] = sum_n x[3n + i] * G[n, j]
+    for n in range(4):
+        for i in range(3):
+            for j in range(3):
+                D[..., 3 * i + j, 3 * n + i] = G[..., n, j]
+    return D
+
+
+def element_dofs(mesh):
+    """(nE, 12) global dof indices in node-major x, y, z order."""
+    return (3 * mesh.tets[:, :, None] + np.arange(3)[None, None, :]).reshape(-1, 12)
+
+
+# ---------------------------------------------------------------------------
+# single-element material functions
+
+
+def project_sl3(F):
+    """Closest matrix to F with unit determinant, singular values floored."""
+    return mat.batch_projections(np.asarray(F, dtype=float)[None])[1][0]
+
+
+def rotation_jacobian(F):
+    """Derivative of the rotation projection, d vec(R) / d vec(F)."""
+    return mat.projection_jacobians_batch(np.asarray(F, dtype=float)[None])[0][0]
+
+
+def sl3_jacobian(F):
+    """Derivative of the volume projection, d vec(V) / d vec(F)."""
+    return mat.projection_jacobians_batch(np.asarray(F, dtype=float)[None])[1][0]
+
+
+def element_energy(F, gamma_s, gamma_v, volume):
+    """Elastic energy of one element at deformation gradient F."""
+    R = mat.project_so3(F)
+    V = project_sl3(F)
+    return volume * (
+        gamma_s * float(np.sum((F - R) ** 2)) + gamma_v * float(np.sum((F - V) ** 2))
+    )
+
+
+def element_force_and_dgamma(diff_op, F, gamma_s, gamma_v, volume):
+    """Energy gradient of one element and its derivatives in the two gammas.
+
+    diff_op is the (9, 12) operator mapping element node positions to vec(F).
+    Returns (force, d_gs, d_gv), all 12-vectors on the element dofs, with
+    force = gamma_s * d_gs + gamma_v * d_gv; the two patterns double as the
+    columns of the equilibrium derivative with respect to the coefficients.
+    """
+    R = mat.project_so3(F)
+    V = project_sl3(F)
+    d_gs = 2.0 * volume * (diff_op.T @ (F - R).reshape(9))
+    d_gv = 2.0 * volume * (diff_op.T @ (F - V).reshape(9))
+    return gamma_s * d_gs + gamma_v * d_gv, d_gs, d_gv
+
+
+def batch_energies(F, gamma_s, gamma_v, volumes):
+    """Per-element energies for a batch of deformation gradients."""
+    R, V = mat.batch_projections(F)
+    ds = np.sum((F - R) ** 2, axis=(1, 2))
+    dv = np.sum((F - V) ** 2, axis=(1, 2))
+    return volumes * (gamma_s * ds + gamma_v * dv)
+
+
+# ---------------------------------------------------------------------------
+# solver objectives and colliders
+
+
+def pd_objective(state_or_x, mesh, gammas, xhat, dt):
+    """Inertia plus elastic potential minimized by one implicit step."""
+    x = state_or_x.x if isinstance(state_or_x, pdsolver.SimState) else np.asarray(state_or_x)
+    d = x - xhat
+    inertia = 0.5 / dt**2 * float(np.sum(mesh.node_mass[:, None] * d * d))
+    return inertia + pdsolver.elastic_energy(mesh, gammas, x)
+
+
+def quasi_static_objective(mesh, gammas, inertia_target, x, dt):
+    lin = float(np.sum(mesh.node_mass[:, None] * inertia_target * x)) / dt**2
+    return pdsolver.elastic_energy(mesh, gammas, x) + lin
+
+
+def collide_project(state, colliders=None):
+    """Snap penetrating nodes of a state to the collider surfaces."""
+    colliders = state.colliders if colliders is None else colliders
+    idx, tgt = pdsolver.collider_targets(state.x, colliders)
+    if len(idx):
+        state.x = state.x.copy()
+        state.x[idx] = tgt
+    return state
+
+
+def yarn_collider_rows(xhat, xi, colliders):
+    """The yarn simulator's former inline collider model: per collider, the
+    vertices penetrating at the prediction xhat and their targets at xi
+    (the surface projection while inside, xi itself once separated)."""
+    out = []
+    for kind, *args in colliders:
+        if kind == "plane":
+            pnt, nrm = np.asarray(args[0], float), np.asarray(args[1], float)
+            nrm = nrm / np.linalg.norm(nrm)
+            idx = np.flatnonzero((xhat - pnt) @ nrm < 0.0)
+            q = xi[idx] - np.minimum((xi[idx] - pnt) @ nrm, 0.0)[:, None] * nrm
+        elif kind == "sphere":
+            c, r = np.asarray(args[0], float), float(args[1])
+            idx = np.flatnonzero(np.linalg.norm(xhat - c, axis=1) < r)
+            rel = xi[idx] - c
+            ln = np.linalg.norm(rel, axis=1)
+            q = c + rel * (np.maximum(ln, r) / np.maximum(ln, 1e-12))[:, None]
+        else:
+            raise ValueError(f"unknown collider kind {kind!r}")
+        out.append((idx, q))
+    return out
+
+
+def rod_energy(model, x, params=None, forces=None):
+    """Discrete elastic + external energy of the simulator's spring system.
+
+    Used by tests as the objective of an independent equilibrium oracle.
+    Contact terms are omitted (oracle scenes keep yarns separated).
+    """
+    params = params or ym.RodParams()
+    x = x.reshape(-1, 3)
+    rest = model.rest_vertices
+    d = x[model.segments[:, 1]] - x[model.segments[:, 0]]
+    w = params.stretch_stiffness / model.rest_lengths
+    e = 0.5 * np.sum(w * (np.linalg.norm(d, axis=1) - model.rest_lengths) ** 2)
+    bend = ym._second_neighbors(model)
+    if len(bend):
+        br = np.linalg.norm(rest[bend[:, 1]] - rest[bend[:, 0]], axis=1)
+        d = x[bend[:, 1]] - x[bend[:, 0]]
+        e += 0.5 * np.sum(params.bend_stiffness / br * (np.linalg.norm(d, axis=1) - br) ** 2)
+    if forces is not None:
+        e -= float(np.sum(forces * x))
+    return e
+
+
+# ---------------------------------------------------------------------------
+# fitting and transfer
+
+
+def dense_gauss_newton_direction(problem, sample, state, kappa):
+    """Oracle route: explicit sensitivity columns, dense normal equations.
+
+    Only feasible on small problems; exists to cross-check the sparse
+    block solve.
+    """
+    Hlu = spla.splu(state.H)
+    J = state.J
+    m = J.shape[1]
+    S = np.column_stack([
+        Hlu.solve(-np.asarray(J[:, j].todense()).ravel()) for j in range(m)])
+    G_scalar = problem.loss_hessian_scalar(sample)
+    G = sp.kron(G_scalar, sp.eye(3)).tocsr()[state.fdofs][:, state.fdofs]
+    P = S.T @ (G @ S)
+    return np.linalg.solve(P + kappa * np.eye(m), -state.grad)
+
+
+def dump_targets_csv(targets, path):
+    """One row per element: index, covered flag, nine F entries."""
+    with open(path, "w") as fh:
+        fh.write("element,covered," + ",".join(f"f{i}{j}" for i in range(3) for j in range(3)) + "\n")
+        for e, (F, c) in enumerate(zip(targets.per_element_f, targets.covered)):
+            fh.write(f"{e},{int(c)}," + ",".join(f"{v:.12g}" for v in F.reshape(-1)) + "\n")

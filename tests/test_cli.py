@@ -101,7 +101,7 @@ def make_two_block_asset(dest):
                                     iterations=8)
         x, ok, _ = pdsolver.newton_polish(mesh, truth, x, dt=2e-2, pins=pins,
                                           pin_vals=pv, inertia_target=a,
-                                          tol=1e-11, max_iters=300, exact=True)
+                                          tol=1e-11, max_iters=300)
         assert ok
         frames[k] = transfer.v2y(emb, x)
 

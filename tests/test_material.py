@@ -173,14 +173,14 @@ def test_sl3_identity_on_feasible(rng):
     for _ in range(20):
         F = random_f(rng, spread=0.3)
         F /= np.cbrt(np.linalg.det(F))
-        V = mat.project_sl3(F)
+        V = oracles.project_sl3(F)
         assert np.abs(V - F).max() < 1e-7
 
 
 def test_sl3_uniform_scale():
     # mild uniform scaling projects back to the identity
     for t in (0.5, 1.5, 1.8):
-        V = mat.project_sl3(t * np.eye(3))
+        V = oracles.project_sl3(t * np.eye(3))
         assert np.abs(V - np.eye(3)).max() < 1e-9
 
 
@@ -211,7 +211,7 @@ def test_sl3_hard_clamp():
 
 
 def test_sl3_degenerate_input():
-    V = mat.project_sl3(np.zeros((3, 3)))
+    V = oracles.project_sl3(np.zeros((3, 3)))
     assert abs(np.linalg.det(V) - 1.0) < 1e-6
 
 
@@ -258,7 +258,7 @@ def test_sl3_pruned_matches_two_lane_reference(rng):
 def test_rotation_jacobian_fd(rng):
     for _ in range(10):
         F = random_f(rng, min_gap=5e-2)
-        J = mat.rotation_jacobian(F)
+        J = oracles.rotation_jacobian(F)
         Jfd = central_diff(mat.project_so3, F)
         rel = np.linalg.norm(J - Jfd) / np.linalg.norm(Jfd)
         assert rel < 1e-5, rel
@@ -267,18 +267,18 @@ def test_rotation_jacobian_fd(rng):
 def test_sl3_jacobian_fd(rng):
     for _ in range(10):
         F = random_f(rng, min_gap=5e-2)
-        J = mat.sl3_jacobian(F)
-        Jfd = central_diff(mat.project_sl3, F)
+        J = oracles.sl3_jacobian(F)
+        Jfd = central_diff(oracles.project_sl3, F)
         rel = np.linalg.norm(J - Jfd) / np.linalg.norm(Jfd)
         assert rel < 1e-5, rel
 
 
 def test_jacobians_at_identity():
     # equal singular values exercise the confluent branch
-    JR = mat.rotation_jacobian(np.eye(3))
-    JV = mat.sl3_jacobian(np.eye(3))
+    JR = oracles.rotation_jacobian(np.eye(3))
+    JV = oracles.sl3_jacobian(np.eye(3))
     JRfd = central_diff(mat.project_so3, np.eye(3))
-    JVfd = central_diff(mat.project_sl3, np.eye(3))
+    JVfd = central_diff(oracles.project_sl3, np.eye(3))
     assert np.abs(JR - JRfd).max() < 1e-8
     assert np.abs(JV - JVfd).max() < 1e-8
 
@@ -287,8 +287,8 @@ def test_jacobians_symmetric(rng):
     # both projections are gradients of scalar potentials
     for _ in range(10):
         F = random_f(rng)
-        assert np.abs(mat.rotation_jacobian(F) - mat.rotation_jacobian(F).T).max() < 1e-9
-        assert np.abs(mat.sl3_jacobian(F) - mat.sl3_jacobian(F).T).max() < 1e-9
+        assert np.abs(oracles.rotation_jacobian(F) - oracles.rotation_jacobian(F).T).max() < 1e-9
+        assert np.abs(oracles.sl3_jacobian(F) - oracles.sl3_jacobian(F).T).max() < 1e-9
 
 
 def _hard_batch(rng, n, min_gap=0.0):
@@ -354,23 +354,18 @@ def _tet_diff_op(rng):
         Dm = (X[1:] - X[0]).T
     Dminv = np.linalg.inv(Dm)
     G = np.vstack([-Dminv.sum(axis=0), Dminv])
-    D = np.zeros((9, 12))
-    for n in range(4):
-        for i in range(3):
-            for j in range(3):
-                D[3 * i + j, 3 * n + i] = G[n, j]
-    return X, D, np.linalg.det(Dm) / 6.0
+    return X, oracles.diff_op(G), np.linalg.det(Dm) / 6.0
 
 
 def test_energy_zero_iff_rotation(rng):
     for _ in range(20):
         Q = random_rotation(rng)
-        assert mat.element_energy(Q, 1.0, 1.0, 1.0) < 1e-12
+        assert oracles.element_energy(Q, 1.0, 1.0, 1.0) < 1e-12
     for _ in range(20):
         F = random_f(rng)
         s = np.linalg.svd(F, compute_uv=False)
         if np.abs(s - 1.0).max() > 1e-2:
-            assert mat.element_energy(F, 1.0, 1.0, 1.0) > 1e-8
+            assert oracles.element_energy(F, 1.0, 1.0, 1.0) > 1e-8
 
 
 def test_force_matches_energy_gradient(rng):
@@ -382,13 +377,13 @@ def test_force_matches_energy_gradient(rng):
 
         def energy(xv):
             F = (D @ xv).reshape(3, 3)
-            return mat.element_energy(F, gs, gv, vol)
+            return oracles.element_energy(F, gs, gv, vol)
 
         F = (D @ x).reshape(3, 3)
         sv = np.linalg.svd(F, compute_uv=False)
         if min(abs(sv[0] - sv[1]), abs(sv[1] - sv[2]), sv[1] + sv[2]) < 1e-2:
             continue
-        force, dgs, dgv = mat.element_force_and_dgamma(D, F, gs, gv, vol)
+        force, dgs, dgv = oracles.element_force_and_dgamma(D, F, gs, gv, vol)
         h = 1e-6
         fd = np.empty(12)
         for k in range(12):
@@ -403,9 +398,9 @@ def test_dgamma_is_exact_linear_sensitivity(rng):
     X, D, vol = _tet_diff_op(rng)
     x = (X + 0.2 * rng.normal(size=(4, 3))).reshape(-1)
     F = (D @ x).reshape(3, 3)
-    f1, dgs, dgv = mat.element_force_and_dgamma(D, F, 1.3, 0.4, vol)
-    f2, _, _ = mat.element_force_and_dgamma(D, F, 1.3 + 1.0, 0.4, vol)
-    f3, _, _ = mat.element_force_and_dgamma(D, F, 1.3, 0.4 + 1.0, vol)
+    f1, dgs, dgv = oracles.element_force_and_dgamma(D, F, 1.3, 0.4, vol)
+    f2, _, _ = oracles.element_force_and_dgamma(D, F, 1.3 + 1.0, 0.4, vol)
+    f3, _, _ = oracles.element_force_and_dgamma(D, F, 1.3, 0.4 + 1.0, vol)
     assert np.abs((f2 - f1) - dgs).max() < 1e-10
     assert np.abs((f3 - f1) - dgv).max() < 1e-10
 
@@ -415,8 +410,8 @@ def test_batch_energies(rng):
     gs = rng.uniform(0.5, 2.0, 15)
     gv = rng.uniform(0.5, 2.0, 15)
     vols = rng.uniform(0.1, 1.0, 15)
-    tot = mat.batch_energies(F, gs, gv, vols)
-    ref = sum(mat.element_energy(F[k], gs[k], gv[k], vols[k]) for k in range(15))
+    tot = oracles.batch_energies(F, gs, gv, vols)
+    ref = sum(oracles.element_energy(F[k], gs[k], gv[k], vols[k]) for k in range(15))
     assert abs(tot.sum() - ref) < 1e-9 * max(abs(ref), 1.0)
 
 

@@ -6,6 +6,7 @@ import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oracles
 from volknit import material as mat
 from volknit import pdsolver, volmesh, yarn_model
 
@@ -90,9 +91,9 @@ class TestAssembly:
         dt = 1e-2
 
         dense = np.zeros((3 * nv, 3 * nv))
-        all_dofs = small.element_dofs()
+        all_dofs = oracles.element_dofs(small)
         for e in range(2):
-            DB = small.diff_op[e]                        # (9, 12)
+            DB = oracles.diff_op(small.shape_grad[e])    # (9, 12)
             He = 2.0 * small.volume[e] * (gs[e] + gv[e]) * DB.T @ DB
             dense[np.ix_(all_dofs[e], all_dofs[e])] += He
         dense += np.diag(np.repeat(small.node_mass, 3) / dt**2)
@@ -100,6 +101,41 @@ class TestAssembly:
         K = pdsolver.assemble_global(mesh=small, gammas=gam, dt=dt).toarray()
         expanded = np.kron(K, np.eye(3))
         assert np.abs(expanded - dense).max() < 1e-10 * max(1.0, np.abs(dense).max())
+
+    def test_operator_matches_per_element_oracle(self, rng):
+        # F, forces, K and the exact Hessian from the sparse gradient
+        # operator against the dense per-element (9, 12) maps
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        nE, nv = mesh.n_elements, mesh.n_nodes
+        gs, gv = rng.uniform(0.5, 2.0, nE), rng.uniform(0.5, 2.0, nE)
+        gam = mat.MaterialField(gamma_s=gs, gamma_v=gv)
+        x = mesh.nodes + 0.2 * mesh.cell_size * rng.normal(size=mesh.nodes.shape)
+        dt = 1e-2
+        De = oracles.diff_op(mesh.shape_grad)             # (nE, 9, 12)
+        dofs = oracles.element_dofs(mesh)
+        F = (De @ x.reshape(-1)[dofs][:, :, None]).reshape(-1, 3, 3)
+        R, V = mat.batch_projections(F)
+        LR, LV = mat.projection_jacobians_batch(F)
+        w = 2.0 * mesh.volume
+        force = np.zeros(3 * nv)
+        K = np.diag(np.repeat(mesh.node_mass, 3) / dt**2)
+        H = np.zeros((3 * nv, 3 * nv))
+        I9 = np.eye(9)
+        for e in range(nE):
+            P = gs[e] * (F[e] - R[e]) + gv[e] * (F[e] - V[e])
+            force[dofs[e]] += w[e] * De[e].T @ P.reshape(9)
+            K[np.ix_(dofs[e], dofs[e])] += w[e] * (gs[e] + gv[e]) * De[e].T @ De[e]
+            M9 = gs[e] * (I9 - LR[e]) + gv[e] * (I9 - LV[e])
+            H[np.ix_(dofs[e], dofs[e])] += w[e] * De[e].T @ M9 @ De[e]
+
+        def rel(got, want):
+            return np.abs(got - want).max() / np.abs(want).max()
+
+        assert rel(mesh.deformation_gradients(x), F) <= 1e-13
+        assert rel(pdsolver.elastic_gradient(mesh, gam, x).reshape(-1), force) <= 1e-13
+        assert rel(np.kron(pdsolver.assemble_global(mesh, gam, dt).toarray(), np.eye(3)),
+                   K) <= 1e-13
+        assert rel(pdsolver.exact_elastic_hessian(mesh, gam, x).toarray(), H) <= 1e-13
 
     def test_rejects_bad_input(self):
         mesh, _, _ = wavy_mesh()
@@ -200,12 +236,12 @@ class TestStepping:
             pdsolver.assemble_global(mesh, gam, dt), free, pins)
         x = xhat.copy()
         x[pins] = tgt
-        objs = [pdsolver.pd_objective(x, mesh, gam, xhat, dt)]
+        objs = [oracles.pd_objective(x, mesh, gam, xhat, dt)]
         for _ in range(10):
             rhs, *_ = pdsolver.elastic_rhs(mesh, gam, x)
             b = (mesh.node_mass[:, None] / dt**2) * xhat + rhs
             x = solver.solve(b, tgt)
-            objs.append(pdsolver.pd_objective(x, mesh, gam, xhat, dt))
+            objs.append(oracles.pd_objective(x, mesh, gam, xhat, dt))
         objs = np.array(objs)
         assert np.all(np.diff(objs) <= 1e-10 * np.abs(objs[:-1]) + 1e-18)
 
@@ -230,6 +266,34 @@ class TestStepping:
                                pins=pins, pin_targets=tgt)
         pdsolver.pd_step(st, mesh, gam, iterations=4)
         assert np.abs(st.x[pins] - tgt).max() < 1e-14
+
+
+class TestExactHessian:
+    def test_matches_central_differences_of_gradient(self):
+        # the right half is stretched far enough that the volume projection
+        # clamps a singular value at the floor, and node noise inverts
+        # elements on both halves
+        mesh, _, _ = wavy_mesh(n=10, cell=0.2)
+        rng = np.random.default_rng(0)
+        c = mesh.nodes[:, 0]
+        w = np.clip(2.0 * (c - c.min()) / (c.max() - c.min()) - 0.5, 0.0, 1.0)[:, None]
+        x = (mesh.nodes * (1.0 + w * np.array([14.0, 9.0, -0.997]))
+             + 0.06 * mesh.cell_size * rng.normal(size=mesh.nodes.shape))
+        F = mesh.deformation_gradients(x)
+        assert np.any(np.linalg.det(F) < 0.0)
+        assert np.any(mat.sl3_sigma_project_batch(mat.svd_rv_batch(F)[1])[2])
+        gam = mat.MaterialField(gamma_s=rng.uniform(0.5, 2.0, mesh.n_elements),
+                                gamma_v=rng.uniform(0.5, 2.0, mesh.n_elements))
+        H = pdsolver.exact_elastic_hessian(mesh, gam, x).toarray()
+        h = 1e-6
+        fd = np.empty_like(H)
+        for k in range(len(fd)):
+            e = np.zeros(len(fd))
+            e[k] = h
+            e = e.reshape(x.shape)
+            fd[:, k] = (pdsolver.elastic_gradient(mesh, gam, x + e)
+                        - pdsolver.elastic_gradient(mesh, gam, x - e)).reshape(-1) / (2 * h)
+        assert np.abs(H - fd).max() < 1e-6 * np.abs(fd).max()
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +374,10 @@ class TestQuasiStatic:
         rng = np.random.default_rng(3)
         a = 1e-3 * rng.normal(size=(mesh.n_nodes, 3))
         x = mesh.nodes.copy()
-        vals = [pdsolver.quasi_static_objective(mesh, gam, a, x, dt)]
+        vals = [oracles.quasi_static_objective(mesh, gam, a, x, dt)]
         for _ in range(6):
             x = pdsolver.pd_equilibrium(mesh, gam, a, x, pins, pv, dt, iterations=1)
-            vals.append(pdsolver.quasi_static_objective(mesh, gam, a, x, dt))
+            vals.append(oracles.quasi_static_objective(mesh, gam, a, x, dt))
         vals = np.array(vals)
         assert np.all(np.diff(vals) <= 1e-12 * np.abs(vals[:-1]) + 1e-18)
 
@@ -523,7 +587,7 @@ class TestColliders:
         x = np.array([[0.0, -0.5, 0.0], [0.0, 0.5, 0.0]])
         st = pdsolver.SimState(x=x, v=np.zeros_like(x), dt=1e-3,
                                colliders=(("plane", (0, 0, 0), (0, 1, 0)),))
-        pdsolver.collide_project(st)
+        oracles.collide_project(st)
         assert np.allclose(st.x[0], [0.0, 0.0, 0.0])
         assert np.allclose(st.x[1], [0.0, 0.5, 0.0])
 

@@ -5,6 +5,7 @@ estimate, each against closed forms or dense oracles."""
 import numpy as np
 import pytest
 
+import oracles
 from volknit import material as mat
 from volknit import transfer as tr
 from volknit import volmesh as vm
@@ -201,7 +202,7 @@ def test_targets_csv_dump(tmp_path, rng):
     y, mesh, emb = wavy_setup(n=16, cell=0.07)
     tg = tr.element_targets(mesh, emb, y, y.rest_vertices)
     path = tmp_path / "targets.csv"
-    tr.dump_targets_csv(tg, str(path))
+    oracles.dump_targets_csv(tg, str(path))
     rows = path.read_text().strip().splitlines()
     assert len(rows) == mesh.n_elements + 1
     first = rows[1].split(",")
@@ -238,8 +239,8 @@ def test_y2v_matches_dense_normal_equations(rng):
     op = tr.Y2VOperator(mesh, emb, y)
     yd = y.rest_vertices + 0.02 * np.sin(y.rest_vertices[:, :1] * 20.0) * np.array([0.3, 1.0, 0.5])
     x, tg = op.transfer(yd)
-    A = op._assemble(tg.covered).toarray()
-    wv = op._element_weights(tg.covered)
+    A = op.matrix(tg.covered).toarray()
+    wv = op.weights(tg.covered)
     GT = 2.0 * np.einsum("e,enj,eij->eni", wv, mesh.shape_grad, tg.per_element_f)
     rhs = np.zeros((mesh.n_nodes, 3))
     np.add.at(rhs, mesh.tets.reshape(-1), GT.reshape(-1, 3))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import oracles
+from volknit import pdsolver
 from volknit import yarn_model as ym
 
 
@@ -145,7 +147,7 @@ def test_hanging_equilibrium_vs_minimization_oracle():
     pin = y.rest_vertices[0]
 
     def obj(z):
-        return ym.rod_energy(y, np.vstack([pin, z.reshape(-1, 3)]), prm, forces)
+        return oracles.rod_energy(y, np.vstack([pin, z.reshape(-1, 3)]), prm, forces)
 
     res = minimize(obj, y.rest_vertices[1:].ravel(), method="L-BFGS-B",
                    options=dict(maxiter=20000, ftol=1e-18, gtol=1e-14))
@@ -158,10 +160,10 @@ def test_rigid_invariance_of_energy(rng):
     y = ym.straight_strand(8, 0.3)
     x = y.rest_vertices + 0.01 * rng.normal(size=(8, 3))
     prm = ym.RodParams(contacts=False)
-    e0 = ym.rod_energy(y, x, prm)
+    e0 = oracles.rod_energy(y, x, prm)
     from conftest import random_rotation
     Q = random_rotation(rng)
-    e1 = ym.rod_energy(y, x @ Q.T + np.array([0.3, -0.2, 0.9]), prm)
+    e1 = oracles.rod_energy(y, x @ Q.T + np.array([0.3, -0.2, 0.9]), prm)
     assert abs(e1 - e0) < 1e-10 * max(1.0, abs(e0))
 
 
@@ -238,6 +240,36 @@ def test_collider_sphere_keeps_vertices_out():
     )
     d = np.linalg.norm(seq.frames[-1] - np.array([0.0, 0.0, -0.05]), axis=1)
     assert d.min() > 0.1 - 5e-4
+
+
+@pytest.mark.parametrize("collider", [
+    ("plane", (0.1, -0.2, 0.3), (0.3, 1.0, -0.5)),
+    ("plane", (0.1, -0.2, 0.3), (0.0, 0.0, 2.0)),     # surface points exact
+    ("sphere", (0.1, -0.2, 0.3), 0.4),
+])
+def test_yarn_and_mesh_collider_targets_agree(collider, rng):
+    # the yarn simulator's former inline model against the shared one, on
+    # points inside, outside and on the surface at the prediction, each
+    # moved on by the step so some separate and some go in
+    kind, a, b = collider
+    a = np.asarray(a, dtype=float)
+    u = rng.normal(size=(60, 3))
+    if kind == "plane":
+        n = np.asarray(b) / np.linalg.norm(b)
+        depth = np.concatenate([rng.uniform(-0.5, -1e-3, 20), rng.uniform(1e-3, 0.5, 20),
+                                np.zeros(20)])
+        xhat = a + (u - (u @ n)[:, None] * n) + depth[:, None] * n
+    else:
+        scale = np.concatenate([rng.uniform(0.0, 0.99, 20), rng.uniform(1.01, 2.0, 20),
+                                np.ones(20)])
+        xhat = a + (b * scale)[:, None] * u / np.linalg.norm(u, axis=1, keepdims=True)
+    xi = xhat + 0.05 * rng.normal(size=xhat.shape)
+    (idx_ref, q_ref), = oracles.yarn_collider_rows(xhat, xi, [collider])
+    idx, _ = pdsolver.collider_targets(xhat, [collider])
+    assert np.array_equal(idx, idx_ref)
+    assert 20 <= len(idx) < 60
+    q = pdsolver.surface_targets(xi[idx], [collider])
+    assert np.abs(q - q_ref).max() <= 1e-15 * (1.0 + np.abs(xi).max())
 
 
 # ---------------------------------------------------------------------------
