@@ -17,12 +17,29 @@ from volknit import pdsolver, volmesh, yarn_model
 SPREAD = {"mild": 0.05, "severe": 0.6}
 
 
+def _gradients(kind, size):
+    rng = np.random.default_rng(size)
+    return np.eye(3) + SPREAD[kind] * rng.normal(size=(size, 3, 3))
+
+
 @pytest.mark.parametrize("size", [192, 1560])
 @pytest.mark.parametrize("kind", sorted(SPREAD))
 def test_batch_projections(benchmark, kind, size):
-    rng = np.random.default_rng(size)
-    F = np.eye(3) + SPREAD[kind] * rng.normal(size=(size, 3, 3))
-    benchmark(mat.batch_projections, F)
+    benchmark(mat.batch_projections, _gradients(kind, size))
+
+
+@pytest.mark.parametrize("size", [192, 1560])
+@pytest.mark.parametrize("kind", sorted(SPREAD))
+def test_svd_rv_batch(benchmark, kind, size):
+    benchmark(mat.svd_rv_batch, _gradients(kind, size))
+
+
+@pytest.mark.parametrize("size", [192, 1560])
+@pytest.mark.parametrize("kind", sorted(SPREAD))
+def test_sl3_sigma_project_batch(benchmark, kind, size):
+    """The volume projection alone, on the singular values of the same F."""
+    sig = mat.svd_rv_batch(_gradients(kind, size))[1]
+    benchmark(mat.sl3_sigma_project_batch, sig)
 
 
 @pytest.fixture(scope="module")

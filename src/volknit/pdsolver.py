@@ -258,16 +258,20 @@ def pd_step(state, mesh, gammas, iterations=PD_ITERS_DEFAULT, forces=None,
     xhat = _predicted(state, forces, mesh)
     dt2 = state.dt**2
 
-    cidx, _ = collider_targets(xhat, state.colliders)
-    cw = None
+    # one row per (node, collider) pair that penetrates at the prediction,
+    # as in yarn_model.simulate_yarn: a node inside two colliders gets both
+    # weights on the diagonal and both surface points in the rhs
+    coll = [(collider_targets(xhat, [c])[0], c) for c in state.colliders]
+    coll = [(idx, c) for idx, c in coll if len(idx)]
     base_solver = solver
-    if base_solver is None or len(cidx):
+    if base_solver is None or coll:
         K = assemble_global(mesh, gammas, state.dt)
-        if len(cidx):
+        if coll:
             # stiff relative to the local diagonal so resting contact sits
             # within a small fraction of a cell of the surface
-            cw = contact_stiffness * K.diagonal()[cidx]
-            K = (K + sp.csr_matrix((cw, (cidx, cidx)), shape=(n, n))).tocsc()
+            cw = contact_stiffness * K.diagonal()
+            cidx = np.concatenate([idx for idx, _ in coll])
+            K = (K + sp.csr_matrix((cw[cidx], (cidx, cidx)), shape=(n, n))).tocsc()
         base_solver = GlobalSolver(K, free, state.pins)
 
     x_start = state.x.copy()
@@ -281,10 +285,10 @@ def pd_step(state, mesh, gammas, iterations=PD_ITERS_DEFAULT, forces=None,
     for it in range(iterations):
         rhs, F, R, V = elastic_rhs(mesh, gammas, x)
         b = (mesh.node_mass[:, None] / dt2) * xhat + rhs
-        if len(cidx):
+        for idx, c in coll:
             # constrained nodes are pulled to their surface projection
             # (or held where they are once they have separated)
-            b[cidx] += cw[:, None] * surface_targets(x[cidx], state.colliders)
+            b[idx] += cw[idx, None] * surface_targets(x[idx], [c])
         x = base_solver.solve(b, pin_vals)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"projective step produced non-finite positions at iteration {it}")
@@ -336,7 +340,8 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
     keeps the associated objective monotone.  That Jacobian need not be
     definite, so whenever its step fails the iteration falls back to the
     frozen-projection elastic Hessian plus M/dt^2, which is positive
-    definite and so always gives a descent direction.
+    definite and so always gives a descent direction.  That matrix is
+    assembled and factorized on the first fallback, not before.
 
     Returns (x, converged flag, iterations used).
     """
@@ -372,14 +377,16 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
     if gmax(g) < tol:
         return x, True, 0
 
-    H = assemble_global(mesh, gammas, dt)     # GN Hessian + M/dt^2, scalar
-    solve = spla.splu(H[free][:, free].tocsc()).solve
     fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
     mass_diag = np.repeat(mesh.node_mass, 3) / dt**2
+    frozen = []     # the fallback's factorization, built on its first use
 
     def gn_step(gc):
+        if not frozen:
+            H = assemble_global(mesh, gammas, dt)     # GN Hessian + M/dt^2, scalar
+            frozen.append(spla.splu(H[free][:, free].tocsc()).solve)
         step = np.zeros_like(x)
-        step[free] = solve(-gc[free])
+        step[free] = frozen[0](-gc[free])
         return step
 
     def exact_step(xc, gc):

@@ -1,9 +1,10 @@
 """Reference versions of code that src/ computes in batches or prunes, and
 the library that only tests call.
 
-The embedding functions here do one point, pair or piece at a time, as the
-batched code they check once did, so tests can require equal bits.  The
-volume projection solves both clamp patterns on every row, which the
+The SVD here is LAPACK's, which the squared-F factorization in src/ must
+match.  The embedding functions do one point, pair or piece at a time, as
+the batched code they check once did, so tests can require equal bits.
+The volume projection solves both clamp patterns on every row, which the
 pruned solve in src/ must reproduce.  The element operators are the dense
 per-element (9, 12) maps that the sparse gradient operator replaced.  The
 objectives, energies and single-element functions serve as oracles for the
@@ -181,6 +182,23 @@ def boundary_faces(mesh):
 
 
 # ---------------------------------------------------------------------------
+# SVD with the rotation-variant sign convention, through LAPACK
+
+
+def svd_rv_batch(F):
+    """U diag(s) W^T = F from np.linalg.svd, with U and W turned proper by
+    flipping their last columns and the reflection folded into s[:, 2]."""
+    U, s, Wt = np.linalg.svd(np.asarray(F, dtype=float))
+    W = np.swapaxes(Wt, -1, -2).copy()
+    dU = np.sign(np.linalg.det(U))
+    dW = np.sign(np.linalg.det(W))
+    U[:, :, 2] *= dU[:, None]
+    W[:, :, 2] *= dW[:, None]
+    s[:, 2] *= dU * dW
+    return U, s, W
+
+
+# ---------------------------------------------------------------------------
 # volume projection: both clamp patterns solved side by side on every row
 
 
@@ -288,8 +306,17 @@ def sl3_sigma_project_batch(sig):
     lam = np.concatenate([lam.reshape(B, 4), (ss[:, :1] - 1.0 / f**2) / f**2], axis=1)
     ok = np.concatenate([plus_ok, fold_ok, np.ones((B, 1), dtype=bool)], axis=1)
     obj = np.where(ok, np.sum((cand - ss[:, None]) ** 2, axis=2), np.inf)
-    best = np.argmin(obj, axis=1)
+
+    # the least objective among the candidates with 0, 1 and 2 clamped
+    # entries, plus branch first on equal values; a more clamped one takes
+    # over on a tie to the rounding of the objective (the tie rule of
+    # mat.sl3_sigma_project_batch)
     rows = np.arange(B)
+    best = np.where(obj[:, 2] < obj[:, 0], 2, 0)
+    for lanes in ([1, 3], [4]):
+        pick = np.array(lanes)[np.argmin(obj[:, lanes], axis=1)]
+        tie = mat._rounding(cand[rows, best], ss)
+        best = np.where(obj[rows, pick] <= obj[rows, best] + tie, pick, best)
     s_sorted = cand[rows, best]
     clamped_sorted = np.array([[0, 0, 0], [0, 0, 1]] * 2 + [[0, 1, 1]], dtype=bool)[best]
 

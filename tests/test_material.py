@@ -1,6 +1,8 @@
 """Rotation / volume projection layer: closed-form checks, sampling and
 grid+polish oracles, and finite-difference verification of every Jacobian."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,6 +79,69 @@ def test_minimal_rotation_antiparallel():
     R = mat.minimal_rotation(a, -a)
     assert np.abs(R @ a + a).max() < 1e-12
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# SVD from eigh(F^T F), against LAPACK
+
+EPS = np.finfo(float).eps
+
+
+def _from_sigma(rng, sig):
+    """F = Q1 diag(sigma) Q2^T with random rotations, one per row of sig."""
+    return np.array([random_rotation(rng) @ np.diag(s) @ random_rotation(rng).T for s in sig])
+
+
+def _svd_cases(rng):
+    f = mat.SV_FLOOR
+    # kappa = sigma_max / sigma_min just inside and just past sqrt(1 / SVD_TAU)
+    k = 1.0 / np.sqrt(mat.SVD_TAU)
+    return {
+        "mild": _from_sigma(rng, np.exp(rng.uniform(-0.2, 0.2, (200, 3)))),
+        "floor": _from_sigma(rng, np.exp(rng.uniform(np.log(f), np.log(5.0 * f), (200, 3)))),
+        "floor kappa": _from_sigma(rng, [[1.0, 0.5, f], [1.0, f, f], [3.0 * f, 2.0 * f, f]] * 20),
+        "repeated": np.array([np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([1.0, 1.0, -1.0])]),
+        "repeated rotated": _from_sigma(
+            rng, [[1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, -1.0]] * 20),
+        "inverted": _from_sigma(rng, np.exp(rng.uniform(-1.0, 1.0, (200, 3))) * [1.0, 1.0, -1.0]),
+        "tau": _from_sigma(rng, [[k * (1 - 1e-3), 2.0, 1.0], [k * (1 + 1e-3), 2.0, 1.0],
+                                 [k * (1 - 1e-3), 1.0, 1.0], [k * (1 + 1e-3), k, 1.0]] * 20),
+        "rank deficient": _from_sigma(rng, [[2.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]] * 5),
+    }
+
+
+def test_svd_matches_lapack_oracle(rng):
+    for name, F in _svd_cases(rng).items():
+        U, s, W = mat.svd_rv_batch(F)
+        U_ref, s_ref, W_ref = oracles.svd_rv_batch(F)
+        scale = np.maximum(np.abs(s_ref).max(axis=1), 1e-300)
+        I = np.eye(3)
+        for Q in (U, W):
+            assert np.abs(np.swapaxes(Q, 1, 2) @ Q - I).max() <= 16 * EPS, name
+            assert np.abs(np.linalg.det(Q) - 1.0).max() <= 16 * EPS, name
+        rec = np.abs(U @ (s[:, :, None] * np.swapaxes(W, 1, 2)) - F).max(axis=(1, 2))
+        assert np.all(rec <= 32 * EPS * scale), name
+        assert np.all(np.abs(s - s_ref).max(axis=1) <= 32 * EPS * scale), name
+        # U W^T is unique where every s_i + s_j is nonzero, with condition
+        # number sigma_max / min |s_i + s_j|
+        pair = np.abs(s_ref[:, [0, 0, 1]] + s_ref[:, [1, 2, 2]]).min(axis=1)
+        unique = pair > 0.0
+        err = np.abs(U @ np.swapaxes(W, 1, 2) - U_ref @ np.swapaxes(W_ref, 1, 2)).max(axis=(1, 2))
+        assert np.all(err[unique] * pair[unique] <= 256 * EPS * scale[unique]), name
+
+
+def test_svd_signs_and_fallback_rows_are_quiet():
+    F = np.array([np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0]), np.diag([3.0, 0.0, 0.0]),
+                  np.diag([1.0, 2.0, -3.0]), np.diag([-1.0, -1.0, 2.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        U, s, W = mat.svd_rv_batch(F)
+    assert np.array_equal(s[0], np.zeros(3))
+    assert np.all(s[:, :2] >= 0.0)
+    # the last entry carries the sign of det F
+    assert s[3, 2] < 0.0 and s[4, 2] > 0.0
+    assert np.abs(s[3] - [3.0, 2.0, -1.0]).max() < 1e-15 * 3.0
+    assert np.abs(U @ (s[:, :, None] * np.swapaxes(W, 1, 2)) - F).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +314,36 @@ def test_sl3_pruned_matches_two_lane_reference(rng):
         obj = np.sum((s - sig) ** 2, axis=1)
         obj_ref = np.sum((s_ref - sig) ** 2, axis=1)
         assert np.all(obj <= obj_ref + 1e-15 * np.maximum(1.0, obj_ref)), name
+
+
+def _tie_rows():
+    return np.concatenate([
+        np.array([[2.0, 2.0, 2.0], [100.0, 100.0, 1e-5], [1.0, 1.0, 1.0], [1e4, 0.02, 0.02]]),
+        _bound_rows()])
+
+
+def test_sl3_tie_takes_clamped_mask():
+    # the unclamped root of (1e4, 0.02, 0.02) sits at f to rounding, so the
+    # unclamped and s2-clamped candidates are one point: the clamp wins.
+    # (1e4, f, f) is already feasible with two entries on the floor
+    f = mat.SV_FLOOR
+    s, lam, clamped = mat.sl3_sigma_project_batch(np.array([[1e4, 0.02, 0.02], [1e4, f, f]]))
+    assert clamped.tolist() == [[False, False, True], [False, True, True]]
+    assert np.all(s[clamped] == f)
+    assert np.abs(np.prod(s, axis=1) - 1.0).max() < 1e-12
+
+
+def test_sl3_answer_does_not_depend_on_the_batch(rng):
+    # the root loop runs until every row of a batch has converged, so a row's
+    # last bits may follow its neighbours; the mask must not
+    rows = _tie_rows()
+    alone = [mat.sl3_sigma_project_batch(r[None]) for r in rows]
+    for spread in (0.05, 0.6):
+        other = mat.svd_rv_batch(np.eye(3) + spread * rng.normal(size=(400, 3, 3)))[1]
+        s, _, clamped = mat.sl3_sigma_project_batch(np.concatenate([other, rows]))
+        for k, (s1, _, c1) in enumerate(alone):
+            assert np.array_equal(clamped[400 + k], c1[0]), (spread, rows[k])
+            assert np.all(np.abs(s[400 + k] - s1[0]) <= 1e-15 * np.abs(s1[0])), (spread, rows[k])
 
 
 # ---------------------------------------------------------------------------

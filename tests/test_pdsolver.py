@@ -1,5 +1,7 @@
 """Forward-solver tests: assembly, stepping, subspace solve, refinement."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -363,6 +365,45 @@ class TestNewtonPolish:
         with pytest.raises(ValueError):
             pdsolver.newton_polish(mesh, gam, mesh.nodes, dt=1.0)
 
+    @staticmethod
+    def _count_frozen(monkeypatch):
+        """Count the frozen-projection matrices newton_polish assembles."""
+        calls = []
+        assemble = pdsolver.assemble_global
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return assemble(*args, **kw)
+
+        monkeypatch.setattr(pdsolver, "assemble_global", counted)
+        return calls
+
+    def _dynamic_polish(self, max_iters=100):
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        st = pdsolver.SimState(x=mesh.nodes * 1.01, v=np.zeros_like(mesh.nodes), dt=1e-3)
+        xhat = pdsolver._predicted(st, None, mesh)
+        return pdsolver.newton_polish(mesh, gam, xhat, dt=1e-3, xhat=xhat, tol=1e-7,
+                                      max_iters=max_iters)
+
+    def test_exact_steps_build_no_frozen_factorization(self, monkeypatch):
+        calls = self._count_frozen(monkeypatch)
+        _, ok, iters = self._dynamic_polish()
+        assert ok and iters > 0
+        assert len(calls) == 0
+
+    def test_frozen_factorization_built_once_on_failure(self, monkeypatch):
+        # a non-finite exact Jacobian fails every exact step, so each step
+        # takes the frozen-projection fallback, from one factorization
+        calls = self._count_frozen(monkeypatch)
+        nan_jacobian = lambda mesh, gammas, x: sp.diags(np.full(3 * mesh.n_nodes, np.nan)).tocsr()
+        monkeypatch.setattr(pdsolver, "exact_elastic_hessian", nan_jacobian)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, _, iters = self._dynamic_polish(max_iters=5)
+        assert iters >= 2
+        assert len(calls) == 1
+
 
 class TestQuasiStatic:
     def test_proximal_rounds_monotone(self):
@@ -590,6 +631,32 @@ class TestColliders:
         oracles.collide_project(st)
         assert np.allclose(st.x[0], [0.0, 0.0, 0.0])
         assert np.allclose(st.x[1], [0.0, 0.5, 0.0])
+
+    def test_overlapping_colliders_sum_their_penalties(self):
+        # a node under the planes y = 0 and z = 0 with no elastic coupling
+        # converges to the minimizer of (m / 2 dt^2) |x - xhat|^2 plus both
+        # plane penalties (cw / 2) (n . (x - p))^2, a dense 3x3 solve
+        mesh = single_tet()
+        x0 = mesh.nodes + [0.0, 1.0, 1.0]
+        x0[0] = [0.3, -0.1, -0.2]
+        dt = 1e-2
+        planes = (("plane", (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                  ("plane", (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
+        gam = mat.MaterialField.uniform(1, 0.0, 0.0)
+        st = pdsolver.SimState(x=x0, v=np.zeros_like(x0), dt=dt, colliders=planes)
+        pdsolver.pd_step(st, mesh, gam, iterations=200)
+
+        m_dt2 = mesh.node_mass[0] / dt**2
+        cw = pdsolver.CONTACT_STIFFNESS * pdsolver.assemble_global(mesh, gam, dt).diagonal()[0]
+        A = m_dt2 * np.eye(3)
+        b = m_dt2 * x0[0]
+        for _, p, n in planes:
+            n = np.asarray(n)
+            A += cw * np.outer(n, n)
+            b += cw * n * (n @ np.asarray(p))
+        x_ref = np.linalg.solve(A, b)
+        assert np.abs(st.x[0] - x_ref).max() < 1e-12
+        assert np.array_equal(st.x[1:], x0[1:])
 
     def test_unknown_collider_kind_rejected(self):
         with pytest.raises(ValueError):
