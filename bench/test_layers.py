@@ -1,11 +1,13 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
-runs, and of the fit's exact-Hessian assembly, at fixed sizes and seeds.
+runs, of the fit's exact-Hessian assembly, and of the load path (voxelize,
+yarn embedding), at fixed sizes and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
 Kept outside tests/ so the test suite does not time anything.  Sizes follow
 the benchmark patch (a 6x40 rib at cell 0.03: 192 tets, 81 nodes) and the
-acceptance patch's element count (1,560 tets).
+acceptance patch's element count (1,560 tets); the load-path rows build
+both patches (a 25x200 rib at cell 0.04 for the acceptance one).
 """
 
 import numpy as np
@@ -79,3 +81,25 @@ def test_element_operator(benchmark, patch, layer):
     gammas = mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
     out = benchmark(getattr(pdsolver, layer), mesh, gammas, x)
     assert np.all(np.isfinite(out[0] if layer == "elastic_rhs" else out.data))
+
+
+# rib patch size, cell size and tet count
+PATCHES = {
+    "bench": (dict(courses=6, wales=40), 0.03, 192),
+    "acceptance": (dict(courses=25, wales=200), 0.04, 1560),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATCHES))
+@pytest.mark.parametrize("layer", ["voxelize", "embed_yarn"])
+def test_load_path(benchmark, layer, name):
+    """Voxelizing a rib patch, or embedding its yarn in the voxel mesh."""
+    kw, cell, n_tets = PATCHES[name]
+    model = yarn_model.rib_patch(course_spacing=0.005, wale_spacing=0.005, amplitude=0.002,
+                                 rib_period=4, linear_density=0.002, **kw)
+    if layer == "voxelize":
+        mesh = benchmark(volmesh.voxelize, model, cell)
+    else:
+        mesh = volmesh.voxelize(model, cell)
+        benchmark(volmesh.embed_yarn, mesh, model)
+    assert mesh.n_elements == n_tets

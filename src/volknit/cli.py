@@ -191,6 +191,37 @@ def validate_config(cfg):
             ("simulate", "solver", ("direct", "cms"))):
         if cfg[section][key] not in allowed:
             raise ConfigError(f"unknown {section}.{key} {cfg[section][key]!r}")
+    for section in ("generate", "simulate"):
+        items = cfg[section]["colliders"]
+        if not isinstance(items, list):
+            raise ConfigError(f"{section}.colliders must be a list")
+        for i, c in enumerate(items):
+            _check_collider(c, f"{section}.colliders[{i}]")
+
+
+# collider kind -> (key, shape) of its two parameters
+COLLIDER_KEYS = {"plane": (("point", (3,)), ("normal", (3,))),
+                 "sphere": (("center", (3,)), ("radius", ()))}
+
+
+def _check_collider(c, name):
+    if not isinstance(c, dict):
+        raise ConfigError(f"{name} must be an object")
+    if c.get("kind") not in ("plane", "sphere"):
+        raise ConfigError(f"unknown {name}.kind {c.get('kind')!r}")
+    for key, shape in COLLIDER_KEYS[c["kind"]]:
+        if key not in c:
+            raise ConfigError(f"{name} lacks {key!r}")
+        try:
+            v = np.asarray(c[key], dtype=float)
+        except (TypeError, ValueError):
+            v = None
+        if v is None or v.shape != shape or not np.all(np.isfinite(v)):
+            raise ConfigError(f"{name}.{key} must be finite, of shape {shape}")
+        if key == "normal" and not 0.0 < np.linalg.norm(v) < np.inf:
+            raise ConfigError(f"{name}.normal must have a non-zero, finite length")
+        if key == "radius" and not v > 0.0:
+            raise ConfigError(f"{name}.radius must be positive")
 
 
 def config_hash(cfg):
@@ -259,17 +290,12 @@ def _write_report(path, payload, chash):
 
 
 def parse_colliders(items):
+    """Collider tuples (kind, point, normal) or (kind, center, radius) of a
+    validated config list."""
     out = []
     for c in items:
-        kind = c.get("kind")
-        if kind == "plane":
-            out.append(("plane", np.asarray(c["point"], float),
-                        np.asarray(c["normal"], float)))
-        elif kind == "sphere":
-            out.append(("sphere", np.asarray(c["center"], float),
-                        float(c["radius"])))
-        else:
-            raise ConfigError(f"unknown collider kind {kind!r}")
+        (a, _), (b, _) = COLLIDER_KEYS[c["kind"]]
+        out.append((c["kind"], np.asarray(c[a], float), np.asarray(c[b], float)))
     return tuple(out)
 
 

@@ -469,10 +469,8 @@ def classify_nodes(mesh, element_labels, free=None):
     n = mesh.n_nodes
     lo = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     hi = np.full(n, -1, dtype=np.int64)
-    for e, t in enumerate(mesh.tets):
-        lab = element_labels[e]
-        np.minimum.at(lo, t, lab)
-        np.maximum.at(hi, t, lab)
+    np.minimum.at(lo, mesh.tets, element_labels[:, None])
+    np.maximum.at(hi, mesh.tets, element_labels[:, None])
     keep = np.ones(n, dtype=bool) if free is None else np.zeros(n, dtype=bool)
     if free is not None:
         keep[free] = True

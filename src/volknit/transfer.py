@@ -94,18 +94,21 @@ def yarn_segment_f(model, deformed, normals=None):
     return F
 
 
-def segment_rotation_stretch(F, index=None):
-    """Split one segment F into a rotation log (3-vector) and a stretch.
+def segment_rotation_stretch(F):
+    """Split segment gradients F (B, 3, 3) into rotation logs (B, 3) and
+    stretches (B, 3, 3), with the rotations from one batched SVD.
 
-    Raises on non-positive determinant, which would mean a reflected or
-    collapsed segment frame.
+    Raises on a non-positive determinant, which would mean a reflected or
+    collapsed segment frame, naming the first such segment.
     """
-    if np.linalg.det(F) <= 0.0:
-        raise ValueError(f"segment {index} has non-positive deformation determinant")
-    R = mat.project_so3(F)
-    S = R.T @ F
-    S = 0.5 * (S + S.T)
-    return mat.unskew(mat.rotation_log(R)), S
+    bad = ~(np.linalg.det(F) > 0.0)
+    if bad.any():
+        raise ValueError(f"segment {np.argmax(bad)} has non-positive deformation determinant")
+    U, _, W = mat._svd_rv_lapack(F)
+    R = U @ np.swapaxes(W, 1, 2)
+    S = np.swapaxes(R, 1, 2) @ F
+    S = 0.5 * (S + np.swapaxes(S, 1, 2))
+    return np.array([mat.unskew(mat.rotation_log(r)) for r in R]), S
 
 
 @dataclass
@@ -128,11 +131,7 @@ def element_targets(mesh, embedding, model, deformed, frame=-1):
     """
     deformed = np.asarray(deformed, dtype=float)
     normals = deformed_segment_normals(model, deformed)
-    Fseg = yarn_segment_f(model, deformed, normals)
-    omega = np.empty((model.n_segments, 3))
-    stretch = np.empty((model.n_segments, 3, 3))
-    for si in range(model.n_segments):
-        omega[si], stretch[si] = segment_rotation_stretch(Fseg[si], si)
+    omega, stretch = segment_rotation_stretch(yarn_segment_f(model, deformed, normals))
 
     nE = mesh.n_elements
     w_elem = np.zeros(nE)

@@ -1,53 +1,39 @@
 """Tetrahedral volume mesh construction around yarn geometry.
 
-A regular voxel grid is rasterized along every yarn segment so that the
-occupied cells fully cover the yarn, each cell is split into six tetrahedra
-sharing its main diagonal (faces between neighboring cells match exactly),
-and the yarn is embedded into the result: every yarn vertex gets a host
-element with barycentric weights, every segment is clipped into per-element
-pieces, and node masses are lumped from the yarn's line density.
+A regular voxel grid is rasterized along the yarn so that the occupied
+cells fully cover it.  One batched rasterizer, segment_cells, turns all
+segments at once into unique (segment, cell) pairs; voxelize, auto_cell_size
+and the yarn embedding each call it once.  voxelize keeps the largest
+face-connected component of the cells, numbers their corners in
+lexicographic order, and splits each cell into six tetrahedra sharing its
+main diagonal (faces between neighboring cells match exactly).  The yarn is
+then embedded into the result: every yarn vertex gets a host element with
+barycentric weights, every segment is clipped into per-element pieces, and
+node masses are lumped from the yarn's line density.  Element adjacency and
+the boundary surface come from one table of sorted element faces.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 _SNAP = 1e-9          # relative snap tolerance for grid-plane coincidence
 _BARY_TOL = 1e-9      # containment slack for barycentric clipping
 
 
-def _local_tets():
-    """Index quadruples of the six-tetrahedron split of the unit cell.
-
-    All six share the main diagonal, and every permutation of the axis
-    order contributes one positively oriented tetrahedron.  Neighboring
-    cells then agree on the split of the face between them.
-    """
-    corners = [np.array([i & 1, (i >> 1) & 1, (i >> 2) & 1]) for i in range(8)]
-    index = {tuple(c): i for i, c in enumerate(corners)}
-    units = np.eye(3, dtype=int)
-    tets = []
-    for perm in itertools.permutations(range(3)):
-        p0 = np.zeros(3, dtype=int)
-        p1 = p0 + units[perm[0]]
-        p2 = p1 + units[perm[1]]
-        p3 = np.ones(3, dtype=int)
-        quad = [index[tuple(p)] for p in (p0, p1, p2, p3)]
-        pts = np.array([corners[q] for q in quad], dtype=float)
-        vol = np.linalg.det((pts[1:] - pts[0]).T)
-        if vol < 0.0:
-            quad[1], quad[2] = quad[2], quad[1]
-        tets.append(tuple(quad))
-    return tets
-
-
-_CELL_TETS = _local_tets()
+# Corner i of the unit cell sits at (i & 1, (i >> 1) & 1, (i >> 2) & 1).  Each
+# of the six tetrahedra walks from corner 0 to corner 7 along the three axes
+# in one order, so all share the main diagonal and neighboring cells agree
+# on the split of the face between them; each quadruple is positively
+# oriented.
+_CELL_TETS = np.array([[0, 1, 3, 7], [0, 5, 1, 7], [0, 3, 2, 7],
+                       [0, 2, 6, 7], [0, 4, 5, 7], [0, 6, 4, 7]])
 _CELL_CORNERS = np.array([[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(8)], dtype=int)
 
 
@@ -162,13 +148,9 @@ class VolumeMesh:
         the point snaps to grid planes, of the cells across them.  Unused
         slots hold n_elements, so they sort last.
         """
-        g = (points - self.origin) / self.cell_size
-        k = np.rint(g)
-        on_plane = np.abs(g - k) < _SNAP * np.maximum(1.0, np.abs(g))
-        base = np.where(on_plane, k, np.floor(g)).astype(int)
-        step = -_CELL_CORNERS                       # 0 or -1 along each axis
-        vox = self.voxel_index(base[:, None] + step)
-        vox[~np.all(on_plane[:, None] | (step == 0), axis=2)] = -1
+        cells, touch = _touch_cells((points - self.origin) / self.cell_size)
+        vox = self.voxel_index(cells)
+        vox[~touch] = -1
         return np.sort(self._voxel_tets[vox].reshape(len(points), -1), axis=1)
 
     def barycentric(self, elems, points):
@@ -206,72 +188,81 @@ class VolumeMesh:
 # voxel rasterization
 
 
-def segment_cells(p0, p1, cell_size, origin):
-    """Cells traversed by one segment, including corner-touch padding.
+def _touch_cells(g):
+    """Cells (B, 8, 3) around grid-space points g (B, 3), and which count.
 
-    Crossing parameters along each family of grid planes split the segment
+    The cell holding each point always counts; where the point snaps to
+    grid planes, so do the cells across them (up to 8 at a corner).
+    """
+    k = np.rint(g)
+    on_plane = np.abs(g - k) < _SNAP * np.maximum(1.0, np.abs(g))
+    base = np.where(on_plane, k, np.floor(g)).astype(int)
+    step = -_CELL_CORNERS                       # 0 or -1 along each axis
+    return base[:, None] + step, np.all(on_plane[:, None] | (step == 0), axis=2)
+
+
+def segment_cells(p0, p1, cell_size, origin):
+    """Unique (segment, cell) pairs of segments p0 -> p1 ((S, 3) each).
+
+    Crossing parameters along each family of grid planes split a segment
     into pieces; the cell of each piece midpoint is occupied.  Wherever the
     segment touches a grid plane exactly (corners and edges included), all
     cells incident to the touch point are occupied as well, so two cells
-    never end up connected only through a corner.
+    never end up connected only through a corner.  Returns segment indices
+    (P,) and cells (P, 3), ordered by segment, then cell.
     """
     h = float(cell_size)
     a = (np.asarray(p0, dtype=float) - origin) / h
     b = (np.asarray(p1, dtype=float) - origin) / h
     d = b - a
-    ts = {0.0, 1.0}
-    for ax in range(3):
-        if abs(d[ax]) < 1e-15:
-            continue
-        lo, hi = sorted((a[ax], b[ax]))
-        for k in range(int(np.floor(lo)) , int(np.ceil(hi)) + 1):
-            t = (k - a[ax]) / d[ax]
-            if 1e-12 < t < 1.0 - 1e-12:
-                ts.add(float(t))
-    ts = sorted(ts)
-    cells = set()
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        if t1 - t0 < 1e-12:
-            continue
-        mid = a + 0.5 * (t0 + t1) * d
-        cells.add(tuple(np.floor(mid).astype(int)))
-    for t in ts:
-        q = a + t * d
-        k = np.rint(q)
-        on_plane = np.abs(q - k) < _SNAP * np.maximum(1.0, np.abs(q))
-        axes = np.flatnonzero(on_plane)
-        base = np.where(on_plane, k, np.floor(q)).astype(int)
-        touch = [base]
-        for ax in axes:
-            touch = touch + [c - np.eye(3, dtype=int)[ax].astype(int) for c in touch]
-        for c in touch:
-            cells.add(tuple(int(v) for v in c))
-    return cells
+    # every grid plane k in [floor(lo), ceil(hi)] of every moving axis
+    s_ax, ax = np.nonzero(np.abs(d) >= 1e-15)
+    k0 = np.floor(np.minimum(a, b)[s_ax, ax]).astype(int)
+    n = np.ceil(np.maximum(a, b)[s_ax, ax]).astype(int) - k0 + 1
+    row = np.repeat(np.arange(len(n)), n)
+    k = k0[row] + np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
+    t = (k - a[s_ax, ax][row]) / d[s_ax, ax][row]
+    inner = (t > 1e-12) & (t < 1.0 - 1e-12)
+    # each segment's distinct parameters, 0 and 1 included, in order
+    S = len(a)
+    seg = np.concatenate([np.arange(S), np.arange(S), s_ax[row][inner]])
+    t = np.concatenate([np.zeros(S), np.ones(S), t[inner]])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+    seg, t = seg[new], t[new]
+    # midpoint cells of the pieces between them, then the cells touched at
+    # each parameter
+    piece = np.flatnonzero((seg[1:] == seg[:-1]) & ~(t[1:] - t[:-1] < 1e-12))
+    ps = seg[piece]
+    mid = a[ps] + (0.5 * (t[piece] + t[piece + 1]))[:, None] * d[ps]
+    touch, hit = _touch_cells(a[seg] + t[:, None] * d[seg])
+    seg = np.concatenate([ps, np.repeat(seg, 8)[hit.reshape(-1)]])
+    cells = np.concatenate([np.floor(mid).astype(int), touch[hit]])
+    # unique pairs through one integer key per (segment, cell)
+    lo = cells.min(axis=0)
+    dims = cells.max(axis=0) - lo + 1
+    key = np.unique(seg * np.prod(dims) + np.ravel_multi_index((cells - lo).T, dims))
+    seg, flat = np.divmod(key, np.prod(dims))
+    return seg, np.stack(np.unravel_index(flat, dims), axis=1) + lo
 
 
-def _connected_components(cells):
-    """6-connected components of a set of integer cells, largest first."""
-    remaining = set(cells)
-    comps = []
-    while remaining:
-        seed = next(iter(remaining))
-        comp = {seed}
-        remaining.discard(seed)
-        frontier = [seed]
-        while frontier:
-            c = frontier.pop()
-            for ax in range(3):
-                for dlt in (-1, 1):
-                    n = list(c)
-                    n[ax] += dlt
-                    n = tuple(n)
-                    if n in remaining:
-                        remaining.discard(n)
-                        comp.add(n)
-                        frontier.append(n)
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), sorted(c)[0]))
-    return comps
+def _largest_component(cells):
+    """Mask of the largest 6-connected component of sorted unique cells
+    (C, 3); ties go to the component holding the first cell."""
+    lo = cells.min(axis=0) - 1
+    dims = cells.max(axis=0) - lo + 2
+    keys = np.ravel_multi_index((cells - lo).T, dims)   # ascending
+    stride = np.ravel_multi_index(np.eye(3, dtype=int).T, dims)
+    nb = keys[:, None] + stride
+    j = np.searchsorted(keys, nb).clip(max=len(keys) - 1)
+    i, ax = np.nonzero(keys[j] == nb)
+    graph = sp.coo_matrix((np.ones(len(i)), (i, j[i, ax])), shape=(len(keys),) * 2)
+    _, label = connected_components(graph, directed=False)
+    size = np.bincount(label)
+    # the first label of the largest size in cell order holds the smallest cell
+    return label == label[np.argmax(size[label] == size.max())]
 
 
 def voxelize(yarn, cell_size, origin=None):
@@ -293,37 +284,20 @@ def voxelize(yarn, cell_size, origin=None):
         origin = np.floor(rest.min(axis=0) / cell_size - 1.0) * cell_size
     origin = np.asarray(origin, dtype=float)
 
-    covered = set()
-    seg_cells = []
-    for s in segs:
-        cs = segment_cells(rest[s[0]], rest[s[1]], cell_size, origin)
-        seg_cells.append(cs)
-        covered |= cs
-    comps = _connected_components(covered)
-    keep = comps[0]
-    for i, cs in enumerate(seg_cells):
-        if not cs <= keep:
-            raise ValueError(
-                f"segment {i} occupies cells outside the largest connected component; "
-                "refine the cell size or split the yarn input"
-            )
+    seg, cells = segment_cells(rest[segs[:, 0]], rest[segs[:, 1]], cell_size, origin)
+    covered, where = np.unique(cells, axis=0, return_inverse=True)
+    keep = _largest_component(covered)
+    outside = ~keep[where.reshape(-1)]
+    if outside.any():
+        raise ValueError(
+            f"segment {seg[np.argmax(outside)]} occupies cells outside the largest "
+            "connected component; refine the cell size or split the yarn input"
+        )
 
-    cells = np.array(sorted(keep), dtype=int)
-    corner_ids = {}
-    for c in cells:
-        for off in _CELL_CORNERS:
-            corner_ids.setdefault(tuple(c + off), None)
-    grid = np.array(sorted(corner_ids), dtype=int)
-    for i, g in enumerate(grid):
-        corner_ids[tuple(g)] = i
-
-    tets = np.empty((len(cells) * 6, 4), dtype=int)
-    tet_voxel = np.repeat(np.arange(len(cells)), 6)
-    for ci, c in enumerate(cells):
-        ids = [corner_ids[tuple(c + off)] for off in _CELL_CORNERS]
-        for ti, quad in enumerate(_CELL_TETS):
-            tets[6 * ci + ti] = [ids[q] for q in quad]
-
+    cells = covered[keep]
+    grid, ids = np.unique((cells[:, None] + _CELL_CORNERS).reshape(-1, 3), axis=0,
+                          return_inverse=True)
+    tets = ids.reshape(len(cells), 8)[:, _CELL_TETS].reshape(-1, 4)
     nodes = origin + grid * float(cell_size)
     return VolumeMesh(
         nodes=nodes,
@@ -332,7 +306,7 @@ def voxelize(yarn, cell_size, origin=None):
         origin=origin,
         node_grid=grid,
         voxels=cells,
-        tet_voxel=tet_voxel,
+        tet_voxel=np.repeat(np.arange(len(cells)), 6),
     )
 
 
@@ -345,20 +319,13 @@ def auto_cell_size(yarn, node_fraction=0.5, iters=24):
     rest = yarn.rest_vertices
     target = max(8, int(node_fraction * len(rest)))
 
+    segs = yarn.segments
+
     def count(h):
-        try:
-            covered = set()
-            origin = np.floor(rest.min(axis=0) / h - 1.0) * h
-            for s in yarn.segments:
-                covered |= segment_cells(rest[s[0]], rest[s[1]], h, origin)
-        except Exception:
-            return None
-        comp = _connected_components(covered)[0]
-        corners = set()
-        for c in comp:
-            for off in _CELL_CORNERS:
-                corners.add(tuple(np.asarray(c) + off))
-        return len(corners)
+        origin = np.floor(rest.min(axis=0) / h - 1.0) * h
+        cells = np.unique(segment_cells(rest[segs[:, 0]], rest[segs[:, 1]], h, origin)[1], axis=0)
+        cells = cells[_largest_component(cells)]
+        return len(np.unique((cells[:, None] + _CELL_CORNERS).reshape(-1, 3), axis=0))
 
     span = np.linalg.norm(rest.max(axis=0) - rest.min(axis=0))
     hi = span
@@ -369,9 +336,6 @@ def auto_cell_size(yarn, node_fraction=0.5, iters=24):
     for _ in range(iters):
         mid = np.sqrt(lo * hi)
         n = count(mid)
-        if n is None:
-            hi = mid
-            continue
         if abs(n - target) < abs(best[1] - target):
             best = (mid, n)
         if n > target:
@@ -409,9 +373,8 @@ def _segment_intervals(mesh, yarn):
     segment, then element.
     """
     rest, segs = yarn.rest_vertices, yarn.segments
-    cells = [segment_cells(rest[a], rest[b], mesh.cell_size, mesh.origin) for a, b in segs]
-    tets = mesh._voxel_tets[mesh.voxel_index(np.array([c for cs in cells for c in cs]))]
-    seg = np.repeat(np.arange(len(segs)), [len(cs) for cs in cells])
+    seg, cells = segment_cells(rest[segs[:, 0]], rest[segs[:, 1]], mesh.cell_size, mesh.origin)
+    tets = mesh._voxel_tets[mesh.voxel_index(cells)]
     key = np.unique((seg[:, None] * mesh.n_elements + tets)[tets < mesh.n_elements])
     seg, elem = np.divmod(key, mesh.n_elements)
     la = mesh.barycentric(elem, rest[segs[seg, 0]])
@@ -518,35 +481,29 @@ def lump_mass(mesh, yarn, embedding=None):
 # element adjacency (used by the harmonic coefficient basis)
 
 
+def _face_table(mesh):
+    """Every element face (face k of a tet drops its node k), (4nE, 3), and
+    the first index, inverse and count of each distinct sorted face."""
+    faces = mesh.tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
+    _, first, inverse, count = np.unique(np.sort(faces, axis=1), axis=0, return_index=True,
+                                         return_inverse=True, return_counts=True)
+    return faces, first, inverse.reshape(-1), count
+
+
 def element_adjacency(mesh):
     """Sparse symmetric adjacency of elements sharing a triangular face."""
-    faces = {}
-    pairs = []
-    for e, t in enumerate(mesh.tets):
-        for f in itertools.combinations(sorted(t), 3):
-            other = faces.pop(f, None)
-            if other is None:
-                faces[f] = e
-            else:
-                pairs.append((other, e))
-    if not pairs:
-        return sp.csr_matrix((mesh.n_elements, mesh.n_elements))
-    pairs = np.array(pairs)
-    data = np.ones(len(pairs))
-    A = sp.coo_matrix(
-        (data, (pairs[:, 0], pairs[:, 1])), shape=(mesh.n_elements, mesh.n_elements)
-    )
-    A = A + A.T
-    return A.tocsr()
+    inverse = _face_table(mesh)[2]
+    order = np.argsort(inverse, kind="stable")
+    pair = np.flatnonzero(inverse[order[1:]] == inverse[order[:-1]])
+    i, j = order[pair] // 4, order[pair + 1] // 4
+    A = sp.coo_matrix((np.ones(len(pair)), (i, j)), shape=(mesh.n_elements,) * 2)
+    return (A + A.T).tocsr()
 
 
 def boundary_faces(mesh):
     """Outward-oriented triangles of the mesh boundary, in sorted order."""
-    # face k of a tet drops its node k; boundary faces belong to one tet
-    drop = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    faces = mesh.tets[:, drop].reshape(-1, 3)
-    _, first, count = np.unique(np.sort(faces, axis=1), axis=0,
-                                return_index=True, return_counts=True)
+    # boundary faces belong to one tet
+    faces, first, _, count = _face_table(mesh)
     idx = first[count == 1]
     face = faces[idx]
     a, b, c = (mesh.nodes[face[:, j]] for j in range(3))

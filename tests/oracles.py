@@ -2,14 +2,18 @@
 the library that only tests call.
 
 The SVD here is LAPACK's, which the squared-F factorization in src/ must
-match.  The embedding functions do one point, pair or piece at a time, as
-the batched code they check once did, so tests can require equal bits.
+match.  The rasterizer, voxelizer, face adjacency and embedding functions
+do one segment, cell, face, point or piece at a time, with Python sets,
+dicts and a breadth-first search, as the batched code they check once did,
+so tests can require equal bits.
 The volume projection solves both clamp patterns on every row, which the
 pruned solve in src/ must reproduce.  The element operators are the dense
 per-element (9, 12) maps that the sparse gradient operator replaced.  The
 objectives, energies and single-element functions serve as oracles for the
 solvers.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +23,139 @@ from volknit import material as mat
 from volknit import pdsolver
 from volknit import volmesh as vm
 from volknit import yarn_model as ym
+
+
+# ---------------------------------------------------------------------------
+# voxel rasterization and mesh adjacency
+
+
+def segment_cells(p0, p1, cell_size, origin):
+    """Cells traversed by one segment, including corner-touch padding."""
+    h = float(cell_size)
+    a = (np.asarray(p0, dtype=float) - origin) / h
+    b = (np.asarray(p1, dtype=float) - origin) / h
+    d = b - a
+    ts = {0.0, 1.0}
+    for ax in range(3):
+        if abs(d[ax]) < 1e-15:
+            continue
+        lo, hi = sorted((a[ax], b[ax]))
+        for k in range(int(np.floor(lo)), int(np.ceil(hi)) + 1):
+            t = (k - a[ax]) / d[ax]
+            if 1e-12 < t < 1.0 - 1e-12:
+                ts.add(float(t))
+    ts = sorted(ts)
+    cells = set()
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        if t1 - t0 < 1e-12:
+            continue
+        mid = a + 0.5 * (t0 + t1) * d
+        cells.add(tuple(np.floor(mid).astype(int)))
+    for t in ts:
+        q = a + t * d
+        k = np.rint(q)
+        on_plane = np.abs(q - k) < vm._SNAP * np.maximum(1.0, np.abs(q))
+        axes = np.flatnonzero(on_plane)
+        base = np.where(on_plane, k, np.floor(q)).astype(int)
+        touch = [base]
+        for ax in axes:
+            touch = touch + [c - np.eye(3, dtype=int)[ax] for c in touch]
+        for c in touch:
+            cells.add(tuple(int(v) for v in c))
+    return cells
+
+
+def connected_components(cells):
+    """6-connected components of a set of integer cells, largest first; ties
+    go to the component holding the lexicographically smallest cell."""
+    remaining = set(cells)
+    comps = []
+    while remaining:
+        seed = next(iter(remaining))
+        comp = {seed}
+        remaining.discard(seed)
+        frontier = [seed]
+        while frontier:
+            c = frontier.pop()
+            for ax in range(3):
+                for dlt in (-1, 1):
+                    n = list(c)
+                    n[ax] += dlt
+                    n = tuple(n)
+                    if n in remaining:
+                        remaining.discard(n)
+                        comp.add(n)
+                        frontier.append(n)
+        comps.append(comp)
+    comps.sort(key=lambda c: (-len(c), sorted(c)[0]))
+    return comps
+
+
+def cell_tets():
+    """The six positively oriented tetrahedra of the unit cell, one per axis
+    order of the walk from corner 0 to corner 7."""
+    corners = [np.array([i & 1, (i >> 1) & 1, (i >> 2) & 1]) for i in range(8)]
+    index = {tuple(c): i for i, c in enumerate(corners)}
+    tets = []
+    for perm in itertools.permutations(range(3)):
+        walk = np.cumsum(np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)[list(perm)]]),
+                         axis=0)
+        quad = [index[tuple(p)] for p in walk]
+        if np.linalg.det((walk[1:] - walk[0]).T.astype(float)) < 0.0:
+            quad[1], quad[2] = quad[2], quad[1]
+        tets.append(tuple(quad))
+    return tets
+
+
+def voxelize(yarn, cell_size, origin=None):
+    """Mesh arrays (nodes, tets, voxels, tet_voxel, node grid), one segment
+    and one cell at a time, with corners numbered through a dict."""
+    rest = yarn.rest_vertices
+    if origin is None:
+        origin = np.floor(rest.min(axis=0) / cell_size - 1.0) * cell_size
+    origin = np.asarray(origin, dtype=float)
+    seg_cells = [segment_cells(rest[a], rest[b], cell_size, origin) for a, b in yarn.segments]
+    keep = connected_components(set().union(*seg_cells))[0]
+    for i, cs in enumerate(seg_cells):
+        if not cs <= keep:
+            raise ValueError(
+                f"segment {i} occupies cells outside the largest connected component; "
+                "refine the cell size or split the yarn input"
+            )
+    cells = np.array(sorted(keep), dtype=int)
+    corner_ids = {}
+    for c in cells:
+        for off in vm._CELL_CORNERS:
+            corner_ids.setdefault(tuple(c + off), None)
+    grid = np.array(sorted(corner_ids), dtype=int)
+    for i, g in enumerate(grid):
+        corner_ids[tuple(g)] = i
+    tets = np.empty((len(cells) * 6, 4), dtype=int)
+    for ci, c in enumerate(cells):
+        ids = [corner_ids[tuple(c + off)] for off in vm._CELL_CORNERS]
+        for ti, quad in enumerate(cell_tets()):
+            tets[6 * ci + ti] = [ids[q] for q in quad]
+    nodes = origin + grid * float(cell_size)
+    return nodes, tets, cells, np.repeat(np.arange(len(cells)), 6), grid
+
+
+def element_adjacency(mesh):
+    """Adjacency of elements sharing a face, through a dict of faces."""
+    faces = {}
+    pairs = []
+    for e, t in enumerate(mesh.tets):
+        for f in itertools.combinations(sorted(t), 3):
+            other = faces.pop(f, None)
+            if other is None:
+                faces[f] = e
+            else:
+                pairs.append((other, e))
+    if not pairs:
+        return sp.csr_matrix((mesh.n_elements, mesh.n_elements))
+    pairs = np.array(pairs)
+    A = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                      shape=(mesh.n_elements, mesh.n_elements))
+    return (A + A.T).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +254,7 @@ def embed_yarn(mesh, yarn):
     lookup = {tuple(v): i for i, v in enumerate(mesh.voxels)}
     pc_e, pc_s, pc_a, pc_b = [], [], [], []
     for si, s in enumerate(yarn.segments):
-        cells = vm.segment_cells(rest[s[0]], rest[s[1]], mesh.cell_size, mesh.origin)
+        cells = segment_cells(rest[s[0]], rest[s[1]], mesh.cell_size, mesh.origin)
         cand = [e for c in cells for e in np.flatnonzero(mesh.tet_voxel == lookup.get(c, -1))]
         for u0, u1, e in clip_segment(mesh, rest[s[0]], rest[s[1]], sorted(set(cand))):
             pc_e.append(e)

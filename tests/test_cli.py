@@ -496,6 +496,34 @@ def test_validate_config_rejects_unknown_enum(section, key, value):
         cli.validate_config(cfg)
 
 
+PLANE = {"kind": "plane", "point": [0.0, -1.0, 0.0], "normal": [0.0, 1.0, 0.0]}
+SPHERE = {"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": 0.05}
+
+
+@pytest.mark.parametrize("section,collider,match", [
+    ("simulate", [0.0, 1.0, 0.0], r"simulate.colliders\[1\] must be an object"),
+    ("generate", {"kind": "plane", "normal": [0.0, 1.0, 0.0]}, "lacks 'point'"),
+    ("simulate", {"kind": "plane", "point": [0.0, 0.0, 0.0]}, "lacks 'normal'"),
+    ("generate", {"kind": "sphere", "radius": 0.05}, "lacks 'center'"),
+    ("simulate", {"kind": "sphere", "center": [0.0, 0.0, 0.0]}, "lacks 'radius'"),
+    ("simulate", dict(PLANE, normal=[0.0, 0.0, 0.0]), "normal must have a non-zero"),
+    ("generate", dict(PLANE, normal=[0.0, float("nan"), 0.0]), "normal must be finite"),
+    ("simulate", dict(SPHERE, radius=0.0), "radius must be positive"),
+    ("generate", dict(SPHERE, radius=-0.05), "radius must be positive"),
+    ("simulate", dict(SPHERE, radius=float("inf")), "radius must be finite"),
+], ids=["non-object", "plane-no-point", "plane-no-normal", "sphere-no-center",
+        "sphere-no-radius", "zero-normal", "nan-normal", "zero-radius",
+        "negative-radius", "inf-radius"])
+def test_bad_collider_exits_2(tmp_path, capsys, section, collider, match):
+    cfg = cli.load_config()
+    cfg[section]["colliders"] = [PLANE, collider]
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.validate_config(cfg)
+    rc, _ = run_cli("simulate", tmp_path / "c", {section: {"colliders": [PLANE, collider]}})
+    assert rc == cli.EXIT_USAGE
+    assert f"error: {section}.colliders[1]" in capsys.readouterr().err
+
+
 def test_console_entry_point_reports_usage_errors():
     # the subprocess imports the same volknit package this test imports
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -74,17 +74,17 @@ def test_segment_f_identity_rotation_stretch():
     y = ym.straight_strand(2, 0.2, axis=(1, 0, 0))
     ym.compute_segment_normals(y)
     # undeformed
-    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, y.rest_vertices)[0], 0)
+    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, y.rest_vertices))
     assert np.abs(om).max() < 1e-12 and np.abs(S - np.eye(3)).max() < 1e-12
     # quarter turn about z
     Rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, y.rest_vertices @ Rz.T)[0], 0)
+    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, y.rest_vertices @ Rz.T))
     assert np.abs(om - [0.0, 0.0, np.pi / 2]).max() < 1e-10
     assert np.abs(S - np.eye(3)).max() < 1e-10
     # axial stretch, no rotation
     x = y.rest_vertices.copy()
     x[1, 0] *= 1.2
-    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, x)[0], 0)
+    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, x))
     assert np.abs(om).max() < 1e-12
     assert np.abs(S - np.diag([1.2, 1.0, 1.0])).max() < 1e-10
 
@@ -93,18 +93,25 @@ def test_segment_f_polar_reconstruction(rng):
     y, _, _ = wavy_setup()
     x = y.rest_vertices + 0.02 * rng.normal(size=y.rest_vertices.shape)
     F = tr.yarn_segment_f(y, x)
-    for si in range(y.n_segments):
-        om, S = tr.segment_rotation_stretch(F[si], si)
+    oms, Ss = tr.segment_rotation_stretch(F)
+    for si, (om, S) in enumerate(zip(oms, Ss)):
         R = mat.rotation_exp(mat.skew(om))
         assert np.abs(R @ S - F[si]).max() < 1e-8
         w = np.linalg.eigvalsh(S)
         assert w.min() > 0.0
         assert np.linalg.norm(om) < np.pi
+        # one segment at a time through project_so3 gives the same bits
+        R1 = mat.project_so3(F[si])
+        S1 = R1.T @ F[si]
+        assert np.array_equal(om, mat.unskew(mat.rotation_log(R1)))
+        assert np.array_equal(S, 0.5 * (S1 + S1.T))
 
 
 def test_segment_f_rejects_reflection():
-    with pytest.raises(ValueError, match="segment 7"):
-        tr.segment_rotation_stretch(np.diag([-1.0, 1.0, 1.0]), 7)
+    F = np.tile(np.eye(3), (9, 1, 1))
+    F[7] = F[8] = np.diag([-1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="segment 7 "):
+        tr.segment_rotation_stretch(F)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +137,7 @@ def test_targets_opposite_rotations_cancel():
     Rm = mat.rotation_exp(mat.skew(np.array([0.0, 0.0, -th])))
     x = np.array([-(Rp @ [0.1, 0.0, 0.0]), [0.0, 0.0, 0.0], Rm @ [0.1, 0.0, 0.0]])
     F = tr.yarn_segment_f(y, x)
-    om0, S0 = tr.segment_rotation_stretch(F[0], 0)
-    om1, S1 = tr.segment_rotation_stretch(F[1], 1)
+    (om0, om1), (S0, S1) = tr.segment_rotation_stretch(F)
     assert np.abs(om0 + om1).max() < 1e-9
     assert np.abs(S0 - np.eye(3)).max() < 1e-9
     assert np.abs(S1 - np.eye(3)).max() < 1e-9
@@ -148,10 +154,7 @@ def test_targets_match_taylor_exponential_oracle(rng):
     x = y.rest_vertices + 0.02 * rng.normal(size=y.rest_vertices.shape)
     tg = tr.element_targets(mesh, emb, y, x)
     F = tr.yarn_segment_f(y, x)
-    om = np.empty((y.n_segments, 3))
-    St = np.empty((y.n_segments, 3, 3))
-    for si in range(y.n_segments):
-        om[si], St[si] = tr.segment_rotation_stretch(F[si], si)
+    om, St = tr.segment_rotation_stretch(F)
 
     def taylor_expm(A, order=12, squarings=8):
         A = A / 2.0**squarings

@@ -47,7 +47,7 @@ def test_face_connectivity_no_corner_links(rng):
     y = random_yarn(rng, 15)
     mesh = vm.voxelize(y, 0.17)
     cells = set(map(tuple, mesh.voxels))
-    comp = vm._connected_components(cells)
+    comp = oracles.connected_components(cells)
     assert len(comp) == 1 and comp[0] == cells
 
 
@@ -68,6 +68,79 @@ def test_cover_dense_sampling(rng):
                     if abs(g[ax] - round(g[ax])) < 1e-9:
                         cand += [c - np.eye(3, dtype=int)[ax] for c in list(cand)]
                 assert any(tuple(c) in occ for c in cand)
+
+
+def grid_plane_snake():
+    """A strand through the centers of a 4x2x2 block of 0.125 cells."""
+    c = [0.0625, 0.1875]
+    snake = [(c[0], c[0], c[0]), (0.4375, c[0], c[0]), (0.4375, c[1], c[0]),
+             (c[0], c[1], c[0]), (c[0], c[1], c[1]), (0.4375, c[1], c[1]),
+             (0.4375, c[0], c[1]), (c[0], c[0], c[1])]
+    return ym.YarnModel(np.array(snake), [np.arange(len(snake))])
+
+
+def assert_same_voxelization(yarn, h, origin=None):
+    """Batched (segment, cell) pairs, voxelize arrays and adjacency CSR equal
+    the loop oracle's bits; a disconnected yarn raises the same error."""
+    rest, segs = yarn.rest_vertices, yarn.segments
+    o = np.floor(rest.min(axis=0) / h - 1.0) * h if origin is None else origin
+    want = sorted((i,) + c for i, (a, b) in enumerate(segs)
+                  for c in oracles.segment_cells(rest[a], rest[b], h, o))
+    seg, cells = vm.segment_cells(rest[segs[:, 0]], rest[segs[:, 1]], h, o)
+    assert np.array_equal(np.column_stack([seg, cells]), np.array(want))
+    try:
+        arrays = oracles.voxelize(yarn, h, origin)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            vm.voxelize(yarn, h, origin)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    mesh = vm.voxelize(yarn, h, origin)
+    for name, a in zip(("nodes", "tets", "voxels", "tet_voxel", "node_grid"), arrays):
+        b = getattr(mesh, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    got, want = vm.element_adjacency(mesh), oracles.element_adjacency(mesh)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return None
+
+
+def test_voxelization_matches_loop_oracle_on_grid_planes():
+    assert assert_same_voxelization(grid_plane_snake(), 0.125, np.zeros(3)) is None
+    # the corner pass, and a strand along grid lines through grid corners
+    corner = two_point_yarn([0.05, 0.05, 0.05], [0.15, 0.15, 0.15])
+    assert assert_same_voxelization(corner, 0.1, np.zeros(3)) is None
+    edge = two_point_yarn([0.0, 0.25, 0.5], [1.0, 0.25, 0.5])
+    assert assert_same_voxelization(edge, 0.25, np.zeros(3)) is None
+
+
+def test_voxelization_matches_loop_oracle_on_random_and_lattice_yarns(rng):
+    for _ in range(12):
+        n = int(rng.integers(2, 25))
+        y = random_yarn(rng, n, scale=rng.uniform(0.05, 0.4))
+        assert assert_same_voxelization(y, rng.uniform(0.04, 0.25)) is None
+    for _ in range(12):
+        pts = rng.integers(-3, 4, size=(12, 3)).astype(float)
+        pts = pts[np.r_[True, np.any(pts[1:] != pts[:-1], axis=1)]]
+        y = ym.YarnModel(0.125 * pts, [np.arange(len(pts))])
+        for h in (0.125, 0.25):
+            assert assert_same_voxelization(y, h, np.zeros(3)) is None
+
+
+def test_two_blob_yarn_raises_naming_same_segment():
+    # a five-segment strand and, far away, a one-segment strand: the small
+    # blob's cells are dropped, and its segment (index 5) is named
+    big = np.column_stack([np.linspace(0.0, 0.5, 6), np.full(6, 0.05), np.full(6, 0.05)])
+    small = np.array([[2.0, 0.05, 0.05], [2.1, 0.05, 0.05]])
+    y = ym.YarnModel(np.vstack([big, small]), [np.arange(6), np.arange(6, 8)])
+    msg = assert_same_voxelization(y, 0.1)
+    assert msg is not None and msg.startswith("segment 5 ")
+    # two equal strands: the tie goes to the one holding the smallest cell,
+    # the second polyline's, so the first segment is named
+    y = ym.YarnModel(np.vstack([small, small - [2.0, 0.0, 0.0]]), [np.arange(2), np.arange(2, 4)])
+    assert assert_same_voxelization(y, 0.1).startswith("segment 0 ")
 
 
 def test_rejects_bad_inputs():
@@ -194,12 +267,7 @@ def test_embedding_matches_loop_oracle_on_grid_planes():
     # boundary corner, and points within 1e-12, 1e-9 and 1e-6 slack of the
     # locate ladder
     h = 0.125
-    c = [0.0625, 0.1875]
-    snake = [(c[0], c[0], c[0]), (0.4375, c[0], c[0]), (0.4375, c[1], c[0]),
-             (c[0], c[1], c[0]), (c[0], c[1], c[1]), (0.4375, c[1], c[1]),
-             (0.4375, c[0], c[1]), (c[0], c[0], c[1])]
-    block = ym.YarnModel(np.array(snake), [np.arange(len(snake))])
-    mesh = vm.voxelize(block, h, origin=np.zeros(3))
+    mesh = vm.voxelize(grid_plane_snake(), h, origin=np.zeros(3))
     assert len(mesh.voxels) == 16
     pts = np.array([[0.25, 0.0625, 0.0625], [0.25, 0.125, 0.0625],
                     [0.25, 0.125, 0.125], [0.1875, 0.1875, 0.1875],
