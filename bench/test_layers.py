@@ -1,18 +1,22 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
-runs, of the fit's exact-Hessian assembly, and of the load path (voxelize,
-yarn embedding), at fixed sizes and seeds.
+runs, of the fit's projection Jacobians, exact-Hessian assembly and
+equilibrium solves, and of the load path (voxelize, yarn embedding), at
+fixed sizes and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
 Kept outside tests/ so the test suite does not time anything.  Sizes follow
 the benchmark patch (a 6x40 rib at cell 0.03: 192 tets, 81 nodes) and the
 acceptance patch's element count (1,560 tets); the load-path rows build
-both patches (a 25x200 rib at cell 0.04 for the acceptance one).
+both patches (a 25x200 rib at cell 0.04 for the acceptance one).  The
+material module keeps the decomposition of the last F it saw, so every row
+that repeats one F forgets it first and times a fresh decomposition.
 """
 
 import numpy as np
 import pytest
 
+from volknit import fitting, transfer
 from volknit import material as mat
 from volknit import pdsolver, volmesh, yarn_model
 
@@ -24,10 +28,24 @@ def _gradients(kind, size):
     return np.eye(3) + SPREAD[kind] * rng.normal(size=(size, 3, 3))
 
 
+def _fresh(fn):
+    """fn with the kept decomposition forgotten before each call."""
+    def run(*args):
+        mat.clear_decomposition_cache()
+        return fn(*args)
+    return run
+
+
 @pytest.mark.parametrize("size", [192, 1560])
 @pytest.mark.parametrize("kind", sorted(SPREAD))
 def test_batch_projections(benchmark, kind, size):
-    benchmark(mat.batch_projections, _gradients(kind, size))
+    benchmark(_fresh(mat.batch_projections), _gradients(kind, size))
+
+
+@pytest.mark.parametrize("size", [192, 1560])
+@pytest.mark.parametrize("kind", sorted(SPREAD))
+def test_projection_jacobians_batch(benchmark, kind, size):
+    benchmark(_fresh(mat.projection_jacobians_batch), _gradients(kind, size))
 
 
 @pytest.mark.parametrize("size", [192, 1560])
@@ -79,8 +97,38 @@ def test_element_operator(benchmark, patch, layer):
     rng = np.random.default_rng(1)
     x = mesh.nodes * np.array([1.1, 1.0, 1.0]) + 1e-3 * rng.normal(size=mesh.nodes.shape)
     gammas = mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
-    out = benchmark(getattr(pdsolver, layer), mesh, gammas, x)
+    out = benchmark(_fresh(getattr(pdsolver, layer)), mesh, gammas, x)
     assert np.all(np.isfinite(out[0] if layer == "elastic_rhs" else out.data))
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_solve_equilibrium(benchmark, start):
+    """One fit equilibrium on the benchmark patch stretched by 10 % with its
+    end columns pinned: cold from the transferred pose, or warm from the
+    equilibrium of coefficients 1 % away, as a line-search trial starts."""
+    model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
+                                 wale_spacing=0.005, amplitude=0.002,
+                                 rib_period=4, linear_density=0.002)
+    yarn_model.compute_segment_normals(model)
+    mesh = volmesh.voxelize(model, 0.03)
+    emb = volmesh.embed_yarn(mesh, model)
+    volmesh.lump_mass(mesh, model, emb)
+    problem = fitting.FitProblem(transfer.Y2VOperator(mesh, emb, model))
+    x = model.rest_vertices[:, 0]
+    ends = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
+    pose = model.rest_vertices * np.array([1.1, 1.0, 1.0])
+    sample = fitting.build_sample(problem.op, [pose], 0, yarn_pins=ends)
+    nE = mesh.n_elements
+    rng = np.random.default_rng(2)
+    gammas = mat.MaterialField(1.0 + 0.01 * rng.normal(size=nE),
+                               1.0 + 0.01 * rng.normal(size=nE))
+    x0 = None
+    if start == "warm":
+        x0, _, ok = problem.solve_equilibrium(
+            mat.MaterialField.uniform(nE, 1.0, 1.0), sample)
+        assert ok
+    _, resid, ok = benchmark(problem.solve_equilibrium, gammas, sample, x0)
+    assert ok and resid < 1e-6
 
 
 # rib patch size, cell size and tet count

@@ -30,6 +30,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -507,11 +508,13 @@ def cmd_fit(cfg, out, chash):
             logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
         ck = dict(indices=indices, n_elements=nE, initial_loss=initial_loss,
                   stages=stages, done=0, w=0.0, gamma=res0.gamma.tolist(),
-                  per_sample=[], rows=logger.rows, gate=logger.gate)
+                  per_sample=[], rows=logger.rows, gate=logger.gate,
+                  equilibrium=asdict(problem.stats))
         _write_report(state_path, ck, chash)
     else:
         logger.rows = list(ck["rows"])
         logger.gate = [tuple(g) for g in ck["gate"]]
+        problem.stats = fitting.EquilibriumStats(**ck.get("equilibrium", {}))
 
     done0 = int(ck["done"])
     gamma0 = np.asarray(ck["gamma"], dtype=float)
@@ -527,7 +530,8 @@ def cmd_fit(cfg, out, chash):
         rows_new.append(row)
         ck.update(done=done0 + k + 1, w=w, gamma=gamma.tolist(),
                   per_sample=prior + rows_new,
-                  rows=logger.rows, gate=logger.gate)
+                  rows=logger.rows, gate=logger.gate,
+                  equilibrium=asdict(problem.stats))
         _write_report(state_path, ck, chash)
 
     if todo:
@@ -562,7 +566,7 @@ def cmd_fit(cfg, out, chash):
         gate_evaluations=len(logger.gate), gate_max_residual=gate_max,
         initial_loss=ck["initial_loss"], stage_losses=ck["stages"],
         final_losses=finals, final_loss=final_loss,
-        loss_ceiling=fc["loss_ceiling"],
+        loss_ceiling=fc["loss_ceiling"], equilibrium=asdict(problem.stats),
         elapsed_s=time.perf_counter() - t0,
     )
     _write_report(os.path.join(out, "fit_report.json"), payload, chash)

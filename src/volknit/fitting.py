@@ -8,6 +8,12 @@ against the exact equilibrium Jacobian; Gauss-Newton directions come from
 a sparse symmetric block system that never forms the dense sensitivity
 matrix.  A spectral coarse-to-fine schedule (element-graph Laplacian
 eigenvectors, ranks 1 / 10 / 30 / full) initializes the field.
+
+A sample's first equilibrium is a cold solve: proximal rounds from the
+transferred pose, then Newton.  Every line-search trial after it is a warm
+solve from the current converged state, straight to Newton with at least
+one step; a trial whose residual misses the adjoint gate counts as a failed
+halving.  The problem counts its solves for the fit report.
 """
 
 from __future__ import annotations
@@ -89,12 +95,31 @@ def build_sample(op, frames, i, dt=None, yarn_pins=(), yarn_force=None):
                      pin_vals=x_init[pins], x_init=x_init)
 
 
+@dataclass
+class EquilibriumStats:
+    """What the equilibrium solves of a fit did, for its report."""
+
+    cold: int = 0               # solves from sample.x_init with PD rounds
+    warm: int = 0               # solves from a given converged state
+    newton_iters: int = 0       # Newton iterations over all solves
+    unconverged: int = 0        # solves that ended at or above their tol
+    max_residual: float = 0.0   # largest final residual
+
+    def record(self, cold, iters, ok, resid):
+        self.cold += int(cold)
+        self.warm += int(not cold)
+        self.newton_iters += int(iters)
+        self.unconverged += int(not ok)
+        self.max_residual = max(self.max_residual, float(resid))
+
+
 class FitProblem:
     """Pose-matching loss and equilibrium plumbing shared across samples.
 
     The loss is the y2v objective of `op` (a transfer.Y2VOperator) at the
     sample's targets and yarn pose, so at the transferred pose it is the
     reconstruction optimum; its weights and Hessian are the operator's.
+    `stats` counts the equilibrium solves.
     """
 
     def __init__(self, op, dt=1e-2):
@@ -103,6 +128,7 @@ class FitProblem:
         self.op = op
         self.mesh = op.mesh
         self.dt = dt
+        self.stats = EquilibriumStats()
 
     def loss(self, x, sample):
         return self.op.objective(x, sample.targets, sample.yarn_pose)
@@ -114,25 +140,37 @@ class FitProblem:
         """Constant loss Hessian; the same matrix acts on each coordinate."""
         return self.op.matrix(sample.targets.covered)
 
-    def solve_equilibrium(self, gammas, sample, x0=None, tol=1e-6,
-                          pd_iters=6, max_newton=60):
-        """Quasi-static state under the sample loads: proximal rounds from
-        the warm start, then exact-Jacobian polishing.
-
-        Returns (x, residual infinity norm on free nodes, converged flag).
-        """
-        x0 = sample.x_init if x0 is None else x0
-        x = pdsolver.pd_equilibrium(
-            self.mesh, gammas, sample.inertia, x0, sample.pins,
-            sample.pin_vals, self.dt, iterations=pd_iters)
-        x, ok, _ = pdsolver.newton_polish(
-            self.mesh, gammas, x, dt=self.dt, pins=sample.pins,
-            pin_vals=sample.pin_vals, inertia_target=sample.inertia,
-            tol=tol, max_iters=max_newton)
+    def residual(self, gammas, sample, x):
+        """Equilibrium residual infinity norm on the free nodes."""
         free = np.setdiff1d(np.arange(self.mesh.n_nodes), sample.pins)
         g = (pdsolver.elastic_gradient(self.mesh, gammas, x)
              + (self.mesh.node_mass[:, None] / self.dt**2) * sample.inertia)
-        resid = float(np.abs(g[free]).max()) if len(free) else 0.0
+        return float(np.abs(g[free]).max()) if len(free) else 0.0
+
+    def solve_equilibrium(self, gammas, sample, x0=None, tol=1e-6,
+                          pd_iters=6, max_newton=60):
+        """Quasi-static state under the sample loads.
+
+        A cold solve (x0 None) runs pd_iters proximal rounds from
+        sample.x_init, then polishes with exact-Jacobian Newton.  A given
+        x0 is a converged state of neighbouring coefficients: proximal
+        rounds would only move it off the equilibrium for Newton to bring
+        back, so the warm solve goes straight to Newton and takes at least
+        one step, which moves x even when the start already meets tol.
+
+        Returns (x, residual infinity norm on free nodes, converged flag).
+        """
+        cold = x0 is None
+        if cold:
+            x0 = pdsolver.pd_equilibrium(
+                self.mesh, gammas, sample.inertia, sample.x_init, sample.pins,
+                sample.pin_vals, self.dt, iterations=pd_iters)
+        x, ok, iters = pdsolver.newton_polish(
+            self.mesh, gammas, x0, dt=self.dt, pins=sample.pins,
+            pin_vals=sample.pin_vals, inertia_target=sample.inertia,
+            tol=tol, max_iters=max_newton, min_iters=0 if cold else 1)
+        resid = self.residual(gammas, sample, x)
+        self.stats.record(cold, iters, ok, resid)
         return x, resid, ok
 
     def free_dofs(self, sample):
@@ -183,10 +221,7 @@ def adjoint_gradient(problem, sample, gammas, x, residual=None, logger=None):
     call is gated on the equilibrium residual and logged.
     """
     if residual is None:
-        free = np.setdiff1d(np.arange(problem.mesh.n_nodes), sample.pins)
-        g = (pdsolver.elastic_gradient(problem.mesh, gammas, x)
-             + (problem.mesh.node_mass[:, None] / problem.dt**2) * sample.inertia)
-        residual = float(np.abs(g[free]).max()) if len(free) else 0.0
+        residual = problem.residual(gammas, sample, x)
     ok = residual < EQ_GATE
     if logger is not None:
         logger.log_gate(sample.index, residual, ok)
@@ -358,11 +393,14 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
     With `basis` the parameters live in the spectral subspace (vector q of
     length 2r, coefficients = basis @ q floored elementwise); otherwise in
     the full per-element space with clamp caching and pivoting.  Both
-    search along their directions with safeguarded_update, and every trial
-    re-solves the equilibrium from the current state.  `init_state`
-    is an optional (loss, x, resid) triple for gamma0, used by the staged
-    schedule so a stage starts exactly at the previous optimum instead of
-    re-evaluating it.  Returns FitResult (and the final q when reduced).
+    search along their directions with safeguarded_update.  The first
+    evaluation is a cold equilibrium solve; every trial is a warm solve
+    from the current state, and a trial whose residual misses EQ_GATE
+    counts as a failed halving, so no accepted state fails the next
+    adjoint gate.  `init_state` is an optional (loss, x, resid) triple for
+    gamma0, used by the staged schedule so a stage starts exactly at the
+    previous optimum instead of re-evaluating it.  Returns FitResult (and
+    the final q when reduced).
     """
     mesh = problem.mesh
     nE = mesh.n_elements
@@ -394,7 +432,7 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         loss, x, resid = init_state
         x = x.copy()
     else:
-        loss, x, resid = eval_at(gamma, sample.x_init)
+        loss, x, resid = eval_at(gamma, None)
     losses = [loss]
     stalled = False
     trial_state = None
@@ -404,7 +442,7 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         # accepts the last trial it evaluates, so its state is kept
         nonlocal trial_state
         val, *trial_state = eval_at(to_gamma(trial), x)
-        return val
+        return val if trial_state[1] < EQ_GATE else np.inf
 
     def reduce_grad(g_full):
         if not reduced:

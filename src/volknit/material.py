@@ -412,6 +412,38 @@ def sl3_sigma_project(sigma):
 
 # ---------------------------------------------------------------------------
 # batched projections for the per-element local solves
+#
+# A fit's equilibrium solve asks for the projections of one F several times
+# in a row: the polish objective, the residual, the exact Hessian and the
+# coefficient Jacobian all see the same state.  Both projections are pure
+# functions of F, so the last decomposition is kept, keyed by F's shape and
+# bytes, and an equal F reuses it.  A miss costs one copy of F's bytes and
+# one compare that stops at the first differing byte.
+
+_last = None        # (key, (U, sigma, W, s, lam, clamped)) of the last F
+
+
+def _decompose(F):
+    """svd_rv_batch and sl3_sigma_project_batch of a float (B, 3, 3) stack,
+    as (U, sigma, W, s, lam, clamped); read-only arrays, reused from the
+    last call when F is equal."""
+    global _last
+    key = (F.shape, F.tobytes())
+    last = _last        # one read, so another thread's store cannot split it
+    if last is not None and last[0] == key:
+        return last[1]
+    U, sig, W = svd_rv_batch(F)
+    out = (U, sig, W) + sl3_sigma_project_batch(sig)
+    for a in out:
+        a.flags.writeable = False
+    _last = (key, out)
+    return out
+
+
+def clear_decomposition_cache():
+    """Forget the kept decomposition, so the next call computes its own."""
+    global _last
+    _last = None
 
 
 def batch_projections(F):
@@ -422,10 +454,9 @@ def batch_projections(F):
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)):
         raise ValueError("non-finite deformation gradient in batch")
-    U, sig, W = svd_rv_batch(F)
+    U, _, W, s, _, _ = _decompose(F)
     # matmul is about twice as fast on a contiguous W^T as on the view
     Wt = np.ascontiguousarray(np.swapaxes(W, -1, -2))
-    s, _, _ = sl3_sigma_project_batch(sig)
     return U @ Wt, (U * s[:, None, :]) @ Wt
 
 
@@ -464,8 +495,7 @@ def projection_jacobians_batch(F):
     """Batched (d vec R / d vec F, d vec V / d vec F), each (B, 9, 9)."""
     F = np.asarray(F, dtype=float)
     B = F.shape[0]
-    U, sig, W = svd_rv_batch(F)
-    s, lam, clamped = sl3_sigma_project_batch(sig)
+    U, sig, W, s, lam, clamped = _decompose(F)
 
     LR = np.zeros((B, 9, 9))
     LV = np.zeros((B, 9, 9))

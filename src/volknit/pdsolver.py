@@ -329,7 +329,8 @@ def pd_equilibrium(mesh, gammas, inertia_target, x0, pins, pin_vals, dt,
 
 
 def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
-                  inertia_target=None, xhat=None, tol=1e-5, max_iters=20):
+                  inertia_target=None, xhat=None, tol=1e-5, max_iters=20,
+                  min_iters=0):
     """Drive the step residual below tol with Newton iterations.
 
     Two residual flavors share the machinery: the dynamic step residual
@@ -342,6 +343,10 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
     frozen-projection elastic Hessian plus M/dt^2, which is positive
     definite and so always gives a descent direction.  That matrix is
     assembled and factorized on the first fallback, not before.
+
+    At least min_iters iterations run even when x0 already meets tol: a
+    start that is converged for neighbouring coefficients is within tol of
+    its own equilibrium, yet a step still carries it there.
 
     Returns (x, converged flag, iterations used).
     """
@@ -374,7 +379,7 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
         return float(np.abs(gv[free]).max()) if len(free) else 0.0
 
     g = residual(x)
-    if gmax(g) < tol:
+    if min_iters <= 0 and gmax(g) < tol:
         return x, True, 0
 
     fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
@@ -430,7 +435,7 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
             xn, on = x, obj
         x, obj = xn, on
         g = residual(x)
-        if gmax(g) < tol:
+        if it >= min_iters and gmax(g) < tol:
             return x, True, it
     ok = gmax(g) < tol
     if not ok:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .material import minimal_rotation
 from .pdsolver import collider_targets, surface_targets
@@ -274,6 +273,10 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
 
         # contact pairs active for this whole step, found on the prediction
         if params.contacts and model.radius > 0.0:
+            # imported here: scipy.spatial adds about 0.14 s to every
+            # process, and only yarn contacts use it
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(xhat)
             raw = tree.query_pairs(model.radius, output_type="ndarray")
             contacts = raw[~np.isin(_pair_keys(raw, n), connected)]

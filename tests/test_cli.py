@@ -267,6 +267,25 @@ def test_fit_gate_clean_and_counted(block_ws):
     assert rep["gate_max_residual"] < 1e-5
 
 
+def test_fit_report_counts_equilibrium_solves(block_ws):
+    rep = read_report(block_ws, "fit_report.json")
+    eq = rep["equilibrium"]
+    assert set(eq) == {"cold", "warm", "newton_iters", "unconverged",
+                       "max_residual"}
+    assert all(np.isfinite(v) and v >= 0 for v in eq.values())
+    # cold: the initial loss, the first evaluation of the staged fit and of
+    # each sample's fit, and each sample's final loss; every trial is warm
+    # and takes at least one Newton step
+    assert eq["cold"] == 2 + 2 * rep["total"]
+    assert eq["warm"] >= 1
+    assert eq["newton_iters"] >= eq["warm"]
+    assert eq["unconverged"] <= eq["cold"] + eq["warm"]
+    # every gated state is some solve's final state
+    assert eq["max_residual"] >= rep["gate_max_residual"]
+    if eq["unconverged"] == 0:
+        assert eq["max_residual"] < 1e-6
+
+
 def test_fit_recovers_block_contrast(block_ws):
     field = cli.read_material(os.path.join(str(block_ws), "material.csv"))
     mesh = volmesh.read_mesh(os.path.join(str(block_ws), "mesh"))
@@ -524,16 +543,28 @@ def test_bad_collider_exits_2(tmp_path, capsys, section, collider, match):
     assert f"error: {section}.colliders[1]" in capsys.readouterr().err
 
 
-def test_console_entry_point_reports_usage_errors():
-    # the subprocess imports the same volknit package this test imports
+def _run_python(*args):
+    """Run the interpreter on the same volknit package this test imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "volknit.cli", "generate", "--out",
-         "/tmp/volknit_entry_test", "--config", "/nonexistent.json"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_console_entry_point_reports_usage_errors():
+    proc = _run_python("-m", "volknit.cli", "generate", "--out",
+                       "/tmp/volknit_entry_test", "--config", "/nonexistent.json")
     assert proc.returncode == cli.EXIT_USAGE
     assert "error:" in proc.stderr
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # only yarn contacts need scipy.spatial, and importing it costs every
+    # process about 0.14 s
+    proc = _run_python("-c", "import sys, volknit.cli; "
+                       "print('scipy.spatial' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("cmd", ["fit", "simulate", "compare"])

@@ -291,6 +291,39 @@ class TestBuildSample:
 
 
 # ---------------------------------------------------------------------------
+# equilibrium solves
+
+
+class TestSolveEquilibrium:
+    def test_warm_solve_moves_a_converged_state(self, scene):
+        # coefficients moved by 1e-9 relative leave the converged state
+        # within tol of the new equilibrium; the warm solve still steps
+        problem, sample = scene["problem"], scene["sample"]
+        nE = problem.mesh.n_elements
+        g = gamma_vec(scene["gam_true"]) * np.linspace(0.8, 1.2, 2 * nE)
+        x, resid, ok = problem.solve_equilibrium(mat.MaterialField.from_stacked(g), sample)
+        assert ok and resid < 1e-6
+        before = fitting.EquilibriumStats(**vars(problem.stats))
+        x2, resid2, ok2 = problem.solve_equilibrium(
+            mat.MaterialField.from_stacked(g * (1.0 + 1e-9)), sample, x0=x)
+        assert ok2 and resid2 < 1e-6
+        assert not np.array_equal(x2, x)
+        st = problem.stats
+        assert (st.cold, st.warm) == (before.cold, before.warm + 1)
+        assert st.newton_iters >= before.newton_iters + 1
+
+    def test_cold_solve_keeps_its_proximal_rounds(self, scene, monkeypatch):
+        problem, sample = scene["problem"], scene["sample"]
+        calls = []
+        pd_eq = pdsolver.pd_equilibrium
+        monkeypatch.setattr(pdsolver, "pd_equilibrium",
+                            lambda *a, **k: calls.append(1) or pd_eq(*a, **k))
+        x, _, _ = problem.solve_equilibrium(scene["gam_true"], sample)
+        problem.solve_equilibrium(scene["gam_true"], sample, x0=x)
+        assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # adjoint gradient
 
 
@@ -554,6 +587,34 @@ class TestFitSample:
                 if row["step"] > 0.0:
                     assert row["loss"] < prev
             prev = row["loss"]
+
+    def test_trial_missing_the_gate_is_a_failed_halving(self, scene,
+                                                         monkeypatch):
+        # the first trial reports a residual above the gate with a loss
+        # below the current one; accepting it would make the next adjoint
+        # gradient raise, so the search must halve past it
+        problem, sample = scene["problem"], scene["sample"]
+        nE = problem.mesh.n_elements
+        solve = problem.solve_equilibrium
+        trials = []
+
+        def stub(gammas, sample_, x0=None, **kw):
+            if x0 is not None and x0 is not sample_.x_init:
+                trials.append(1)
+                if len(trials) == 1:
+                    return scene["xstar"].copy(), 2.0 * fitting.EQ_GATE, False
+            return solve(gammas, sample_, x0=x0, **kw)
+
+        monkeypatch.setattr(problem, "solve_equilibrium", stub)
+        g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
+        lg = fitting.FitLogger()
+        res = fitting.fit_sample(problem, sample, g0, gd_iters=2, gn_iters=0,
+                                 logger=lg)
+        assert len(trials) > 1
+        assert lg.gate_violations == 0
+        assert all(r < fitting.EQ_GATE for _, r, _ in lg.gate)
+        assert lg.rows[0]["step"] < fitting.GD_STEP
+        assert res.resid < fitting.EQ_GATE
 
     def test_beats_scalar_material_oracle(self, uniform_scene):
         problem, sample = uniform_scene["problem"], uniform_scene["sample"]

@@ -522,3 +522,61 @@ def test_material_field_roundtrip():
     assert np.array_equal(g.gamma_s, f.gamma_s)
     assert np.array_equal(g.gamma_v, f.gamma_v)
     assert len(g) == 7
+
+
+# ---------------------------------------------------------------------------
+# one decomposition per F
+
+
+def _counting_svd(monkeypatch):
+    calls = []
+    svd = mat.svd_rv_batch
+
+    def counted(F):
+        calls.append(1)
+        return svd(F)
+
+    monkeypatch.setattr(mat, "svd_rv_batch", counted)
+    mat.clear_decomposition_cache()
+    return calls
+
+
+def test_equal_f_is_decomposed_once(rng, monkeypatch):
+    F = np.concatenate([np.eye(3) + 0.3 * rng.normal(size=(40, 3, 3)), _hard_batch(rng, 10)])
+    calls = _counting_svd(monkeypatch)
+    R, V = mat.batch_projections(F)
+    JR, JV = mat.projection_jacobians_batch(F.copy())
+    R2, V2 = mat.batch_projections(F.copy())
+    assert len(calls) == 1
+    # the reused decomposition gives the bits of a fresh one
+    mat.clear_decomposition_cache()
+    JR0, JV0 = mat.projection_jacobians_batch(F)
+    mat.clear_decomposition_cache()
+    R0, V0 = mat.batch_projections(F)
+    assert len(calls) == 3
+    for a, b in ((R, R0), (V, V0), (R2, R0), (V2, V0), (JR, JR0), (JV, JV0)):
+        assert np.array_equal(a, b)
+
+
+def test_f_changed_in_place_is_decomposed_again(rng, monkeypatch):
+    F = np.eye(3) + 0.3 * rng.normal(size=(20, 3, 3))
+    calls = _counting_svd(monkeypatch)
+    mat.batch_projections(F)
+    F[7, 1, 2] += 1e-12
+    R, V = mat.batch_projections(F)
+    assert len(calls) == 2
+    mat.clear_decomposition_cache()
+    R0, V0 = mat.batch_projections(F)
+    assert np.array_equal(R, R0) and np.array_equal(V, V0)
+
+
+def test_kept_decomposition_is_read_only(rng):
+    F = np.eye(3) + 0.3 * rng.normal(size=(8, 3, 3))
+    mat.clear_decomposition_cache()
+    mat.batch_projections(F)
+    kept = mat._decompose(F)
+    assert len(kept) == 6
+    for a in kept:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
