@@ -500,13 +500,11 @@ def cmd_fit(cfg, out, chash):
         gs0, gv0 = fc["gamma_init"]
         gamma0 = np.concatenate([np.full(nE, float(gs0)),
                                  np.full(nE, float(gv0))])
-        x0, _, _ = problem.solve_equilibrium(
-            mat.MaterialField.from_stacked(gamma0), samples[0])
-        initial_loss = problem.loss(x0, samples[0])
         res0, stages = fitting.fit_staged(
             problem, samples[0], gamma0, ranks=tuple(fc["ranks"]),
             logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
-        ck = dict(indices=indices, n_elements=nE, initial_loss=initial_loss,
+        # the first stage's cold evaluation is the loss at gamma_init
+        ck = dict(indices=indices, n_elements=nE, initial_loss=res0.losses[0],
                   stages=stages, done=0, w=0.0, gamma=res0.gamma.tolist(),
                   per_sample=[], rows=logger.rows, gate=logger.gate,
                   equilibrium=asdict(problem.stats))
@@ -548,10 +546,12 @@ def cmd_fit(cfg, out, chash):
     complete = done == len(samples)
 
     # loss of the blended field on every sample
-    finals = []
+    finals, unconverged = [], []
     for s in samples:
         x, resid, ok = problem.solve_equilibrium(field, s)
         finals.append(problem.loss(x, s) if ok else float("inf"))
+        if not ok:
+            unconverged.append(s.index)
     final_loss = max(finals)
 
     write_material(ws["material"], field, chash)
@@ -566,6 +566,7 @@ def cmd_fit(cfg, out, chash):
         gate_evaluations=len(logger.gate), gate_max_residual=gate_max,
         initial_loss=ck["initial_loss"], stage_losses=ck["stages"],
         final_losses=finals, final_loss=final_loss,
+        final_unconverged=len(unconverged),
         loss_ceiling=fc["loss_ceiling"], equilibrium=asdict(problem.stats),
         elapsed_s=time.perf_counter() - t0,
     )
@@ -573,6 +574,10 @@ def cmd_fit(cfg, out, chash):
 
     if failed:
         print("error: all samples stalled", file=sys.stderr)
+        return EXIT_NUMERIC
+    if complete and unconverged:
+        print(f"error: final equilibrium did not converge for samples "
+              f"{unconverged}", file=sys.stderr)
         return EXIT_NUMERIC
     if complete and fc["loss_ceiling"] is not None and final_loss > fc["loss_ceiling"]:
         print(f"error: final loss {final_loss:.3e} above ceiling "

@@ -19,7 +19,7 @@ halving.  The problem counts its solves for the fit report.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -249,14 +249,20 @@ class EquilibriumGateError(RuntimeError):
     pass
 
 
-def reduce_columns(J, basis):
-    """Map the coefficient Jacobian onto a rank-r basis per field."""
+def _coords(basis, v):
+    """A coefficient gradient (length 2nE) or the columns of a coefficient
+    Jacobian (nE + nE columns) in a stage's coordinates: basis^T per field,
+    or v itself in the full per-element space (basis None)."""
+    if basis is None:
+        return v
     nE = basis.shape[0]
-    return np.hstack([J[:, :nE] @ basis, J[:, nE:] @ basis])
+    if v.ndim == 1:
+        return np.concatenate([basis.T @ v[:nE], basis.T @ v[nE:]])
+    return np.hstack([v[:, :nE] @ basis, v[:, nE:] @ basis])
 
 
 def adjoint_gauss_newton(problem, sample, state, kappa=None, basis=None,
-                         frozen=None):
+                         frozen=()):
     """Gauss-Newton direction from the sparse symmetric block system.
 
     Two auxiliary vectors (v, u) turn (J^T H^-1 G H^-1 J + kappa I) d =
@@ -278,19 +284,11 @@ def adjoint_gauss_newton(problem, sample, state, kappa=None, basis=None,
     if kappa is None:
         kappa = KAPPA_SCALE * G.diagonal().sum() / G.shape[0]
 
-    J = state.J
-    grad = state.grad
-    if basis is not None:
-        J = sp.csr_matrix(reduce_columns(J, basis))
-        nE = basis.shape[0]
-        r = basis.shape[1]
-        grad = np.concatenate([basis.T @ grad[:nE], basis.T @ grad[nE:]])
-    if frozen is not None and len(frozen):
-        keep = np.setdiff1d(np.arange(J.shape[1]), frozen)
-    else:
-        keep = None
-    Jk = J[:, keep] if keep is not None else J
-    gk = grad[keep] if keep is not None else grad
+    J = sp.csr_matrix(_coords(basis, state.J))
+    grad = _coords(basis, state.grad)
+    keep = np.setdiff1d(np.arange(J.shape[1]), frozen)
+    Jk = J[:, keep]
+    gk = grad[keep]
 
     nf = len(fdofs)
     m = Jk.shape[1]
@@ -309,10 +307,7 @@ def adjoint_gauss_newton(problem, sample, state, kappa=None, basis=None,
     if not np.all(np.isfinite(dk)):
         return None, kappa, False
     d = np.zeros(J.shape[1])
-    if keep is not None:
-        d[keep] = dk
-    else:
-        d = dk
+    d[keep] = dk
     # d = 0 at a stationary point is the valid homogeneous solution, not a
     # failed descent direction
     if len(gk) and np.linalg.norm(gk) > 0.0 and float(d @ grad) >= 0.0:
@@ -334,20 +329,20 @@ def safeguarded_update(gamma, d, step, eval_loss, current_loss,
     cached.  floor None leaves negative entries, for parameters that map to
     the coefficients elsewhere.  Returns (gamma', loss', accepted, t).
     """
-    t = 1.0
-    for _ in range(max_halvings + 1):
+    def point(t):
         trial = gamma + t * step * d
         neg = trial < 0.0
         if floor is not None and neg.any():
-            trial = trial.copy()
             trial[neg] = floor
             if clamp_cache is not None:
                 clamp_cache.update(np.flatnonzero(neg).tolist())
-        val = eval_loss(trial)
-        if val < current_loss:
-            return trial, val, True, t
-        t *= 0.5
-    return gamma, current_loss, False, 0.0
+        return trial
+
+    trial, val, t = pdsolver.backtrack(point, eval_loss, current_loss,
+                                       max_halvings + 1)
+    if trial is None:
+        return gamma, current_loss, False, 0.0
+    return trial, val, True, t
 
 
 @dataclass
@@ -377,6 +372,7 @@ class FitResult:
     losses: list
     stalled: bool
     resid: float = 0.0         # equilibrium residual at the final state
+    params: np.ndarray = None  # the fit's coordinates (gamma in the full space)
 
 
 def _to_field(mesh, gamma_vec):
@@ -385,49 +381,87 @@ def _to_field(mesh, gamma_vec):
                              gamma_v=gamma_vec[nE:].copy())
 
 
+def _gn_direction(problem, sample, state, grad, kappa, basis, clamp_cache):
+    """Gauss-Newton direction with the damping ladder and clamp pivoting.
+
+    Up to five solves, kappa times ten after each failed one, then -grad.
+    The first call fixes the kappa every later iteration starts from.
+    Repeat offenders, cached clamps that the direction would push negative,
+    get zeroed; if that kills descent they are pivoted out of the block
+    system and it is re-solved without them.  Returns (d, kappa).
+    """
+    d = None
+    kap = kappa
+    for _ in range(5):
+        d_try, kap, ok = adjoint_gauss_newton(
+            problem, sample, state, kappa=kap, basis=basis)
+        if ok:
+            d = d_try
+            break
+        kap *= 10.0
+    if kappa is None:
+        kappa = kap
+    if d is None:
+        d = -grad                               # damping ladder exhausted
+
+    cached = np.array(sorted(clamp_cache), dtype=int)
+    push = cached[d[cached] < 0.0]
+    if len(push):
+        d[push] = 0.0
+        if float(d @ grad) >= 0.0:
+            d_piv, _, ok = adjoint_gauss_newton(
+                problem, sample, state, kappa=kap, basis=basis, frozen=push)
+            if ok:
+                d = d_piv
+            else:
+                d = -grad
+                d[push] = 0.0
+    return d, kappa
+
+
 def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
                gd_iters=GD_ITERS, gn_iters=GN_ITERS, logger=None,
                floor=mat.GAMMA_FLOOR, init_state=None):
     """Two-phase fit of one sample: gradient descent then Gauss-Newton.
 
-    With `basis` the parameters live in the spectral subspace (vector q of
-    length 2r, coefficients = basis @ q floored elementwise); otherwise in
-    the full per-element space with clamp caching and pivoting.  Both
-    search along their directions with safeguarded_update.  The first
+    The parameters are the coefficients themselves, floored elementwise
+    with clamp caching and pivoting, or with `basis` the spectral
+    coordinates q of length 2r (coefficients = basis @ q per field, floored
+    elementwise), starting at q0 or at gamma0's coordinates.  Both phases
+    search along their directions with safeguarded_update; they differ in
+    the direction (-grad, or _gn_direction) and in the stop rule (GD stops
+    at its first rejected step, GN also when the loss plateaus).  The first
     evaluation is a cold equilibrium solve; every trial is a warm solve
     from the current state, and a trial whose residual misses EQ_GATE
     counts as a failed halving, so no accepted state fails the next
     adjoint gate.  `init_state` is an optional (loss, x, resid) triple for
     gamma0, used by the staged schedule so a stage starts exactly at the
-    previous optimum instead of re-evaluating it.  Returns FitResult (and
-    the final q when reduced).
+    previous optimum instead of re-evaluating it.  Returns FitResult.
     """
     mesh = problem.mesh
-    nE = mesh.n_elements
     logger = FitLogger() if logger is None else logger
-    clamp_cache = set()
-    reduced = basis is not None
-    r = basis.shape[1] if reduced else 0
-
-    def to_gamma(pv):
-        if not reduced:
-            return pv
-        return np.maximum(np.concatenate([basis @ pv[:r], basis @ pv[r:]]), floor)
-
-    if reduced:
-        params = (np.asarray(q0, dtype=float).copy() if q0 is not None else
-                  np.concatenate([basis.T @ gamma0[:nE], basis.T @ gamma0[nE:]]))
-        guard = dict(floor=None)
-    else:
+    clamp_cache = set()             # stays empty in a spectral subspace
+    if basis is None:
         params = np.maximum(np.asarray(gamma0, dtype=float), floor)
-        guard = dict(floor=floor, clamp_cache=clamp_cache)
-    gamma = to_gamma(params)
+    elif q0 is None:
+        params = _coords(basis, np.asarray(gamma0, dtype=float))
+    else:
+        params = np.asarray(q0, dtype=float).copy()
+    guard = dict(floor=floor if basis is None else None,
+                 clamp_cache=clamp_cache)
+
+    def to_gamma(p):
+        if basis is None:
+            return p
+        r = basis.shape[1]
+        return np.maximum(np.concatenate([basis @ p[:r], basis @ p[r:]]), floor)
 
     def eval_at(gamma_vec, warm):
         gfield = _to_field(mesh, gamma_vec)
         x_new, resid_new, _ = problem.solve_equilibrium(gfield, sample, x0=warm)
         return problem.loss(x_new, sample), x_new, resid_new
 
+    gamma = to_gamma(params)
     if init_state is not None:
         loss, x, resid = init_state
         x = x.copy()
@@ -444,90 +478,40 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         val, *trial_state = eval_at(to_gamma(trial), x)
         return val if trial_state[1] < EQ_GATE else np.inf
 
-    def reduce_grad(g_full):
-        if not reduced:
-            return g_full
-        return np.concatenate([basis.T @ g_full[:nE], basis.T @ g_full[nE:]])
-
-    # phase 1: gradient descent
-    for it in range(gd_iters):
-        state = adjoint_gradient(problem, sample, _to_field(mesh, gamma), x,
-                                 residual=resid, logger=logger)
-        grad_eff = reduce_grad(state.grad)
-        gnorm = float(np.linalg.norm(grad_eff))
-        if gnorm < 1e-10:
-            break
-        params, loss, accepted, t = safeguarded_update(
-            params, -grad_eff, GD_STEP, eval_loss, loss, **guard)
-        if accepted:
-            gamma, (x, resid) = to_gamma(params), trial_state
-        logger.log_iter(sample.index, "gd", it, loss, GD_STEP * t, gnorm)
-        losses.append(loss)
-        if not accepted:
-            break                               # flat for GD; GN may still move
-
-    # phase 2: Gauss-Newton with damping ladder and pivoting
     kappa = None
     window = []
-    for it in range(gn_iters):
-        state = adjoint_gradient(problem, sample, _to_field(mesh, gamma), x,
-                                 residual=resid, logger=logger)
-        grad_eff = reduce_grad(state.grad)
-        gnorm = float(np.linalg.norm(grad_eff))
-        if gnorm < 1e-10:
-            break
-
-        d = None
-        kap = kappa
-        for _ in range(5):
-            d_try, kap, ok = adjoint_gauss_newton(
-                problem, sample, state, kappa=kap, basis=basis)
-            if ok:
-                d = d_try
+    for phase, iters, step in (("gd", gd_iters, GD_STEP),
+                               ("gn", gn_iters, GN_STEP)):
+        for it in range(iters):
+            state = adjoint_gradient(problem, sample, _to_field(mesh, gamma), x,
+                                     residual=resid, logger=logger)
+            grad = _coords(basis, state.grad)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < 1e-10:
                 break
-            kap = (kap if kap is not None else 1e-8) * 10.0
-        if kappa is None and kap is not None:
-            kappa = kap
-        if d is None:
-            d = -grad_eff                       # damping ladder exhausted
-
-        if not reduced and clamp_cache:
-            # repeat offenders: cached entries the direction would push
-            # negative get zeroed; if that kills descent they are pivoted
-            # out of the block system and it is re-solved without them
-            cached = np.array(sorted(clamp_cache), dtype=int)
-            push = cached[d[cached] < 0.0]
-            if len(push):
-                d = d.copy()
-                d[push] = 0.0
-                if float(d @ grad_eff) >= 0.0:
-                    d_piv, _, ok = adjoint_gauss_newton(
-                        problem, sample, state, kappa=kap, frozen=push)
-                    if ok and d_piv is not None:
-                        d = d_piv
-                    else:
-                        d = -grad_eff
-                        d[push] = 0.0
-
-        params, loss, accepted, t = safeguarded_update(
-            params, d, GN_STEP, eval_loss, loss, **guard)
-        if accepted:
-            gamma, (x, resid) = to_gamma(params), trial_state
-        logger.log_iter(sample.index, "gn", it, loss, GN_STEP * t, gnorm)
-        losses.append(loss)
-        if not accepted:
-            stalled = True
-            break
-        window.append(loss)
-        if len(window) > STOP_WINDOW:
-            window.pop(0)
-        if len(window) == STOP_WINDOW and window[0] > 0.0:
-            if (window[0] - window[-1]) / window[0] < STOP_REL:
+            if phase == "gd":
+                d = -grad
+            else:
+                d, kappa = _gn_direction(problem, sample, state, grad, kappa,
+                                         basis, clamp_cache)
+            params, loss, accepted, t = safeguarded_update(
+                params, d, step, eval_loss, loss, **guard)
+            if accepted:
+                gamma, (x, resid) = to_gamma(params), trial_state
+            logger.log_iter(sample.index, phase, it, loss, step * t, gnorm)
+            losses.append(loss)
+            if not accepted:
+                # flat for GD, and GN may still move; a rejected GN step stalls
+                stalled = phase == "gn"
                 break
+            if phase == "gn":
+                window = (window + [loss])[-STOP_WINDOW:]
+                if (len(window) == STOP_WINDOW and window[0] > 0.0
+                        and (window[0] - window[-1]) / window[0] < STOP_REL):
+                    break
 
-    result = FitResult(gamma=gamma, loss=loss, x=x, losses=losses,
-                       stalled=stalled, resid=resid)
-    return (result, params) if reduced else result
+    return FitResult(gamma=gamma, loss=loss, x=x, losses=losses,
+                     stalled=stalled, resid=resid, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -574,49 +558,42 @@ def fit_staged(problem, sample, gamma0, *, ranks=STAGE_RANKS, logger=None,
                gd_iters=GD_ITERS, gn_iters=GN_ITERS):
     """Coarse-to-fine fit through nested spectral subspaces.
 
-    Each rank warm-starts the next by zero-padding its coordinates, so a
-    stage begins exactly at the previous stage's optimum and stage-final
-    losses can only decrease along the schedule.  Rank None means the full
-    per-element space.  Returns (FitResult, stage_losses dict).
+    Rank None means the full per-element space.  A stage whose space holds
+    the previous stage's optimum (a larger or equal rank, zero-padding the
+    coordinates, or the full space) starts exactly there, with its state, so
+    stage-final losses can only decrease along the schedule.  Returns
+    (FitResult, stage_losses dict); the result's `losses` run along the
+    whole schedule, from the first stage's cold evaluation.
     """
     logger = FitLogger() if logger is None else logger
-    nE = problem.mesh.n_elements
     max_rank = max((rk for rk in ranks if rk is not None), default=0)
     H_full = harmonic_basis(problem.mesh, max_rank) if max_rank else None
     if H_full is not None and H_full.shape[1] < max_rank:
         log.warning("spectral basis truncated to rank %d", H_full.shape[1])
 
     gamma = np.asarray(gamma0, dtype=float).copy()
-    q_prev = None
-    r_prev = 0
     stage_losses = {}
+    losses = []
     result = None
-    carry = None            # (loss, x, resid) handed from stage to stage
+    r_prev = None           # the previous stage's rank; None in the full space
     for rk in ranks:
-        if rk is None:
-            result = fit_sample(problem, sample, gamma, logger=logger,
-                                gd_iters=gd_iters, gn_iters=gn_iters,
-                                init_state=carry)
-            stage_losses["full"] = result.loss
-            gamma = result.gamma
+        basis = None if rk is None else H_full[:, :min(rk, H_full.shape[1])]
+        r = None if basis is None else basis.shape[1]
+        q0 = carry = None
+        if result is not None and (r is None or (r_prev is not None and r_prev <= r)):
             carry = (result.loss, result.x, result.resid)
-            continue
-        rk_eff = min(rk, H_full.shape[1])
-        H = H_full[:, :rk_eff]
-        if q_prev is not None:
-            q0 = np.zeros(2 * rk_eff)
-            q0[:r_prev] = q_prev[:r_prev]
-            q0[rk_eff:rk_eff + r_prev] = q_prev[r_prev:]
-        else:
-            q0 = None
-        result, q = fit_sample(problem, sample, gamma, basis=H, q0=q0,
-                               logger=logger, gd_iters=gd_iters,
-                               gn_iters=gn_iters, init_state=carry)
-        stage_losses[f"r{rk}"] = result.loss
+            if r is not None:
+                q0 = np.zeros(2 * r)
+                q0[:r_prev] = result.params[:r_prev]
+                q0[r:r + r_prev] = result.params[r_prev:]
+        result = fit_sample(problem, sample, gamma, basis=basis, q0=q0,
+                            logger=logger, gd_iters=gd_iters,
+                            gn_iters=gn_iters, init_state=carry)
+        stage_losses["full" if rk is None else f"r{rk}"] = result.loss
+        losses += result.losses if carry is None else result.losses[1:]
         gamma = result.gamma
-        carry = (result.loss, result.x, result.resid)
-        q_prev, r_prev = q, rk_eff
-    return result, stage_losses
+        r_prev = r
+    return replace(result, losses=losses), stage_losses
 
 
 def fit_sequence(problem, samples, gamma0, *, logger=None,

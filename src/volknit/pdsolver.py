@@ -328,6 +328,23 @@ def pd_equilibrium(mesh, gammas, inertia_target, x0, pins, pin_vals, dt,
 # Newton polish
 
 
+def backtrack(point, value, bound, tries):
+    """Halving line search: the first of point(1), point(1/2), ... whose
+    value is below bound, trying at most `tries` points.  newton_polish and
+    the fit's safeguarded_update both search with it.
+
+    Returns (p, value(p), t), or (None, None, 0.0) when none is below.
+    """
+    t = 1.0
+    for _ in range(tries):
+        p = point(t)
+        v = value(p)
+        if v < bound:
+            return p, v, t
+        t *= 0.5
+    return None, None, 0.0
+
+
 def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
                   inertia_target=None, xhat=None, tol=1e-5, max_iters=20,
                   min_iters=0):
@@ -408,25 +425,24 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
         step.reshape(-1)[fdofs] = d
         return step
 
-    def try_step(step, obj):
-        t = 1.0
-        for _ in range(12):
+    def search(step):
+        # the objective may rise only by rounding
+        def point(t):
             xn = x + t * step
             if len(pins):
                 xn[pins] = pin_vals
-            on = objective(xn)
-            if on < obj + 1e-15 * max(1.0, abs(obj)):
-                return xn, on
-            t *= 0.5
-        return None, obj
+            return xn
+        bound = obj + 1e-15 * max(1.0, abs(obj))
+        xn, on, _ = backtrack(point, objective, bound, 12)
+        return xn, on
 
     obj = objective(x)
     stall = 0
     for it in range(1, max_iters + 1):
         step = exact_step(x, g)
-        xn, on = (None, obj) if step is None else try_step(step, obj)
+        xn, on = (None, obj) if step is None else search(step)
         if xn is None:
-            xn, on = try_step(gn_step(g), obj)
+            xn, on = search(gn_step(g))
         if xn is None:
             stall += 1
             if stall >= 10:

@@ -183,17 +183,6 @@ def _second_neighbors(model):
     return np.array(pairs, dtype=int).reshape(-1, 2)
 
 
-def _pair_laplacian(n, pairs, weights):
-    """Scalar graph Laplacian of weighted pair springs."""
-    if len(pairs) == 0:
-        return sp.csr_matrix((n, n))
-    i, j = pairs[:, 0], pairs[:, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    vals = np.concatenate([weights, weights, -weights, -weights])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def _incidence(n, pairs):
     """Signed (n, m) incidence S of pair differences: S^T x = x[j] - x[i]."""
     m = len(pairs)
@@ -255,12 +244,13 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
     bend_rest = np.linalg.norm(rest[bend[:, 1]] - rest[bend[:, 0]], axis=1) if len(bend) else np.empty(0)
     w_bend = params.bend_stiffness / bend_rest if len(bend) else np.empty(0)
 
+    # every pair spring adds S diag(w) S^T to the matrix and w * S p to the rhs
+    S_stretch, S_bend = _incidence(n, stretch), _incidence(n, bend)
     base = (
         sp.diags(mass / dt**2)
-        + _pair_laplacian(n, stretch, w_stretch)
-        + _pair_laplacian(n, bend, w_bend)
+        + S_stretch @ sp.diags(w_stretch) @ S_stretch.T
+        + S_bend @ sp.diags(w_bend) @ S_bend.T
     )
-    S_stretch, S_bend = _incidence(n, stretch), _incidence(n, bend)
     connected = _pair_keys(np.concatenate([stretch, bend]), n)
     base_solver = None
     blow = 10.0 * float(model.rest_lengths.max())
@@ -283,6 +273,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
         else:
             contacts = np.empty((0, 2), dtype=int)
         w_contact = np.full(len(contacts), params.contact_stiffness / max(model.radius, 1e-12))
+        S_contact = _incidence(n, contacts)
 
         # per collider, the vertices it holds for this whole step, found on
         # the prediction
@@ -294,7 +285,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
         # adds no contact or collider rows
         extra = len(contacts) > 0 or len(coll) > 0
         if extra or base_solver is None:
-            A = base + _pair_laplacian(n, contacts, w_contact)
+            A = base + S_contact @ sp.diags(w_contact) @ S_contact.T
             for idx, _ in coll:
                 A = A + sp.csr_matrix(
                     (np.full(len(idx), w_coll), (idx, idx)), shape=(n, n)
@@ -304,7 +295,6 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
             if not extra:
                 base_solver = solver
         Afp, solve = solver if extra else base_solver
-        S_contact = _incidence(n, contacts)
 
         xp = pin_path[step]
         xi = xhat.copy()

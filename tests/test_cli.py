@@ -273,10 +273,11 @@ def test_fit_report_counts_equilibrium_solves(block_ws):
     assert set(eq) == {"cold", "warm", "newton_iters", "unconverged",
                        "max_residual"}
     assert all(np.isfinite(v) and v >= 0 for v in eq.values())
-    # cold: the initial loss, the first evaluation of the staged fit and of
-    # each sample's fit, and each sample's final loss; every trial is warm
-    # and takes at least one Newton step
-    assert eq["cold"] == 2 + 2 * rep["total"]
+    # cold: the first evaluation of the staged fit, which also gives the
+    # initial loss, the first evaluation of each sample's fit, and each
+    # sample's final loss; every trial is warm and takes at least one
+    # Newton step
+    assert eq["cold"] == 1 + 2 * rep["total"]
     assert eq["warm"] >= 1
     assert eq["newton_iters"] >= eq["warm"]
     assert eq["unconverged"] <= eq["cold"] + eq["warm"]
@@ -340,20 +341,23 @@ def test_fit_loss_ceiling_violation_exits_3(block_ws, tmp_path):
     assert read_report(out, "fit_report.json")["final_loss"] > 1e-30
 
 
-def test_fit_all_samples_stalled_exits_3(block_ws, tmp_path, monkeypatch):
-    def stalled_fit(problem, sample, gamma0, *, basis=None, q0=None,
-                    logger=None, init_state=None, **kw):
+def quick_fit(stalled):
+    """A fit_sample stand-in that returns gamma0 (floored) at once."""
+    def fit(problem, sample, gamma0, *, basis=None, **kw):
         gamma = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
-        res = fitting.FitResult(gamma=gamma, loss=1.0,
-                                x=np.asarray(sample.x_init).copy(),
-                                losses=[1.0], stalled=True)
+        params = gamma
         if basis is not None:
             nE = problem.mesh.n_elements
-            q = np.concatenate([basis.T @ gamma[:nE], basis.T @ gamma[nE:]])
-            return res, q
-        return res
+            params = np.concatenate([basis.T @ gamma[:nE], basis.T @ gamma[nE:]])
+        return fitting.FitResult(gamma=gamma, loss=1.0,
+                                 x=np.asarray(sample.x_init).copy(),
+                                 losses=[1.0] if stalled else [2.0, 1.0],
+                                 stalled=stalled, params=params)
+    return fit
 
-    monkeypatch.setattr(fitting, "fit_sample", stalled_fit)
+
+def test_fit_all_samples_stalled_exits_3(block_ws, tmp_path, monkeypatch):
+    monkeypatch.setattr(fitting, "fit_sample", quick_fit(stalled=True))
     cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"]))
     cfg["paths"]["material"] = None
     rc, out = run_cli("fit", tmp_path / "stall", cfg)
@@ -361,6 +365,26 @@ def test_fit_all_samples_stalled_exits_3(block_ws, tmp_path, monkeypatch):
     rep = read_report(out, "fit_report.json")
     assert rep["failed"] is True
     assert all(r["stalled"] for r in rep["samples"])
+
+
+def test_fit_unconverged_final_solve_exits_3(block_ws, tmp_path, monkeypatch,
+                                             capsys):
+    # with the fit itself stubbed, the only equilibrium solves left are the
+    # final losses of the blended field; none of them converges
+    monkeypatch.setattr(fitting, "fit_sample", quick_fit(stalled=False))
+    monkeypatch.setattr(
+        fitting.FitProblem, "solve_equilibrium",
+        lambda self, gammas, sample, x0=None, **kw: (sample.x_init.copy(),
+                                                     1.0, False))
+    cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"]))
+    cfg["paths"]["material"] = None
+    rc, out = run_cli("fit", tmp_path / "unconverged", cfg)
+    assert rc == cli.EXIT_NUMERIC
+    rep = read_report(out, "fit_report.json")
+    assert rep["failed"] is False
+    assert rep["final_unconverged"] == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "[3]" in err
 
 
 # ---------------------------------------------------------------------------

@@ -708,6 +708,19 @@ class TestStaging:
         assert res.loss == stages["full"]
         assert lg.gate_violations == 0
 
+    def test_stage_after_the_full_space_starts_cold(self, scene):
+        # the rank-1 space cannot hold the full stage's optimum, so the r1
+        # stage evaluates its own start instead of taking over that state
+        problem, sample = scene["problem"], scene["sample"]
+        g0 = gamma_vec(scene["gam_true"])
+        res, stages = fitting.fit_staged(problem, sample, g0, ranks=(None, 1),
+                                         gd_iters=0, gn_iters=0)
+        assert stages["full"] < 1e-15
+        # the fit solves to 1e-6 and loss_at to 1e-10, hence the tolerance
+        assert res.loss == pytest.approx(loss_at(problem, sample, res.gamma),
+                                         rel=1e-3)
+        assert res.losses == [stages["full"], stages["r1"]]
+
     def test_r1_recovers_uniform_truth(self, uniform_scene):
         problem, sample = uniform_scene["problem"], uniform_scene["sample"]
         nE = problem.mesh.n_elements

@@ -302,6 +302,36 @@ class TestExactHessian:
 # Newton polish
 
 
+class TestBacktrack:
+    def test_first_point_under_the_bound_returns_with_its_t(self):
+        seen = []
+
+        def value(p):
+            seen.append(p)
+            return p
+
+        p, v, t = pdsolver.backtrack(lambda t: 10.0 * t, value, 2.0, 9)
+        # 10, 5, 2.5 miss the bound and 1.25 is the first under it
+        assert (p, v, t) == (1.25, 1.25, 0.125)
+        assert seen == [10.0, 5.0, 2.5, 1.25]
+
+    def test_bound_is_strict(self):
+        p, v, t = pdsolver.backtrack(lambda t: t, lambda p: 1.0, 1.0, 3)
+        assert (p, v, t) == (None, None, 0.0)
+
+    @pytest.mark.parametrize("tries", [1, 9, 12])
+    def test_no_point_under_the_bound_evaluates_exactly_tries(self, tries):
+        ts = []
+
+        def point(t):
+            ts.append(t)
+            return t
+
+        assert pdsolver.backtrack(point, lambda p: 1.0, 0.0, tries) \
+            == (None, None, 0.0)
+        assert ts == [0.5**k for k in range(tries)]
+
+
 class TestNewtonPolish:
     def test_single_tet_matches_derivative_free_minimizer(self):
         mesh = single_tet()
