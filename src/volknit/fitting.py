@@ -447,8 +447,6 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         params = _coords(basis, np.asarray(gamma0, dtype=float))
     else:
         params = np.asarray(q0, dtype=float).copy()
-    guard = dict(floor=floor if basis is None else None,
-                 clamp_cache=clamp_cache)
 
     def to_gamma(p):
         if basis is None:
@@ -494,8 +492,10 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
             else:
                 d, kappa = _gn_direction(problem, sample, state, grad, kappa,
                                          basis, clamp_cache)
+            # spectral coordinates may go negative; to_gamma floors them
             params, loss, accepted, t = safeguarded_update(
-                params, d, step, eval_loss, loss, **guard)
+                params, d, step, eval_loss, loss, clamp_cache=clamp_cache,
+                floor=floor if basis is None else None)
             if accepted:
                 gamma, (x, resid) = to_gamma(params), trial_state
             logger.log_iter(sample.index, phase, it, loss, step * t, gnorm)
