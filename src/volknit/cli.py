@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import logging
@@ -189,9 +190,16 @@ def validate_config(cfg):
     for section, key, allowed in (
             ("generate", "scenario", ("stretch", "twist", "hold", "drape")),
             ("simulate", "scenario", ("hold", "stretch", "twist")),
-            ("simulate", "solver", ("direct", "cms"))):
+            ("simulate", "solver", ("direct", "cms")),
+            ("simulate", "aggregation", (2, 3))):
         if cfg[section][key] not in allowed:
             raise ConfigError(f"unknown {section}.{key} {cfg[section][key]!r}")
+    for name, least in (("simulate.domains", 1), ("simulate.modes_per_domain", 1),
+                        ("simulate.pd_iters", 1), ("generate.rod.pd_iters", 1),
+                        ("yarn.courses", 1), ("yarn.wales", 2), ("yarn.strand_vertices", 2)):
+        *path, key = name.split(".")
+        if functools.reduce(dict.get, path, cfg)[key] < least:
+            raise ConfigError(f"{name} must be at least {least}")
     for section in ("generate", "simulate"):
         items = cfg[section]["colliders"]
         if not isinstance(items, list):

@@ -26,7 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import material as mat
-from . import pdsolver, transfer
+from . import pdsolver, transfer, volmesh
+from .yarn_model import YarnSequence
 
 log = logging.getLogger(__name__)
 
@@ -76,12 +77,7 @@ def build_sample(op, frames, i, dt=None, yarn_pins=(), yarn_force=None):
     """
     x_init, targets = op.transfer(frames[i], frame=i)
     if dt is not None and i >= 2:
-        seq = type("S", (), {})()
-        seq.frames = frames
-        seq.dt = dt
-        if yarn_force is None:
-            yarn_force = np.zeros_like(np.asarray(frames[i], dtype=float))
-        a = transfer.estimate_inertia(op, seq, i, yarn_force=yarn_force)
+        a = transfer.estimate_inertia(op, YarnSequence(frames=frames, dt=dt), i, yarn_force)
     else:
         a = np.zeros_like(x_init)
     yarn_pins = np.asarray(yarn_pins, dtype=int)
@@ -526,8 +522,6 @@ def harmonic_basis(mesh, r):
     prefixes are nested, which lets a coarser stage's coordinates carry
     over by zero-padding.
     """
-    from . import volmesh
-
     nE = mesh.n_elements
     r = min(r, nE)
     adj = volmesh.element_adjacency(mesh)

@@ -15,9 +15,11 @@ ill-conditioned to square (sigma_min^2 <= SVD_TAU sigma_max^2) go through
 LAPACK's SVD instead.  The volume projection is one batched secular solve:
 each element reduces to a few bracketed scalar roots, one per floor-clamp
 pattern and branch, and the closest feasible candidate wins.
-Single-element functions are batch calls of size one.  Both projections and
-their derivatives with respect to F live here; the derivatives feed the
-equilibrium Jacobians used during material fitting.
+Every SVD is batched, and single-element functions are batch calls of size
+one.  Both projections and their derivatives with respect to F live here;
+the derivatives feed the equilibrium Jacobians used during material fitting.
+The rotation helpers (skew, exponential, logarithm, minimal rotation) act
+on stacks, with row masks for the small-angle, near-pi and antiparallel cases.
 """
 
 from __future__ import annotations
@@ -34,71 +36,80 @@ GAMMA_FLOOR = 1e-3
 # rotation utilities
 
 
+def _cross(a, b):
+    """Cross products of stacks of 3-vectors on the last axis."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
+def _dot(a, b):
+    """Dot products of stacks of 3-vectors on the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def skew(v):
-    """Map a 3-vector to the skew-symmetric matrix with that axis."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrices (..., 3, 3) with the axes v (..., 3): column
+    j is v x e_j."""
+    return np.swapaxes(_cross(np.asarray(v, dtype=float)[..., None, :], np.eye(3)), -1, -2)
 
 
 def unskew(Omega):
-    return np.array([Omega[2, 1], Omega[0, 2], Omega[1, 0]])
+    """Axes (..., 3) of skew-symmetric matrices (..., 3, 3)."""
+    return np.stack([Omega[..., 2, 1], Omega[..., 0, 2], Omega[..., 1, 0]], axis=-1)
 
 
-def rotation_exp(Omega):
-    """Closed-form matrix exponential of a skew-symmetric matrix."""
-    w = unskew(Omega)
-    theta = float(np.linalg.norm(w))
-    if theta < 1e-8:
-        # series expansion keeps full accuracy near zero angle
-        a = 1.0 - theta * theta / 6.0
-        b = 0.5 - theta * theta / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * Omega + b * (Omega @ Omega)
+def rotation_exp(w):
+    """Rotations (..., 3, 3) of the axis-angle vectors w (..., 3), in closed
+    form; below an angle of 1e-8 a series keeps full accuracy."""
+    Omega = skew(w)
+    theta = np.sqrt(_dot(w, w))
+    small = theta < 1e-8
+    t = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - theta * theta / 6.0, np.sin(t) / t)
+    b = np.where(small, 0.5 - theta * theta / 24.0, (1.0 - np.cos(t)) / (t * t))
+    return np.eye(3) + a[..., None, None] * Omega + b[..., None, None] * (Omega @ Omega)
 
 
 def rotation_log(R):
-    """Skew-symmetric logarithm of a rotation matrix.
+    """Axis-angle vectors (..., 3) of rotations R (..., 3, 3).
 
-    The angle lands in [0, pi].  Near pi the antisymmetric part of R loses
-    the axis, so it is recovered from the symmetric part instead; the axis
-    sign is then fixed by making its largest-magnitude component positive,
-    which keeps the result deterministic.
+    The angle lands in [0, pi].  Within 1e-6 of pi the antisymmetric part of
+    R loses the axis, so those rows recover it from the symmetric part
+    instead; the axis sign is then fixed by making its largest-magnitude
+    component positive, which keeps the result deterministic.
     """
-    c = 0.5 * (np.trace(R) - 1.0)
-    theta = float(np.arccos(np.clip(c, -1.0, 1.0)))
-    if theta < 1e-10:
-        return 0.5 * (R - R.T)
-    if np.pi - theta > 1e-6:
-        return theta / (2.0 * np.sin(theta)) * (R - R.T)
-    # R ~ 2 n n^T - I: take the strongest column of (R + I)/2 as the axis
-    B = 0.5 * (R + np.eye(3))
-    k = int(np.argmax(np.diag(B)))
-    n = B[:, k]
-    n = n / np.linalg.norm(n)
-    if n[int(np.argmax(np.abs(n)))] < 0.0:
-        n = -n
-    return theta * skew(n)
+    R = np.asarray(R, dtype=float)
+    c = 0.5 * ((R[..., 0, 0] + R[..., 1, 1] + R[..., 2, 2]) - 1.0)
+    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    # below 1e-10 the antisymmetric part is the log to rounding
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(theta < 1e-10, 0.5, theta / (2.0 * np.sin(theta)))
+    w = coef[..., None] * unskew(R - np.swapaxes(R, -1, -2))
+    near = np.pi - theta <= 1e-6
+    if near.any():
+        # R ~ 2 n n^T - I: take the strongest column of (R + I)/2 as the axis
+        B = 0.5 * (R[near] + np.eye(3))
+        k = np.argmax(np.diagonal(B, axis1=-2, axis2=-1), axis=-1)
+        n = np.take_along_axis(B, k[:, None, None], axis=2)[:, :, 0]
+        n /= np.sqrt(_dot(n, n))[:, None]
+        top = np.take_along_axis(n, np.argmax(np.abs(n), axis=1)[:, None], axis=1)
+        w[near] = theta[near, None] * np.where(top < 0.0, -n, n)
+    return w
 
 
 def minimal_rotation(a, b):
-    """Rotation with the smallest angle taking unit vector a to unit vector b."""
-    c = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    w = np.cross(a, b)
-    s = float(np.linalg.norm(w))
-    if s < 1e-12:
-        if c > 0.0:
-            return np.eye(3)
-        # antiparallel: rotate by pi about any axis orthogonal to a
-        aux = np.zeros(3)
-        aux[int(np.argmin(np.abs(a)))] = 1.0
-        axis = np.cross(a, aux)
-        axis /= np.linalg.norm(axis)
-        return rotation_exp(np.pi * skew(axis))
-    K = skew(w / s)
-    theta = float(np.arctan2(s, c))
-    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+    """Rotations (..., 3, 3) with the smallest angle taking unit vectors a
+    to unit vectors b (..., 3).  Antiparallel pairs turn by pi about an axis
+    orthogonal to a: its cross product with the coordinate axis least
+    aligned with it."""
+    c = np.clip(_dot(a, b), -1.0, 1.0)
+    w = _cross(a, b)
+    s = np.sqrt(_dot(w, w))
+    turn = s >= 1e-12
+    axis = np.where(turn[..., None], w, _cross(a, np.eye(3)[np.argmin(np.abs(a), axis=-1)]))
+    theta = np.where(turn, np.arctan2(s, c), np.where(c > 0.0, 0.0, np.pi))
+    return rotation_exp((theta / np.sqrt(_dot(axis, axis)))[..., None] * axis)
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +128,6 @@ def minimal_rotation(a, b):
 # through LAPACK, which keeps the error near 1e-14 on every row.
 
 
-def svd_rv(F):
-    """SVD F = U diag(s) W^T with U and W proper rotations.
-
-    Reflections are pushed into the singular values, so the last entry of s
-    turns negative exactly when det F < 0.  One matrix goes straight to
-    LAPACK: a single call costs about half of the batched path's numpy calls
-    at B = 1.
-    """
-    U, s, W = _svd_rv_lapack(np.asarray(F, dtype=float)[None])
-    return U[0], s[0], W[0]
-
-
 def _det3(A):
     """Cofactor determinant of a stack of 3x3 matrices."""
     return (A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
@@ -136,15 +135,8 @@ def _det3(A):
             + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]))
 
 
-def _cross(a, b):
-    """Cross products of stacks of 3-vectors on the last axis."""
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
-
-
 def _svd_rv_lapack(F):
-    """svd_rv_batch through LAPACK, for the rows too ill-conditioned to square."""
+    """svd_rv_batch through LAPACK, for rows too ill-conditioned to square."""
     U, s, Wt = np.linalg.svd(F)
     W = np.ascontiguousarray(np.swapaxes(Wt, -1, -2))
     s = s.copy()
@@ -162,7 +154,8 @@ SVD_TAU = 1e-2
 
 
 def svd_rv_batch(F):
-    """Batched svd_rv of a (B, 3, 3) stack from one batched eigh(F^T F).
+    """SVD F = U diag(s) W^T of a (B, 3, 3) stack in the convention above,
+    from one batched eigh(F^T F).
 
     W holds the eigenvectors in descending order, made proper by
     w3 = w1 x w2.  U orthonormalizes the columns of G = F W (normalize g1,
@@ -194,21 +187,6 @@ def svd_rv_batch(F):
     if len(bad):
         U[bad], s[bad], W[bad] = _svd_rv_lapack(F[bad])
     return U, s, W
-
-
-def project_so3(F):
-    """Closest rotation to F in the Frobenius norm.
-
-    Well-defined for every finite F; a vanishing F maps to the identity by
-    convention (any rotation is equally close, so we pick a fixed one).
-    """
-    F = np.asarray(F, dtype=float)
-    if not np.all(np.isfinite(F)):
-        raise ValueError("non-finite deformation gradient")
-    if np.linalg.norm(F) < 1e-300:
-        return np.eye(3)
-    U, _, W = svd_rv(F)
-    return U @ W.T
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ aggregated from segment frames (rotation logs and stretches averaged
 separately, weighted by embedded length) and combined with a mass-weighted
 positional anchor.  The same prefactored system, fed with zero gradient
 targets, transfers second-difference acceleration vectors for the inertia
-estimate.
+estimate.  Frames and targets cover all segments and elements of a pose at
+once; only the fill of elements without yarn steps, one face per round.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import material as mat
+from . import volmesh
 
 MASS_ANCHOR_WEIGHT = 0.1      # positional regularizer weight in the y2v solve
 FILL_WEIGHT = 1.0             # gradient-target weight on elements without yarn
@@ -45,26 +47,32 @@ def deformed_segment_normals(model, deformed):
     if model.segment_normals is None:
         raise ValueError("rest segment normals not computed")
     deformed = np.asarray(deformed, dtype=float)
-    rest = model.rest_vertices
-    out = np.empty_like(model.segment_normals)
-    for pi, run in enumerate(model.polylines):
-        P = rest[run] - rest[run].mean(axis=0)
-        Q = deformed[run] - deformed[run].mean(axis=0)
-        R = mat.project_so3(Q.T @ P)       # best rigid rotation rest -> deformed
-        for si in model.polyline_segments(pi):
-            a, b = model.segments[si]
-            dbar = rest[b] - rest[a]
-            dbar = dbar / np.linalg.norm(dbar)
-            d = deformed[b] - deformed[a]
-            nd = np.linalg.norm(d)
-            if nd < 1e-12:
-                raise ValueError(f"segment {si} degenerate in deformed pose")
-            d = d / nd
-            carry = R @ dbar
-            align = mat.minimal_rotation(carry, d)
-            out[si, 0] = align @ (R @ model.segment_normals[si, 0])
-            out[si, 1] = align @ (R @ model.segment_normals[si, 1])
-    return out
+    if not np.all(np.isfinite(deformed)):
+        raise ValueError("non-finite deformed pose")
+    # polylines as rows of a zero-padded (nP, longest, 3) stack; the zeros
+    # add nothing, and one batched product of the centred stacks gives each
+    # polyline's Q^T P with the same bits as its own product
+    count = np.array([len(run) for run in model.polylines])
+    live = (np.arange(count.max()) < count[:, None])[:, :, None]
+    run = np.zeros(live.shape[:2], dtype=int)
+    run[live[:, :, 0]] = np.concatenate(model.polylines)
+
+    def centred(x):
+        X = np.where(live, x[run], 0.0)
+        return np.where(live, X - X.sum(axis=1, keepdims=True) / count[:, None, None], 0.0)
+
+    # best rigid rotation rest -> deformed per polyline
+    M = np.swapaxes(centred(deformed), 1, 2) @ centred(model.rest_vertices)
+    U, _, W = mat._svd_rv_lapack(M)
+    R = (U @ np.swapaxes(W, 1, 2))[model.segment_poly]
+    a, b = model.segments.T
+    d = deformed[b] - deformed[a]
+    nd = np.sqrt(np.einsum("si,si->s", d, d))
+    if np.any(nd < 1e-12):
+        raise ValueError(f"segment {np.argmax(nd < 1e-12)} degenerate in deformed pose")
+    dbar = (model.rest_vertices[b] - model.rest_vertices[a]) / model.rest_lengths[:, None]
+    align = mat.minimal_rotation(np.einsum("sij,sj->si", R, dbar), d / nd[:, None])
+    return np.einsum("sij,skj->ski", align, np.einsum("sij,skj->ski", R, model.segment_normals))
 
 
 def yarn_segment_f(model, deformed, normals=None):
@@ -77,21 +85,12 @@ def yarn_segment_f(model, deformed, normals=None):
     deformed = np.asarray(deformed, dtype=float)
     if normals is None:
         normals = deformed_segment_normals(model, deformed)
+    a, b = model.segments.T
     rest = model.rest_vertices
-    F = np.empty((model.n_segments, 3, 3))
-    for si, (a, b) in enumerate(model.segments):
-        rest_frame = np.column_stack([
-            rest[b] - rest[a],
-            model.segment_normals[si, 0],
-            model.segment_normals[si, 1],
-        ])
-        def_frame = np.column_stack([
-            deformed[b] - deformed[a],
-            normals[si, 0],
-            normals[si, 1],
-        ])
-        F[si] = def_frame @ np.linalg.inv(rest_frame)
-    return F
+    rest_frame = np.stack([rest[b] - rest[a], model.segment_normals[:, 0],
+                           model.segment_normals[:, 1]], axis=2)
+    def_frame = np.stack([deformed[b] - deformed[a], normals[:, 0], normals[:, 1]], axis=2)
+    return def_frame @ np.linalg.inv(rest_frame)
 
 
 def segment_rotation_stretch(F):
@@ -108,7 +107,7 @@ def segment_rotation_stretch(F):
     R = U @ np.swapaxes(W, 1, 2)
     S = np.swapaxes(R, 1, 2) @ F
     S = 0.5 * (S + np.swapaxes(S, 1, 2))
-    return np.array([mat.unskew(mat.rotation_log(r)) for r in R]), S
+    return mat.rotation_log(R), S
 
 
 @dataclass
@@ -127,70 +126,44 @@ def element_targets(mesh, embedding, model, deformed, frame=-1):
     rest length each piece embeds in the element, and recombined as
     exp(mean log rotation) @ mean stretch.  Elements without yarn receive a
     fill value: the aggregate of their voxel if it has yarn elsewhere, else
-    the average over face neighbors, propagated breadth-first.
+    the average over face neighbors, propagated breadth-first in rounds.
     """
     deformed = np.asarray(deformed, dtype=float)
     normals = deformed_segment_normals(model, deformed)
     omega, stretch = segment_rotation_stretch(yarn_segment_f(model, deformed, normals))
+    seg = embedding.piece_seg
+    piece_w = (embedding.piece_t1 - embedding.piece_t0) * model.rest_lengths[seg]
+    # per piece, its rotation log and stretch side by side, weighted
+    weighted = piece_w[:, None] * np.concatenate([omega, stretch.reshape(-1, 9)], axis=1)[seg]
 
-    nE = mesh.n_elements
-    w_elem = np.zeros(nE)
-    om_elem = np.zeros((nE, 3))
-    st_elem = np.zeros((nE, 3, 3))
-    piece_w = (embedding.piece_t1 - embedding.piece_t0) * model.rest_lengths[embedding.piece_seg]
-    np.add.at(w_elem, embedding.piece_elem, piece_w)
-    np.add.at(om_elem, embedding.piece_elem, piece_w[:, None] * omega[embedding.piece_seg])
-    np.add.at(st_elem, embedding.piece_elem, piece_w[:, None, None] * stretch[embedding.piece_seg])
+    def pooled(index, n):
+        """Piece weights (n,) and weighted values (n, 12) summed into n bins."""
+        w, v = np.zeros(n), np.zeros((n, 12))
+        np.add.at(w, index, piece_w)
+        np.add.at(v, index, weighted)
+        return w, v
 
-    covered = w_elem > 1e-14
-    om_elem[covered] /= w_elem[covered, None]
-    st_elem[covered] /= w_elem[covered, None, None]
+    w, val = pooled(embedding.piece_elem, mesh.n_elements)
+    covered = w > 1e-14
+    # fill pass 1: an element without yarn takes the aggregate of its voxel
+    vox = mesh.tet_voxel
+    wv, vv = pooled(vox[embedding.piece_elem], len(mesh.voxels))
+    w = np.where(covered, w, wv[vox])
+    val = np.where(covered[:, None], val, vv[vox])
+    have = w > 1e-14
+    val[have] /= w[have, None]
+    # fill pass 2: in rounds, every element still without a value takes the
+    # mean over its face neighbors that have one
+    A = volmesh.element_adjacency(mesh)
+    while not np.all(have):
+        count = A @ have.astype(float)
+        ready = ~have & (count > 0.0)
+        if not ready.any():
+            raise ValueError("isolated elements with no yarn anywhere nearby")
+        val[ready] = (A[ready][:, have] @ val[have]) / count[ready, None]
+        have |= ready
 
-    if not np.all(covered):
-        # fill pass 1: aggregate per voxel
-        n_vox = len(mesh.voxels)
-        wv = np.zeros(n_vox)
-        ov = np.zeros((n_vox, 3))
-        sv = np.zeros((n_vox, 3, 3))
-        vox_of_piece = mesh.tet_voxel[embedding.piece_elem]
-        np.add.at(wv, vox_of_piece, piece_w)
-        np.add.at(ov, vox_of_piece, piece_w[:, None] * omega[embedding.piece_seg])
-        np.add.at(sv, vox_of_piece, piece_w[:, None, None] * stretch[embedding.piece_seg])
-        have = np.ones(nE, dtype=bool)
-        for e in np.flatnonzero(~covered):
-            c = mesh.tet_voxel[e]
-            if wv[c] > 1e-14:
-                om_elem[e] = ov[c] / wv[c]
-                st_elem[e] = sv[c] / wv[c]
-            else:
-                have[e] = False
-        if not np.all(have):
-            # fill pass 2: breadth-first averaging over face neighbors
-            from .volmesh import element_adjacency
-
-            A = element_adjacency(mesh)
-            frontier = set(np.flatnonzero(have))
-            missing = set(np.flatnonzero(~have))
-            while missing:
-                ready = []
-                for e in sorted(missing):
-                    nbr = [n for n in A[e].indices if have[n]]
-                    if nbr:
-                        ready.append((e, nbr))
-                if not ready:
-                    raise ValueError("isolated elements with no yarn anywhere nearby")
-                for e, nbr in ready:
-                    om_elem[e] = om_elem[nbr].mean(axis=0)
-                    st_elem[e] = st_elem[nbr].mean(axis=0)
-                for e, _ in ready:
-                    have[e] = True
-                    missing.discard(e)
-
-    F = np.einsum(
-        "eij,ejk->eik",
-        np.stack([mat.rotation_exp(mat.skew(o)) for o in om_elem]),
-        st_elem,
-    )
+    F = np.einsum("eij,ejk->eik", mat.rotation_exp(val[:, :3]), val[:, 3:].reshape(-1, 3, 3))
     if np.any(np.linalg.det(F[covered]) <= 0.0):
         raise ValueError("covered element received a non-positive target determinant")
     return TargetDeformation(per_element_f=F, covered=covered, frame=frame)

@@ -478,7 +478,7 @@ def lump_mass(mesh, yarn, embedding=None):
 
 
 # ---------------------------------------------------------------------------
-# element adjacency (used by the harmonic coefficient basis)
+# element adjacency (used by the harmonic coefficient basis and the target fill)
 
 
 def _face_table(mesh):

@@ -89,10 +89,6 @@ class YarnModel:
         np.add.at(m, self.segments[:, 1], sm)
         return m
 
-    def polyline_segments(self, pi):
-        """Indices of the segments belonging to polyline pi, in order."""
-        return np.flatnonzero(self.segment_poly == pi)
-
 
 def compute_segment_normals(model):
     """Populate rest-frame material normals by parallel transport.
@@ -101,31 +97,27 @@ def compute_segment_normals(model):
     aligned with its direction (ties to the lower axis index) and
     orthogonalizes it; later segments carry the previous frame over by the
     minimal rotation between consecutive directions, then re-orthonormalize
-    so {d, n1, n2} stays a right-handed triple.
+    so {d, n1, n2} stays a right-handed triple.  All polylines step along
+    together, one segment position at a time.
     """
     rest = model.rest_vertices
-    normals = np.empty((model.n_segments, 2, 3))
-    for pi in range(len(model.polylines)):
-        seg_ids = model.polyline_segments(pi)
-        prev_d = None
-        n1 = None
-        for si in seg_ids:
-            a, b = model.segments[si]
-            d = rest[b] - rest[a]
-            d = d / np.linalg.norm(d)
-            if prev_d is None:
-                axis = int(np.argmin(np.abs(d)))
-                n1 = np.zeros(3)
-                n1[axis] = 1.0
-            else:
-                n1 = minimal_rotation(prev_d, d) @ n1
-            n1 = n1 - np.dot(n1, d) * d
-            n1 /= np.linalg.norm(n1)
-            n2 = np.cross(d, n1)
-            normals[si, 0] = n1
-            normals[si, 1] = n2
-            prev_d = d
-    model.segment_normals = normals
+    d = (rest[model.segments[:, 1]] - rest[model.segments[:, 0]]) / model.rest_lengths[:, None]
+    # turn[s - 1] takes d[s - 1] to d[s]; the rows that straddle two
+    # polylines go unused
+    turn = minimal_rotation(d[:-1], d[1:])
+    # segments are numbered polyline by polyline, so each one's first
+    # segment and the count behind it give every segment position
+    count = np.bincount(model.segment_poly, minlength=len(model.polylines))
+    first = np.cumsum(count) - count
+    n1 = np.empty_like(d)
+    n1[first] = np.eye(3)[np.argmin(np.abs(d[first]), axis=1)]
+    for k in range(count.max()):
+        rows = first[count > k] + k
+        if k:
+            n1[rows] = np.einsum("sij,sj->si", turn[rows - 1], n1[rows - 1])
+        g = n1[rows] - np.einsum("si,si->s", n1[rows], d[rows])[:, None] * d[rows]
+        n1[rows] = g / np.sqrt(np.einsum("si,si->s", g, g))[:, None]
+    model.segment_normals = np.stack([n1, np.cross(d, n1)], axis=1)
     return model
 
 

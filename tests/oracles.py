@@ -2,10 +2,16 @@
 the library that only tests call.
 
 The SVD here is LAPACK's, which the squared-F factorization in src/ must
-match.  The rasterizer, voxelizer, face adjacency and embedding functions
-do one segment, cell, face, point or piece at a time, with Python sets,
-dicts and a breadth-first search, as the batched code they check once did,
-so tests can require equal bits.
+match; svd_rv and project_so3 take one matrix.  The rasterizer, voxelizer,
+face adjacency and embedding functions do one segment, cell, face, point or
+piece at a time, with Python sets, dicts and a breadth-first search, as the
+batched code they check once did, so tests can require equal bits.  The
+rotation helpers (skew, exponential, logarithm, minimal rotation) take one
+vector or matrix, and the segment normals, segment gradients and element
+targets are built from them one segment or element at a time.  Their norms
+and dots go through BLAS, so the batched code matches them to equal bits
+only where it does the same arithmetic (the log away from pi, the segment
+gradients), and to a few ulps elsewhere.
 The volume projection solves both clamp patterns on every row, which the
 pruned solve in src/ must reproduce.  The element operators are the dense
 per-element (9, 12) maps that the sparse gradient operator replaced.  The
@@ -335,6 +341,234 @@ def svd_rv_batch(F):
     return U, s, W
 
 
+def svd_rv(F):
+    """svd_rv_batch of one matrix."""
+    U, s, W = mat._svd_rv_lapack(np.asarray(F, dtype=float)[None])
+    return U[0], s[0], W[0]
+
+
+def project_so3(F):
+    """Closest rotation to F in the Frobenius norm.
+
+    Well-defined for every finite F; a vanishing F maps to the identity by
+    convention (any rotation is equally close, so we pick a fixed one).
+    """
+    F = np.asarray(F, dtype=float)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("non-finite deformation gradient")
+    if np.linalg.norm(F) < 1e-300:
+        return np.eye(3)
+    U, _, W = svd_rv(F)
+    return U @ W.T
+
+
+# ---------------------------------------------------------------------------
+# rotations, one at a time, and the yarn frames and element targets built
+# from them one segment or element at a time
+
+
+def skew(v):
+    """Map a 3-vector to the skew-symmetric matrix with that axis."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def unskew(Omega):
+    return np.array([Omega[2, 1], Omega[0, 2], Omega[1, 0]])
+
+
+def rotation_exp(Omega):
+    """Closed-form matrix exponential of a skew-symmetric matrix."""
+    w = unskew(Omega)
+    theta = float(np.linalg.norm(w))
+    if theta < 1e-8:
+        # series expansion keeps full accuracy near zero angle
+        a = 1.0 - theta * theta / 6.0
+        b = 0.5 - theta * theta / 24.0
+    else:
+        a = np.sin(theta) / theta
+        b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * Omega + b * (Omega @ Omega)
+
+
+def rotation_log(R):
+    """Skew-symmetric logarithm of a rotation matrix.
+
+    The angle lands in [0, pi].  Near pi the antisymmetric part of R loses
+    the axis, so it is recovered from the symmetric part instead; the axis
+    sign is then fixed by making its largest-magnitude component positive,
+    which keeps the result deterministic.
+    """
+    c = 0.5 * (np.trace(R) - 1.0)
+    theta = float(np.arccos(np.clip(c, -1.0, 1.0)))
+    if theta < 1e-10:
+        return 0.5 * (R - R.T)
+    if np.pi - theta > 1e-6:
+        return theta / (2.0 * np.sin(theta)) * (R - R.T)
+    # R ~ 2 n n^T - I: take the strongest column of (R + I)/2 as the axis
+    B = 0.5 * (R + np.eye(3))
+    k = int(np.argmax(np.diag(B)))
+    n = B[:, k]
+    n = n / np.linalg.norm(n)
+    if n[int(np.argmax(np.abs(n)))] < 0.0:
+        n = -n
+    return theta * skew(n)
+
+
+def minimal_rotation(a, b):
+    """Rotation with the smallest angle taking unit vector a to unit vector b."""
+    c = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    w = np.cross(a, b)
+    s = float(np.linalg.norm(w))
+    if s < 1e-12:
+        if c > 0.0:
+            return np.eye(3)
+        # antiparallel: rotate by pi about any axis orthogonal to a
+        aux = np.zeros(3)
+        aux[int(np.argmin(np.abs(a)))] = 1.0
+        axis = np.cross(a, aux)
+        axis /= np.linalg.norm(axis)
+        return rotation_exp(np.pi * skew(axis))
+    K = skew(w / s)
+    theta = float(np.arctan2(s, c))
+    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+
+
+def polyline_segments(model, pi):
+    """Indices of the segments belonging to polyline pi, in order."""
+    return np.flatnonzero(model.segment_poly == pi)
+
+
+def compute_segment_normals(model):
+    """Rest-frame normals (nS, 2, 3) by parallel transport, one segment at
+    a time."""
+    rest = model.rest_vertices
+    normals = np.empty((model.n_segments, 2, 3))
+    for pi in range(len(model.polylines)):
+        prev_d = None
+        n1 = None
+        for si in polyline_segments(model, pi):
+            a, b = model.segments[si]
+            d = rest[b] - rest[a]
+            d = d / np.linalg.norm(d)
+            if prev_d is None:
+                axis = int(np.argmin(np.abs(d)))
+                n1 = np.zeros(3)
+                n1[axis] = 1.0
+            else:
+                n1 = minimal_rotation(prev_d, d) @ n1
+            n1 = n1 - np.dot(n1, d) * d
+            n1 /= np.linalg.norm(n1)
+            n2 = np.cross(d, n1)
+            normals[si, 0] = n1
+            normals[si, 1] = n2
+            prev_d = d
+    return normals
+
+
+def deformed_segment_normals(model, deformed):
+    """Material normals carried onto the deformed segment directions, one
+    polyline rotation and one segment at a time."""
+    deformed = np.asarray(deformed, dtype=float)
+    rest = model.rest_vertices
+    out = np.empty_like(model.segment_normals)
+    for pi, run in enumerate(model.polylines):
+        P = rest[run] - rest[run].mean(axis=0)
+        Q = deformed[run] - deformed[run].mean(axis=0)
+        R = project_so3(Q.T @ P)
+        for si in polyline_segments(model, pi):
+            a, b = model.segments[si]
+            dbar = rest[b] - rest[a]
+            dbar = dbar / np.linalg.norm(dbar)
+            d = deformed[b] - deformed[a]
+            nd = np.linalg.norm(d)
+            if nd < 1e-12:
+                raise ValueError(f"segment {si} degenerate in deformed pose")
+            d = d / nd
+            align = minimal_rotation(R @ dbar, d)
+            out[si, 0] = align @ (R @ model.segment_normals[si, 0])
+            out[si, 1] = align @ (R @ model.segment_normals[si, 1])
+    return out
+
+
+def yarn_segment_f(model, deformed, normals):
+    """Per-segment deformation gradients, one frame inverse at a time."""
+    rest = model.rest_vertices
+    F = np.empty((model.n_segments, 3, 3))
+    for si, (a, b) in enumerate(model.segments):
+        rest_frame = np.column_stack([
+            rest[b] - rest[a], model.segment_normals[si, 0], model.segment_normals[si, 1]])
+        def_frame = np.column_stack([deformed[b] - deformed[a], normals[si, 0], normals[si, 1]])
+        F[si] = def_frame @ np.linalg.inv(rest_frame)
+    return F
+
+
+def element_targets(mesh, embedding, model, deformed):
+    """Per-element target gradients and coverage, with the uncovered
+    elements filled one at a time: from their voxel, then breadth-first
+    over face neighbors with Python sets.  Also returns the number of
+    breadth-first rounds."""
+    deformed = np.asarray(deformed, dtype=float)
+    normals = deformed_segment_normals(model, deformed)
+    F = yarn_segment_f(model, deformed, normals)
+    omega = np.empty((len(F), 3))
+    stretch = np.empty_like(F)
+    for si, f in enumerate(F):
+        R = project_so3(f)
+        S = R.T @ f
+        omega[si] = unskew(rotation_log(R))
+        stretch[si] = 0.5 * (S + S.T)
+
+    nE = mesh.n_elements
+    w_elem = np.zeros(nE)
+    om_elem = np.zeros((nE, 3))
+    st_elem = np.zeros((nE, 3, 3))
+    piece_w = (embedding.piece_t1 - embedding.piece_t0) * model.rest_lengths[embedding.piece_seg]
+    np.add.at(w_elem, embedding.piece_elem, piece_w)
+    np.add.at(om_elem, embedding.piece_elem, piece_w[:, None] * omega[embedding.piece_seg])
+    np.add.at(st_elem, embedding.piece_elem, piece_w[:, None, None] * stretch[embedding.piece_seg])
+    covered = w_elem > 1e-14
+    om_elem[covered] /= w_elem[covered, None]
+    st_elem[covered] /= w_elem[covered, None, None]
+
+    n_vox = len(mesh.voxels)
+    wv = np.zeros(n_vox)
+    ov = np.zeros((n_vox, 3))
+    sv = np.zeros((n_vox, 3, 3))
+    vox_of_piece = mesh.tet_voxel[embedding.piece_elem]
+    np.add.at(wv, vox_of_piece, piece_w)
+    np.add.at(ov, vox_of_piece, piece_w[:, None] * omega[embedding.piece_seg])
+    np.add.at(sv, vox_of_piece, piece_w[:, None, None] * stretch[embedding.piece_seg])
+    have = np.ones(nE, dtype=bool)
+    for e in np.flatnonzero(~covered):
+        c = mesh.tet_voxel[e]
+        if wv[c] > 1e-14:
+            om_elem[e] = ov[c] / wv[c]
+            st_elem[e] = sv[c] / wv[c]
+        else:
+            have[e] = False
+    A = element_adjacency(mesh)
+    missing = set(np.flatnonzero(~have))
+    rounds = 0
+    while missing:
+        ready = []
+        for e in sorted(missing):
+            nbr = [n for n in A[e].indices if have[n]]
+            if nbr:
+                ready.append((e, nbr))
+        if not ready:
+            raise ValueError("isolated elements with no yarn anywhere nearby")
+        for e, nbr in ready:
+            om_elem[e] = om_elem[nbr].mean(axis=0)
+            st_elem[e] = st_elem[nbr].mean(axis=0)
+        for e, _ in ready:
+            have[e] = True
+            missing.discard(e)
+        rounds += 1
+    F = np.einsum("eij,ejk->eik", np.stack([rotation_exp(skew(o)) for o in om_elem]), st_elem)
+    return F, covered, rounds
+
+
 # ---------------------------------------------------------------------------
 # volume projection: both clamp patterns solved side by side on every row
 
@@ -507,7 +741,7 @@ def sl3_jacobian(F):
 
 def element_energy(F, gamma_s, gamma_v, volume):
     """Elastic energy of one element at deformation gradient F."""
-    R = mat.project_so3(F)
+    R = project_so3(F)
     V = project_sl3(F)
     return volume * (
         gamma_s * float(np.sum((F - R) ** 2)) + gamma_v * float(np.sum((F - V) ** 2))
@@ -522,7 +756,7 @@ def element_force_and_dgamma(diff_op, F, gamma_s, gamma_v, volume):
     force = gamma_s * d_gs + gamma_v * d_gv; the two patterns double as the
     columns of the equilibrium derivative with respect to the coefficients.
     """
-    R = mat.project_so3(F)
+    R = project_so3(F)
     V = project_sl3(F)
     d_gs = 2.0 * volume * (diff_op.T @ (F - R).reshape(9))
     d_gv = 2.0 * volume * (diff_op.T @ (F - V).reshape(9))

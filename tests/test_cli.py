@@ -531,11 +531,31 @@ def test_nonpositive_dt_exits_2(tmp_path):
     ("simulate", "scenario", "shear"),
     ("simulate", "solver", "multigrid"),
     ("generate", "scenario", "drop"),
+    ("simulate", "aggregation", 4),
+    ("simulate", "aggregation", 1),
 ])
 def test_validate_config_rejects_unknown_enum(section, key, value):
     cfg = cli.load_config()
     cfg[section][key] = value
     with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
+        cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize("name,least", [
+    ("simulate.domains", 1), ("simulate.modes_per_domain", 1), ("simulate.pd_iters", 1),
+    ("generate.rod.pd_iters", 1), ("yarn.courses", 1), ("yarn.wales", 2),
+    ("yarn.strand_vertices", 2),
+])
+def test_validate_config_rejects_counts_below_minimum(name, least):
+    cfg = cli.load_config()
+    *path, key = name.split(".")
+    section = cfg
+    for part in path:
+        section = section[part]
+    section[key] = least
+    cli.validate_config(cfg)
+    section[key] = least - 1
+    with pytest.raises(cli.ConfigError, match=f"{name} must be at least {least}"):
         cli.validate_config(cfg)
 
 

@@ -30,48 +30,41 @@ def central_diff(fun, F, h=1e-6):
 # exponential map
 
 
+def _axes(rng, n):
+    axis = rng.normal(size=(n, 3))
+    return axis / np.linalg.norm(axis, axis=1, keepdims=True)
+
+
 def test_exp_log_roundtrip(rng):
-    for _ in range(300):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(1e-5, np.pi - 1e-3)
-        w = axis * angle
-        R = mat.rotation_exp(mat.skew(w))
-        # independent oracle route for the exponential itself
-        assert np.abs(R - scipy.linalg.expm(mat.skew(w))).max() < 1e-12
-        w2 = mat.unskew(mat.rotation_log(R))
-        assert np.abs(w2 - w).max() < 1e-9
+    w = _axes(rng, 300) * rng.uniform(1e-5, np.pi - 1e-3, (300, 1))
+    R = mat.rotation_exp(w)
+    # independent oracle route for the exponential itself
+    ref = np.array([scipy.linalg.expm(oracles.skew(v)) for v in w])
+    assert np.abs(R - ref).max() < 1e-12
+    w2 = mat.rotation_log(R)
+    assert np.abs(w2 - w).max() < 1e-9
 
 
 def test_exp_small_angle():
-    R = mat.rotation_exp(mat.skew(np.array([1e-12, -2e-12, 5e-13])))
+    R = mat.rotation_exp(np.array([1e-12, -2e-12, 5e-13]))
     assert np.abs(R - np.eye(3)).max() < 1e-11
     assert np.abs(mat.rotation_log(np.eye(3))).max() == 0.0
 
 
 def test_log_near_pi(rng):
-    for _ in range(50):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = np.pi - 1e-7
-        R = mat.rotation_exp(mat.skew(axis * angle))
-        w = mat.unskew(mat.rotation_log(R))
-        R2 = mat.rotation_exp(mat.skew(w))
-        # conditioning of the log degrades as sin(angle) -> 0
-        assert np.abs(R2 - R).max() < 1e-6
+    R = mat.rotation_exp(_axes(rng, 50) * (np.pi - 1e-7))
+    R2 = mat.rotation_exp(mat.rotation_log(R))
+    # conditioning of the log degrades as sin(angle) -> 0
+    assert np.abs(R2 - R).max() < 1e-6
 
 
 def test_minimal_rotation(rng):
-    for _ in range(100):
-        a = rng.normal(size=3)
-        b = rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        R = mat.minimal_rotation(a, b)
-        assert np.abs(R @ a - b).max() < 1e-12
-        assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
-        ang = np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-        assert abs(ang - np.arccos(np.clip(a @ b, -1.0, 1.0))) < 1e-7
+    a, b = _axes(rng, 100), _axes(rng, 100)
+    R = mat.minimal_rotation(a, b)
+    assert np.abs(np.einsum("bij,bj->bi", R, a) - b).max() < 1e-12
+    assert np.abs(R @ np.swapaxes(R, 1, 2) - np.eye(3)).max() < 1e-12
+    ang = np.arccos(np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0))
+    assert np.abs(ang - np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))).max() < 1e-7
 
 
 def test_minimal_rotation_antiparallel():
@@ -79,6 +72,48 @@ def test_minimal_rotation_antiparallel():
     R = mat.minimal_rotation(a, -a)
     assert np.abs(R @ a + a).max() < 1e-12
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
+
+
+def _rotation_cases(rng):
+    """Axis-angle vectors over every branch: zero, below the 1e-8 series
+    and 1e-10 log thresholds, generic, and within 1e-6 of pi."""
+    ang = np.concatenate([[0.0, 1e-13, 5e-11, 3e-9, 1e-7], rng.uniform(1e-5, 3.1, 40),
+                          np.pi - np.array([1e-3, 2e-6, 5e-7, 1e-8, 0.0])])
+    return _axes(rng, len(ang)) * ang[:, None]
+
+
+def test_rotation_helpers_match_scalar_oracles(rng):
+    # the batched rotations against the one-matrix oracles, on a stack whose
+    # rows take every branch; the reversed stack checks that no row depends
+    # on its neighbours
+    w = _rotation_cases(rng)
+    R = mat.rotation_exp(w)
+    ref = np.array([oracles.rotation_exp(oracles.skew(v)) for v in w])
+    assert np.abs(R - ref).max() <= 2e-15
+    assert np.array_equal(mat.rotation_exp(w[::-1]), R[::-1])
+    assert np.array_equal(mat.skew(w), np.array([oracles.skew(v) for v in w]))
+    assert np.array_equal(mat.unskew(mat.skew(w)), w)
+
+    # the log takes exactly the oracle's bits away from pi
+    log = mat.rotation_log(ref)
+    log_ref = np.array([oracles.unskew(oracles.rotation_log(r)) for r in ref])
+    far = np.pi - np.linalg.norm(w, axis=1) > 1e-5
+    assert np.array_equal(log[far], log_ref[far])
+    assert np.abs(log[~far] - log_ref[~far]).max() <= 2e-15
+    assert np.array_equal(mat.rotation_log(ref[::-1]), log[::-1])
+
+
+def test_minimal_rotation_matches_scalar_oracle(rng):
+    # generic, parallel and antiparallel pairs, mixed in one stack
+    a = _axes(rng, 60)
+    b = _axes(rng, 60)
+    b[::3] = a[::3]
+    b[1::3] = -a[1::3]
+    R = mat.minimal_rotation(a, b)
+    ref = np.array([oracles.minimal_rotation(p, q) for p, q in zip(a, b)])
+    assert np.abs(R - ref).max() <= 2e-15
+    assert np.array_equal(R[::3], np.tile(np.eye(3), (20, 1, 1)))
+    assert np.array_equal(mat.minimal_rotation(a[::-1], b[::-1]), R[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +185,7 @@ def test_svd_signs_and_fallback_rows_are_quiet():
 
 def test_project_so3_sampling_oracle(rng):
     F = random_f(rng)
-    R = mat.project_so3(F)
+    R = oracles.project_so3(F)
     assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
     best = np.linalg.norm(F - R)
@@ -162,14 +197,14 @@ def test_project_so3_sampling_oracle(rng):
 def test_project_so3_fixed_points(rng):
     for _ in range(20):
         Q = random_rotation(rng)
-        assert np.abs(mat.project_so3(Q) - Q).max() < 1e-10
+        assert np.abs(oracles.project_so3(Q) - Q).max() < 1e-10
 
 
 def test_project_so3_inverted(rng):
     # det F < 0 still yields a proper rotation
     F = random_f(rng)
     F[:, 0] *= -1.0
-    R = mat.project_so3(F)
+    R = oracles.project_so3(F)
     assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
@@ -177,7 +212,7 @@ def test_project_so3_rejects_nonfinite():
     F = np.eye(3)
     F[0, 0] = np.nan
     with pytest.raises(ValueError):
-        mat.project_so3(F)
+        oracles.project_so3(F)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +389,7 @@ def test_rotation_jacobian_fd(rng):
     for _ in range(10):
         F = random_f(rng, min_gap=5e-2)
         J = oracles.rotation_jacobian(F)
-        Jfd = central_diff(mat.project_so3, F)
+        Jfd = central_diff(oracles.project_so3, F)
         rel = np.linalg.norm(J - Jfd) / np.linalg.norm(Jfd)
         assert rel < 1e-5, rel
 
@@ -372,7 +407,7 @@ def test_jacobians_at_identity():
     # equal singular values exercise the confluent branch
     JR = oracles.rotation_jacobian(np.eye(3))
     JV = oracles.sl3_jacobian(np.eye(3))
-    JRfd = central_diff(mat.project_so3, np.eye(3))
+    JRfd = central_diff(oracles.project_so3, np.eye(3))
     JVfd = central_diff(oracles.project_sl3, np.eye(3))
     assert np.abs(JR - JRfd).max() < 1e-8
     assert np.abs(JV - JVfd).max() < 1e-8

@@ -2,6 +2,8 @@
 deformation gradients, the least-squares reconstruction, and the inertia
 estimate, each against closed forms or dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,75 @@ def test_deformed_normals_stay_orthonormal(rng):
     assert np.abs(np.cross(d, nd[:, 0]) - nd[:, 1]).max() < 1e-10
 
 
+def mixed_yarn(rng):
+    """Ragged polylines (30, 2, 3 and 4 vertices) whose vertex indices are
+    shuffled, so no run is contiguous; the last one is a hairpin, its first
+    two segments exactly antiparallel."""
+    t = np.linspace(0.0, 2.0 * np.pi, 30)
+    parts = [
+        np.stack([0.3 * t / (2 * np.pi), 0.04 * np.sin(3 * t), 0.04 * np.cos(2 * t)], 1),
+        np.array([[0.0, 0.05, 0.0], [0.05, 0.06, 0.01]]),
+        np.array([[0.1, 0.05, 0.03], [0.15, 0.06, 0.03], [0.2, 0.05, 0.04]]),
+        np.array([[0.0, -0.05, 0.0], [0.1, -0.05, 0.0], [0.0, -0.05, 0.0], [0.05, -0.03, 0.01]]),
+    ]
+    ends = np.cumsum([len(p) for p in parts])
+    runs = [np.arange(e - len(p), e) for p, e in zip(parts, ends)]
+    perm = rng.permutation(ends[-1])
+    y = ym.YarnModel(np.concatenate(parts)[perm], [np.argsort(perm)[r] for r in runs],
+                     linear_density=0.01)
+    ym.compute_segment_normals(y)
+    return y
+
+
+def test_frames_match_oracle_loops(rng):
+    y = mixed_yarn(rng)
+    d = y.rest_vertices[y.segments[:, 1]] - y.rest_vertices[y.segments[:, 0]]
+    hairpin = y.segment_poly == 3
+    assert np.array_equal(d[hairpin][0], -d[hairpin][1])
+    assert np.abs(y.segment_normals - oracles.compute_segment_normals(y)).max() <= 1e-15
+    for scale in (0.0, 0.01):
+        x = y.rest_vertices + scale * rng.normal(size=y.rest_vertices.shape)
+        nd = tr.deformed_segment_normals(y, x)
+        assert np.abs(nd - oracles.deformed_segment_normals(y, x)).max() <= 1e-15
+        assert np.array_equal(tr.yarn_segment_f(y, x, nd), oracles.yarn_segment_f(y, x, nd))
+
+
+def test_frames_of_a_polyline_do_not_depend_on_the_others(rng):
+    # each polyline alone, renumbered, gives the bits it gets in the whole
+    y = mixed_yarn(rng)
+    x = y.rest_vertices + 0.01 * rng.normal(size=y.rest_vertices.shape)
+    nd = tr.deformed_segment_normals(y, x)
+    F = tr.yarn_segment_f(y, x, nd)
+    for pi, run in enumerate(y.polylines):
+        one = ym.YarnModel(y.rest_vertices[run], [np.arange(len(run))])
+        ym.compute_segment_normals(one)
+        rows = y.segment_poly == pi
+        assert np.array_equal(one.segment_normals, y.segment_normals[rows])
+        assert np.array_equal(tr.deformed_segment_normals(one, x[run]), nd[rows])
+        assert np.array_equal(tr.yarn_segment_f(one, x[run]), F[rows])
+
+
+def test_segment_rotations_near_pi_match_oracle(rng):
+    # segment rotations at and just short of pi take the symmetric-part
+    # branch of the log; generic rows around them must not
+    axis = rng.normal(size=(8, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    angle = np.array([0.3, np.pi, 1.2, np.pi - 1e-8, 2.0, np.pi - 5e-7, 1e-11, 2.9])
+    S = np.eye(3) + 0.05 * np.array([0.5 * (a + a.T) for a in rng.normal(size=(8, 3, 3))])
+    F = mat.rotation_exp(axis * angle[:, None]) @ S
+    om, St = tr.segment_rotation_stretch(F)
+    near = np.pi - np.linalg.norm(om, axis=1) <= 1e-6
+    assert np.array_equal(near, np.pi - angle <= 1e-6)
+    for si in range(len(F)):
+        R1 = oracles.project_so3(F[si])
+        ref = oracles.unskew(oracles.rotation_log(R1))
+        if near[si]:
+            assert np.abs(om[si] - ref).max() <= 2e-15
+        else:
+            assert np.array_equal(om[si], ref)
+            assert np.abs(mat.rotation_exp(om[si]) - R1).max() < 1e-12
+
+
 def test_segment_f_identity_rotation_stretch():
     y = ym.straight_strand(2, 0.2, axis=(1, 0, 0))
     ym.compute_segment_normals(y)
@@ -95,15 +166,16 @@ def test_segment_f_polar_reconstruction(rng):
     F = tr.yarn_segment_f(y, x)
     oms, Ss = tr.segment_rotation_stretch(F)
     for si, (om, S) in enumerate(zip(oms, Ss)):
-        R = mat.rotation_exp(mat.skew(om))
+        R = mat.rotation_exp(om)
         assert np.abs(R @ S - F[si]).max() < 1e-8
         w = np.linalg.eigvalsh(S)
         assert w.min() > 0.0
         assert np.linalg.norm(om) < np.pi
-        # one segment at a time through project_so3 gives the same bits
-        R1 = mat.project_so3(F[si])
+        # one segment at a time through the oracle project_so3 and
+        # rotation_log gives the same bits
+        R1 = oracles.project_so3(F[si])
         S1 = R1.T @ F[si]
-        assert np.array_equal(om, mat.unskew(mat.rotation_log(R1)))
+        assert np.array_equal(om, oracles.unskew(oracles.rotation_log(R1)))
         assert np.array_equal(S, 0.5 * (S1 + S1.T))
 
 
@@ -133,8 +205,8 @@ def test_targets_opposite_rotations_cancel():
     y = ym.YarnModel(p, [np.arange(3)])
     ym.compute_segment_normals(y)
     th = 0.7
-    Rp = mat.rotation_exp(mat.skew(np.array([0.0, 0.0, th])))
-    Rm = mat.rotation_exp(mat.skew(np.array([0.0, 0.0, -th])))
+    Rp = mat.rotation_exp(np.array([0.0, 0.0, th]))
+    Rm = mat.rotation_exp(np.array([0.0, 0.0, -th]))
     x = np.array([-(Rp @ [0.1, 0.0, 0.0]), [0.0, 0.0, 0.0], Rm @ [0.1, 0.0, 0.0]])
     F = tr.yarn_segment_f(y, x)
     (om0, om1), (S0, S1) = tr.segment_rotation_stretch(F)
@@ -143,7 +215,7 @@ def test_targets_opposite_rotations_cancel():
     assert np.abs(S1 - np.eye(3)).max() < 1e-9
     w = np.array([0.1, 0.1])
     om_avg = (w[0] * om0 + w[1] * om1) / w.sum()
-    Fe = mat.rotation_exp(mat.skew(om_avg)) @ ((S0 + S1) / 2.0)
+    Fe = mat.rotation_exp(om_avg) @ ((S0 + S1) / 2.0)
     assert np.abs(Fe - np.eye(3)).max() < 1e-9
 
 
@@ -199,6 +271,35 @@ def test_targets_equivariance_generic_is_approximate(rng):
     tgQ = tr.element_targets(mesh, emb, y, pose @ Q.T)
     ref = np.einsum("ij,ejk->eik", Q, tg0.per_element_f)
     assert np.abs(tgQ.per_element_f[tg0.covered] - ref[tg0.covered]).max() < 1e-2
+
+
+def test_targets_fill_matches_oracle_loops(rng):
+    # keep only the pieces of the first covered voxel, so most elements fill
+    # from face neighbours over several rounds
+    y, mesh, emb = wavy_setup(n=20, cell=0.06)
+    keep = mesh.tet_voxel[emb.piece_elem] == mesh.tet_voxel[emb.piece_elem[0]]
+    emb = dataclasses.replace(emb, **{k: getattr(emb, k)[keep] for k in (
+        "piece_elem", "piece_seg", "piece_t0", "piece_t1")})
+    x = y.rest_vertices + 0.02 * rng.normal(size=y.rest_vertices.shape)
+    tg = tr.element_targets(mesh, emb, y, x)
+    F, covered, rounds = oracles.element_targets(mesh, emb, y, x)
+    assert rounds >= 2
+    assert np.array_equal(tg.covered, covered)
+    assert np.abs(tg.per_element_f - F).max() <= 1e-14
+    # the same on the whole embedding, where pass 1 fills most elements
+    y, mesh, emb = wavy_setup()
+    tg = tr.element_targets(mesh, emb, y, y.rest_vertices * 1.05)
+    F, covered, rounds = oracles.element_targets(mesh, emb, y, y.rest_vertices * 1.05)
+    assert np.array_equal(tg.covered, covered)
+    assert np.abs(tg.per_element_f - F).max() <= 1e-14
+
+
+def test_targets_isolated_elements_raise():
+    y, mesh, emb = wavy_setup(n=12, cell=0.08)
+    none = dataclasses.replace(emb, **{k: getattr(emb, k)[:0] for k in (
+        "piece_elem", "piece_seg", "piece_t0", "piece_t1")})
+    with pytest.raises(ValueError, match="isolated"):
+        tr.element_targets(mesh, none, y, y.rest_vertices)
 
 
 def test_targets_csv_dump(tmp_path, rng):
