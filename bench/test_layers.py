@@ -62,11 +62,10 @@ def test_sl3_sigma_project_batch(benchmark, kind, size):
     benchmark(mat.sl3_sigma_project_batch, sig)
 
 
-@pytest.fixture(scope="module")
-def patch():
-    """Fitted-size patch: its global matrix, the end nodes pinned, and three
-    right-hand side columns."""
-    model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
+def _pinned(courses, wales):
+    """A rib patch at cell 0.03: its global matrix, the end nodes pinned,
+    and three right-hand side columns."""
+    model = yarn_model.rib_patch(courses=courses, wales=wales, course_spacing=0.005,
                                  wale_spacing=0.005, amplitude=0.002,
                                  rib_period=4, linear_density=0.002)
     mesh = volmesh.voxelize(model, 0.03)
@@ -79,9 +78,21 @@ def patch():
     return mesh, K, pins, free, rng.normal(size=(mesh.n_nodes, 3)), mesh.nodes[pins]
 
 
-@pytest.mark.parametrize("mode", ["direct", "cms"])
-def test_global_solve(benchmark, patch, mode):
-    mesh, K, pins, free, B, pin_vals = patch
+@pytest.fixture(scope="module")
+def patch():
+    """The fitted-size patch (6x40)."""
+    return _pinned(6, 40)
+
+
+@pytest.mark.parametrize("mode,n_tets", [("direct", 192), ("cms", 192),
+                                         ("direct", 2520), ("cms", 2520)],
+                         ids=["direct", "cms", "direct-2520", "cms-2520"])
+def test_global_solve(benchmark, patch, mode, n_tets):
+    """One pinned three-column solve on the fitted-size patch, or on a 25x200
+    patch (2,520 tets, 756 nodes) where the sparse products outweigh the
+    refinement's per-sweep Python work."""
+    mesh, K, pins, free, B, pin_vals = patch if n_tets == 192 else _pinned(25, 200)
+    assert mesh.n_elements == n_tets
     # the CLI's simulate defaults for the CMS solver
     solver = pdsolver.GlobalSolver(K, free, pins, mode=mode, mesh=mesh, n_domains=2,
                                    modes_per_domain=20, refine_sweeps=30, aggregation=2)

@@ -598,12 +598,13 @@ def _write_obj(path, vertices, faces=None, lines=None, comment=None):
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        for p in vertices:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for f in faces if faces is not None else ():
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-        for run in lines if lines is not None else ():
-            fh.write("l " + " ".join(str(int(i) + 1) for i in run) + "\n")
+        # one % format per block; %.17g and %d print as the f-string specs do
+        fh.write("v %.17g %.17g %.17g\n" * len(vertices) % tuple(np.ravel(vertices).tolist()))
+        if faces is not None:
+            fh.write("f %d %d %d\n" * len(faces) % tuple((np.ravel(faces) + 1).tolist()))
+        if lines is not None and len(lines):
+            fh.write("".join("l " + " ".join(["%d"] * len(run)) + "\n" for run in lines)
+                     % tuple((np.concatenate(lines).astype(int) + 1).tolist()))
 
 
 def cmd_simulate(cfg, out, chash):

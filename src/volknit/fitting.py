@@ -430,7 +430,8 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
     evaluation is a cold equilibrium solve; every trial is a warm solve
     from the current state, and a trial whose residual misses EQ_GATE
     counts as a failed halving, so no accepted state fails the next
-    adjoint gate.  `init_state` is an optional (loss, x, resid) triple for
+    adjoint gate; a phase that ends without moving hands its adjoint state
+    to the next.  `init_state` is an optional (loss, x, resid) triple for
     gamma0, used by the staged schedule so a stage starts exactly at the
     previous optimum instead of re-evaluating it.  Returns FitResult.
     """
@@ -474,11 +475,13 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
 
     kappa = None
     window = []
+    state = None                    # adjoint state at the current point
     for phase, iters, step in (("gd", gd_iters, GD_STEP),
                                ("gn", gn_iters, GN_STEP)):
         for it in range(iters):
-            state = adjoint_gradient(problem, sample, _to_field(mesh, gamma), x,
-                                     residual=resid, logger=logger)
+            if state is None:
+                state = adjoint_gradient(problem, sample, _to_field(mesh, gamma), x,
+                                         residual=resid, logger=logger)
             grad = _coords(basis, state.grad)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-10:
@@ -494,6 +497,7 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
                 floor=floor if basis is None else None)
             if accepted:
                 gamma, (x, resid) = to_gamma(params), trial_state
+                state = None
             logger.log_iter(sample.index, phase, it, loss, step * t, gnorm)
             losses.append(loss)
             if not accepted:

@@ -15,8 +15,10 @@ gradients), and to a few ulps elsewhere.
 The volume projection solves both clamp patterns on every row, which the
 pruned solve in src/ must reproduce.  The element operators are the dense
 per-element (9, 12) maps that the sparse gradient operator replaced.  The
-objectives, energies and single-element functions serve as oracles for the
-solvers.
+aggregated-Jacobi refinement settles divergence, the best iterate and the
+residual history inside its sweep loop, and the OBJ writer formats one
+coordinate or index at a time.  The objectives, energies and single-element
+functions serve as oracles for the solvers.
 """
 
 import itertools
@@ -772,6 +774,73 @@ def batch_energies(F, gamma_s, gamma_v, volumes):
 
 
 # ---------------------------------------------------------------------------
+# aggregated Jacobi with its bookkeeping inside the sweep loop
+
+
+def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=pdsolver.JACOBI_OMEGA,
+                    chebyshev=False, rho=None):
+    """pdsolver.a_jacobi_refine with divergence, the best iterate and the
+    residual history kept sweep by sweep: a diverged column stops moving,
+    and the loop ends once every column has diverged."""
+    if aggregation not in (2, 3):
+        raise ValueError("aggregation must be 2 or 3")
+    d = K.diagonal()
+    if np.any(d <= 0.0):
+        raise ValueError("matrix diagonal must be positive")
+    invd = (1.0 / d)[:, None]
+    b = np.asarray(b, dtype=float)
+    vector = b.ndim == 1
+    b = b.reshape(len(d), -1)
+    x = np.array(x0, dtype=float).reshape(b.shape)
+    r = b - K @ x
+    rn = pdsolver._column_norms(r)
+    best_x, best_r = x.copy(), rn
+    history = [rn]
+    length = np.ones(b.shape[1], dtype=int)
+    diverged = np.zeros(b.shape[1], dtype=bool)
+
+    if chebyshev:
+        if rho is None:
+            rho = pdsolver._power_rho(K, invd[:, 0], omega)
+        x_prev, w = x, 1.0
+    for k in range(sweeps * aggregation if chebyshev else sweeps):
+        if chebyshev:
+            y = x + omega * (invd * (b - K @ x))
+            x_new = y if k == 0 else w * (y - x_prev) + x_prev
+            w = 2.0 / (2.0 - rho**2) if k == 0 else 4.0 / (4.0 - rho**2 * w)
+            x_new[:, diverged] = x[:, diverged]
+            x_prev, x = x, x_new
+            r = b - K @ x
+        else:
+            e = np.zeros_like(x)
+            s = r.copy()
+            for _ in range(aggregation):
+                cs = omega * (invd * s)
+                cs[:, diverged] = 0.0
+                e += cs
+                s -= K @ cs
+            x, r = x + e, s
+        rn = pdsolver._column_norms(r)
+        live = ~diverged
+        history.append(rn)
+        length[live] += 1
+        better = live & (rn < best_r)
+        best_r = np.where(better, rn, best_r)
+        best_x[:, better] = x[:, better]
+        diverged |= live & (rn > 10.0 * best_r)
+        if diverged.all():
+            break
+
+    history = np.array(history)
+    x = np.where(diverged | (rn > best_r), best_x, x)
+    info = {"diverged": diverged,
+            "residuals": [history[:n, c].tolist() for c, n in enumerate(length)]}
+    if vector:
+        return x[:, 0], {"diverged": bool(diverged[0]), "residuals": info["residuals"][0]}
+    return x, info
+
+
+# ---------------------------------------------------------------------------
 # solver objectives and colliders
 
 
@@ -870,3 +939,16 @@ def dump_targets_csv(targets, path):
         fh.write("element,covered," + ",".join(f"f{i}{j}" for i in range(3) for j in range(3)) + "\n")
         for e, (F, c) in enumerate(zip(targets.per_element_f, targets.covered)):
             fh.write(f"{e},{int(c)}," + ",".join(f"{v:.12g}" for v in F.reshape(-1)) + "\n")
+
+
+def write_obj(path, vertices, faces=None, lines=None, comment=None):
+    """cli._write_obj one formatted coordinate or index at a time."""
+    with open(path, "w") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        for p in vertices:
+            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        for f in faces if faces is not None else ():
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        for run in lines if lines is not None else ():
+            fh.write("l " + " ".join(str(int(i) + 1) for i in run) + "\n")

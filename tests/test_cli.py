@@ -417,6 +417,23 @@ def test_simulate_determinism_bit_identical_objs(pipeline_ws, tmp_path):
                 assert a.read() == b.read(), (kind, i)
 
 
+def test_write_obj_bytes_match_the_per_coordinate_writer(tmp_path):
+    import oracles
+    rng = np.random.default_rng(7)
+    V = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-300, 300, size=(60, 3))
+    V[:4] = [[0.0, -0.0, 1.0], [np.inf, -np.inf, np.nan],
+             [5e-324, 1e-310, 0.1], [1.0 / 3.0, 2.0 / 3.0, 1e16]]
+    faces = rng.integers(0, 60, size=(40, 3))
+    lines = [[0, 1, 2], np.arange(3, 50), np.array([50, 51])]
+    for kw in ({}, dict(faces=faces, comment="config abc"), dict(lines=lines),
+               dict(faces=faces, lines=lines), dict(faces=faces[:0], lines=[])):
+        for verts in (V, V[:0]):
+            cli._write_obj(tmp_path / "block.obj", verts, **kw)
+            oracles.write_obj(tmp_path / "loop.obj", verts, **kw)
+            assert ((tmp_path / "block.obj").read_bytes()
+                    == (tmp_path / "loop.obj").read_bytes())
+
+
 def test_simulate_twist_reports_det_deviation(pipeline_ws, tmp_path):
     cfg = alias_cfg(pipeline_ws,
                     simulate=dict(PIPELINE_CFG["simulate"], scenario="twist",

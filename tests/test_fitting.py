@@ -616,6 +616,46 @@ class TestFitSample:
         assert lg.rows[0]["step"] < fitting.GD_STEP
         assert res.resid < fitting.EQ_GATE
 
+    def test_rejected_gd_step_hands_its_adjoint_state_to_gn(self, scene,
+                                                             monkeypatch):
+        # every GD trial misses the gate, so GD ends where it started and GN
+        # starts from its adjoint state instead of recomputing it
+        problem, sample = scene["problem"], scene["sample"]
+        nE = problem.mesh.n_elements
+        g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
+        calls = []
+        adjoint = fitting.adjoint_gradient
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return adjoint(*args, **kw)
+
+        monkeypatch.setattr(fitting, "adjoint_gradient", counted)
+        ref = fitting.fit_sample(problem, sample, g0, gd_iters=0, gn_iters=3)
+        n_ref = len(calls)
+
+        solve = problem.solve_equilibrium
+        missed = []
+
+        def stub(gammas, sample_, x0=None, **kw):
+            if x0 is not None and len(missed) <= fitting.MAX_HALVINGS:
+                missed.append(1)
+                return x0.copy(), 2.0 * fitting.EQ_GATE, False
+            return solve(gammas, sample_, x0=x0, **kw)
+
+        monkeypatch.setattr(problem, "solve_equilibrium", stub)
+        calls.clear()
+        lg = fitting.FitLogger()
+        res = fitting.fit_sample(problem, sample, g0, gd_iters=2, gn_iters=3,
+                                 logger=lg)
+        assert [(r["phase"], r["step"]) for r in lg.rows[:2]] == [("gd", 0.0), ("gn", 1.0)]
+        assert len(calls) == len(lg.gate) == n_ref
+        for name in ("gamma", "x", "params"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name))
+        assert (res.loss, res.resid, res.stalled) == (ref.loss, ref.resid, ref.stalled)
+        # the rejected GD step logs the start's loss once more
+        assert res.losses == ref.losses[:1] + ref.losses
+
     def test_beats_scalar_material_oracle(self, uniform_scene):
         problem, sample = uniform_scene["problem"], uniform_scene["sample"]
         nE = problem.mesh.n_elements

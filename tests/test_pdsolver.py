@@ -617,6 +617,66 @@ class TestAJacobi:
         err_c = np.linalg.norm(x_c - x_ref)
         assert err_c <= err_p * 1.01
 
+    @pytest.fixture(scope="class")
+    def bench_system(self):
+        """The benchmark patch's pinned global matrix with three right-hand
+        sides and their CMS start, as GlobalSolver.solve refines them."""
+        model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
+                                     wale_spacing=0.005, amplitude=0.002,
+                                     rib_period=4, linear_density=0.002)
+        mesh = volmesh.voxelize(model, 0.03)
+        volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
+        K = pdsolver.assemble_global(
+            mesh, mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
+        x = mesh.nodes[:, 0]
+        pins = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
+        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        solver = pdsolver.GlobalSolver(K, free, pins, mode="cms", mesh=mesh)
+        B = np.random.default_rng(0).normal(size=(mesh.n_nodes, 3))
+        Bf = B[free] - solver.Kfp @ mesh.nodes[pins]
+        return solver.Kff, Bf, solver.cms.solve(Bf)
+
+    @pytest.mark.parametrize("case", ["bench", "bench-chebyshev", "one-diverges",
+                                      "one-diverges-chebyshev", "all-diverge",
+                                      "vector", "non-finite", "non-finite-chebyshev"])
+    def test_matches_per_sweep_oracle(self, rng, bench_system, case):
+        # the oracle settles divergence, the best iterate and the history
+        # inside its sweep loop and stops a diverged column there
+        A = random_spd(rng, 50)
+        xs = rng.normal(size=50)
+        if case.startswith("bench"):
+            K, b, x0 = bench_system
+            kw = dict(sweeps=30, aggregation=2)
+        elif case.startswith("one-diverges"):
+            # column 0 sits at its exact solution, column 1 diverges at 2.5
+            K, b = A, np.column_stack([A @ xs, rng.normal(size=50)])
+            x0, kw = np.column_stack([xs, rng.normal(size=50)]), dict(
+                sweeps=60, aggregation=3, omega=2.5)
+        elif case == "all-diverge":
+            K, b, x0 = A, rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+            kw = dict(sweeps=300, aggregation=2, omega=2.5)
+        elif case == "vector":
+            K, b, x0, kw = A, rng.normal(size=50), rng.normal(size=50), dict(sweeps=40)
+        else:
+            # an infinite and a NaN right-hand side entry in two columns
+            K, b, x0 = A, rng.normal(size=(50, 3)), np.zeros((50, 3))
+            b[3, 1], b[7, 2] = np.inf, np.nan
+            kw = dict(sweeps=20, aggregation=2)
+        kw["chebyshev"] = case.endswith("chebyshev")
+        with np.errstate(all="ignore"):
+            x_ref, info_ref = oracles.a_jacobi_refine(K, b, x0, **kw)
+        x, info = pdsolver.a_jacobi_refine(K, b, x0, **kw)
+        assert np.array_equal(x, x_ref, equal_nan=True)
+        assert np.array_equal(info["diverged"], info_ref["diverged"])
+        if case == "all-diverge":
+            assert info["diverged"].all()
+        hist, hist_ref = info["residuals"], info_ref["residuals"]
+        if case == "vector":
+            hist, hist_ref = [hist], [hist_ref]
+        assert [len(h) for h in hist] == [len(h) for h in hist_ref]
+        for h, h_ref in zip(hist, hist_ref):
+            assert np.array_equal(h, h_ref, equal_nan=True)
+
     def test_rejects_bad_aggregation(self, rng):
         A = random_spd(rng, 10)
         with pytest.raises(ValueError):
@@ -708,6 +768,36 @@ class TestGlobalSolver:
         for k in range(3):
             assert np.array_equal(X[free, k], lu.solve(rhs[:, k]))
         assert np.array_equal(X[pins], pin_vals)
+
+
+    def test_chebyshev_radius_estimated_once(self, rng, monkeypatch):
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        K = pdsolver.assemble_global(mesh, gam, 1e-2)
+        pins = np.arange(0, mesh.n_nodes, 7)
+        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        pin_vals = rng.normal(size=(len(pins), 3))
+        calls = []
+        power = pdsolver._power_rho
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return power(*args, **kw)
+
+        monkeypatch.setattr(pdsolver, "_power_rho", counted)
+        solver = pdsolver.GlobalSolver(K, free, pins, mode="cms", mesh=mesh,
+                                       modes_per_domain=10, refine_sweeps=5,
+                                       chebyshev=True)
+        Bs = [rng.normal(size=(mesh.n_nodes, 3)) for _ in range(3)]
+        Xs = [solver.solve(B, pin_vals) for B in Bs]
+        assert len(calls) == 1
+        for B, X in zip(Bs, Xs):
+            # the refinement estimates the radius itself when given none
+            Bf = B[free] - solver.Kfp @ pin_vals
+            ref, _ = pdsolver.a_jacobi_refine(solver.Kff, Bf, solver.cms.solve(Bf),
+                                              sweeps=5, chebyshev=True)
+            assert np.array_equal(X[free], ref)
+        assert len(calls) == 4
 
 
 class TestSimulate:
