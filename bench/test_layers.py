@@ -1,7 +1,8 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
-runs, of the fit's projection Jacobians, exact-Hessian assembly and
-equilibrium solves, and of the load path (voxelize, yarn embedding,
-rest-frame normals, element targets), at fixed sizes and seeds.
+runs, of the CMS solver build, of the fit's projection Jacobians,
+exact-Hessian assembly and equilibrium solves, and of the load path
+(voxelize, yarn embedding, rest-frame normals, element targets), at fixed
+sizes and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
@@ -100,6 +101,18 @@ def test_global_solve(benchmark, patch, mode, n_tets):
     assert np.all(np.isfinite(X))
 
 
+@pytest.mark.parametrize("n_tets", [192, 2520])
+def test_cms_build(benchmark, patch, n_tets):
+    """Building the CMS solver of the pinned global matrix with the CLI's
+    simulate defaults: the free-free block, its component-mode basis and
+    reduced factorization, on the fitted-size or the 25x200 patch."""
+    mesh, K, pins, free, _, _ = patch if n_tets == 192 else _pinned(25, 200)
+    assert mesh.n_elements == n_tets
+    solver = benchmark(pdsolver.GlobalSolver, K, free, pins, mode="cms", mesh=mesh,
+                       n_domains=2, modes_per_domain=20, refine_sweeps=30, aggregation=2)
+    assert solver.cms.T.shape[0] == len(free)
+
+
 @pytest.mark.parametrize("layer", ["elastic_rhs", "exact_elastic_hessian"])
 def test_element_operator(benchmark, patch, layer):
     """One local-step right-hand side, or one exact-Hessian assembly with
@@ -109,7 +122,7 @@ def test_element_operator(benchmark, patch, layer):
     x = mesh.nodes * np.array([1.1, 1.0, 1.0]) + 1e-3 * rng.normal(size=mesh.nodes.shape)
     gammas = mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
     out = benchmark(_fresh(getattr(pdsolver, layer)), mesh, gammas, x)
-    assert np.all(np.isfinite(out[0] if layer == "elastic_rhs" else out.data))
+    assert np.all(np.isfinite(out if layer == "elastic_rhs" else out.data))
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])

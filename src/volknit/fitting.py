@@ -316,8 +316,7 @@ def adjoint_gauss_newton(problem, sample, state, kappa=None, basis=None,
 
 
 def safeguarded_update(gamma, d, step, eval_loss, current_loss,
-                       clamp_cache=None, floor=mat.GAMMA_FLOOR,
-                       max_halvings=MAX_HALVINGS):
+                       clamp_cache=None, floor=mat.GAMMA_FLOOR):
     """Backtracking update with a positivity floor.
 
     Trials gamma + t*step*d, halving t while the loss does not decrease;
@@ -335,7 +334,7 @@ def safeguarded_update(gamma, d, step, eval_loss, current_loss,
         return trial
 
     trial, val, t = pdsolver.backtrack(point, eval_loss, current_loss,
-                                       max_halvings + 1)
+                                       MAX_HALVINGS + 1)
     if trial is None:
         return gamma, current_loss, False, 0.0
     return trial, val, True, t

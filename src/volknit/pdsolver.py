@@ -2,9 +2,12 @@
 
 The global matrix of the two-projection material decouples by coordinate,
 so the solver carries one scalar SPD matrix and solves three right-hand
-sides at once.  Larger systems can route the global solve through a
-component-mode subspace (per-domain interior eigenmodes plus exact
-boundary coupling) refined by aggregated weighted-Jacobi sweeps.
+sides at once.  GlobalSolver is the one factorization of its pinned free
+block: the stepping loops solve with it, and so does the frozen-projection
+fallback of newton_polish.  Larger systems can route the global solve
+through a component-mode subspace (per-domain interior eigenmodes plus
+exact boundary coupling, built by build_cms in free-local indices) refined
+by aggregated weighted-Jacobi sweeps.
 """
 
 from __future__ import annotations
@@ -53,23 +56,15 @@ def _coefficients(mesh, gammas):
 
 
 def elastic_rhs(mesh, gammas, x):
-    """Local-step right-hand side sum_e 2 V_e (g_s R + g_v V) G^T, (nV, 3).
+    """Local-step right-hand side sum_e 2 V_e (g_s R + g_v V) G^T, (nV, 3)."""
+    R, V = mat.batch_projections(mesh.deformation_gradients(x))
+    cs, cv = _coefficients(mesh, gammas)
+    return mesh.scatter(cs * R + cv * V)
 
-    Also returns the element projections so callers can reuse them for
-    energies.
-    """
+
+def elastic_energy(mesh, gammas, x):
     F = mesh.deformation_gradients(x)
     R, V = mat.batch_projections(F)
-    cs, cv = _coefficients(mesh, gammas)
-    return mesh.scatter(cs * R + cv * V), F, R, V
-
-
-def elastic_energy(mesh, gammas, x, FRV=None):
-    if FRV is None:
-        F = mesh.deformation_gradients(x)
-        R, V = mat.batch_projections(F)
-    else:
-        F, R, V = FRV
     ds = np.sum((F - R) ** 2, axis=(1, 2))
     dv = np.sum((F - V) ** 2, axis=(1, 2))
     return float(np.sum(mesh.volume * (gammas.gamma_s * ds + gammas.gamma_v * dv)))
@@ -184,17 +179,18 @@ class SimState:
 
 
 class GlobalSolver:
-    """Solves K X = B for the scalar global matrix, directly or via a
-    component-mode subspace with aggregated-Jacobi refinement.
+    """Solves K X = B for the scalar global matrix with the pinned nodes
+    eliminated, directly or via a component-mode subspace with
+    aggregated-Jacobi refinement.
 
-    mode="cms" partitions `mesh` into n_domains and builds the subspace of
-    the free-free block itself.
+    free is the sorted complement of pins.  mode="direct" factorizes the
+    free-free block once; mode="cms" hands it to build_cms with `mesh`,
+    which works in free-local indices.
     """
 
     def __init__(self, K, free, pins, mode="direct", mesh=None, n_domains=2,
                  modes_per_domain=20, refine_sweeps=0, aggregation=2,
                  omega=JACOBI_OMEGA, chebyshev=False):
-        self.K = K
         self.free = free
         self.pins = pins
         self.Kff = K[free][:, free].tocsc()
@@ -211,8 +207,7 @@ class GlobalSolver:
             self._solve = spla.splu(self.Kff).solve
             self.cms = None
         elif mode == "cms":
-            self.cms = build_cms(self.Kff, mesh, n_domains=n_domains,
-                                 modes_per_domain=modes_per_domain, free=free)
+            self.cms = build_cms(self.Kff, mesh, free, n_domains, modes_per_domain)
         else:
             raise ValueError(f"unknown solver mode {mode!r}")
 
@@ -220,11 +215,10 @@ class GlobalSolver:
         """Solve with pinned values eliminated; B is (nV, k), and all k
         columns go through one factorization or subspace call."""
         Bf = B[self.free]
-        if self.Kfp is not None and len(self.pins):
+        if len(self.pins):
             Bf = Bf - self.Kfp @ pin_vals
         out = np.empty_like(B)
-        if len(self.pins):
-            out[self.pins] = pin_vals
+        out[self.pins] = pin_vals
         if self.mode == "direct":
             out[self.free] = self._solve(Bf)
             return out
@@ -248,7 +242,7 @@ def _predicted(state, forces, mesh):
 
 
 def pd_step(state, mesh, gammas, iterations=PD_ITERS_DEFAULT, forces=None,
-            solver=None, contact_stiffness=CONTACT_STIFFNESS, damping=1.0):
+            solver=None, damping=1.0):
     """One implicit-Euler step by local/global rounds; returns the state.
 
     Colliders act as quadratic pull-to-surface constraints on nodes that
@@ -272,7 +266,7 @@ def pd_step(state, mesh, gammas, iterations=PD_ITERS_DEFAULT, forces=None,
         if coll:
             # stiff relative to the local diagonal so resting contact sits
             # within a small fraction of a cell of the surface
-            cw = contact_stiffness * K.diagonal()
+            cw = CONTACT_STIFFNESS * K.diagonal()
             cidx = np.concatenate([idx for idx, _ in coll])
             K = (K + sp.csr_matrix((cw[cidx], (cidx, cidx)), shape=(n, n))).tocsc()
         base_solver = GlobalSolver(K, free, state.pins)
@@ -286,8 +280,7 @@ def pd_step(state, mesh, gammas, iterations=PD_ITERS_DEFAULT, forces=None,
         pin_vals = np.empty((0, 3))
 
     for it in range(iterations):
-        rhs, F, R, V = elastic_rhs(mesh, gammas, x)
-        b = (mesh.node_mass[:, None] / dt2) * xhat + rhs
+        b = (mesh.node_mass[:, None] / dt2) * xhat + elastic_rhs(mesh, gammas, x)
         for idx, c in coll:
             # constrained nodes are pulled to their surface projection
             # (or held where they are once they have separated)
@@ -319,8 +312,7 @@ def pd_equilibrium(mesh, gammas, inertia_target, x0, pins, pin_vals, dt,
         x[pins] = pin_vals
     m_dt2 = mesh.node_mass[:, None] / dt**2
     for it in range(iterations):
-        rhs, F, R, V = elastic_rhs(mesh, gammas, x)
-        b = m_dt2 * (x - inertia_target) + rhs
+        b = m_dt2 * (x - inertia_target) + elastic_rhs(mesh, gammas, x)
         x = solver.solve(b, pin_vals if len(pins) else np.empty((0, 3)))
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"quasi-static projection diverged at iteration {it}")
@@ -361,8 +353,9 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
     keeps the associated objective monotone.  That Jacobian need not be
     definite, so whenever its step fails the iteration falls back to the
     frozen-projection elastic Hessian plus M/dt^2, which is positive
-    definite and so always gives a descent direction.  That matrix is
-    assembled and factorized on the first fallback, not before.
+    definite and so always gives a descent direction.  That matrix is the
+    global PD matrix, so the fallback is a direct GlobalSolver with zero
+    pin values, built on its first use, not before.
 
     At least min_iters iterations run even when x0 already meets tol: a
     start that is converged for neighbouring coefficients is within tol of
@@ -404,15 +397,12 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
 
     fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
     mass_diag = np.repeat(mesh.node_mass, 3) / dt**2
-    frozen = []     # the fallback's factorization, built on its first use
+    frozen = []     # the fallback's solver, built on its first use
 
     def gn_step(gc):
         if not frozen:
-            H = assemble_global(mesh, gammas, dt)     # GN Hessian + M/dt^2, scalar
-            frozen.append(spla.splu(H[free][:, free].tocsc()).solve)
-        step = np.zeros_like(x)
-        step[free] = frozen[0](-gc[free])
-        return step
+            frozen.append(GlobalSolver(assemble_global(mesh, gammas, dt), free, pins))
+        return frozen[0].solve(-gc, np.zeros((len(pins), 3)))
 
     def exact_step(xc, gc):
         J = exact_elastic_hessian(mesh, gammas, xc)
@@ -466,14 +456,9 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
 # component-mode subspace
 
 
-def partition_elements(mesh, n_domains, labels=None):
-    """Element domain labels: supplied per-pattern labels or geometric slabs
-    along the longest bounding-box axis."""
-    if labels is not None:
-        labels = np.asarray(labels, dtype=int)
-        if len(labels) != mesh.n_elements:
-            raise ValueError("need one domain label per element")
-        return labels
+def partition_elements(mesh, n_domains):
+    """Element domain labels: geometric slabs along the longest bounding-box
+    axis."""
     centers = mesh.nodes[mesh.tets].mean(axis=1)
     span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
     axis = int(np.argmax(span))
@@ -482,31 +467,30 @@ def partition_elements(mesh, n_domains, labels=None):
     return np.searchsorted(edges, c)
 
 
-def classify_nodes(mesh, element_labels, free=None):
-    """Interior node sets per domain plus the merged boundary set.
+def classify_nodes(mesh, labels, free):
+    """Interior node sets per domain plus the merged boundary set, as
+    positions in the sorted node index array `free`.
 
     A node is interior to a domain when every incident element carries that
     label; nodes shared between domains form the single merged boundary.
-    Restricted to `free` indices when given (pinned DOFs are eliminated
-    before the subspace is built).
+    Pinned nodes are left out of `free`, so the positions index the
+    free-free block that the subspace reduces.
     """
-    n = mesh.n_nodes
-    lo = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    hi = np.full(n, -1, dtype=np.int64)
-    np.minimum.at(lo, mesh.tets, element_labels[:, None])
-    np.maximum.at(hi, mesh.tets, element_labels[:, None])
-    keep = np.ones(n, dtype=bool) if free is None else np.zeros(n, dtype=bool)
-    if free is not None:
-        keep[free] = True
-    interior = []
-    n_dom = int(element_labels.max()) + 1
-    taken = np.zeros(n, dtype=bool)
-    for d in range(n_dom):
-        sel = np.flatnonzero((lo == d) & (hi == d) & keep)
-        interior.append(sel)
-        taken[sel] = True
-    boundary = np.flatnonzero(keep & ~taken & (hi >= 0))
-    return interior, boundary
+    lo = np.full(mesh.n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
+    hi = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    np.minimum.at(lo, mesh.tets, labels[:, None])
+    np.maximum.at(hi, mesh.tets, labels[:, None])
+    lo, hi = lo[free], hi[free]
+    # a node that some element touches is interior exactly when lo == hi
+    interior = [np.flatnonzero((lo == d) & (hi == d)) for d in range(int(labels.max()) + 1)]
+    return interior, np.flatnonzero((hi >= 0) & (lo != hi))
+
+
+def _column_triplets(sel, M, c0):
+    """(row, col, value) of the columns of M placed at rows sel and columns
+    c0, c0 + 1, ..., column by column."""
+    m = M.shape[1]
+    return np.tile(sel, m), np.repeat(np.arange(c0, c0 + m), len(sel)), M.T.ravel()
 
 
 class CmsSubspace:
@@ -519,56 +503,28 @@ class CmsSubspace:
     """
 
     def __init__(self, K, interior_sets, boundary, modes_per_domain=20):
-        self.n = K.shape[0]
-        self.boundary = np.asarray(boundary, dtype=int)
-        cols = []
-        col_count = 0
-        nb = len(self.boundary)
+        nb = len(boundary)
         blocks = []
         for sel in interior_sets:
-            sel = np.asarray(sel, dtype=int)
             if len(sel) == 0:
-                blocks.append(None)
                 continue
             Kii = K[sel][:, sel].tocsc()
-            m = min(modes_per_domain, len(sel))
-            Phi = self._modes(Kii, m)
-            Psi = None
-            if nb:
-                Kib = np.asarray(K[sel][:, self.boundary].todense())
-                Psi = -spla.splu(Kii).solve(Kib)
+            Phi = self._modes(Kii, min(modes_per_domain, len(sel)))
+            Psi = (-spla.splu(Kii).solve(np.asarray(K[sel][:, boundary].todense()))
+                   if nb else np.empty((len(sel), 0)))
             blocks.append((sel, Phi, Psi))
-            col_count += Phi.shape[1]
-        self.blocks = blocks
 
-        # basis T: [interior eigenmode columns ... , boundary columns]
-        rows, colsz, vals = [], [], []
-        c0 = 0
-        for blk in blocks:
-            if blk is None:
-                continue
-            sel, Phi, Psi = blk
-            for j in range(Phi.shape[1]):
-                rows.extend(sel)
-                colsz.extend([c0 + j] * len(sel))
-                vals.extend(Phi[:, j])
+        # basis T: [interior eigenmode columns ... , boundary columns]; Psi's
+        # explicit zeros stay stored, as T's pattern sets K_red's and so the
+        # SuperLU ordering of the reduced solve
+        parts, c0 = [], 0
+        for sel, Phi, _ in blocks:
+            parts.append(_column_triplets(sel, Phi, c0))
             c0 += Phi.shape[1]
-        for bj, node in enumerate(self.boundary):
-            rows.append(node)
-            colsz.append(c0 + bj)
-            vals.append(1.0)
-        for blk in blocks:
-            if blk is None:
-                continue
-            sel, Phi, Psi = blk
-            if Psi is not None:
-                for bj in range(nb):
-                    rows.extend(sel)
-                    colsz.extend([c0 + bj] * len(sel))
-                    vals.extend(Psi[:, bj])
-        self.T = sp.csr_matrix(
-            (vals, (rows, colsz)), shape=(self.n, c0 + nb)
-        )
+        parts.append((boundary, np.arange(c0, c0 + nb), np.ones(nb)))
+        parts += [_column_triplets(sel, Psi, c0) for sel, _, Psi in blocks]
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        self.T = sp.csr_matrix((vals, (rows, cols)), shape=(K.shape[0], c0 + nb))
         self.K_red = (self.T.T @ K @ self.T).tocsc()
         # symmetrize away assembly roundoff before factorizing
         self.K_red = 0.5 * (self.K_red + self.K_red.T)
@@ -592,20 +548,12 @@ class CmsSubspace:
         return self.T @ self._solve(self.T.T @ b)
 
 
-def build_cms(K, mesh=None, n_domains=2, modes_per_domain=20, element_labels=None,
-              free=None, interior_sets=None, boundary=None):
-    """Convenience constructor: partition a mesh (or use explicit sets) and
-    reduce K onto the component-mode basis."""
-    if interior_sets is None:
-        labels = partition_elements(mesh, n_domains, element_labels)
-        interior_sets, boundary = classify_nodes(mesh, labels, free)
-        if free is not None:
-            # K is the free-free block, so renumber into free-local indices
-            remap = -np.ones(mesh.n_nodes, dtype=int)
-            remap[free] = np.arange(len(free))
-            interior_sets = [remap[s] for s in interior_sets]
-            boundary = remap[boundary]
-    return CmsSubspace(K, interior_sets, boundary, modes_per_domain)
+def build_cms(K, mesh, free, n_domains=2, modes_per_domain=20):
+    """Reduce K, the free-free block of the mesh's global matrix for the
+    sorted free nodes `free`, onto the component-mode basis of n_domains
+    slabs of `mesh`; all indices are free-local."""
+    labels = partition_elements(mesh, n_domains)
+    return CmsSubspace(K, *classify_nodes(mesh, labels, free), modes_per_domain)
 
 
 # ---------------------------------------------------------------------------

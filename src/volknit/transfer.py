@@ -188,20 +188,18 @@ class Y2VOperator:
     objective as its pose-matching loss.
     """
 
-    def __init__(self, mesh, embedding, model, alpha=MASS_ANCHOR_WEIGHT,
-                 fill_weight=FILL_WEIGHT):
+    def __init__(self, mesh, embedding, model, alpha=MASS_ANCHOR_WEIGHT):
         self.mesh = mesh
         self.embedding = embedding
         self.model = model
         self.alpha = float(alpha)
-        self.fill_weight = float(fill_weight)
         self._anchor = 2.0 * self.alpha * (
             embedding.interp.T @ sp.diags(embedding.yarn_mass**2) @ embedding.interp)
         self._factor = None
 
     def weights(self, covered):
         """Per-element target weights w_e V_e for a coverage mask."""
-        return np.where(covered, 1.0, self.fill_weight) * self.mesh.volume
+        return np.where(covered, 1.0, FILL_WEIGHT) * self.mesh.volume
 
     def matrix(self, covered):
         """Objective Hessian, one (nV, nV) matrix acting on each coordinate."""

@@ -195,7 +195,7 @@ def _pair_keys(pairs, n):
 
 
 def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
-                  params=None, colliders=(), record_forces=True):
+                  params=None, colliders=()):
     """Implicit-Euler rod dynamics, returned as a YarnSequence.
 
     forces: (nY, 3) constant or (steps, nY, 3) per step, in Newtons.
@@ -247,7 +247,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
     base_solver = None
     blow = 10.0 * float(model.rest_lengths.max())
     frames = np.empty((steps, n, 3))
-    rec_forces = np.empty((steps, n, 3)) if record_forces else None
+    rec_forces = np.empty((steps, n, 3))
 
     for step in range(steps):
         f_ext = force_path[step]
@@ -320,13 +320,12 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
             # frames computed so far ride along so callers can keep them
             err.partial = YarnSequence(
                 frames=frames[:step].copy(), dt=dt, pins=pins,
-                external_force=rec_forces[:step].copy() if record_forces else None)
+                external_force=rec_forces[:step].copy())
             raise err
         v = params.damping * (xi - x) / dt
         x = xi
         frames[step] = x
-        if record_forces:
-            rec_forces[step] = f_ext
+        rec_forces[step] = f_ext
 
     return YarnSequence(frames=frames, dt=dt, pins=pins, external_force=rec_forces)
 

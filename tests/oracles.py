@@ -13,7 +13,8 @@ and dots go through BLAS, so the batched code matches them to equal bits
 only where it does the same arithmetic (the log away from pi, the segment
 gradients), and to a few ulps elsewhere.
 The volume projection solves both clamp patterns on every row, which the
-pruned solve in src/ must reproduce.  The element operators are the dense
+pruned solve in src/ must reproduce.  The component-mode basis is filled
+one column at a time from Python lists.  The element operators are the dense
 per-element (9, 12) maps that the sparse gradient operator replaced.  The
 aggregated-Jacobi refinement settles divergence, the best iterate and the
 residual history inside its sweep loop, and the OBJ writer formats one
@@ -838,6 +839,70 @@ def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=pdsolver.JACOBI_OM
     if vector:
         return x[:, 0], {"diverged": bool(diverged[0]), "residuals": info["residuals"][0]}
     return x, info
+
+
+# ---------------------------------------------------------------------------
+# component-mode basis, node by node and column by column
+
+
+def cms_basis(K, mesh, free, n_domains=2, modes_per_domain=20):
+    """(T, K_red, the SuperLU factors of K_red) of pdsolver.build_cms, with
+    the interior and boundary sets classified over all nodes and renumbered
+    into free-local indices, and T filled from Python lists one column at a
+    time (Psi's explicit zeros included)."""
+    labels = pdsolver.partition_elements(mesh, n_domains)
+    n = mesh.n_nodes
+    lo = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    hi = np.full(n, -1, dtype=np.int64)
+    np.minimum.at(lo, mesh.tets, labels[:, None])
+    np.maximum.at(hi, mesh.tets, labels[:, None])
+    keep = np.zeros(n, dtype=bool)
+    keep[free] = True
+    taken = np.zeros(n, dtype=bool)
+    interior = []
+    for d in range(int(labels.max()) + 1):
+        sel = np.flatnonzero((lo == d) & (hi == d) & keep)
+        interior.append(sel)
+        taken[sel] = True
+    boundary = np.flatnonzero(keep & ~taken & (hi >= 0))
+    remap = -np.ones(n, dtype=int)
+    remap[free] = np.arange(len(free))
+    interior, boundary = [remap[s] for s in interior], remap[boundary]
+
+    nb = len(boundary)
+    blocks = []
+    for sel in interior:
+        if len(sel) == 0:
+            continue
+        Kii = K[sel][:, sel].tocsc()
+        Phi = pdsolver.CmsSubspace._modes(Kii, min(modes_per_domain, len(sel)))
+        Psi = None
+        if nb:
+            Psi = -spla.splu(Kii).solve(np.asarray(K[sel][:, boundary].todense()))
+        blocks.append((sel, Phi, Psi))
+    rows, cols, vals = [], [], []
+    c0 = 0
+    for sel, Phi, _ in blocks:
+        for j in range(Phi.shape[1]):
+            rows.extend(sel)
+            cols.extend([c0 + j] * len(sel))
+            vals.extend(Phi[:, j])
+        c0 += Phi.shape[1]
+    for bj, node in enumerate(boundary):
+        rows.append(node)
+        cols.append(c0 + bj)
+        vals.append(1.0)
+    for sel, _, Psi in blocks:
+        if Psi is not None:
+            for bj in range(nb):
+                rows.extend(sel)
+                cols.extend([c0 + bj] * len(sel))
+                vals.extend(Psi[:, bj])
+    T = sp.csr_matrix((vals, (rows, cols)), shape=(K.shape[0], c0 + nb))
+    K_red = (T.T @ K @ T).tocsc()
+    K_red = 0.5 * (K_red + K_red.T)
+    # SuperLU sorts the indices of K_red in place, as it does in build_cms
+    return T, K_red, spla.splu(K_red)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ class TestLoss:
         F = mesh.deformation_gradients(x.reshape(-1))
         total = 0.0
         for e in range(mesh.n_elements):
-            w = 1.0 if sample.targets.covered[e] else problem.op.fill_weight
+            w = 1.0 if sample.targets.covered[e] else transfer.FILL_WEIGHT
             d = F[e] - sample.targets.per_element_f[e]
             total += w * mesh.volume[e] * np.sum(d * d)
         r = problem.op.embedding.interp @ x - sample.yarn_pose

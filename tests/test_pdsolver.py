@@ -36,6 +36,21 @@ def single_tet(mass=0.1):
     return mesh
 
 
+def pinned_bench_patch():
+    """The benchmark patch (6x40 rib at cell 0.03) with unit coefficients:
+    its mesh, global matrix, end-column pins and the free nodes."""
+    model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
+                                 wale_spacing=0.005, amplitude=0.002,
+                                 rib_period=4, linear_density=0.002)
+    mesh = volmesh.voxelize(model, 0.03)
+    volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
+    K = pdsolver.assemble_global(
+        mesh, mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
+    x = mesh.nodes[:, 0]
+    pins = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
+    return mesh, K, pins, np.setdiff1d(np.arange(mesh.n_nodes), pins)
+
+
 def random_spd(rng, n, density=0.3):
     A = sp.random(n, n, density=density, random_state=np.random.RandomState(
         int(rng.integers(1 << 31))), format="csr")
@@ -240,7 +255,7 @@ class TestStepping:
         x[pins] = tgt
         objs = [oracles.pd_objective(x, mesh, gam, xhat, dt)]
         for _ in range(10):
-            rhs, *_ = pdsolver.elastic_rhs(mesh, gam, x)
+            rhs = pdsolver.elastic_rhs(mesh, gam, x)
             b = (mesh.node_mass[:, None] / dt**2) * xhat + rhs
             x = solver.solve(b, tgt)
             objs.append(oracles.pd_objective(x, mesh, gam, xhat, dt))
@@ -469,26 +484,26 @@ class TestCms:
         b = rng.normal(size=mesh.n_nodes)
         x_ref = spla.spsolve(K.tocsc(), b)
         labels = pdsolver.partition_elements(mesh, 2)
-        interior, _ = pdsolver.classify_nodes(mesh, labels)
+        interior, _ = pdsolver.classify_nodes(mesh, labels, np.arange(mesh.n_nodes))
         modes = max(len(s) for s in interior)
-        cms = pdsolver.build_cms(K, mesh, n_domains=2, modes_per_domain=modes)
+        cms = pdsolver.build_cms(K, mesh, np.arange(mesh.n_nodes), modes_per_domain=modes)
         x = cms.solve(b)
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
 
     def test_boundary_only_exact_for_boundary_loads(self, rng):
         mesh, K = self.setup_system()
         labels = pdsolver.partition_elements(mesh, 2)
-        interior, boundary = pdsolver.classify_nodes(mesh, labels)
+        interior, boundary = pdsolver.classify_nodes(mesh, labels, np.arange(mesh.n_nodes))
         b = np.zeros(mesh.n_nodes)
         b[boundary] = rng.normal(size=len(boundary))
-        cms = pdsolver.build_cms(K, mesh, n_domains=2, modes_per_domain=0)
+        cms = pdsolver.build_cms(K, mesh, np.arange(mesh.n_nodes), modes_per_domain=0)
         x = cms.solve(b)
         x_ref = spla.spsolve(K.tocsc(), b)
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
 
     def test_reduced_matrix_spd(self):
         mesh, K = self.setup_system()
-        cms = pdsolver.build_cms(K, mesh, n_domains=2, modes_per_domain=10)
+        cms = pdsolver.build_cms(K, mesh, np.arange(mesh.n_nodes), modes_per_domain=10)
         w = np.linalg.eigvalsh(cms.K_red.toarray())
         assert w.min() > 0.0
 
@@ -496,7 +511,7 @@ class TestCms:
         mesh, K = self.setup_system()
         b = rng.normal(size=mesh.n_nodes)
         x_ref = spla.spsolve(K.tocsc(), b)
-        cms = pdsolver.build_cms(K, mesh, n_domains=2, modes_per_domain=15)
+        cms = pdsolver.build_cms(K, mesh, np.arange(mesh.n_nodes), modes_per_domain=15)
         x0 = cms.solve(b)
         coarse = np.linalg.norm(x0 - x_ref) / np.linalg.norm(x_ref)
         x, info = pdsolver.a_jacobi_refine(K, b, x0, sweeps=300, aggregation=2)
@@ -506,22 +521,36 @@ class TestCms:
 
     def test_mode_request_capped_at_interior_size(self):
         mesh, K = self.setup_system()
-        cms = pdsolver.build_cms(K, mesh, n_domains=2, modes_per_domain=10**6)
-        assert all(blk is None or blk[1].shape[1] <= len(blk[0]) for blk in cms.blocks)
+        cms = pdsolver.build_cms(K, mesh, np.arange(mesh.n_nodes), modes_per_domain=10**6)
+        # every interior node spans one mode column, every boundary node one
+        assert cms.T.shape[1] == mesh.n_nodes
 
-    def test_partition_respects_explicit_labels(self):
-        mesh, K = self.setup_system()
-        labels = np.zeros(mesh.n_elements, dtype=int)
-        labels[mesh.n_elements // 2:] = 1
-        got = pdsolver.partition_elements(mesh, 2, labels)
-        assert np.array_equal(got, labels)
-        with pytest.raises(ValueError):
-            pdsolver.partition_elements(mesh, 2, labels[:-1])
+    @pytest.mark.parametrize("case", ["bench-pinned", "3-domains", "no-modes", "all-modes"])
+    def test_basis_matches_loop_oracle(self, rng, case):
+        # the one-call basis must equal the column-by-column one bit for bit,
+        # down to the factorization of its reduced matrix
+        if case == "bench-pinned":
+            mesh, K, _, free = pinned_bench_patch()
+            K = K[free][:, free].tocsc()
+        else:
+            mesh, K = self.setup_system()
+            free = np.arange(mesh.n_nodes)
+        kw = {"bench-pinned": {}, "3-domains": dict(n_domains=3),
+              "no-modes": dict(modes_per_domain=0),
+              "all-modes": dict(modes_per_domain=10**6)}[case]
+        cms = pdsolver.build_cms(K, mesh, free, **kw)
+        T, K_red, lu = oracles.cms_basis(K, mesh, free, **kw)
+        for got, ref in ((cms.T, T), (cms.K_red, K_red)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+        B = rng.normal(size=(K.shape[0], 3))
+        assert np.array_equal(cms.solve(B), T @ lu.solve(T.T @ B))
 
     def test_classification_covers_all_nodes(self):
         mesh, K = self.setup_system()
         labels = pdsolver.partition_elements(mesh, 3)
-        interior, boundary = pdsolver.classify_nodes(mesh, labels)
+        interior, boundary = pdsolver.classify_nodes(mesh, labels, np.arange(mesh.n_nodes))
         counted = np.concatenate(interior + [boundary])
         assert len(counted) == mesh.n_nodes
         assert len(np.unique(counted)) == mesh.n_nodes
@@ -621,16 +650,7 @@ class TestAJacobi:
     def bench_system(self):
         """The benchmark patch's pinned global matrix with three right-hand
         sides and their CMS start, as GlobalSolver.solve refines them."""
-        model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
-                                     wale_spacing=0.005, amplitude=0.002,
-                                     rib_period=4, linear_density=0.002)
-        mesh = volmesh.voxelize(model, 0.03)
-        volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
-        K = pdsolver.assemble_global(
-            mesh, mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
-        x = mesh.nodes[:, 0]
-        pins = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
-        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        mesh, K, pins, free = pinned_bench_patch()
         solver = pdsolver.GlobalSolver(K, free, pins, mode="cms", mesh=mesh)
         B = np.random.default_rng(0).normal(size=(mesh.n_nodes, 3))
         Bf = B[free] - solver.Kfp @ mesh.nodes[pins]
