@@ -570,7 +570,7 @@ def cmd_fit(cfg, out, chash):
     gate_max = max((g[1] for g in logger.gate), default=0.0)
     payload = dict(
         samples=all_rows, failed=failed, completed=done, total=len(samples),
-        gate_violations=sum(1 for g in logger.gate if not g[2]),
+        gate_violations=logger.gate_violations,
         gate_evaluations=len(logger.gate), gate_max_residual=gate_max,
         initial_loss=ck["initial_loss"], stage_losses=ck["stages"],
         final_losses=finals, final_loss=final_loss,
@@ -661,17 +661,17 @@ def cmd_simulate(cfg, out, chash):
     yarn_frames = np.empty((sc["steps"], model.n_vertices, 3))
     det_dev, polish = [], []
 
-    def write_frame(i, state):
+    def write_frame(i, x, step_polish):
         # a step's time runs from the end of the previous write
         nonlocal t
         clock(f"step_{i:04d}", t)
         t = time.perf_counter()
-        F = mesh.deformation_gradients(state.x.reshape(-1))
+        F = mesh.deformation_gradients(x.reshape(-1))
         det_dev.append(float(np.abs(np.linalg.det(F) - 1.0).max()))
-        if state.polish is not None:
-            polish.append(state.polish)
-        yarn_frames[i] = transfer.v2y(emb, state.x)
-        _write_obj(os.path.join(frames_dir, f"mesh_{i:04d}.obj"), state.x,
+        if step_polish is not None:
+            polish.append(step_polish)
+        yarn_frames[i] = transfer.v2y(emb, x)
+        _write_obj(os.path.join(frames_dir, f"mesh_{i:04d}.obj"), x,
                    faces=tris, comment=comment)
         _write_obj(os.path.join(frames_dir, f"yarn_{i:04d}.obj"),
                    yarn_frames[i], lines=model.polylines, comment=comment)

@@ -200,12 +200,9 @@ def gamma_jacobian(mesh, x):
 class AdjointState:
     """Equilibrium-point quantities reused by gradient and Gauss-Newton."""
 
-    x: np.ndarray
-    residual: float
     fdofs: np.ndarray
     H: sp.csc_matrix          # exact equilibrium Jacobian, free DOFs
     J: sp.csr_matrix          # residual derivative in gamma, free rows
-    lam: np.ndarray           # adjoint vector
     grad: np.ndarray          # loss gradient in gamma, length 2nE
 
 
@@ -237,8 +234,7 @@ def adjoint_gradient(problem, sample, gammas, x, residual=None, logger=None):
         lam = spla.spsolve((Hff + kap * sp.eye(Hff.shape[0])).tocsc(), gx)
     J = gamma_jacobian(problem.mesh, x)[fdofs]
     grad = -(J.T @ lam)
-    return AdjointState(x=x, residual=residual, fdofs=fdofs, H=Hff, J=J,
-                        lam=lam, grad=grad)
+    return AdjointState(fdofs=fdofs, H=Hff, J=J, grad=grad)
 
 
 class EquilibriumGateError(RuntimeError):
@@ -370,12 +366,6 @@ class FitResult:
     params: np.ndarray = None  # the fit's coordinates (gamma in the full space)
 
 
-def _to_field(mesh, gamma_vec):
-    nE = mesh.n_elements
-    return mat.MaterialField(gamma_s=gamma_vec[:nE].copy(),
-                             gamma_v=gamma_vec[nE:].copy())
-
-
 def _gn_direction(problem, sample, state, grad, kappa, basis, clamp_cache):
     """Gauss-Newton direction with the damping ladder and clamp pivoting.
 
@@ -434,7 +424,6 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
     gamma0, used by the staged schedule so a stage starts exactly at the
     previous optimum instead of re-evaluating it.  Returns FitResult.
     """
-    mesh = problem.mesh
     logger = FitLogger() if logger is None else logger
     clamp_cache = set()             # stays empty in a spectral subspace
     if basis is None:
@@ -451,7 +440,7 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         return np.maximum(np.concatenate([basis @ p[:r], basis @ p[r:]]), floor)
 
     def eval_at(gamma_vec, warm):
-        gfield = _to_field(mesh, gamma_vec)
+        gfield = mat.MaterialField.from_stacked(gamma_vec)
         x_new, resid_new, _ = problem.solve_equilibrium(gfield, sample, x0=warm)
         return problem.loss(x_new, sample), x_new, resid_new
 
@@ -479,8 +468,8 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
                                ("gn", gn_iters, GN_STEP)):
         for it in range(iters):
             if state is None:
-                state = adjoint_gradient(problem, sample, _to_field(mesh, gamma), x,
-                                         residual=resid, logger=logger)
+                state = adjoint_gradient(problem, sample, mat.MaterialField.from_stacked(gamma),
+                                         x, residual=resid, logger=logger)
             grad = _coords(basis, state.grad)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-10:
@@ -534,7 +523,10 @@ def harmonic_basis(mesh, r):
         H = v[:, :r]
     else:
         try:
-            w, v = spla.eigsh(L, k=r, sigma=-1e-6, mode="normal")
+            # a seeded start vector makes the basis the same on every call;
+            # not the constant one, which is L's null vector
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nE)
+            w, v = spla.eigsh(L, k=r, sigma=-1e-6, mode="normal", v0=v0)
             order = np.argsort(w)
             H = v[:, order]
         except Exception as exc:
@@ -625,8 +617,8 @@ def fit_sequence(problem, samples, gamma0, *, logger=None,
             best = (res.loss, res.gamma)
         if progressed or not res.stalled:
             any_ok = True
-            wk = pdsolver.elastic_energy(problem.mesh,
-                                         _to_field(problem.mesh, gamma), res.x)
+            wk = pdsolver.elastic_energy(problem.mesh, mat.MaterialField.from_stacked(gamma),
+                                         res.x)
             if w + wk > 0.0:
                 gamma = (w / (w + wk)) * gamma + (wk / (w + wk)) * res.gamma
             else:
@@ -639,4 +631,4 @@ def fit_sequence(problem, samples, gamma0, *, logger=None,
         gamma = best[1]
     report = dict(samples=per_sample, failed=not any_ok,
                   gate_violations=logger.gate_violations)
-    return _to_field(problem.mesh, gamma), report
+    return mat.MaterialField.from_stacked(gamma), report

@@ -1,5 +1,9 @@
 """Projective-dynamics solver for the homogenized volume model.
 
+simulate_mesh owns the step state x and v: each step it predicts xhat,
+runs the local/global rounds of pd_step from it, optionally polishes
+toward the same xhat with newton_polish, and updates v once.
+
 The global matrix of the two-projection material decouples by coordinate,
 so the solver carries one scalar SPD matrix and solves three right-hand
 sides at once.  GlobalSolver is the one factorization of its pinned free
@@ -7,13 +11,13 @@ block: the stepping loops solve with it, and so does the frozen-projection
 fallback of newton_polish.  Larger systems can route the global solve
 through a component-mode subspace (per-domain interior eigenmodes plus
 exact boundary coupling, built by build_cms in free-local indices) refined
-by aggregated weighted-Jacobi sweeps.
+by aggregated weighted-Jacobi sweeps.  Colliders are planes and spheres,
+one at a time through collider_targets, shared with the rod simulator.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,71 +115,43 @@ def exact_elastic_hessian(mesh, gammas, x):
 # colliders
 
 
-def collider_targets(x, colliders):
-    """Projection targets for penetrating nodes.
+def collider_targets(x, collider):
+    """Projection targets for the nodes inside one collider.
 
-    Returns (indices, targets): nodes currently inside a collider and their
-    closest surface points.  Non-penetrating nodes are untouched.
+    Returns (indices, targets): the nodes currently inside the collider and
+    their closest surface points.  Nodes outside are left out.
     """
     x = np.asarray(x, dtype=float)
-    idx, tgt = [], []
-    for kind, *args in colliders:
-        if kind == "plane":
-            p0 = np.asarray(args[0], dtype=float)
-            n = np.asarray(args[1], dtype=float)
-            n = n / np.linalg.norm(n)
-            depth = (x - p0) @ n
-            pen = np.flatnonzero(depth < 0.0)
-            idx.append(pen)
-            tgt.append(x[pen] - depth[pen, None] * n)
-        elif kind == "sphere":
-            c = np.asarray(args[0], dtype=float)
-            r = float(args[1])
-            rel = x - c
-            d = np.linalg.norm(rel, axis=1)
-            pen = np.flatnonzero(d < r)
-            safe = np.maximum(d[pen], 1e-12)
-            idx.append(pen)
-            tgt.append(c + rel[pen] * (r / safe)[:, None])
-        else:
-            raise ValueError(f"unknown collider kind {kind!r}")
-    if not idx:
-        return np.empty(0, dtype=int), np.empty((0, 3))
-    return np.concatenate(idx), np.concatenate(tgt) if tgt else np.empty((0, 3))
+    kind, *args = collider
+    if kind == "plane":
+        p0 = np.asarray(args[0], dtype=float)
+        n = np.asarray(args[1], dtype=float)
+        n = n / np.linalg.norm(n)
+        depth = (x - p0) @ n
+        pen = np.flatnonzero(depth < 0.0)
+        return pen, x[pen] - depth[pen, None] * n
+    if kind == "sphere":
+        c = np.asarray(args[0], dtype=float)
+        r = float(args[1])
+        rel = x - c
+        d = np.linalg.norm(rel, axis=1)
+        pen = np.flatnonzero(d < r)
+        safe = np.maximum(d[pen], 1e-12)
+        return pen, c + rel[pen] * (r / safe)[:, None]
+    raise ValueError(f"unknown collider kind {kind!r}")
 
 
-def surface_targets(points, colliders):
-    """Project points out of any collider they penetrate; identity otherwise."""
+def surface_targets(points, collider):
+    """Project points out of the collider where they penetrate it; identity
+    otherwise."""
     out = np.asarray(points, dtype=float).copy()
-    idx, tgt = collider_targets(out, colliders)
+    idx, tgt = collider_targets(out, collider)
     out[idx] = tgt
     return out
 
 
 # ---------------------------------------------------------------------------
-# simulation state and stepping
-
-
-@dataclass
-class SimState:
-    """Forward-simulation state; pinned nodes track their targets exactly."""
-
-    x: np.ndarray                 # (nV, 3)
-    v: np.ndarray                 # (nV, 3)
-    dt: float
-    pins: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    pin_targets: np.ndarray = None
-    colliders: tuple = ()
-    polish: tuple = None          # (converged, iterations) of the last polish
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).reshape(-1, 3).copy()
-        self.v = np.asarray(self.v, dtype=float).reshape(-1, 3).copy()
-        self.pins = np.asarray(self.pins, dtype=int)
-        if self.pin_targets is None and len(self.pins):
-            self.pin_targets = self.x[self.pins].copy()
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+# global solve and stepping
 
 
 class GlobalSolver:
@@ -233,87 +209,67 @@ class GlobalSolver:
         return out
 
 
-def _predicted(state, forces, mesh):
-    inv_m = np.zeros(mesh.n_nodes)
-    pos = mesh.node_mass > 0.0
-    inv_m[pos] = 1.0 / mesh.node_mass[pos]
-    f = np.zeros_like(state.x) if forces is None else np.asarray(forces, dtype=float)
-    return state.x + state.dt * state.v + state.dt**2 * inv_m[:, None] * f
+def pd_step(mesh, gammas, xhat, dt, pins, pin_vals, iterations=PD_ITERS_DEFAULT,
+            solver=None, colliders=()):
+    """Local/global rounds of one implicit-Euler step; returns the positions.
 
-
-def pd_step(state, mesh, gammas, iterations=PD_ITERS_DEFAULT, forces=None,
-            solver=None, damping=1.0):
-    """One implicit-Euler step by local/global rounds; returns the state.
-
+    The rounds start at the prediction xhat with the pins at pin_vals (nP, 3)
+    and minimize the step objective (M/2dt^2)|x - xhat|^2 + E(x).  solver is
+    a GlobalSolver for the pinned global matrix; None builds a direct one.
     Colliders act as quadratic pull-to-surface constraints on nodes that
     penetrate at the prediction, folded into the global matrix for the
-    duration of the step.  Aborts on non-finite positions with the
+    duration of the step, so with any such node the step assembles and
+    factorizes its own matrix.  Aborts on non-finite positions with the
     iteration index.
     """
     n = mesh.n_nodes
-    free = np.setdiff1d(np.arange(n), state.pins)
-    xhat = _predicted(state, forces, mesh)
-    dt2 = state.dt**2
-
     # one row per (node, collider) pair that penetrates at the prediction,
     # as in yarn_model.simulate_yarn: a node inside two colliders gets both
     # weights on the diagonal and both surface points in the rhs
-    coll = [(collider_targets(xhat, [c])[0], c) for c in state.colliders]
+    coll = [(collider_targets(xhat, c)[0], c) for c in colliders]
     coll = [(idx, c) for idx, c in coll if len(idx)]
-    base_solver = solver
-    if base_solver is None or coll:
-        K = assemble_global(mesh, gammas, state.dt)
+    if solver is None or coll:
+        K = assemble_global(mesh, gammas, dt)
         if coll:
             # stiff relative to the local diagonal so resting contact sits
             # within a small fraction of a cell of the surface
             cw = CONTACT_STIFFNESS * K.diagonal()
             cidx = np.concatenate([idx for idx, _ in coll])
             K = (K + sp.csr_matrix((cw[cidx], (cidx, cidx)), shape=(n, n))).tocsc()
-        base_solver = GlobalSolver(K, free, state.pins)
+        solver = GlobalSolver(K, np.setdiff1d(np.arange(n), pins), pins)
 
-    x_start = state.x.copy()
     x = xhat.copy()
-    if len(state.pins):
-        pin_vals = state.pin_targets
-        x[state.pins] = pin_vals
-    else:
-        pin_vals = np.empty((0, 3))
-
+    x[pins] = pin_vals
+    inertia = (mesh.node_mass[:, None] / dt**2) * xhat
     for it in range(iterations):
-        b = (mesh.node_mass[:, None] / dt2) * xhat + elastic_rhs(mesh, gammas, x)
+        b = inertia + elastic_rhs(mesh, gammas, x)
         for idx, c in coll:
             # constrained nodes are pulled to their surface projection
             # (or held where they are once they have separated)
-            b[idx] += cw[idx, None] * surface_targets(x[idx], [c])
-        x = base_solver.solve(b, pin_vals)
+            b[idx] += cw[idx, None] * surface_targets(x[idx], c)
+        x = solver.solve(b, pin_vals)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"projective step produced non-finite positions at iteration {it}")
-
-    state.v = damping * (x - x_start) / state.dt
-    state.x = x
-    return state
+    return x
 
 
 def pd_equilibrium(mesh, gammas, inertia_target, x0, pins, pin_vals, dt,
-                   iterations=PD_ITERS_DEFAULT, solver=None):
+                   iterations=PD_ITERS_DEFAULT):
     """Proximal local/global rounds on the quasi-static objective
     E(x) + (1/dt^2) a^T M x; monotone and safe far from the solution.
 
     Each round solves K x = (M/dt^2)(x_cur - a) + elastic rhs, i.e. the
     frozen-projection objective plus a mass-metric proximal anchor at the
-    current iterate.
+    current iterate.  pin_vals is (nP, 3).
     """
-    n = mesh.n_nodes
-    free = np.setdiff1d(np.arange(n), pins)
-    if solver is None:
-        solver = GlobalSolver(assemble_global(mesh, gammas, dt), free, pins)
+    solver = GlobalSolver(assemble_global(mesh, gammas, dt),
+                          np.setdiff1d(np.arange(mesh.n_nodes), pins), pins)
     x = np.asarray(x0, dtype=float).reshape(-1, 3).copy()
-    if len(pins):
-        x[pins] = pin_vals
+    x[pins] = pin_vals
     m_dt2 = mesh.node_mass[:, None] / dt**2
     for it in range(iterations):
         b = m_dt2 * (x - inertia_target) + elastic_rhs(mesh, gammas, x)
-        x = solver.solve(b, pin_vals if len(pins) else np.empty((0, 3)))
+        x = solver.solve(b, pin_vals)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"quasi-static projection diverged at iteration {it}")
     return x
@@ -537,7 +493,9 @@ class CmsSubspace:
             if m >= nloc or nloc <= 400:
                 w, v = np.linalg.eigh(Kii.toarray())
                 return v[:, :m]
-            w, v = spla.eigsh(Kii, k=m, sigma=0.0, mode="normal")
+            # a seeded start vector makes the basis the same on every call
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nloc)
+            w, v = spla.eigsh(Kii, k=m, sigma=0.0, mode="normal", v0=v0)
             return v
         except Exception as exc:                      # eigensolver failure
             log.warning("interior eigensolver failed (%s); falling back to dense", exc)
@@ -671,55 +629,49 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
                   polish_tol=None, on_step=None):
     """Run a forward simulation from rest and return the frames (steps, nV, 3).
 
-    forces is one constant (nV, 3) load.  pin_targets may be constant
-    (nP, 3) or a per-step path (steps, nP, 3).  solver is a prebuilt
-    GlobalSolver for the pinned global matrix; None builds a direct one.
-    With colliders every step assembles and factorizes its own matrix, so
-    no solver is built or used and polish_tol is ignored.  on_step(i, state)
-    is called after each (polished) step; state.polish then holds that
-    step's polish outcome.
+    Each step predicts xhat = x + dt v + dt^2 M^-1 f, runs pd_step from it,
+    polishes toward the same xhat when polish_tol is set, and updates v once
+    from the final positions.  forces is one constant (nV, 3) load.
+    pin_targets may be constant (nP, 3) or a per-step path (steps, nP, 3);
+    None holds the pins at rest.  solver is a prebuilt GlobalSolver for the
+    pinned global matrix; None builds a direct one.  With colliders every
+    step assembles and factorizes its own matrix, so no solver is built or
+    used and polish_tol is ignored.  on_step(i, x, polish) is called after
+    each step with its frame and, for a polished step, (converged,
+    iterations), else None.
     """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     pins = np.asarray(pins, dtype=int)
-    pin_path = None
-    if pin_targets is not None:
-        pin_targets = np.asarray(pin_targets, dtype=float)
-        if pin_targets.ndim == 3:
-            pin_path = pin_targets
-            pin_targets = pin_path[0]
-    state = SimState(
-        x=mesh.nodes.copy(),
-        v=np.zeros_like(mesh.nodes),
-        dt=dt,
-        pins=pins,
-        pin_targets=pin_targets,
-        colliders=tuple(colliders),
-    )
-    if state.colliders:
+    pin_path = np.broadcast_to(
+        mesh.nodes[pins] if pin_targets is None else np.asarray(pin_targets, dtype=float),
+        (steps, len(pins), 3))
+    if colliders:
         solver = None
     elif solver is None:
         free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
         solver = GlobalSolver(assemble_global(mesh, gammas, dt), free, pins)
 
+    inv_m = np.zeros(mesh.n_nodes)
+    pos = mesh.node_mass > 0.0
+    inv_m[pos] = 1.0 / mesh.node_mass[pos]
+    f = np.zeros_like(mesh.nodes) if forces is None else np.asarray(forces, dtype=float)
+    load_shift = dt**2 * inv_m[:, None] * f
+    x, v = mesh.nodes.copy(), np.zeros_like(mesh.nodes)
     frames = np.empty((steps, mesh.n_nodes, 3))
-    polish = polish_tol is not None and not state.colliders
     for i in range(steps):
-        if pin_path is not None:
-            state.pin_targets = pin_path[i]
-        if polish:
-            x_start, xh = state.x.copy(), _predicted(state, forces, mesh)
-        pd_step(state, mesh, gammas, iterations=iterations, forces=forces,
-                solver=solver, damping=damping)
-        if polish:
-            # polish toward this step's prediction with the exact Jacobian
-            # (quadratic near the solution), then rebuild v from the polished
-            # positions as pd_step does from its own
-            state.x, ok, iters = newton_polish(
-                mesh, gammas, state.x, dt=dt, pins=pins,
-                pin_vals=state.pin_targets, xhat=xh, tol=polish_tol,
-            )
-            state.polish = (ok, iters)
-            state.v = damping * (state.x - x_start) / dt
-        frames[i] = state.x
+        xhat = x + dt * v + load_shift
+        xn = pd_step(mesh, gammas, xhat, dt, pins, pin_path[i], iterations=iterations,
+                     solver=solver, colliders=colliders)
+        polish = None
+        if polish_tol is not None and not colliders:
+            # the exact Jacobian converges quadratically near the solution
+            xn, ok, iters = newton_polish(mesh, gammas, xn, dt=dt, pins=pins,
+                                          pin_vals=pin_path[i], xhat=xhat, tol=polish_tol)
+            polish = (ok, iters)
+        v = damping * (xn - x) / dt
+        x = xn
+        frames[i] = x
         if on_step is not None:
-            on_step(i, state)
+            on_step(i, x, polish)
     return frames

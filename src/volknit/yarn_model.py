@@ -269,7 +269,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
 
         # per collider, the vertices it holds for this whole step, found on
         # the prediction
-        coll = [(collider_targets(xhat, [c])[0], c) for c in colliders]
+        coll = [(collider_targets(xhat, c)[0], c) for c in colliders]
         coll = [(idx, c) for idx, c in coll if len(idx)]
         w_coll = params.contact_stiffness / max(model.radius, 1e-12)
 
@@ -312,7 +312,7 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
             for idx, c in coll:
                 # the surface projection while inside, held where it is once
                 # separated
-                rhs[idx] += w_coll * surface_targets(xi[idx], [c])
+                rhs[idx] += w_coll * surface_targets(xi[idx], c)
             xi[free] = solve(const_rhs + rhs[free] - pin_rhs)
 
         if not np.all(np.isfinite(xi)) or np.abs(xi - x).max() > blow:

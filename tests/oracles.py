@@ -19,10 +19,14 @@ per-element (9, 12) maps that the sparse gradient operator replaced.  The
 aggregated-Jacobi refinement settles divergence, the best iterate and the
 residual history inside its sweep loop, and the OBJ writer formats one
 coordinate or index at a time.  The objectives, energies and single-element
-functions serve as oracles for the solvers.
+functions serve as oracles for the solvers.  The collider functions take a
+list of colliders, and the stepping loop keeps its state in a mutable
+SimState that makes each polished step's prediction and velocity twice, as
+the loop that pdsolver.simulate_mesh replaced did.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -909,10 +913,9 @@ def cms_basis(K, mesh, free, n_domains=2, modes_per_domain=20):
 # solver objectives and colliders
 
 
-def pd_objective(state_or_x, mesh, gammas, xhat, dt):
+def pd_objective(x, mesh, gammas, xhat, dt):
     """Inertia plus elastic potential minimized by one implicit step."""
-    x = state_or_x.x if isinstance(state_or_x, pdsolver.SimState) else np.asarray(state_or_x)
-    d = x - xhat
+    d = np.asarray(x) - xhat
     inertia = 0.5 / dt**2 * float(np.sum(mesh.node_mass[:, None] * d * d))
     return inertia + pdsolver.elastic_energy(mesh, gammas, x)
 
@@ -922,14 +925,20 @@ def quasi_static_objective(mesh, gammas, inertia_target, x, dt):
     return pdsolver.elastic_energy(mesh, gammas, x) + lin
 
 
-def collide_project(state, colliders=None):
-    """Snap penetrating nodes of a state to the collider surfaces."""
-    colliders = state.colliders if colliders is None else colliders
-    idx, tgt = pdsolver.collider_targets(state.x, colliders)
-    if len(idx):
-        state.x = state.x.copy()
-        state.x[idx] = tgt
-    return state
+def collider_targets(x, colliders):
+    """pdsolver.collider_targets over a list of colliders, concatenated."""
+    hits = [pdsolver.collider_targets(x, c) for c in colliders]
+    if not hits:
+        return np.empty(0, dtype=int), np.empty((0, 3))
+    return np.concatenate([i for i, _ in hits]), np.concatenate([t for _, t in hits])
+
+
+def surface_targets(points, colliders):
+    """Project points out of any of the colliders they penetrate."""
+    out = np.asarray(points, dtype=float).copy()
+    idx, tgt = collider_targets(out, colliders)
+    out[idx] = tgt
+    return out
 
 
 def yarn_collider_rows(xhat, xi, colliders):
@@ -975,6 +984,123 @@ def rod_energy(model, x, params=None, forces=None):
     if forces is not None:
         e -= float(np.sum(forces * x))
     return e
+
+
+# ---------------------------------------------------------------------------
+# the stepping loop as a mutable state, stepped one prediction at a time
+
+
+@dataclass
+class SimState:
+    """Forward-simulation state; pinned nodes track their targets exactly."""
+
+    x: np.ndarray                 # (nV, 3)
+    v: np.ndarray                 # (nV, 3)
+    dt: float
+    pins: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    pin_targets: np.ndarray = None
+    colliders: tuple = ()
+    polish: tuple = None          # (converged, iterations) of the last polish
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float).reshape(-1, 3).copy()
+        self.v = np.asarray(self.v, dtype=float).reshape(-1, 3).copy()
+        self.pins = np.asarray(self.pins, dtype=int)
+        if self.pin_targets is None and len(self.pins):
+            self.pin_targets = self.x[self.pins].copy()
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
+
+
+def predicted(state, forces, mesh):
+    inv_m = np.zeros(mesh.n_nodes)
+    pos = mesh.node_mass > 0.0
+    inv_m[pos] = 1.0 / mesh.node_mass[pos]
+    f = np.zeros_like(state.x) if forces is None else np.asarray(forces, dtype=float)
+    return state.x + state.dt * state.v + state.dt**2 * inv_m[:, None] * f
+
+
+def pd_step_state(state, mesh, gammas, iterations=pdsolver.PD_ITERS_DEFAULT, forces=None,
+                  solver=None, damping=1.0):
+    """One implicit-Euler step of a SimState: its own prediction, start
+    copy, local/global rounds and velocity update."""
+    n = mesh.n_nodes
+    free = np.setdiff1d(np.arange(n), state.pins)
+    xhat = predicted(state, forces, mesh)
+    dt2 = state.dt**2
+    coll = [(collider_targets(xhat, [c])[0], c) for c in state.colliders]
+    coll = [(idx, c) for idx, c in coll if len(idx)]
+    base_solver = solver
+    if base_solver is None or coll:
+        K = pdsolver.assemble_global(mesh, gammas, state.dt)
+        if coll:
+            cw = pdsolver.CONTACT_STIFFNESS * K.diagonal()
+            cidx = np.concatenate([idx for idx, _ in coll])
+            K = (K + sp.csr_matrix((cw[cidx], (cidx, cidx)), shape=(n, n))).tocsc()
+        base_solver = pdsolver.GlobalSolver(K, free, state.pins)
+
+    x_start = state.x.copy()
+    x = xhat.copy()
+    if len(state.pins):
+        pin_vals = state.pin_targets
+        x[state.pins] = pin_vals
+    else:
+        pin_vals = np.empty((0, 3))
+
+    for it in range(iterations):
+        b = (mesh.node_mass[:, None] / dt2) * xhat + pdsolver.elastic_rhs(mesh, gammas, x)
+        for idx, c in coll:
+            b[idx] += cw[idx, None] * surface_targets(x[idx], [c])
+        x = base_solver.solve(b, pin_vals)
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(f"projective step produced non-finite positions at iteration {it}")
+
+    state.v = damping * (x - x_start) / state.dt
+    state.x = x
+    return state
+
+
+def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=None,
+                  colliders=(), iterations=pdsolver.PD_ITERS_DEFAULT, solver=None,
+                  damping=1.0, polish_tol=None, on_step=None):
+    """pdsolver.simulate_mesh on a SimState: the prediction, the start copy
+    and the velocity of a polished step are made twice, once inside
+    pd_step_state and once around the polish.  on_step(i, state)."""
+    pins = np.asarray(pins, dtype=int)
+    pin_path = None
+    if pin_targets is not None:
+        pin_targets = np.asarray(pin_targets, dtype=float)
+        if pin_targets.ndim == 3:
+            pin_path = pin_targets
+            pin_targets = pin_path[0]
+    state = SimState(x=mesh.nodes.copy(), v=np.zeros_like(mesh.nodes), dt=dt, pins=pins,
+                     pin_targets=pin_targets, colliders=tuple(colliders))
+    if state.colliders:
+        solver = None
+    elif solver is None:
+        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+        solver = pdsolver.GlobalSolver(pdsolver.assemble_global(mesh, gammas, dt), free, pins)
+
+    frames = np.empty((steps, mesh.n_nodes, 3))
+    polish = polish_tol is not None and not state.colliders
+    for i in range(steps):
+        if pin_path is not None:
+            state.pin_targets = pin_path[i]
+        if polish:
+            x_start, xh = state.x.copy(), predicted(state, forces, mesh)
+        pd_step_state(state, mesh, gammas, iterations=iterations, forces=forces,
+                      solver=solver, damping=damping)
+        if polish:
+            state.x, ok, iters = pdsolver.newton_polish(
+                mesh, gammas, state.x, dt=dt, pins=pins,
+                pin_vals=state.pin_targets, xhat=xh, tol=polish_tol,
+            )
+            state.polish = (ok, iters)
+            state.v = damping * (state.x - x_start) / dt
+        frames[i] = state.x
+        if on_step is not None:
+            on_step(i, state)
+    return frames
 
 
 # ---------------------------------------------------------------------------

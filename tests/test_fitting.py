@@ -696,6 +696,16 @@ class TestHarmonicBasis:
         H30 = fitting.harmonic_basis(mesh, 30)
         assert np.allclose(H30[:, :10], H10, atol=1e-10)
 
+    def test_sparse_eigensolver_basis_is_deterministic(self):
+        # above 1,500 elements the basis comes from ARPACK, whose own start
+        # vector is random: two builds in one process must agree
+        model = yarn_model.rib_patch(courses=25, wales=200, course_spacing=0.005,
+                                     wale_spacing=0.005, amplitude=0.002, rib_period=4)
+        mesh = volmesh.voxelize(model, 0.03)
+        assert mesh.n_elements > 1500
+        assert np.array_equal(fitting.harmonic_basis(mesh, 10),
+                              fitting.harmonic_basis(mesh, 10))
+
     def test_rank_capped_at_element_count(self, scene):
         mesh = scene["mesh"]
         H = fitting.harmonic_basis(mesh, mesh.n_elements + 50)

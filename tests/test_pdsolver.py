@@ -36,10 +36,11 @@ def single_tet(mass=0.1):
     return mesh
 
 
-def pinned_bench_patch():
-    """The benchmark patch (6x40 rib at cell 0.03) with unit coefficients:
-    its mesh, global matrix, end-column pins and the free nodes."""
-    model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
+def pinned_bench_patch(courses=6, wales=40):
+    """The benchmark patch (6x40 rib at cell 0.03, or another size) with unit
+    coefficients: its mesh, global matrix, end-column pins and the free
+    nodes."""
+    model = yarn_model.rib_patch(courses=courses, wales=wales, course_spacing=0.005,
                                  wale_spacing=0.005, amplitude=0.002,
                                  rib_period=4, linear_density=0.002)
     mesh = volmesh.voxelize(model, 0.03)
@@ -49,6 +50,9 @@ def pinned_bench_patch():
     x = mesh.nodes[:, 0]
     pins = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
     return mesh, K, pins, np.setdiff1d(np.arange(mesh.n_nodes), pins)
+
+
+NO_PINS = (np.empty(0, dtype=int), np.empty((0, 3)))
 
 
 def random_spd(rng, n, density=0.3):
@@ -198,15 +202,15 @@ class TestStepping:
     def test_rest_is_fixed_point(self):
         mesh, _, _ = wavy_mesh()
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
-        st = pdsolver.SimState(x=mesh.nodes, v=np.zeros_like(mesh.nodes), dt=1e-3)
-        pdsolver.pd_step(st, mesh, gam, iterations=5)
-        assert np.abs(st.x - mesh.nodes).max() < 1e-12
+        x = pdsolver.pd_step(mesh, gam, mesh.nodes, 1e-3, *NO_PINS, iterations=5)
+        assert np.abs(x - mesh.nodes).max() < 1e-12
 
     def test_free_fall_discrete_closed_form(self):
         # uniform translation is an exact fixed point of the global solve,
         # so implicit Euler gives x_n = x0 + g dt^2 n(n+1)/2 to roundoff,
         # with or without the Newton polish after each step; on_step sees
-        # each returned frame as it is made
+        # each returned frame as it is made, with the polish outcome of a
+        # polished step
         mesh, _, _ = wavy_mesh()
         mesh.node_mass = np.full(mesh.n_nodes, 1e-3)
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
@@ -217,9 +221,13 @@ class TestStepping:
             seen = []
             frames = pdsolver.simulate_mesh(
                 mesh, gam, steps, dt, forces=f, iterations=3, polish_tol=polish_tol,
-                on_step=lambda i, st: seen.append((i, st.x.copy())))
-            assert [i for i, _ in seen] == list(range(steps))
-            assert np.array_equal(np.array([x for _, x in seen]), frames)
+                on_step=lambda i, x, polish: seen.append((i, x.copy(), polish)))
+            assert [i for i, _, _ in seen] == list(range(steps))
+            assert np.array_equal(np.array([x for _, x, _ in seen]), frames)
+            if polish_tol is None:
+                assert all(p is None for _, _, p in seen)
+            else:
+                assert all(p[0] for _, _, p in seen)
             for n in range(1, steps + 1):
                 expect = mesh.nodes + g * dt**2 * n * (n + 1) / 2.0
                 assert np.abs(frames[n - 1] - expect).max() < 1e-12, (polish_tol, n)
@@ -245,9 +253,7 @@ class TestStepping:
         dt = 1e-3
         pins = np.flatnonzero(np.abs(mesh.nodes[:, 0] - mesh.nodes[:, 0].min()) < 1e-9)
         tgt = mesh.nodes[pins]
-        st = pdsolver.SimState(x=1.002 * mesh.nodes, v=np.zeros_like(mesh.nodes),
-                               dt=dt, pins=pins, pin_targets=tgt)
-        xhat = pdsolver._predicted(st, None, mesh)
+        xhat = 1.002 * mesh.nodes
         free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
         solver = pdsolver.GlobalSolver(
             pdsolver.assemble_global(mesh, gam, dt), free, pins)
@@ -270,19 +276,16 @@ class TestStepping:
             def solve(self, b, pin_vals):
                 return np.full_like(b, np.nan)
 
-        st = pdsolver.SimState(x=mesh.nodes, v=np.zeros_like(mesh.nodes), dt=1e-3)
         with pytest.raises(RuntimeError, match="iteration 0"):
-            pdsolver.pd_step(st, mesh, gam, solver=BadSolver())
+            pdsolver.pd_step(mesh, gam, mesh.nodes, 1e-3, *NO_PINS, solver=BadSolver())
 
     def test_pinned_nodes_track_targets(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
         pins = np.array([0, 1, 2])
         tgt = mesh.nodes[pins] + np.array([0.0, 0.01, 0.0])
-        st = pdsolver.SimState(x=mesh.nodes, v=np.zeros_like(mesh.nodes), dt=1e-3,
-                               pins=pins, pin_targets=tgt)
-        pdsolver.pd_step(st, mesh, gam, iterations=4)
-        assert np.abs(st.x[pins] - tgt).max() < 1e-14
+        x = pdsolver.pd_step(mesh, gam, mesh.nodes, 1e-3, pins, tgt, iterations=4)
+        assert np.abs(x[pins] - tgt).max() < 1e-14
 
 
 class TestExactHessian:
@@ -395,8 +398,7 @@ class TestNewtonPolish:
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
         dt = 1e-3
-        st = pdsolver.SimState(x=mesh.nodes * 1.01, v=np.zeros_like(mesh.nodes), dt=dt)
-        xhat = pdsolver._predicted(st, None, mesh)
+        xhat = mesh.nodes * 1.01
         x, ok, _ = pdsolver.newton_polish(
             mesh, gam, xhat, dt=dt, xhat=xhat, tol=1e-7, max_iters=100)
         assert ok
@@ -426,8 +428,7 @@ class TestNewtonPolish:
     def _dynamic_polish(self, max_iters=100):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
-        st = pdsolver.SimState(x=mesh.nodes * 1.01, v=np.zeros_like(mesh.nodes), dt=1e-3)
-        xhat = pdsolver._predicted(st, None, mesh)
+        xhat = mesh.nodes * 1.01
         return pdsolver.newton_polish(mesh, gam, xhat, dt=1e-3, xhat=xhat, tol=1e-7,
                                       max_iters=max_iters)
 
@@ -500,6 +501,17 @@ class TestCms:
         x = cms.solve(b)
         x_ref = spla.spsolve(K.tocsc(), b)
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
+
+    def test_sparse_eigensolver_basis_is_deterministic(self):
+        # an interior above 400 nodes takes its modes from ARPACK, whose
+        # own start vector is random: two builds in one process must agree
+        mesh, K, _, free = pinned_bench_patch(25, 200)
+        Kff = K[free][:, free].tocsc()
+        a, b = (pdsolver.build_cms(Kff, mesh, free, n_domains=1, modes_per_domain=10)
+                for _ in range(2))
+        assert len(free) > 400
+        assert np.array_equal(a.T.toarray(), b.T.toarray())
+        assert np.array_equal(a.K_red.toarray(), b.K_red.toarray())
 
     def test_reduced_matrix_spd(self):
         mesh, K = self.setup_system()
@@ -712,35 +724,31 @@ class TestColliders:
         mesh, _, _ = wavy_mesh(n=22, cell=0.05)
         mesh.node_mass = np.full(mesh.n_nodes, 2e-4)
         gam = mat.MaterialField.uniform(mesh.n_elements, 50.0, 25.0)
-        st = pdsolver.SimState(x=mesh.nodes, v=np.zeros_like(mesh.nodes),
-                               dt=2e-3, colliders=colliders)
         f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])
-        for _ in range(steps):
-            pdsolver.pd_step(st, mesh, gam, iterations=10, forces=f, damping=0.9)
-        return mesh, st
+        frames = pdsolver.simulate_mesh(mesh, gam, steps, 2e-3, forces=f, colliders=colliders,
+                                        iterations=10, damping=0.9)
+        return mesh, frames[-1]
 
     def test_plane_resting_contact_depth(self):
         mesh0, _, _ = wavy_mesh(n=22, cell=0.05)
         floor_y = mesh0.nodes[:, 1].min() + 0.02
-        mesh, st = self.settle((("plane", (0.0, floor_y, 0.0), (0.0, 1.0, 0.0)),))
-        pen = floor_y - st.x[:, 1].min()
+        mesh, x = self.settle((("plane", (0.0, floor_y, 0.0), (0.0, 1.0, 0.0)),))
+        pen = floor_y - x[:, 1].min()
         assert pen < 1e-4 * mesh.cell_size
 
     def test_sphere_resting_contact_depth(self):
         mesh0, _, _ = wavy_mesh(n=22, cell=0.05)
         c = mesh0.nodes.mean(axis=0) + np.array([0.0, -0.4, 0.0])
         r = 0.35
-        mesh, st = self.settle((("sphere", c, r),))
-        pen = r - np.linalg.norm(st.x - c, axis=1).min()
+        mesh, x = self.settle((("sphere", c, r),))
+        pen = r - np.linalg.norm(x - c, axis=1).min()
         assert pen < 1e-4 * mesh.cell_size
 
     def test_collide_project_snaps_inside_nodes(self):
         x = np.array([[0.0, -0.5, 0.0], [0.0, 0.5, 0.0]])
-        st = pdsolver.SimState(x=x, v=np.zeros_like(x), dt=1e-3,
-                               colliders=(("plane", (0, 0, 0), (0, 1, 0)),))
-        oracles.collide_project(st)
-        assert np.allclose(st.x[0], [0.0, 0.0, 0.0])
-        assert np.allclose(st.x[1], [0.0, 0.5, 0.0])
+        q = pdsolver.surface_targets(x, ("plane", (0, 0, 0), (0, 1, 0)))
+        assert np.allclose(q[0], [0.0, 0.0, 0.0])
+        assert np.allclose(q[1], [0.0, 0.5, 0.0])
 
     def test_overlapping_colliders_sum_their_penalties(self):
         # a node under the planes y = 0 and z = 0 with no elastic coupling
@@ -753,8 +761,7 @@ class TestColliders:
         planes = (("plane", (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                   ("plane", (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
         gam = mat.MaterialField.uniform(1, 0.0, 0.0)
-        st = pdsolver.SimState(x=x0, v=np.zeros_like(x0), dt=dt, colliders=planes)
-        pdsolver.pd_step(st, mesh, gam, iterations=200)
+        x = pdsolver.pd_step(mesh, gam, x0, dt, *NO_PINS, iterations=200, colliders=planes)
 
         m_dt2 = mesh.node_mass[0] / dt**2
         cw = pdsolver.CONTACT_STIFFNESS * pdsolver.assemble_global(mesh, gam, dt).diagonal()[0]
@@ -765,12 +772,12 @@ class TestColliders:
             A += cw * np.outer(n, n)
             b += cw * n * (n @ np.asarray(p))
         x_ref = np.linalg.solve(A, b)
-        assert np.abs(st.x[0] - x_ref).max() < 1e-12
-        assert np.array_equal(st.x[1:], x0[1:])
+        assert np.abs(x[0] - x_ref).max() < 1e-12
+        assert np.array_equal(x[1:], x0[1:])
 
     def test_unknown_collider_kind_rejected(self):
         with pytest.raises(ValueError):
-            pdsolver.collider_targets(np.zeros((1, 3)), [("torus", 0, 1)])
+            pdsolver.collider_targets(np.zeros((1, 3)), ("torus", 0, 1))
 
 
 class TestGlobalSolver:
@@ -821,6 +828,50 @@ class TestGlobalSolver:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("case", ["direct", "cms-pin-path", "colliders", "polish"])
+    def test_frames_match_state_loop_oracle(self, case):
+        # the loop that kept its state in a SimState and made a polished
+        # step's prediction and velocity twice gives the same bits
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        dt, steps = 1e-3, 4
+        c = mesh.nodes[:, 0]
+        pins = np.flatnonzero((c <= c.min() + 1e-9) | (c >= c.max() - 1e-9))
+        f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])
+        kw = dict(forces=f, pins=pins, iterations=6, damping=0.9)
+        if case == "cms-pin-path":
+            moving = (c[pins] >= c.max() - 1e-9)[None, :, None]
+            shift = np.linspace(0.01, 0.04, steps)[:, None, None] * np.array([1.0, 0.0, 0.0])
+            kw["pin_targets"] = mesh.nodes[pins][None] + moving * shift
+            free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
+            kw["solver"] = pdsolver.GlobalSolver(
+                pdsolver.assemble_global(mesh, gam, dt), free, pins, mode="cms", mesh=mesh,
+                modes_per_domain=8, refine_sweeps=5)
+        elif case == "colliders":
+            # two overlapping floor planes and a sphere around a mid node,
+            # each holding free nodes from the first step on
+            lo = mesh.nodes.min(axis=0)
+            mid = np.argmin(np.abs(c - c.mean()))
+            kw["colliders"] = (("plane", lo + 0.01, (0.0, 1.0, 0.0)),
+                               ("plane", lo + 0.01, (0.0, 0.0, 1.0)),
+                               ("sphere", mesh.nodes[mid], 0.05))
+            inside = [np.setdiff1d(pdsolver.collider_targets(mesh.nodes, cl)[0], pins)
+                      for cl in kw["colliders"]]
+            assert min(len(i) for i in inside) > 0
+            assert len(np.intersect1d(inside[0], inside[1])) > 0
+        elif case == "polish":
+            kw["pin_targets"] = mesh.nodes[pins] + np.array([0.01, 0.0, 0.0])
+            kw["polish_tol"] = 1e-10
+        seen, ref_seen = [], []
+        frames = pdsolver.simulate_mesh(
+            mesh, gam, steps, dt, on_step=lambda i, x, polish: seen.append(polish), **kw)
+        ref = oracles.simulate_mesh(
+            mesh, gam, steps, dt, on_step=lambda i, st: ref_seen.append(st.polish), **kw)
+        assert np.array_equal(frames, ref)
+        assert seen == ref_seen
+        # a polish that takes Newton steps moves the frame and so v
+        assert all(p[1] > 0 for p in seen) if case == "polish" else all(p is None for p in seen)
+
     def test_cms_mode_matches_direct(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)

@@ -37,3 +37,29 @@ def test_every_parent_span_is_a_target():
     tracer = load_tracer()
     names = {tracer.span_name(m, p) for m, p, _ in tracer.TARGETS}
     assert set(tracer.PARENTS) <= names
+
+
+def test_simulate_reaches_step_and_polish_through_module_attributes(monkeypatch):
+    # the tracer counts the calls of the wrapped module attributes, so
+    # simulate_mesh must look pd_step and newton_polish up there: once per
+    # step, and the polish once per polished step
+    import numpy as np
+
+    from volknit import material, pdsolver, volmesh, yarn_model
+
+    model = yarn_model.rib_patch(courses=3, wales=12, course_spacing=0.005,
+                                 wale_spacing=0.005, amplitude=0.002, rib_period=4)
+    mesh = volmesh.voxelize(model, 0.03)
+    volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
+    gam = material.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
+    calls = []
+    for name in ("pd_step", "newton_polish"):
+        def counted(*args, _f=getattr(pdsolver, name), _n=name, **kw):
+            calls.append(_n)
+            return _f(*args, **kw)
+        monkeypatch.setattr(pdsolver, name, counted)
+    pdsolver.simulate_mesh(mesh, gam, 3, 1e-2, pins=[0], iterations=2)
+    assert calls == ["pd_step"] * 3
+    calls.clear()
+    pdsolver.simulate_mesh(mesh, gam, 3, 1e-2, pins=[0], iterations=2, polish_tol=1e-6)
+    assert calls == ["pd_step", "newton_polish"] * 3

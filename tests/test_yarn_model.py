@@ -265,10 +265,10 @@ def test_yarn_and_mesh_collider_targets_agree(collider, rng):
         xhat = a + (b * scale)[:, None] * u / np.linalg.norm(u, axis=1, keepdims=True)
     xi = xhat + 0.05 * rng.normal(size=xhat.shape)
     (idx_ref, q_ref), = oracles.yarn_collider_rows(xhat, xi, [collider])
-    idx, _ = pdsolver.collider_targets(xhat, [collider])
+    idx, _ = pdsolver.collider_targets(xhat, collider)
     assert np.array_equal(idx, idx_ref)
     assert 20 <= len(idx) < 60
-    q = pdsolver.surface_targets(xi[idx], [collider])
+    q = pdsolver.surface_targets(xi[idx], collider)
     assert np.abs(q - q_ref).max() <= 1e-15 * (1.0 + np.abs(xi).max())
 
 
