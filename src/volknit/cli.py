@@ -114,7 +114,6 @@ DEFAULTS = {
         "modes_per_domain": 20,
         "refine_sweeps": 30,
         "aggregation": 2,
-        "chebyshev": False,
         "damping": 1.0,
         "polish_tol": None,
         "colliders": [],
@@ -187,6 +186,10 @@ def validate_config(cfg):
         raise ConfigError("simulate.polish_tol must be positive")
     if any(g < 0 for g in cfg["fit"]["gamma_init"]):
         raise ConfigError("fit.gamma_init entries must be non-negative")
+    ranks = cfg["fit"]["ranks"]
+    if not isinstance(ranks, list) or not ranks or not all(
+            r is None or (type(r) is int and r >= 1) for r in ranks):
+        raise ConfigError("fit.ranks must be a non-empty list of nulls and integers >= 1")
     for section, key, allowed in (
             ("generate", "scenario", ("stretch", "twist", "hold", "drape")),
             ("simulate", "scenario", ("hold", "stretch", "twist")),
@@ -195,7 +198,8 @@ def validate_config(cfg):
         if cfg[section][key] not in allowed:
             raise ConfigError(f"unknown {section}.{key} {cfg[section][key]!r}")
     for name, least in (("simulate.domains", 1), ("simulate.modes_per_domain", 1),
-                        ("simulate.pd_iters", 1), ("generate.rod.pd_iters", 1),
+                        ("simulate.pd_iters", 1), ("simulate.refine_sweeps", 0),
+                        ("fit.gd_iters", 0), ("fit.gn_iters", 0), ("generate.rod.pd_iters", 1),
                         ("yarn.courses", 1), ("yarn.wales", 2), ("yarn.strand_vertices", 2)):
         *path, key = name.split(".")
         if functools.reduce(dict.get, path, cfg)[key] < least:
@@ -594,19 +598,6 @@ def cmd_fit(cfg, out, chash):
     return EXIT_OK
 
 
-def _write_obj(path, vertices, faces=None, lines=None, comment=None):
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        # one % format per block; %.17g and %d print as the f-string specs do
-        fh.write("v %.17g %.17g %.17g\n" * len(vertices) % tuple(np.ravel(vertices).tolist()))
-        if faces is not None:
-            fh.write("f %d %d %d\n" * len(faces) % tuple((np.ravel(faces) + 1).tolist()))
-        if lines is not None and len(lines):
-            fh.write("".join("l " + " ".join(["%d"] * len(run)) + "\n" for run in lines)
-                     % tuple((np.concatenate(lines).astype(int) + 1).tolist()))
-
-
 def cmd_simulate(cfg, out, chash):
     timings = []
 
@@ -650,8 +641,7 @@ def cmd_simulate(cfg, out, chash):
         solver = pdsolver.GlobalSolver(
             K, free, pins, mode=sc["solver"], mesh=mesh, n_domains=sc["domains"],
             modes_per_domain=sc["modes_per_domain"],
-            refine_sweeps=sc["refine_sweeps"], aggregation=sc["aggregation"],
-            chebyshev=sc["chebyshev"])
+            refine_sweeps=sc["refine_sweeps"], aggregation=sc["aggregation"])
         clock("factorize", t)
 
     frames_dir = os.path.join(out, "frames")
@@ -671,10 +661,10 @@ def cmd_simulate(cfg, out, chash):
         if step_polish is not None:
             polish.append(step_polish)
         yarn_frames[i] = transfer.v2y(emb, x)
-        _write_obj(os.path.join(frames_dir, f"mesh_{i:04d}.obj"), x,
-                   faces=tris, comment=comment)
-        _write_obj(os.path.join(frames_dir, f"yarn_{i:04d}.obj"),
-                   yarn_frames[i], lines=model.polylines, comment=comment)
+        volmesh.write_obj(os.path.join(frames_dir, f"mesh_{i:04d}.obj"), x,
+                          faces=tris, comment=comment)
+        volmesh.write_obj(os.path.join(frames_dir, f"yarn_{i:04d}.obj"),
+                          yarn_frames[i], lines=model.polylines, comment=comment)
         clock(f"write_{i:04d}", t)
         t = time.perf_counter()
 

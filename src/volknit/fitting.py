@@ -136,13 +136,6 @@ class FitProblem:
         """Constant loss Hessian; the same matrix acts on each coordinate."""
         return self.op.matrix(sample.targets.covered)
 
-    def residual(self, gammas, sample, x):
-        """Equilibrium residual infinity norm on the free nodes."""
-        free = np.setdiff1d(np.arange(self.mesh.n_nodes), sample.pins)
-        g = (pdsolver.elastic_gradient(self.mesh, gammas, x)
-             + (self.mesh.node_mass[:, None] / self.dt**2) * sample.inertia)
-        return float(np.abs(g[free]).max()) if len(free) else 0.0
-
     def solve_equilibrium(self, gammas, sample, x0=None, tol=1e-6,
                           pd_iters=6, max_newton=60):
         """Quasi-static state under the sample loads.
@@ -161,11 +154,10 @@ class FitProblem:
             x0 = pdsolver.pd_equilibrium(
                 self.mesh, gammas, sample.inertia, sample.x_init, sample.pins,
                 sample.pin_vals, self.dt, iterations=pd_iters)
-        x, ok, iters = pdsolver.newton_polish(
+        x, ok, iters, resid = pdsolver.newton_polish(
             self.mesh, gammas, x0, dt=self.dt, pins=sample.pins,
             pin_vals=sample.pin_vals, inertia_target=sample.inertia,
             tol=tol, max_iters=max_newton, min_iters=0 if cold else 1)
-        resid = self.residual(gammas, sample, x)
         self.stats.record(cold, iters, ok, resid)
         return x, resid, ok
 
@@ -206,15 +198,14 @@ class AdjointState:
     grad: np.ndarray          # loss gradient in gamma, length 2nE
 
 
-def adjoint_gradient(problem, sample, gammas, x, residual=None, logger=None):
+def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
     """Loss gradient in the coefficients via one adjoint solve.
 
     The equilibrium Jacobian carries the projection sensitivities; with
     the frozen-projection form the gradient has order-one error.  Each
-    call is gated on the equilibrium residual and logged.
+    call is gated on `residual`, the equilibrium residual that
+    solve_equilibrium returned with x, and logged.
     """
-    if residual is None:
-        residual = problem.residual(gammas, sample, x)
     ok = residual < EQ_GATE
     if logger is not None:
         logger.log_gate(sample.index, residual, ok)

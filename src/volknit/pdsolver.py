@@ -161,12 +161,13 @@ class GlobalSolver:
 
     free is the sorted complement of pins.  mode="direct" factorizes the
     free-free block once; mode="cms" hands it to build_cms with `mesh`,
-    which works in free-local indices.
+    which works in free-local indices, and refines each subspace solution
+    with `refine_sweeps` a_jacobi_refine sweeps of `aggregation` updates at
+    JACOBI_OMEGA (0 keeps the subspace solution).
     """
 
     def __init__(self, K, free, pins, mode="direct", mesh=None, n_domains=2,
-                 modes_per_domain=20, refine_sweeps=0, aggregation=2,
-                 omega=JACOBI_OMEGA, chebyshev=False):
+                 modes_per_domain=20, refine_sweeps=0, aggregation=2):
         self.free = free
         self.pins = pins
         self.Kff = K[free][:, free].tocsc()
@@ -174,11 +175,6 @@ class GlobalSolver:
         self.mode = mode
         self.refine_sweeps = refine_sweeps
         self.aggregation = aggregation
-        self.omega = omega
-        self.chebyshev = chebyshev
-        # K stays fixed, so the smoother's spectral radius is estimated once
-        self.rho = (_power_rho(self.Kff, 1.0 / self.Kff.diagonal(), omega)
-                    if chebyshev and mode == "cms" and refine_sweeps > 0 else None)
         if mode == "direct":
             self._solve = spla.splu(self.Kff).solve
             self.cms = None
@@ -200,11 +196,8 @@ class GlobalSolver:
             return out
         X = self.cms.solve(Bf)
         if self.refine_sweeps > 0:
-            X, _ = a_jacobi_refine(
-                self.Kff, Bf, X, sweeps=self.refine_sweeps,
-                aggregation=self.aggregation, omega=self.omega,
-                chebyshev=self.chebyshev, rho=self.rho,
-            )
+            X, _ = a_jacobi_refine(self.Kff, Bf, X, sweeps=self.refine_sweeps,
+                                   aggregation=self.aggregation)
         out[self.free] = X
         return out
 
@@ -317,7 +310,8 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
     start that is converged for neighbouring coefficients is within tol of
     its own equilibrium, yet a step still carries it there.
 
-    Returns (x, converged flag, iterations used).
+    Returns (x, converged flag, iterations used, free-node residual
+    infinity norm at x).
     """
     if (inertia_target is None) == (xhat is None):
         raise ValueError("give exactly one of inertia_target or xhat")
@@ -349,7 +343,7 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
 
     g = residual(x)
     if min_iters <= 0 and gmax(g) < tol:
-        return x, True, 0
+        return x, True, 0, gmax(g)
 
     fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
     mass_diag = np.repeat(mesh.node_mass, 3) / dt**2
@@ -396,16 +390,16 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
             stall += 1
             if stall >= 10:
                 log.warning("newton polish stalled at residual %.3e", gmax(g))
-                return x, False, it
+                return x, False, it, gmax(g)
             xn, on = x, obj
         x, obj = xn, on
         g = residual(x)
         if it >= min_iters and gmax(g) < tol:
-            return x, True, it
+            return x, True, it, gmax(g)
     ok = gmax(g) < tol
     if not ok:
         log.warning("newton polish hit iteration cap at residual %.3e", gmax(g))
-    return x, ok, max_iters
+    return x, ok, max_iters, gmax(g)
 
 
 # ---------------------------------------------------------------------------
@@ -518,22 +512,6 @@ def build_cms(K, mesh, free, n_domains=2, modes_per_domain=20):
 # aggregated Jacobi
 
 
-def _power_rho(K, invd, omega, iters=30, seed=0):
-    """Spectral-radius estimate of the weighted-Jacobi iteration matrix."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=K.shape[0])
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(iters):
-        v = v - omega * (invd * (K @ v))
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-300:
-            return 0.0
-        rho = nrm
-        v /= nrm
-    return min(rho, 0.9999)
-
-
 def _column_norms(r):
     """2-norm of each column of r (..., n, k), each reduced over one
     contiguous row so a column gets the same bits whatever k is, and a
@@ -541,15 +519,13 @@ def _column_norms(r):
     return np.linalg.norm(np.ascontiguousarray(np.swapaxes(r, -1, -2)), axis=-1)
 
 
-def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA,
-                    chebyshev=False, rho=None):
+def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA):
     """Aggregated weighted-Jacobi refinement of K x = b.
 
     One aggregated sweep applies `aggregation` plain weighted-Jacobi
     updates fused into a single accumulation (algebraically identical to
-    running them one by one).  With `chebyshev` the sweeps are blended by
-    the classical semi-iterative weights using the smoother's spectral
-    radius `rho`, estimated by power iteration when not given.
+    running them one by one), so `sweeps` sweeps cost sweeps x aggregation
+    sparse products.
 
     b and x0 are (n,) or (n, k); the k columns are refined together, each
     as if alone.  Returns (x, info) where info carries the residual history
@@ -561,9 +537,9 @@ def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA,
     first sweep whose residual norm exceeds 10x its best so far; its
     history ends there and later sweeps are ignored, so the sweep and the
     sparse product, which never mix columns, give each column the bits it
-    would get alone.  The kept iterates and residuals take 2 (m + 1) n k
-    floats for m sweeps (sweeps x aggregation with chebyshev): about 20 MB
-    at 13k unknowns with three columns and 30 sweeps.
+    would get alone.  The kept iterates and residuals take
+    2 (sweeps + 1) n k floats: about 20 MB at 13k unknowns with three
+    columns and 30 sweeps.
     """
     if aggregation not in (2, 3):
         raise ValueError("aggregation must be 2 or 3")
@@ -574,32 +550,22 @@ def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA,
     b = np.asarray(b, dtype=float)
     vector = b.ndim == 1
     b = b.reshape(len(d), -1)
-    n_it = sweeps * aggregation if chebyshev else sweeps
-    X = np.empty((n_it + 1,) + b.shape)
+    X = np.empty((sweeps + 1,) + b.shape)
     R = np.empty_like(X)
     X[0] = np.asarray(x0, dtype=float).reshape(b.shape)
     R[0] = b - K @ X[0]
-    if chebyshev and rho is None:
-        rho = _power_rho(K, invd[:, 0], omega)
 
-    w = 1.0
     with np.errstate(over="ignore", invalid="ignore"):     # diverged columns run on
-        for k in range(n_it):
-            if chebyshev:
-                y = X[k] + omega * (invd * R[k])
-                X[k + 1] = y if k == 0 else w * (y - X[k - 1]) + X[k - 1]
-                w = 2.0 / (2.0 - rho**2) if k == 0 else 4.0 / (4.0 - rho**2 * w)
-                R[k + 1] = b - K @ X[k + 1]
-            else:
-                # fused aggregation: e accumulates the next `aggregation` updates
-                e = np.zeros_like(b)
-                s = R[k + 1]
-                s[...] = R[k]
-                for _ in range(aggregation):
-                    cs = omega * (invd * s)
-                    e += cs
-                    s -= K @ cs
-                np.add(X[k], e, out=X[k + 1])
+        for k in range(sweeps):
+            # fused aggregation: e accumulates the next `aggregation` updates
+            e = np.zeros_like(b)
+            s = R[k + 1]
+            s[...] = R[k]
+            for _ in range(aggregation):
+                cs = omega * (invd * s)
+                e += cs
+                s -= K @ cs
+            np.add(X[k], e, out=X[k + 1])
         rn = _column_norms(R)
 
     # a NaN residual stays NaN in every later sweep, so the NaN it spreads
@@ -607,7 +573,7 @@ def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=JACOBI_OMEGA,
     best = np.minimum.accumulate(rn, axis=0)
     over = rn > 10.0 * best
     diverged = over.any(axis=0)
-    end = np.where(diverged, over.argmax(axis=0), n_it)
+    end = np.where(diverged, over.argmax(axis=0), sweeps)
     cols = np.arange(b.shape[1])
     # the best iterate is the first to reach the final best residual
     pick = np.where(diverged | (rn[end, cols] > best[end, cols]),
@@ -666,8 +632,8 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
         polish = None
         if polish_tol is not None and not colliders:
             # the exact Jacobian converges quadratically near the solution
-            xn, ok, iters = newton_polish(mesh, gammas, xn, dt=dt, pins=pins,
-                                          pin_vals=pin_path[i], xhat=xhat, tol=polish_tol)
+            xn, ok, iters, _ = newton_polish(mesh, gammas, xn, dt=dt, pins=pins,
+                                             pin_vals=pin_path[i], xhat=xhat, tol=polish_tol)
             polish = (ok, iters)
         v = damping * (xn - x) / dt
         x = xn

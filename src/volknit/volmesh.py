@@ -542,13 +542,22 @@ def write_mesh(mesh, prefix, comment=None):
         meta["comment"] = comment
     with open(f"{prefix}.json", "w") as fh:
         json.dump(meta, fh)
-    tris = boundary_faces(mesh)
-    with open(f"{prefix}_boundary.obj", "w") as fh:
-        fh.write(head)
-        for p in mesh.nodes:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for f in tris:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+    write_obj(f"{prefix}_boundary.obj", mesh.nodes, faces=boundary_faces(mesh), comment=comment)
+
+
+def write_obj(path, vertices, faces=None, lines=None, comment=None):
+    """Write an OBJ file: vertices, then triangles (0-based rows) and
+    polylines (0-based index runs), each block in one formatted write."""
+    with open(path, "w") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        # one % format per block; %.17g and %d print as the f-string specs do
+        fh.write("v %.17g %.17g %.17g\n" * len(vertices) % tuple(np.ravel(vertices).tolist()))
+        if faces is not None:
+            fh.write("f %d %d %d\n" * len(faces) % tuple((np.ravel(faces) + 1).tolist()))
+        if lines is not None and len(lines):
+            fh.write("".join("l " + " ".join(["%d"] * len(run)) + "\n" for run in lines)
+                     % tuple((np.concatenate(lines).astype(int) + 1).tolist()))
 
 
 def read_mesh(prefix):

@@ -199,8 +199,9 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
     """Implicit-Euler rod dynamics, returned as a YarnSequence.
 
     forces: (nY, 3) constant or (steps, nY, 3) per step, in Newtons.
-    pins: vertex indices held at pin_targets (per-step (nF, nP, 3) or
-    constant (nP, 3); defaults to their rest positions).
+    pins: vertex indices held at pin_targets (per-step (steps, nP, 3) or
+    constant (nP, 3); defaults to their rest positions).  A force or pin
+    path of any other length raises ValueError before the first step.
     colliders: iterable of ("plane", point, normal) or ("sphere", center,
     radius) tuples that vertices may not penetrate.
 
@@ -216,19 +217,11 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
 
     pins = np.asarray(pins, dtype=int) if pins is not None else np.empty(0, dtype=int)
     free = np.setdiff1d(np.arange(n), pins)
-    if pin_targets is None:
-        pin_path = np.broadcast_to(rest[pins], (steps, len(pins), 3))
-    else:
-        pin_targets = np.asarray(pin_targets, dtype=float)
-        if pin_targets.ndim == 2:
-            pin_path = np.broadcast_to(pin_targets, (steps, len(pins), 3))
-        else:
-            pin_path = pin_targets
-    if forces is None:
-        force_path = np.zeros((steps, n, 3))
-    else:
-        forces = np.asarray(forces, dtype=float)
-        force_path = np.broadcast_to(forces, (steps, n, 3))
+    pin_path = np.broadcast_to(
+        rest[pins] if pin_targets is None else np.asarray(pin_targets, dtype=float),
+        (steps, len(pins), 3))
+    force_path = np.broadcast_to(
+        0.0 if forces is None else np.asarray(forces, dtype=float), (steps, n, 3))
 
     stretch = model.segments
     w_stretch = params.stretch_stiffness / model.rest_lengths

@@ -782,8 +782,7 @@ def batch_energies(F, gamma_s, gamma_v, volumes):
 # aggregated Jacobi with its bookkeeping inside the sweep loop
 
 
-def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=pdsolver.JACOBI_OMEGA,
-                    chebyshev=False, rho=None):
+def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=pdsolver.JACOBI_OMEGA):
     """pdsolver.a_jacobi_refine with divergence, the best iterate and the
     residual history kept sweep by sweep: a diverged column stops moving,
     and the loop ends once every column has diverged."""
@@ -804,27 +803,15 @@ def a_jacobi_refine(K, b, x0, sweeps=30, aggregation=2, omega=pdsolver.JACOBI_OM
     length = np.ones(b.shape[1], dtype=int)
     diverged = np.zeros(b.shape[1], dtype=bool)
 
-    if chebyshev:
-        if rho is None:
-            rho = pdsolver._power_rho(K, invd[:, 0], omega)
-        x_prev, w = x, 1.0
-    for k in range(sweeps * aggregation if chebyshev else sweeps):
-        if chebyshev:
-            y = x + omega * (invd * (b - K @ x))
-            x_new = y if k == 0 else w * (y - x_prev) + x_prev
-            w = 2.0 / (2.0 - rho**2) if k == 0 else 4.0 / (4.0 - rho**2 * w)
-            x_new[:, diverged] = x[:, diverged]
-            x_prev, x = x, x_new
-            r = b - K @ x
-        else:
-            e = np.zeros_like(x)
-            s = r.copy()
-            for _ in range(aggregation):
-                cs = omega * (invd * s)
-                cs[:, diverged] = 0.0
-                e += cs
-                s -= K @ cs
-            x, r = x + e, s
+    for _ in range(sweeps):
+        e = np.zeros_like(x)
+        s = r.copy()
+        for _ in range(aggregation):
+            cs = omega * (invd * s)
+            cs[:, diverged] = 0.0
+            e += cs
+            s -= K @ cs
+        x, r = x + e, s
         rn = pdsolver._column_norms(r)
         live = ~diverged
         history.append(rn)
@@ -1091,7 +1078,7 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
         pd_step_state(state, mesh, gammas, iterations=iterations, forces=forces,
                       solver=solver, damping=damping)
         if polish:
-            state.x, ok, iters = pdsolver.newton_polish(
+            state.x, ok, iters, _ = pdsolver.newton_polish(
                 mesh, gammas, state.x, dt=dt, pins=pins,
                 pin_vals=state.pin_targets, xhat=xh, tol=polish_tol,
             )
@@ -1133,7 +1120,7 @@ def dump_targets_csv(targets, path):
 
 
 def write_obj(path, vertices, faces=None, lines=None, comment=None):
-    """cli._write_obj one formatted coordinate or index at a time."""
+    """volmesh.write_obj one formatted coordinate or index at a time."""
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")

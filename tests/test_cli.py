@@ -99,9 +99,9 @@ def make_two_block_asset(dest):
         pv[:, 0] += s * dx_pin
         x = pdsolver.pd_equilibrium(mesh, truth, a, x, pins, pv, 2e-2,
                                     iterations=8)
-        x, ok, _ = pdsolver.newton_polish(mesh, truth, x, dt=2e-2, pins=pins,
-                                          pin_vals=pv, inertia_target=a,
-                                          tol=1e-11, max_iters=300)
+        x, ok, _, _ = pdsolver.newton_polish(mesh, truth, x, dt=2e-2, pins=pins,
+                                             pin_vals=pv, inertia_target=a,
+                                             tol=1e-11, max_iters=300)
         assert ok
         frames[k] = transfer.v2y(emb, x)
 
@@ -428,7 +428,7 @@ def test_write_obj_bytes_match_the_per_coordinate_writer(tmp_path):
     for kw in ({}, dict(faces=faces, comment="config abc"), dict(lines=lines),
                dict(faces=faces, lines=lines), dict(faces=faces[:0], lines=[])):
         for verts in (V, V[:0]):
-            cli._write_obj(tmp_path / "block.obj", verts, **kw)
+            volmesh.write_obj(tmp_path / "block.obj", verts, **kw)
             oracles.write_obj(tmp_path / "loop.obj", verts, **kw)
             assert ((tmp_path / "block.obj").read_bytes()
                     == (tmp_path / "loop.obj").read_bytes())
@@ -561,7 +561,8 @@ def test_validate_config_rejects_unknown_enum(section, key, value):
 @pytest.mark.parametrize("name,least", [
     ("simulate.domains", 1), ("simulate.modes_per_domain", 1), ("simulate.pd_iters", 1),
     ("generate.rod.pd_iters", 1), ("yarn.courses", 1), ("yarn.wales", 2),
-    ("yarn.strand_vertices", 2),
+    ("yarn.strand_vertices", 2), ("simulate.refine_sweeps", 0), ("fit.gd_iters", 0),
+    ("fit.gn_iters", 0),
 ])
 def test_validate_config_rejects_counts_below_minimum(name, least):
     cfg = cli.load_config()
@@ -574,6 +575,23 @@ def test_validate_config_rejects_counts_below_minimum(name, least):
     section[key] = least - 1
     with pytest.raises(cli.ConfigError, match=f"{name} must be at least {least}"):
         cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize("ranks", [[0, None], [-1, None], [1.5, None], [True], [], "full"],
+                         ids=["zero", "negative", "float", "bool", "empty", "string"])
+def test_validate_config_rejects_bad_ranks(ranks):
+    cfg = cli.load_config()
+    for good in ([1, None], [None], [30]):
+        cfg["fit"]["ranks"] = good
+        cli.validate_config(cfg)
+    cfg["fit"]["ranks"] = ranks
+    with pytest.raises(cli.ConfigError, match="fit.ranks"):
+        cli.validate_config(cfg)
+
+
+def test_zero_rank_exits_2(tmp_path):
+    rc, _ = run_cli("generate", tmp_path / "w", {"fit": {"ranks": [0, None]}})
+    assert rc == cli.EXIT_USAGE
 
 
 PLANE = {"kind": "plane", "point": [0.0, -1.0, 0.0], "normal": [0.0, 1.0, 0.0]}

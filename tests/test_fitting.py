@@ -55,7 +55,7 @@ def equilibrate(mesh, gam, pins, pin_vals, tol=1e-10):
     zero = np.zeros_like(x0)
     x = pdsolver.pd_equilibrium(mesh, gam, zero, x0, pins, pin_vals, DT,
                                 iterations=8)
-    x, ok, _ = pdsolver.newton_polish(
+    x, ok, _, _ = pdsolver.newton_polish(
         mesh, gam, x, dt=DT, pins=pins, pin_vals=pin_vals,
         inertia_target=zero, tol=tol, max_iters=150)
     assert ok

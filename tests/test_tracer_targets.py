@@ -1,11 +1,18 @@
 """The traced benchmark wraps volknit functions by name: every target that
-perfbench/tracer.py lists must resolve, so a rename fails here instead of
-in a traced benchmark run.  The tracer module is only read; installing it
-would rebind module globals for the rest of the session."""
+perfbench/tracer.py lists must resolve, and its note functions must read
+the right fields of real returns, so a rename or a reordered return fails
+here instead of in a traced benchmark run.  The tracer module is only read;
+installing it would rebind module globals for the rest of the session."""
 
 import importlib
 import importlib.util
 import os
+from types import SimpleNamespace
+
+import numpy as np
+import scipy.sparse as sp
+
+from volknit import fitting, material, pdsolver, volmesh, yarn_model
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
@@ -39,19 +46,49 @@ def test_every_parent_span_is_a_target():
     assert set(tracer.PARENTS) <= names
 
 
-def test_simulate_reaches_step_and_polish_through_module_attributes(monkeypatch):
-    # the tracer counts the calls of the wrapped module attributes, so
-    # simulate_mesh must look pd_step and newton_polish up there: once per
-    # step, and the polish once per polished step
-    import numpy as np
-
-    from volknit import material, pdsolver, volmesh, yarn_model
-
+def small_mesh():
     model = yarn_model.rib_patch(courses=3, wales=12, course_spacing=0.005,
                                  wale_spacing=0.005, amplitude=0.002, rib_period=4)
     mesh = volmesh.voxelize(model, 0.03)
     volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
-    gam = material.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
+    return mesh, material.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
+
+
+def test_polish_note_counts_the_iterations(monkeypatch):
+    # every iteration of newton_polish evaluates one exact Jacobian
+    tracer = load_tracer()
+    mesh, gam = small_mesh()
+    jacobians = []
+    hessian = pdsolver.exact_elastic_hessian
+    monkeypatch.setattr(pdsolver, "exact_elastic_hessian",
+                        lambda *a: jacobians.append(1) or hessian(*a))
+    xhat = mesh.nodes * 1.01
+    args, kwargs = (mesh, gam, xhat), dict(dt=1e-3, xhat=xhat, tol=1e-9)
+    out = pdsolver.newton_polish(*args, **kwargs)
+    assert len(jacobians) > 0
+    assert tracer._polish_iters(args, kwargs, out) == {"iters": len(jacobians)}
+
+
+def test_gauss_newton_note_reads_the_ok_flag():
+    tracer = load_tracer()
+    n, m = 4, 3
+    rng = np.random.default_rng(0)
+    problem = SimpleNamespace(loss_hessian_scalar=lambda s: sp.eye(n, format="csr"))
+    J = sp.csr_matrix(rng.normal(size=(3 * n, m)))
+    for H, rejected in ((sp.eye(3 * n, format="csc"), 0),
+                        (sp.csc_matrix((3 * n, 3 * n)), 1)):    # singular system
+        state = fitting.AdjointState(fdofs=np.arange(3 * n), H=H, J=J,
+                                     grad=rng.normal(size=m))
+        out = fitting.adjoint_gauss_newton(problem, None, state)
+        assert out[2] == (not rejected)
+        assert tracer._gn_rejected((problem, None, state), {}, out) == {"rejected": rejected}
+
+
+def test_simulate_reaches_step_and_polish_through_module_attributes(monkeypatch):
+    # the tracer counts the calls of the wrapped module attributes, so
+    # simulate_mesh must look pd_step and newton_polish up there: once per
+    # step, and the polish once per polished step
+    mesh, gam = small_mesh()
     calls = []
     for name in ("pd_step", "newton_polish"):
         def counted(*args, _f=getattr(pdsolver, name), _n=name, **kw):

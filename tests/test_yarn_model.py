@@ -120,6 +120,23 @@ def test_pins_exact_and_determinism():
         assert np.abs(fr[9] - y.rest_vertices[9]).max() == 0.0
 
 
+@pytest.mark.parametrize("rows", [9, 2])
+@pytest.mark.parametrize("path", ["pins", "forces"])
+def test_path_of_wrong_length_rejected_before_first_step(rows, path, monkeypatch):
+    # a per-step path must hold one row per step: longer is not truncated,
+    # shorter does not run out mid-simulation
+    y = ym.straight_strand(10, 0.4)
+    stepped = []
+    monkeypatch.setattr(ym, "collider_targets",
+                        lambda x, c: stepped.append(1) or (np.empty(0, dtype=int), x[:0]))
+    kw = dict(pins=[0, 9], pin_targets=np.zeros((rows, 2, 3))) if path == "pins" else \
+        dict(forces=np.zeros((rows, 10, 3)))
+    with pytest.raises(ValueError):
+        ym.simulate_yarn(y, 4, 0.01, params=ym.RodParams(contacts=False),
+                         colliders=[("sphere", (0.0, 0.0, 5.0), 0.1)], **kw)
+    assert not stepped
+
+
 def test_stretch_ten_percent():
     n = 11
     y = ym.straight_strand(n, 1.0)
