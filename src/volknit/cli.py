@@ -3,7 +3,7 @@ fit materials, run the forward solver, compare trajectories.
 
 All commands operate on a workspace directory given with --out:
 
-    config.resolved.json            merged config and its hash
+    config.resolved.json            merged config, user config hash
     sequence/                       ground-truth yarn frames     (generate)
         rest.yarn                   rest polylines, text
         frames.npy                  (frames, vertices, 3) float64 poses
@@ -11,13 +11,13 @@ All commands operate on a workspace directory given with --out:
         sequence.json               dt, pins, density, radius
     mesh.node/.ele/.json            tetrahedral mesh             (voxelize)
     material.csv, convergence.csv, fit_report.json               (fit)
-    fit_state.json                  checkpoint for --resume      (fit)
     frames/, sim_yarn/, timings.csv, sim_report.json             (simulate)
     compare_report.json                                          (compare)
 
 Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.  Every
-artifact carries the config hash so a result can be traced to the exact
-configuration that produced it.
+artifact carries the hash of the user's config (with any --seed override)
+so a result can be traced to the configuration that produced it; a change
+of DEFAULTS leaves the hash alone.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ DEFAULTS = {
         "gamma_init": [1.0, 1.0],
         "use_inertia": True,
         "loss_ceiling": None,       # exit 0 requires final loss <= ceiling
-        "resume": False,            # continue from fit_state.json if present
-        "max_samples": None,        # per-invocation cap on sequence samples
     },
     "simulate": {
         "scenario": "hold",         # hold | stretch | twist
@@ -144,20 +142,25 @@ def _merge(base, override, path=""):
     return out
 
 
-def load_config(path=None):
-    cfg = copy.deepcopy(DEFAULTS)
-    if path is not None:
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-        cfg = _merge(cfg, user)
-    return cfg
+def read_config(path):
+    """The user's config object as written, {} without a path."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            user = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    if not isinstance(user, dict):
+        raise ConfigError("config root must be a JSON object")
+    return user
+
+
+def load_config(user=None):
+    """DEFAULTS overridden by the user's config object."""
+    return _merge(copy.deepcopy(DEFAULTS), user or {})
 
 
 def validate_config(cfg):
@@ -178,12 +181,12 @@ def validate_config(cfg):
         raise ConfigError("fit.loss_ceiling must be positive")
     if cfg["fit"]["sample_stride"] < 1:
         raise ConfigError("fit.sample_stride must be at least 1")
-    cap = cfg["fit"]["max_samples"]
-    if cap is not None and cap < 1:
-        raise ConfigError("fit.max_samples must be at least 1")
     tol = cfg["simulate"]["polish_tol"]
     if tol is not None and tol <= 0.0:
         raise ConfigError("simulate.polish_tol must be positive")
+    if tol is not None and cfg["simulate"]["colliders"]:
+        # simulate_mesh does not polish a step that has colliders
+        raise ConfigError("simulate.polish_tol cannot be combined with simulate.colliders")
     if any(g < 0 for g in cfg["fit"]["gamma_init"]):
         raise ConfigError("fit.gamma_init entries must be non-negative")
     ranks = cfg["fit"]["ranks"]
@@ -237,8 +240,9 @@ def _check_collider(c, name):
             raise ConfigError(f"{name}.radius must be positive")
 
 
-def config_hash(cfg):
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+def config_hash(user):
+    """Hash of the user's config, so a change of defaults leaves it alone."""
+    blob = json.dumps(user, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -467,15 +471,6 @@ def _load_stage(cfg, out):
     return ws, model, seq, mesh, emb
 
 
-def _load_fit_state(path, indices, n_elements):
-    """Read a fit checkpoint and reject structural mismatches."""
-    with open(path) as fh:
-        ck = json.load(fh)
-    if ck.get("indices") != list(indices) or ck.get("n_elements") != n_elements:
-        raise ConfigError("fit_state.json does not match this mesh/sample set")
-    return ck
-
-
 def cmd_fit(cfg, out, chash):
     t0 = time.perf_counter()
     ws, model, seq, mesh, emb = _load_stage(cfg, out)
@@ -502,60 +497,16 @@ def cmd_fit(cfg, out, chash):
     fit_dt = seq.dt if fc["dt"] is None else fc["dt"]
     problem = fitting.FitProblem(op, dt=fit_dt)
     nE = mesh.n_elements
-    state_path = os.path.join(out, "fit_state.json")
     logger = fitting.FitLogger()
 
-    ck = None
-    if fc["resume"] and os.path.exists(state_path):
-        ck = _load_fit_state(state_path, indices, nE)
-    if ck is None:
-        gs0, gv0 = fc["gamma_init"]
-        gamma0 = np.concatenate([np.full(nE, float(gs0)),
-                                 np.full(nE, float(gv0))])
-        res0, stages = fitting.fit_staged(
-            problem, samples[0], gamma0, ranks=tuple(fc["ranks"]),
-            logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
-        # the first stage's cold evaluation is the loss at gamma_init
-        ck = dict(indices=indices, n_elements=nE, initial_loss=res0.losses[0],
-                  stages=stages, done=0, w=0.0, gamma=res0.gamma.tolist(),
-                  per_sample=[], rows=logger.rows, gate=logger.gate,
-                  equilibrium=asdict(problem.stats))
-        _write_report(state_path, ck, chash)
-    else:
-        logger.rows = list(ck["rows"])
-        logger.gate = [tuple(g) for g in ck["gate"]]
-        problem.stats = fitting.EquilibriumStats(**ck.get("equilibrium", {}))
-
-    done0 = int(ck["done"])
-    gamma0 = np.asarray(ck["gamma"], dtype=float)
-    prior = list(ck["per_sample"])
-    prior_ok = any(r["progressed"] or not r["stalled"] for r in prior)
-
-    todo = samples[done0:]
-    if fc["max_samples"] is not None:
-        todo = todo[:fc["max_samples"]]
-    rows_new = []
-
-    def save_state(k, gamma, w, row):
-        rows_new.append(row)
-        ck.update(done=done0 + k + 1, w=w, gamma=gamma.tolist(),
-                  per_sample=prior + rows_new,
-                  rows=logger.rows, gate=logger.gate,
-                  equilibrium=asdict(problem.stats))
-        _write_report(state_path, ck, chash)
-
-    if todo:
-        field, report = fitting.fit_sequence(
-            problem, todo, gamma0, logger=logger,
-            gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"],
-            w0=float(ck["w"]), prior_ok=prior_ok, checkpoint=save_state)
-        all_rows = prior + report["samples"]
-        failed = report["failed"]
-    else:
-        field = mat.MaterialField.from_stacked(gamma0)
-        all_rows, failed = prior, not prior_ok
-    done = int(ck["done"])
-    complete = done == len(samples)
+    gs0, gv0 = fc["gamma_init"]
+    gamma0 = np.concatenate([np.full(nE, float(gs0)), np.full(nE, float(gv0))])
+    res0, stages = fitting.fit_staged(
+        problem, samples[0], gamma0, ranks=tuple(fc["ranks"]),
+        logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
+    field, report = fitting.fit_sequence(
+        problem, samples, res0.gamma, logger=logger,
+        gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
 
     # loss of the blended field on every sample
     finals, unconverged = [], []
@@ -573,10 +524,11 @@ def cmd_fit(cfg, out, chash):
                 r["grad_norm"]) for r in logger.rows], chash)
     gate_max = max((g[1] for g in logger.gate), default=0.0)
     payload = dict(
-        samples=all_rows, failed=failed, completed=done, total=len(samples),
+        samples=report["samples"], failed=report["failed"], total=len(samples),
         gate_violations=logger.gate_violations,
         gate_evaluations=len(logger.gate), gate_max_residual=gate_max,
-        initial_loss=ck["initial_loss"], stage_losses=ck["stages"],
+        # the first stage's cold evaluation is the loss at gamma_init
+        initial_loss=res0.losses[0], stage_losses=stages,
         final_losses=finals, final_loss=final_loss,
         final_unconverged=len(unconverged),
         loss_ceiling=fc["loss_ceiling"], equilibrium=asdict(problem.stats),
@@ -584,14 +536,14 @@ def cmd_fit(cfg, out, chash):
     )
     _write_report(os.path.join(out, "fit_report.json"), payload, chash)
 
-    if failed:
+    if report["failed"]:
         print("error: all samples stalled", file=sys.stderr)
         return EXIT_NUMERIC
-    if complete and unconverged:
+    if unconverged:
         print(f"error: final equilibrium did not converge for samples "
               f"{unconverged}", file=sys.stderr)
         return EXIT_NUMERIC
-    if complete and fc["loss_ceiling"] is not None and final_loss > fc["loss_ceiling"]:
+    if fc["loss_ceiling"] is not None and final_loss > fc["loss_ceiling"]:
         print(f"error: final loss {final_loss:.3e} above ceiling "
               f"{fc['loss_ceiling']:.3e}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -758,12 +710,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        user = read_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            user["seed"] = int(args.seed)
+        cfg = load_config(user)
         validate_config(cfg)
         os.makedirs(args.out, exist_ok=True)
-        chash = config_hash(cfg)
+        chash = config_hash(user)
         with open(os.path.join(args.out, "config.resolved.json"), "w") as fh:
             json.dump({"config_hash": chash, "config": cfg}, fh, indent=1,
                       sort_keys=True)

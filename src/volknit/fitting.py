@@ -58,7 +58,6 @@ class FitSample:
     pins: np.ndarray                 # mesh node indices held fixed
     pin_vals: np.ndarray
     x_init: np.ndarray               # warm start (y2v transfer of the pose)
-    weight: float = 0.0
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.inertia)):
@@ -577,28 +576,24 @@ def fit_staged(problem, sample, gamma0, *, ranks=STAGE_RANKS, logger=None,
 
 
 def fit_sequence(problem, samples, gamma0, *, logger=None,
-                 gd_iters=GD_ITERS, gn_iters=GN_ITERS, w0=0.0,
-                 prior_ok=False, checkpoint=None):
+                 gd_iters=GD_ITERS, gn_iters=GN_ITERS):
     """Single pass over the samples with energy-weighted averaging.
 
     The running field starts at the first sample's fit (weight zero), and
     each later fit is blended in proportionally to its pose's elastic
     energy; the running weight tracks the most deformed pose seen.  Fits
-    that never accepted an update are skipped.  `w0` and `prior_ok` seed
-    the running weight and success flag when continuing a partially
-    completed pass; `checkpoint(k, gamma, w, row)` is called after each
-    sample so callers can persist the state the continuation needs.
+    that never accepted an update are skipped.
     Returns (MaterialField, report dict).
     """
     if not len(samples):
         raise ValueError("need at least one sample")
     logger = FitLogger() if logger is None else logger
     gamma = np.asarray(gamma0, dtype=float).copy()
-    w = float(w0)
+    w = 0.0
     best = None
     per_sample = []
-    any_ok = bool(prior_ok)
-    for k, sample in enumerate(samples):
+    any_ok = False
+    for sample in samples:
         res = fit_sample(problem, sample, gamma, logger=logger,
                          gd_iters=gd_iters, gn_iters=gn_iters)
         progressed = len(res.losses) > 1 and res.losses[-1] < res.losses[0]
@@ -615,8 +610,6 @@ def fit_sequence(problem, samples, gamma0, *, logger=None,
             else:
                 gamma = res.gamma.copy()
             w = max(w, wk)
-        if checkpoint is not None:
-            checkpoint(k, gamma, w, per_sample[-1])
     if not any_ok:
         log.warning("all samples stalled; returning best-loss field")
         gamma = best[1]

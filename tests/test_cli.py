@@ -1,6 +1,6 @@
 """Pipeline front-end tests: every subcommand end to end on small synthetic
-workspaces, the documented exit codes, artifact provenance, checkpointed
-resume, and the fitted-material round trip against its own ground truth."""
+workspaces, the documented exit codes, artifact provenance, and the
+fitted-material round trip against its own ground truth."""
 
 import json
 import os
@@ -29,12 +29,6 @@ def run_cli(cmd, out, cfg=None):
 def read_report(out, name):
     with open(os.path.join(str(out), name)) as fh:
         return json.load(fh)
-
-
-def csv_body(path):
-    """Data lines only, so files from different configs can be compared."""
-    with open(path) as fh:
-        return [ln for ln in fh if not ln.startswith("#")]
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +291,23 @@ def test_fit_recovers_block_contrast(block_ws):
     assert hard > 2.0 * soft
 
 
-def test_fit_resume_matches_uninterrupted_run(block_ws, tmp_path):
-    plain, parts = tmp_path / "plain", tmp_path / "parts"
-    for d in (plain, parts):
-        shutil.copytree(block_ws / "sequence", d / "sequence")
-        for ext in (".node", ".ele", ".json"):
-            shutil.copy(str(block_ws / "mesh") + ext, str(d / "mesh") + ext)
-    fit = dict(BLOCK_FIT["fit"], samples=[2, 3])
-    rc, _ = run_cli("fit", plain, {"fit": fit})
+def test_fit_two_samples_in_one_pass(block_ws, tmp_path):
+    cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"], samples=[2, 3]))
+    cfg["paths"]["material"] = None
+    rc, out = run_cli("fit", tmp_path / "two", cfg)
     assert rc == cli.EXIT_OK
+    rep = read_report(out, "fit_report.json")
+    assert rep["total"] == 2
+    assert [r["index"] for r in rep["samples"]] == [2, 3]
+    assert "completed" not in rep
+    assert not os.path.exists(os.path.join(out, "fit_state.json"))
 
-    rc, _ = run_cli("fit", parts, {"fit": dict(fit, max_samples=1)})
-    assert rc == cli.EXIT_OK
-    assert read_report(parts, "fit_report.json")["completed"] == 1
-    rc, _ = run_cli("fit", parts, {"fit": dict(fit, resume=True)})
-    assert rc == cli.EXIT_OK
 
-    rep_a = read_report(plain, "fit_report.json")
-    rep_b = read_report(parts, "fit_report.json")
-    assert rep_b["completed"] == rep_b["total"] == 2
-    assert rep_b["final_loss"] == rep_a["final_loss"]
-    for name in ("material.csv", "convergence.csv"):
-        assert csv_body(plain / name) == csv_body(parts / name)
+@pytest.mark.parametrize("key,value", [("resume", True), ("max_samples", 1)])
+def test_removed_fit_keys_exit_2(tmp_path, capsys, key, value):
+    rc, _ = run_cli("fit", tmp_path / "w", {"fit": {key: value}})
+    assert rc == cli.EXIT_USAGE
+    assert f"unknown config key 'fit.{key}'" in capsys.readouterr().err
 
 
 def test_fit_empty_sample_list_exits_2(block_ws, tmp_path):
@@ -622,6 +611,16 @@ def test_bad_collider_exits_2(tmp_path, capsys, section, collider, match):
     assert f"error: {section}.colliders[1]" in capsys.readouterr().err
 
 
+def test_polish_tol_with_colliders_exits_2(tmp_path, capsys):
+    sim = {"polish_tol": 1e-9, "colliders": [PLANE]}
+    with pytest.raises(cli.ConfigError, match="simulate.polish_tol .*simulate.colliders"):
+        cli.validate_config(cli.load_config({"simulate": sim}))
+    rc, _ = run_cli("simulate", tmp_path / "w", {"simulate": sim})
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "simulate.polish_tol" in err and "simulate.colliders" in err
+
+
 def _run_python(*args):
     """Run the interpreter on the same volknit package this test imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -669,6 +668,30 @@ def test_artifacts_carry_one_config_hash(pipeline_ws):
     for name in ("material.csv", "convergence.csv", "timings.csv"):
         with open(os.path.join(str(pipeline_ws), name)) as fh:
             assert fh.readline().strip() == f"# config {chash}"
+
+
+def test_config_hash_covers_the_user_config_alone(pipeline_ws, tmp_path, monkeypatch):
+    seq_dir = os.path.join(str(pipeline_ws), "sequence")
+    path = tmp_path / "compare.json"
+    path.write_text(json.dumps({"paths": {"sim": seq_dir, "ref": seq_dir}}))
+
+    def run(name, *extra):
+        out = tmp_path / name
+        rc = cli.main(["compare", "--config", str(path), "--out", str(out), *extra])
+        assert rc == cli.EXIT_OK
+        resolved = read_report(out, "config.resolved.json")
+        assert read_report(out, "compare_report.json")["config_hash"] == resolved["config_hash"]
+        return resolved
+
+    base = run("base")
+    monkeypatch.setitem(cli.DEFAULTS["fit"], "new_default", 1)
+    widened = run("widened")
+    # the new default reaches the resolved config but not the hash
+    assert widened["config"]["fit"]["new_default"] == 1
+    assert widened["config_hash"] == base["config_hash"]
+    seeded = run("seeded", "--seed", "7")
+    assert seeded["config"]["seed"] == 7
+    assert seeded["config_hash"] != base["config_hash"]
 
 
 def test_mesh_mass_matches_yarn_mass(pipeline_ws):
