@@ -8,10 +8,11 @@ sizes and seeds.
 
 Kept outside tests/ so the test suite does not time anything.  Sizes follow
 the benchmark patch (a 6x40 rib at cell 0.03: 192 tets, 81 nodes) and the
-acceptance patch's element count (1,560 tets); the load-path rows build
-both patches (a 25x200 rib at cell 0.04 for the acceptance one).  The
-material module keeps the decomposition of the last F it saw, so every row
-that repeats one F forgets it first and times a fresh decomposition.
+acceptance patch's element count (1,560 tets); the load-path rows and
+the exact-Hessian rows build both patches (a 25x200 rib at cell 0.04 for
+the acceptance one).  The material module keeps the decompositions and
+projection Jacobians of the last two F it saw, so every row that repeats
+one F forgets them first and times a fresh decomposition.
 """
 
 import numpy as np
@@ -63,13 +64,13 @@ def test_sl3_sigma_project_batch(benchmark, kind, size):
     benchmark(mat.sl3_sigma_project_batch, sig)
 
 
-def _pinned(courses, wales):
-    """A rib patch at cell 0.03: its global matrix, the end nodes pinned,
-    and three right-hand side columns."""
+def _pinned(courses, wales, cell=0.03):
+    """A rib patch: its global matrix, the end nodes pinned, and three
+    right-hand side columns."""
     model = yarn_model.rib_patch(courses=courses, wales=wales, course_spacing=0.005,
                                  wale_spacing=0.005, amplitude=0.002,
                                  rib_period=4, linear_density=0.002)
-    mesh = volmesh.voxelize(model, 0.03)
+    mesh = volmesh.voxelize(model, cell)
     volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
     K = pdsolver.assemble_global(mesh, mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
     x = mesh.nodes[:, 0]
@@ -113,16 +114,25 @@ def test_cms_build(benchmark, patch, n_tets):
     assert solver.cms.T.shape[0] == len(free)
 
 
-@pytest.mark.parametrize("layer", ["elastic_rhs", "exact_elastic_hessian"])
-def test_element_operator(benchmark, patch, layer):
-    """One local-step right-hand side, or one exact-Hessian assembly with
-    its projection Jacobians, on the patch stretched by 10 % with noise."""
-    mesh = patch[0]
+@pytest.mark.parametrize("layer,n_tets", [("elastic_rhs", 192), ("exact_elastic_hessian", 192),
+                                          ("exact_elastic_hessian", 1560)],
+                         ids=["elastic_rhs", "exact_elastic_hessian", "exact_elastic_hessian-1560"])
+def test_element_operator(benchmark, patch, layer, n_tets):
+    """One local-step right-hand side, or one exact-Hessian assembly of the
+    free block with its projection Jacobians, as the fit makes it with the
+    end nodes pinned, on the fitted-size patch or a 25x200 patch at cell
+    0.04 (1,560 tets), stretched by 10 % with noise."""
+    mesh, _, _, free, _, _ = patch if n_tets == 192 else _pinned(25, 200, 0.04)
+    assert mesh.n_elements == n_tets
     rng = np.random.default_rng(1)
     x = mesh.nodes * np.array([1.1, 1.0, 1.0]) + 1e-3 * rng.normal(size=mesh.nodes.shape)
     gammas = mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
-    out = benchmark(_fresh(getattr(pdsolver, layer)), mesh, gammas, x)
-    assert np.all(np.isfinite(out if layer == "elastic_rhs" else out.data))
+    if layer == "elastic_rhs":
+        out = benchmark(_fresh(pdsolver.elastic_rhs), mesh, gammas, x)
+    else:
+        fdofs = (3 * free[:, None] + np.arange(3)).reshape(-1)
+        out = benchmark(_fresh(pdsolver.exact_elastic_hessian), mesh, gammas, x, fdofs).data
+    assert np.all(np.isfinite(out))
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])
@@ -151,7 +161,7 @@ def test_solve_equilibrium(benchmark, start):
         x0, _, ok = problem.solve_equilibrium(
             mat.MaterialField.uniform(nE, 1.0, 1.0), sample)
         assert ok
-    _, resid, ok = benchmark(problem.solve_equilibrium, gammas, sample, x0)
+    _, resid, ok = benchmark(_fresh(problem.solve_equilibrium), gammas, sample, x0)
     assert ok and resid < 1e-6
 
 

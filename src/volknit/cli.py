@@ -185,7 +185,7 @@ def validate_config(cfg):
     if tol is not None and tol <= 0.0:
         raise ConfigError("simulate.polish_tol must be positive")
     if tol is not None and cfg["simulate"]["colliders"]:
-        # simulate_mesh does not polish a step that has colliders
+        # simulate_mesh rejects it too: collider steps are never polished
         raise ConfigError("simulate.polish_tol cannot be combined with simulate.colliders")
     if any(g < 0 for g in cfg["fit"]["gamma_init"]):
         raise ConfigError("fit.gamma_init entries must be non-negative")

@@ -213,8 +213,7 @@ def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
             f"adjoint evaluation rejected: residual {residual:.3e} >= {EQ_GATE:g}")
 
     fdofs = problem.free_dofs(sample)
-    H = pdsolver.exact_elastic_hessian(problem.mesh, gammas, x)
-    Hff = H[fdofs][:, fdofs].tocsc()
+    Hff = pdsolver.exact_elastic_hessian(problem.mesh, gammas, x, fdofs)
     gx = problem.loss_grad_x(x, sample).reshape(-1)[fdofs]
     try:
         lam = spla.spsolve(Hff, gx)

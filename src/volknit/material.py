@@ -393,35 +393,52 @@ def sl3_sigma_project(sigma):
 #
 # A fit's equilibrium solve asks for the projections of one F several times
 # in a row: the polish objective, the residual, the exact Hessian and the
-# coefficient Jacobian all see the same state.  Both projections are pure
-# functions of F, so the last decomposition is kept, keyed by F's shape and
-# bytes, and an equal F reuses it.  A miss costs one copy of F's bytes and
-# one compare that stops at the first differing byte.
+# coefficient Jacobian all see the same state, and every line-search trial
+# starts from the same base state.  The projections and their Jacobians are
+# pure functions of F, so the last two distinct F are kept, keyed by F's
+# shape and bytes, each with its decomposition and, once asked for, its
+# projection Jacobians; the base state and the trial's latest state both
+# stay, and an equal F reuses what its entry holds.  A miss costs one copy
+# of F's bytes and two compares that stop at the first differing byte.
 
-_last = None        # (key, (U, sigma, W, s, lam, clamped)) of the last F
+_kept = ()          # up to two (key, decomposition, jacobians or None), latest first
 
 
-def _decompose(F):
-    """svd_rv_batch and sl3_sigma_project_batch of a float (B, 3, 3) stack,
-    as (U, sigma, W, s, lam, clamped); read-only arrays, reused from the
-    last call when F is equal."""
-    global _last
-    key = (F.shape, F.tobytes())
-    last = _last        # one read, so another thread's store cannot split it
-    if last is not None and last[0] == key:
-        return last[1]
-    U, sig, W = svd_rv_batch(F)
-    out = (U, sig, W) + sl3_sigma_project_batch(sig)
-    for a in out:
+def _read_only(arrays):
+    for a in arrays:
         a.flags.writeable = False
-    _last = (key, out)
-    return out
+    return arrays
+
+
+def _keep(entry, kept):
+    """Store entry first and the latest other entry of kept after it, as
+    one new tuple, so another thread's read never sees it half made."""
+    global _kept
+    _kept = (entry,) + tuple(e for e in kept if e[0] != entry[0])[:1]
+    return entry
+
+
+def _entry(F):
+    """The kept (key, decomposition, jacobians) of a float (B, 3, 3) stack.
+
+    A new F gets svd_rv_batch and sl3_sigma_project_batch as (U, sigma, W,
+    s, lam, clamped), read-only, and no Jacobians yet; the entry seen least
+    recently goes.
+    """
+    key = (F.shape, F.tobytes())
+    kept = _kept        # one read, so another thread's store cannot split it
+    entry = next((e for e in kept if e[0] == key), None)
+    if entry is None:
+        U, sig, W = svd_rv_batch(F)
+        entry = (key, _read_only((U, sig, W) + sl3_sigma_project_batch(sig)), None)
+    return _keep(entry, kept)
 
 
 def clear_decomposition_cache():
-    """Forget the kept decomposition, so the next call computes its own."""
-    global _last
-    _last = None
+    """Forget the kept decompositions and Jacobians, so the next call
+    computes its own."""
+    global _kept
+    _kept = ()
 
 
 def batch_projections(F):
@@ -432,7 +449,7 @@ def batch_projections(F):
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)):
         raise ValueError("non-finite deformation gradient in batch")
-    U, _, W, s, _, _ = _decompose(F)
+    U, _, W, s, _, _ = _entry(F)[1]
     # matmul is about twice as fast on a contiguous W^T as on the view
     Wt = np.ascontiguousarray(np.swapaxes(W, -1, -2))
     return U @ Wt, (U * s[:, None, :]) @ Wt
@@ -470,11 +487,18 @@ def _sl3_ds_dsigma(s, lam, clamped):
 
 
 def projection_jacobians_batch(F):
-    """Batched (d vec R / d vec F, d vec V / d vec F), each (B, 9, 9)."""
+    """Batched (d vec R / d vec F, d vec V / d vec F), each (B, 9, 9) and
+    read-only; kept with F's decomposition, so an equal F reuses them."""
     F = np.asarray(F, dtype=float)
-    B = F.shape[0]
-    U, sig, W, s, lam, clamped = _decompose(F)
+    key, dec, jac = _entry(F)
+    if jac is None:
+        jac = _keep((key, dec, _read_only(_jacobians(*dec))), _kept)[2]
+    return jac
 
+
+def _jacobians(U, sig, W, s, lam, clamped):
+    """projection_jacobians_batch from the decomposition of F."""
+    B = U.shape[0]
     LR = np.zeros((B, 9, 9))
     LV = np.zeros((B, 9, 9))
     ds = _sl3_ds_dsigma(s, lam, clamped)

@@ -86,29 +86,34 @@ def elastic_gradient(mesh, gammas, x):
     return mesh.scatter(cs * (F - R) + cv * (F - V))
 
 
-# row-major vec(F) index 3i + j of the entry of vec(F^T) at 3j + i
-_VEC_T = np.arange(9).reshape(3, 3).T.reshape(-1)
-
-
-def exact_elastic_hessian(mesh, gammas, x):
-    """Second derivative of the elastic energy over all DOFs, (3nV, 3nV).
+def exact_elastic_hessian(mesh, gammas, x, dofs=None):
+    """Second derivative of the elastic energy, the dofs x dofs block as
+    CSC, over all DOFs for dofs None (3nV, 3nV).
 
     Unlike the frozen-projection form used by the global PD matrix, this
     carries the projection sensitivities, so it is the true Jacobian of the
-    elastic gradient; symmetric, not necessarily definite.  It is
-    kron(D, I3)^T M kron(D, I3) with M block diagonal, each 9x9 block the
-    element's d2E/dF2 permuted to the vec(F^T) order of kron(D, I3).
+    elastic gradient; symmetric, not necessarily definite.  Each element's
+    (12, 12) block De^T M9 De, with De its map from node-major x, y, z DOFs
+    to row-major vec(F) and M9 its d2E/dF2, is scatter-added into the CSC
+    pattern the mesh keeps for the distinct DOFs `dofs`, so a pinned
+    block never passes through the whole matrix.
     """
     F = mesh.deformation_gradients(x)
     LR, LV = mat.projection_jacobians_batch(F)
     I9 = np.eye(9)
     cs, cv = _coefficients(mesh, gammas)
     M9 = cs * (I9 - LR) + cv * (I9 - LV)
+    # De[3i + j, 3n + i] = G[n, j]: F[i, j] = sum_n x[3n + i] G[n, j]
     nE = mesh.n_elements
-    M = sp.bsr_matrix((M9[:, _VEC_T][:, :, _VEC_T], np.arange(nE), np.arange(nE + 1)),
-                      shape=(9 * nE, 9 * nE))
-    D3 = mesh.dof_grad_op
-    return (D3.T @ (M @ D3)).tocsr()
+    De = np.zeros((nE, 3, 3, 4, 3))
+    for i in range(3):
+        De[:, i, :, :, i] = np.swapaxes(mesh.shape_grad, 1, 2)
+    De = De.reshape(nE, 9, 12)
+    He = np.swapaxes(De, 1, 2) @ (M9 @ De)
+    slot, keep, indices, indptr = mesh.block_pattern(dofs)
+    data = np.bincount(slot, weights=He.reshape(-1)[keep], minlength=len(indices))
+    n = len(indptr) - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +175,9 @@ class GlobalSolver:
                  modes_per_domain=20, refine_sweeps=0, aggregation=2):
         self.free = free
         self.pins = pins
-        self.Kff = K[free][:, free].tocsc()
-        self.Kfp = K[free][:, pins].tocsc() if len(pins) else None
+        Kf = K[free]
+        self.Kff = Kf[:, free].tocsc()
+        self.Kfp = Kf[:, pins].tocsc() if len(pins) else None
         self.mode = mode
         self.refine_sweeps = refine_sweeps
         self.aggregation = aggregation
@@ -346,7 +352,7 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
         return x, True, 0, gmax(g)
 
     fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
-    mass_diag = np.repeat(mesh.node_mass, 3) / dt**2
+    mass_diag = np.repeat(mesh.node_mass[free], 3) / dt**2
     frozen = []     # the fallback's solver, built on its first use
 
     def gn_step(gc):
@@ -355,11 +361,11 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
         return frozen[0].solve(-gc, np.zeros((len(pins), 3)))
 
     def exact_step(xc, gc):
-        J = exact_elastic_hessian(mesh, gammas, xc)
+        J = exact_elastic_hessian(mesh, gammas, xc, fdofs)
         if xhat is not None:
             J = J + sp.diags(mass_diag)
         try:
-            d = spla.spsolve(J[fdofs][:, fdofs].tocsc(), -gc.reshape(-1)[fdofs])
+            d = spla.spsolve(J, -gc.reshape(-1)[fdofs])
         except RuntimeError:
             return None
         if not np.all(np.isfinite(d)):
@@ -602,12 +608,14 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
     None holds the pins at rest.  solver is a prebuilt GlobalSolver for the
     pinned global matrix; None builds a direct one.  With colliders every
     step assembles and factorizes its own matrix, so no solver is built or
-    used and polish_tol is ignored.  on_step(i, x, polish) is called after
+    used, and polish_tol must be None.  on_step(i, x, polish) is called after
     each step with its frame and, for a polished step, (converged,
     iterations), else None.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if colliders and polish_tol is not None:
+        raise ValueError("polish_tol cannot be combined with colliders")
     pins = np.asarray(pins, dtype=int)
     pin_path = np.broadcast_to(
         mesh.nodes[pins] if pin_targets is None else np.asarray(pin_targets, dtype=float),
@@ -630,7 +638,7 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
         xn = pd_step(mesh, gammas, xhat, dt, pins, pin_path[i], iterations=iterations,
                      solver=solver, colliders=colliders)
         polish = None
-        if polish_tol is not None and not colliders:
+        if polish_tol is not None:
             # the exact Jacobian converges quadratically near the solution
             xn, ok, iters, _ = newton_polish(mesh, gammas, xn, dt=dt, pins=pins,
                                              pin_vals=pin_path[i], xhat=xhat, tol=polish_tol)

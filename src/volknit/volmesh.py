@@ -45,8 +45,9 @@ class VolumeMesh:
     shape (3nE, nV), 12 nonzeros per element, whose row (e, j) holds
     shape_grad[e, n, j] at column tets[e, n].  D @ X for node positions X
     (nV, 3) stacks every element's F^T, so deformation gradients, node-force
-    scatters (D^T), scalar Laplacians (D^T diag D) and the exact Hessian
-    (through kron(D, I3)) are all products with D or its transpose.
+    scatters (D^T), scalar Laplacians (D^T diag D) and the fit's coefficient
+    Jacobian (through kron(D, I3)) are all products with D or its transpose.
+    The exact Hessian sums per-element blocks into a block_pattern instead.
     """
 
     nodes: np.ndarray          # (nV, 3) positions
@@ -66,6 +67,7 @@ class VolumeMesh:
         if self.volume is None:
             self._build_operators()
         self._grad_op_t = self.grad_op.T.tocsr()
+        self._patterns = {}     # block_pattern's, keyed by DOF set
         # occupied cells by sorted integer key, and the elements of each cell
         # ascending, padded with n_elements; the empty last row is cell -1's
         self._lo = self.voxels.min(axis=0)
@@ -104,6 +106,34 @@ class VolumeMesh:
         """kron(D, I3), (9nE, 3nV): node-major x, y, z DOFs to the row-major
         vec(F^T) of every element."""
         return sp.kron(self.grad_op, sp.identity(3), format="csr")
+
+    def block_pattern(self, dofs=None):
+        """Where per-element (12, 12) node-major DOF blocks sum into the CSC
+        pattern of their dofs x dofs block (every DOF for None), kept per
+        DOF set.
+
+        Returns (slot, keep, indices, indptr): entry keep[k] of the flat
+        (nE, 12, 12) block stack adds into data[slot[k]]; entries with a DOF
+        outside `dofs` are left out.  dofs must be distinct.
+        """
+        key = None if dofs is None else np.asarray(dofs, dtype=np.int64).tobytes()
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            nd = 3 * self.n_nodes
+            loc = np.arange(nd)
+            if dofs is not None:
+                nd = len(dofs)
+                loc = np.full(3 * self.n_nodes, -1)
+                loc[dofs] = np.arange(nd)
+            ed = loc[3 * self.tets[:, :, None] + np.arange(3)].reshape(-1, 12, 1)
+            rows = np.broadcast_to(ed, (len(ed), 12, 12)).reshape(-1)
+            cols = np.broadcast_to(np.swapaxes(ed, 1, 2), (len(ed), 12, 12)).reshape(-1)
+            keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+            # column-major keys sort into CSC order
+            keys, slot = np.unique(cols[keep] * nd + rows[keep], return_inverse=True)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // nd, minlength=nd))])
+            pattern = self._patterns[key] = (slot, keep, keys % nd, indptr)
+        return pattern
 
     # -- basic queries ----------------------------------------------------
 

@@ -291,6 +291,19 @@ def test_fit_recovers_block_contrast(block_ws):
     assert hard > 2.0 * soft
 
 
+def test_second_fit_in_one_process_writes_the_same_bytes(block_ws):
+    # the material module keeps decompositions across calls; nothing kept
+    # from the fixture's fit or from the tests between may reach a later fit
+    def outputs():
+        return [open(os.path.join(str(block_ws), name), "rb").read()
+                for name in ("material.csv", "convergence.csv")]
+
+    first = outputs()
+    rc, _ = run_cli("fit", block_ws, BLOCK_FIT)
+    assert rc == cli.EXIT_OK
+    assert outputs() == first
+
+
 def test_fit_two_samples_in_one_pass(block_ws, tmp_path):
     cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"], samples=[2, 3]))
     cfg["paths"]["material"] = None

@@ -563,39 +563,60 @@ def test_material_field_roundtrip():
 # one decomposition per F
 
 
-def _counting_svd(monkeypatch):
+def _counting(monkeypatch, name):
+    """Calls of mat.<name> from here on, with nothing kept from before."""
     calls = []
-    svd = mat.svd_rv_batch
+    fn = getattr(mat, name)
 
-    def counted(F):
+    def counted(*args):
         calls.append(1)
-        return svd(F)
+        return fn(*args)
 
-    monkeypatch.setattr(mat, "svd_rv_batch", counted)
+    monkeypatch.setattr(mat, name, counted)
     mat.clear_decomposition_cache()
     return calls
 
 
 def test_equal_f_is_decomposed_once(rng, monkeypatch):
     F = np.concatenate([np.eye(3) + 0.3 * rng.normal(size=(40, 3, 3)), _hard_batch(rng, 10)])
-    calls = _counting_svd(monkeypatch)
+    calls = _counting(monkeypatch, "svd_rv_batch")
+    jac_calls = _counting(monkeypatch, "_jacobians")
     R, V = mat.batch_projections(F)
     JR, JV = mat.projection_jacobians_batch(F.copy())
     R2, V2 = mat.batch_projections(F.copy())
+    JR2, JV2 = mat.projection_jacobians_batch(F.copy())
     assert len(calls) == 1
-    # the reused decomposition gives the bits of a fresh one
+    assert len(jac_calls) == 1
+    # the reused decomposition and Jacobians give the bits of fresh ones
     mat.clear_decomposition_cache()
     JR0, JV0 = mat.projection_jacobians_batch(F)
     mat.clear_decomposition_cache()
     R0, V0 = mat.batch_projections(F)
     assert len(calls) == 3
-    for a, b in ((R, R0), (V, V0), (R2, R0), (V2, V0), (JR, JR0), (JV, JV0)):
+    assert len(jac_calls) == 2
+    for a, b in ((R, R0), (V, V0), (R2, R0), (V2, V0), (JR, JR0), (JV, JV0),
+                 (JR2, JR0), (JV2, JV0)):
         assert np.array_equal(a, b)
+
+
+def test_two_distinct_f_are_kept(rng, monkeypatch):
+    # a line-search trial returns to its base state: F1, F2, F1 decomposes
+    # twice; a third F then evicts the one seen least recently, F2
+    F1, F2, F3 = np.eye(3) + 0.3 * rng.normal(size=(3, 20, 3, 3))
+    calls = _counting(monkeypatch, "svd_rv_batch")
+    for F in (F1, F2, F1):
+        mat.batch_projections(F)
+    assert len(calls) == 2
+    mat.batch_projections(F3)
+    mat.batch_projections(F1)
+    assert len(calls) == 3
+    mat.batch_projections(F2)
+    assert len(calls) == 4
 
 
 def test_f_changed_in_place_is_decomposed_again(rng, monkeypatch):
     F = np.eye(3) + 0.3 * rng.normal(size=(20, 3, 3))
-    calls = _counting_svd(monkeypatch)
+    calls = _counting(monkeypatch, "svd_rv_batch")
     mat.batch_projections(F)
     F[7, 1, 2] += 1e-12
     R, V = mat.batch_projections(F)
@@ -609,9 +630,10 @@ def test_kept_decomposition_is_read_only(rng):
     F = np.eye(3) + 0.3 * rng.normal(size=(8, 3, 3))
     mat.clear_decomposition_cache()
     mat.batch_projections(F)
-    kept = mat._decompose(F)
-    assert len(kept) == 6
-    for a in kept:
+    mat.projection_jacobians_batch(F)
+    _, kept, jac = mat._entry(F)
+    assert len(kept) == 6 and len(jac) == 2
+    for a in kept + jac:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0

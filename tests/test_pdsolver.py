@@ -157,6 +157,12 @@ class TestAssembly:
         assert rel(np.kron(pdsolver.assemble_global(mesh, gam, dt).toarray(), np.eye(3)),
                    K) <= 1e-13
         assert rel(pdsolver.exact_elastic_hessian(mesh, gam, x).toarray(), H) <= 1e-13
+        # the pinned free block, as the fit and the polish ask for it
+        free = np.setdiff1d(np.arange(nv), [0, 5, nv - 1])
+        fdofs = (3 * free[:, None] + np.arange(3)).reshape(-1)
+        Hff = pdsolver.exact_elastic_hessian(mesh, gam, x, fdofs)
+        assert Hff.format == "csc"
+        assert rel(Hff.toarray(), H[np.ix_(fdofs, fdofs)]) <= 1e-13
 
     def test_rejects_bad_input(self):
         mesh, _, _ = wavy_mesh()
@@ -442,7 +448,7 @@ class TestNewtonPolish:
         # a non-finite exact Jacobian fails every exact step, so each step
         # takes the frozen-projection fallback, from one factorization
         calls = self._count_frozen(monkeypatch)
-        nan_jacobian = lambda mesh, gammas, x: sp.diags(np.full(3 * mesh.n_nodes, np.nan)).tocsr()
+        nan_jacobian = lambda mesh, gammas, x, dofs: sp.diags(np.full(len(dofs), np.nan)).tocsc()
         monkeypatch.setattr(pdsolver, "exact_elastic_hessian", nan_jacobian)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -841,6 +847,15 @@ class TestSimulate:
         assert seen == ref_seen
         # a polish that takes Newton steps moves the frame and so v
         assert all(p[1] > 0 for p in seen) if case == "polish" else all(p is None for p in seen)
+
+    def test_polish_with_colliders_rejected(self):
+        # the collider steps factorize their own matrices and are never
+        # polished, so a polish_tol there would be silently dropped
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        floor = (("plane", mesh.nodes.min(axis=0), (0.0, 1.0, 0.0)),)
+        with pytest.raises(ValueError, match="polish_tol.*colliders"):
+            pdsolver.simulate_mesh(mesh, gam, 2, 1e-3, colliders=floor, polish_tol=1e-8)
 
     def test_cms_mode_matches_direct(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
