@@ -14,6 +14,10 @@ All commands operate on a workspace directory given with --out:
     frames/, sim_yarn/, timings.csv, sim_report.json             (simulate)
     compare_report.json                                          (compare)
 
+The fit minimizes the summed loss of its samples, so convergence.csv rows
+name no sample; fit_report.json's `samples` entries give each sample's loss
+after the full-space pass, beside that pass's stalled and progressed flags.
+
 Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.  Every
 artifact carries the hash of the user's config (with any --seed override)
 so a result can be traced to the configuration that produced it; a change
@@ -179,8 +183,18 @@ def validate_config(cfg):
     ceiling = cfg["fit"]["loss_ceiling"]
     if ceiling is not None and ceiling <= 0.0:
         raise ConfigError("fit.loss_ceiling must be positive")
-    if cfg["fit"]["sample_stride"] < 1:
-        raise ConfigError("fit.sample_stride must be at least 1")
+    samples, stride = cfg["fit"]["samples"], cfg["fit"]["sample_stride"]
+    for key, sel in (("fit.samples", samples), ("compare.frames", cfg["compare"]["frames"])):
+        if sel is not None and not (isinstance(sel, list) and sel
+                                    and all(type(i) is int for i in sel)):
+            raise ConfigError(f"{key} must be null or a non-empty list of integers")
+    if samples is not None and len(set(samples)) < len(samples):
+        # under the summed loss a repeated frame would count twice
+        raise ConfigError("fit.samples must not repeat a frame")
+    if type(stride) is not int or stride < 1:
+        raise ConfigError("fit.sample_stride must be an integer >= 1")
+    if samples is not None and stride != 1:
+        raise ConfigError("fit.sample_stride applies only when fit.samples is null")
     tol = cfg["simulate"]["polish_tol"]
     if tol is not None and tol <= 0.0:
         raise ConfigError("simulate.polish_tol must be positive")
@@ -475,16 +489,11 @@ def cmd_fit(cfg, out, chash):
     t0 = time.perf_counter()
     ws, model, seq, mesh, emb = _load_stage(cfg, out)
     fc = cfg["fit"]
-    if fc["samples"] is None:
-        indices = list(range(0, seq.n_frames, fc["sample_stride"]))
-    else:
-        indices = [int(i) for i in fc["samples"]]
-    if not indices:
-        raise ConfigError("fit.samples selects no frames")
+    # validate_config leaves fit.samples null or a non-empty list
+    indices = fc["samples"] or list(range(0, seq.n_frames, fc["sample_stride"]))
     bad = [i for i in indices if i < 0 or i >= seq.n_frames]
     if bad:
-        raise ConfigError(
-            f"fit.samples out of range {bad} for {seq.n_frames} frames")
+        raise ConfigError(f"fit.samples out of range {bad} for {seq.n_frames} frames")
 
     op = transfer.Y2VOperator(mesh, emb, model, alpha=fc["alpha"])
     dt_inertia = seq.dt if fc["use_inertia"] else None
@@ -494,39 +503,36 @@ def cmd_fit(cfg, out, chash):
                              yarn_force=seq.force(i) if fc["use_inertia"] else None)
         for i in indices
     ]
-    fit_dt = seq.dt if fc["dt"] is None else fc["dt"]
-    problem = fitting.FitProblem(op, dt=fit_dt)
+    problem = fitting.FitProblem(op, dt=seq.dt if fc["dt"] is None else fc["dt"])
     nE = mesh.n_elements
     logger = fitting.FitLogger()
 
     gs0, gv0 = fc["gamma_init"]
     gamma0 = np.concatenate([np.full(nE, float(gs0)), np.full(nE, float(gv0))])
     res0, stages = fitting.fit_staged(
-        problem, samples[0], gamma0, ranks=tuple(fc["ranks"]),
+        problem, samples, gamma0, ranks=tuple(fc["ranks"]),
         logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
     field, report = fitting.fit_sequence(
         problem, samples, res0.gamma, logger=logger,
         gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
 
-    # loss of the blended field on every sample
-    finals, unconverged = [], []
-    for s in samples:
-        x, resid, ok = problem.solve_equilibrium(field, s)
-        finals.append(problem.loss(x, s) if ok else float("inf"))
-        if not ok:
-            unconverged.append(s.index)
+    # loss of the fitted field on every sample, each from a cold solve
+    solved = [problem.solve_equilibrium(field, s) for s in samples]
+    finals = [problem.loss(x, s) if ok else float("inf")
+              for s, (x, _, ok) in zip(samples, solved)]
+    unconverged = [s.index for s, (_, _, ok) in zip(samples, solved) if not ok]
     final_loss = max(finals)
 
     write_material(ws["material"], field, chash)
     write_csv(os.path.join(out, "convergence.csv"),
-              ["sample", "iteration", "phase", "loss", "step_size", "grad_norm"],
-              [(r["sample"], r["iteration"], r["phase"], r["loss"], r["step"],
-                r["grad_norm"]) for r in logger.rows], chash)
-    gate_max = max((g[1] for g in logger.gate), default=0.0)
+              ["iteration", "phase", "loss", "step_size", "grad_norm"],
+              [(r["iteration"], r["phase"], r["loss"], r["step"], r["grad_norm"])
+               for r in logger.rows], chash)
     payload = dict(
         samples=report["samples"], failed=report["failed"], total=len(samples),
         gate_violations=logger.gate_violations,
-        gate_evaluations=len(logger.gate), gate_max_residual=gate_max,
+        gate_evaluations=len(logger.gate),
+        gate_max_residual=max((g[1] for g in logger.gate), default=0.0),
         # the first stage's cold evaluation is the loss at gamma_init
         initial_loss=res0.losses[0], stage_losses=stages,
         final_losses=finals, final_loss=final_loss,
@@ -537,7 +543,8 @@ def cmd_fit(cfg, out, chash):
     _write_report(os.path.join(out, "fit_report.json"), payload, chash)
 
     if report["failed"]:
-        print("error: all samples stalled", file=sys.stderr)
+        print("error: the full-space pass stalled without lowering the loss",
+              file=sys.stderr)
         return EXIT_NUMERIC
     if unconverged:
         print(f"error: final equilibrium did not converge for samples "
@@ -650,14 +657,11 @@ def cmd_compare(cfg, out, chash):
     if model_a.n_vertices != model_b.n_vertices:
         raise ConfigError("sequences have different vertex counts")
     overlap = min(seq_a.n_frames, seq_b.n_frames)
-    sel = cfg["compare"]["frames"]
-    if sel is None:
-        sel = list(range(overlap))
-    else:
-        sel = [int(i) for i in sel]
-        bad = [i for i in sel if i < 0 or i >= overlap]
-        if bad:
-            raise ConfigError(f"compare.frames out of range {bad}")
+    # validate_config leaves compare.frames null or a non-empty list
+    sel = cfg["compare"]["frames"] or list(range(overlap))
+    bad = [i for i in sel if i < 0 or i >= overlap]
+    if bad:
+        raise ConfigError(f"compare.frames out of range {bad}")
     if not sel:
         raise ConfigError("compare selects no frames")
 

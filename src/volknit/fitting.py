@@ -2,24 +2,28 @@
 
 Each sample couples a yarn pose with its transferred mesh targets and an
 inertia target; the fitted state is the quasi-static equilibrium of the
-homogenized mesh under those loads.  Gradients of the pose-matching loss
-with respect to the two coefficient fields come from one adjoint solve
-against the exact equilibrium Jacobian; Gauss-Newton directions come from
-a sparse symmetric block system that never forms the dense sensitivity
+homogenized mesh under those loads.  The fit minimizes the sum of the
+per-sample pose-matching losses.  Each sample keeps its own equilibrium
+state and adjoint solve against the exact equilibrium Jacobian; gradients
+add up, and Gauss-Newton directions come from one sparse symmetric block
+system, one block pair per sample, that never forms the dense sensitivity
 matrix.  A spectral coarse-to-fine schedule (element-graph Laplacian
-eigenvectors, ranks 1 / 10 / 30 / full) initializes the field.
+eigenvectors, ranks 1 / 10 / 30 / full) initializes the field, and one
+cold full-space pass from it ends the fit (without that pass the bench
+training loss was 10 % higher).
 
 A sample's first equilibrium is a cold solve: proximal rounds from the
 transferred pose, then Newton.  Every line-search trial after it is a warm
 solve from the current converged state, straight to Newton with at least
-one step; a trial whose residual misses the adjoint gate counts as a failed
-halving.  The problem counts its solves for the fit report.
+one step; a trial whose residual misses the adjoint gate on any sample
+counts as a failed halving.  The problem counts its solves for the fit
+report.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +53,7 @@ STAGE_RANKS = (1, 10, 30, None)
 
 @dataclass
 class FitSample:
-    """One yarn pose prepared for fitting."""
+    """One yarn pose prepared for fitting against the y2v operator `op`."""
 
     index: int
     yarn_pose: np.ndarray            # (nY, 3)
@@ -58,12 +62,20 @@ class FitSample:
     pins: np.ndarray                 # mesh node indices held fixed
     pin_vals: np.ndarray
     x_init: np.ndarray               # warm start (y2v transfer of the pose)
+    op: InitVar[transfer.Y2VOperator]
+    fdofs: np.ndarray = field(init=False, repr=False)    # free DOF indices
+    G: sp.csr_matrix = field(init=False, repr=False)     # loss Hessian, free block
 
-    def __post_init__(self):
+    def __post_init__(self, op):
         if not np.all(np.isfinite(self.inertia)):
             raise ValueError("non-finite inertia target")
         if not self.targets.covered.any():
             raise ValueError("sample covers no elements")
+        # built once per sample; the loss Hessian acts on each coordinate
+        free = np.setdiff1d(np.arange(len(self.x_init)), self.pins)
+        self.fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
+        G = sp.kron(op.matrix(self.targets.covered), sp.eye(3)).tocsr()
+        self.G = G[self.fdofs][:, self.fdofs]
 
 
 def build_sample(op, frames, i, dt=None, yarn_pins=(), yarn_force=None):
@@ -87,7 +99,7 @@ def build_sample(op, frames, i, dt=None, yarn_pins=(), yarn_force=None):
         pins = np.empty(0, dtype=int)
     return FitSample(index=i, yarn_pose=np.asarray(frames[i], dtype=float),
                      targets=targets, inertia=a, pins=pins,
-                     pin_vals=x_init[pins], x_init=x_init)
+                     pin_vals=x_init[pins], x_init=x_init, op=op)
 
 
 @dataclass
@@ -131,10 +143,6 @@ class FitProblem:
     def loss_grad_x(self, x, sample):
         return self.op.gradient(x, sample.targets, sample.yarn_pose)
 
-    def loss_hessian_scalar(self, sample):
-        """Constant loss Hessian; the same matrix acts on each coordinate."""
-        return self.op.matrix(sample.targets.covered)
-
     def solve_equilibrium(self, gammas, sample, x0=None, tol=1e-6,
                           pd_iters=6, max_newton=60):
         """Quasi-static state under the sample loads.
@@ -160,9 +168,19 @@ class FitProblem:
         self.stats.record(cold, iters, ok, resid)
         return x, resid, ok
 
-    def free_dofs(self, sample):
-        free = np.setdiff1d(np.arange(self.mesh.n_nodes), sample.pins)
-        return (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
+    def evaluate(self, gammas, samples, xs=None):
+        """(summed loss, states, residuals) of the samples' equilibria:
+        cold solves, or warm ones from the states xs (one per sample)."""
+        solved = [self.solve_equilibrium(gammas, s, x0=x0) for s, x0 in
+                  zip(samples, [None] * len(samples) if xs is None else xs)]
+        xs = [x for x, _, _ in solved]
+        return (_total([self.loss(x, s) for x, s in zip(xs, samples)]), xs,
+                [resid for _, resid, _ in solved])
+
+
+def _total(values):
+    """Sum over samples in their order; one sample's value is itself."""
+    return sum(values[1:], values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +207,16 @@ def gamma_jacobian(mesh, x):
 
 @dataclass
 class AdjointState:
-    """Equilibrium-point quantities reused by gradient and Gauss-Newton."""
+    """One sample's equilibrium-point quantities, on its free DOFs."""
 
-    fdofs: np.ndarray
-    H: sp.csc_matrix          # exact equilibrium Jacobian, free DOFs
-    J: sp.csr_matrix          # residual derivative in gamma, free rows
+    H: sp.csc_matrix          # exact equilibrium Jacobian
+    J: sp.csr_matrix          # residual derivative in gamma
+    G: sp.csr_matrix          # loss Hessian (the sample's kept block)
     grad: np.ndarray          # loss gradient in gamma, length 2nE
 
 
 def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
-    """Loss gradient in the coefficients via one adjoint solve.
+    """One sample's loss gradient in the coefficients via one adjoint solve.
 
     The equilibrium Jacobian carries the projection sensitivities; with
     the frozen-projection form the gradient has order-one error.  Each
@@ -212,7 +230,7 @@ def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
         raise EquilibriumGateError(
             f"adjoint evaluation rejected: residual {residual:.3e} >= {EQ_GATE:g}")
 
-    fdofs = problem.free_dofs(sample)
+    fdofs = sample.fdofs
     Hff = pdsolver.exact_elastic_hessian(problem.mesh, gammas, x, fdofs)
     gx = problem.loss_grad_x(x, sample).reshape(-1)[fdofs]
     try:
@@ -223,7 +241,14 @@ def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
         lam = spla.spsolve((Hff + kap * sp.eye(Hff.shape[0])).tocsc(), gx)
     J = gamma_jacobian(problem.mesh, x)[fdofs]
     grad = -(J.T @ lam)
-    return AdjointState(fdofs=fdofs, H=Hff, J=J, grad=grad)
+    return AdjointState(H=Hff, J=J, G=sample.G, grad=grad)
+
+
+def objective_gradient(problem, samples, gammas, xs, residuals, logger=None):
+    """Adjoint states of every sample and the summed loss gradient."""
+    states = [adjoint_gradient(problem, s, gammas, x, residual=r, logger=logger)
+              for s, x, r in zip(samples, xs, residuals)]
+    return states, _total([st.grad for st in states])
 
 
 class EquilibriumGateError(RuntimeError):
@@ -242,52 +267,51 @@ def _coords(basis, v):
     return np.hstack([v[:, :nE] @ basis, v[:, nE:] @ basis])
 
 
-def adjoint_gauss_newton(problem, sample, state, kappa=None, basis=None,
-                         frozen=()):
-    """Gauss-Newton direction from the sparse symmetric block system.
+def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
+    """Gauss-Newton direction of the summed loss from one sparse symmetric
+    block system, given one AdjointState per sample.
 
-    Two auxiliary vectors (v, u) turn (J^T H^-1 G H^-1 J + kappa I) d =
-    -grad into one sparse solve; the third row carries -(P + kappa I) d,
-    so the gradient enters with a plus sign:
+    Two auxiliary vectors (v_k, u_k) per sample turn (sum_k J_k^T H_k^-1 G_k
+    H_k^-1 J_k + kappa I) d = -sum_k grad_k into one sparse solve; the last
+    row carries -(P + kappa I) d, so the gradient enters with a plus sign.
+    Each sample adds its pair of block rows around that shared row:
 
-        [ 0   H   J ] [v]   [ 0    ]
-        [ H  -G   0 ] [u] = [ 0    ]
-        [ J^T 0  -kI] [d]   [ grad ]
+        [ 0   H_k  J_k ] [v_k]   [ 0    ]
+        [ H_k -G_k  0  ] [u_k] = [ 0    ]
+        [ J_k^T 0  -kI ] [ d ]   [ grad ]
 
-    `basis` restricts the direction to a spectral subspace; `frozen` zeroes
-    pivoted coefficient columns.  Returns (d, kappa, ok); ok False means
-    the factorization failed or produced a non-descent direction and the
-    caller should escalate kappa or fall back to the gradient.
+    kappa defaults to KAPPA_SCALE times the summed mean diagonals of the
+    G_k.  `basis` restricts the direction to a spectral subspace; `frozen`
+    zeroes pivoted coefficient columns.  Returns (d, kappa, ok); ok False
+    means the factorization failed or produced a non-descent direction and
+    the caller should escalate kappa or fall back to the gradient.
     """
-    G_scalar = problem.loss_hessian_scalar(sample)
-    fdofs = state.fdofs
-    G = sp.kron(G_scalar, sp.eye(3)).tocsr()[fdofs][:, fdofs]
     if kappa is None:
-        kappa = KAPPA_SCALE * G.diagonal().sum() / G.shape[0]
-
-    J = sp.csr_matrix(_coords(basis, state.J))
-    grad = _coords(basis, state.grad)
-    keep = np.setdiff1d(np.arange(J.shape[1]), frozen)
-    Jk = J[:, keep]
+        kappa = _total([KAPPA_SCALE * st.G.diagonal().sum() / st.G.shape[0]
+                        for st in states])
+    grad = _coords(basis, _total([st.grad for st in states]))
+    keep = np.setdiff1d(np.arange(len(grad)), frozen)
     gk = grad[keep]
 
-    nf = len(fdofs)
-    m = Jk.shape[1]
-    Z = sp.csr_matrix((nf, nf))
-    KKT = sp.bmat([
-        [Z, state.H, Jk],
-        [state.H, -G, None],
-        [Jk.T, None, -kappa * sp.eye(m)],
-    ], format="csc")
-    rhs = np.concatenate([np.zeros(2 * nf), gk])
+    m, n = len(keep), 2 * len(states)
+    blocks = [[None] * (n + 1) for _ in range(n + 1)]
+    for k, st in enumerate(states):
+        Jk = sp.csr_matrix(_coords(basis, st.J))[:, keep]
+        v, u = 2 * k, 2 * k + 1
+        blocks[v][u] = blocks[u][v] = st.H
+        blocks[u][u] = -st.G
+        blocks[v][n], blocks[n][v] = Jk, Jk.T
+    blocks[n][n] = -kappa * sp.eye(m)
+    KKT = sp.bmat(blocks, format="csc")
+    rhs = np.concatenate([np.zeros(KKT.shape[0] - m), gk])
     try:
         sol = spla.splu(KKT).solve(rhs)
     except RuntimeError:
         return None, kappa, False
-    dk = sol[2 * nf:]
+    dk = sol[KKT.shape[0] - m:]
     if not np.all(np.isfinite(dk)):
         return None, kappa, False
-    d = np.zeros(J.shape[1])
+    d = np.zeros(len(grad))
     d[keep] = dk
     # d = 0 at a stationary point is the valid homogeneous solution, not a
     # failed descent direction
@@ -335,8 +359,8 @@ class FitLogger:
     def log_gate(self, sample, resid, ok):
         self.gate.append((sample, resid, ok))
 
-    def log_iter(self, sample, phase, iteration, loss, step, grad_norm):
-        self.rows.append(dict(sample=sample, phase=phase, iteration=iteration,
+    def log_iter(self, phase, iteration, loss, step, grad_norm):
+        self.rows.append(dict(phase=phase, iteration=iteration,
                               loss=loss, step=step, grad_norm=grad_norm))
 
     @property
@@ -347,15 +371,15 @@ class FitLogger:
 @dataclass
 class FitResult:
     gamma: np.ndarray          # stacked (2nE,)
-    loss: float
-    x: np.ndarray
+    loss: float                # summed over the samples
+    xs: list                   # equilibrium state of each sample
     losses: list
     stalled: bool
-    resid: float = 0.0         # equilibrium residual at the final state
+    resids: list = None        # equilibrium residual of each final state
     params: np.ndarray = None  # the fit's coordinates (gamma in the full space)
 
 
-def _gn_direction(problem, sample, state, grad, kappa, basis, clamp_cache):
+def _gn_direction(states, grad, kappa, basis, clamp_cache):
     """Gauss-Newton direction with the damping ladder and clamp pivoting.
 
     Up to five solves, kappa times ten after each failed one, then -grad.
@@ -364,27 +388,24 @@ def _gn_direction(problem, sample, state, grad, kappa, basis, clamp_cache):
     get zeroed; if that kills descent they are pivoted out of the block
     system and it is re-solved without them.  Returns (d, kappa).
     """
-    d = None
     kap = kappa
     for _ in range(5):
-        d_try, kap, ok = adjoint_gauss_newton(
-            problem, sample, state, kappa=kap, basis=basis)
+        d, kap, ok = adjoint_gauss_newton(states, kappa=kap, basis=basis)
         if ok:
-            d = d_try
             break
         kap *= 10.0
+    else:
+        d = -grad                               # damping ladder exhausted
     if kappa is None:
         kappa = kap
-    if d is None:
-        d = -grad                               # damping ladder exhausted
 
     cached = np.array(sorted(clamp_cache), dtype=int)
     push = cached[d[cached] < 0.0]
     if len(push):
         d[push] = 0.0
         if float(d @ grad) >= 0.0:
-            d_piv, _, ok = adjoint_gauss_newton(
-                problem, sample, state, kappa=kap, basis=basis, frozen=push)
+            d_piv, _, ok = adjoint_gauss_newton(states, kappa=kap, basis=basis,
+                                                frozen=push)
             if ok:
                 d = d_piv
             else:
@@ -393,26 +414,28 @@ def _gn_direction(problem, sample, state, grad, kappa, basis, clamp_cache):
     return d, kappa
 
 
-def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
+def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
                gd_iters=GD_ITERS, gn_iters=GN_ITERS, logger=None,
                floor=mat.GAMMA_FLOOR, init_state=None):
-    """Two-phase fit of one sample: gradient descent then Gauss-Newton.
+    """Two-phase fit of the summed loss of `samples`: gradient descent,
+    then Gauss-Newton.
 
     The parameters are the coefficients themselves, floored elementwise
     with clamp caching and pivoting, or with `basis` the spectral
     coordinates q of length 2r (coefficients = basis @ q per field, floored
     elementwise), starting at q0 or at gamma0's coordinates.  Both phases
-    search along their directions with safeguarded_update; they differ in
-    the direction (-grad, or _gn_direction) and in the stop rule (GD stops
-    at its first rejected step, GN also when the loss plateaus).  The first
-    evaluation is a cold equilibrium solve; every trial is a warm solve
-    from the current state, and a trial whose residual misses EQ_GATE
-    counts as a failed halving, so no accepted state fails the next
-    adjoint gate; a phase that ends without moving hands its adjoint state
-    to the next.  `init_state` is an optional (loss, x, resid) triple for
-    gamma0, used by the staged schedule so a stage starts exactly at the
-    previous optimum instead of re-evaluating it.  Returns FitResult.
+    search with safeguarded_update; they differ in the direction (-grad, or
+    _gn_direction) and in the stop rule (GD stops at its first rejected
+    step, GN also when the loss plateaus).  The first evaluation solves
+    every sample cold, each trial solves them warm from their current
+    states, and a trial that misses EQ_GATE on any sample is a failed
+    halving; a phase that ends without moving hands its adjoint states to
+    the next.  `init_state` is an optional (loss, states, residuals) triple
+    for gamma0, so a stage starts exactly at the previous optimum.
+    Returns FitResult.
     """
+    if not len(samples):
+        raise ValueError("need at least one sample")
     logger = FitLogger() if logger is None else logger
     clamp_cache = set()             # stays empty in a spectral subspace
     if basis is None:
@@ -428,54 +451,48 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
         r = basis.shape[1]
         return np.maximum(np.concatenate([basis @ p[:r], basis @ p[r:]]), floor)
 
-    def eval_at(gamma_vec, warm):
-        gfield = mat.MaterialField.from_stacked(gamma_vec)
-        x_new, resid_new, _ = problem.solve_equilibrium(gfield, sample, x0=warm)
-        return problem.loss(x_new, sample), x_new, resid_new
+    def eval_at(gamma_vec, warm=None):
+        return problem.evaluate(mat.MaterialField.from_stacked(gamma_vec), samples, warm)
 
     gamma = to_gamma(params)
-    if init_state is not None:
-        loss, x, resid = init_state
-        x = x.copy()
-    else:
-        loss, x, resid = eval_at(gamma, None)
+    loss, xs, resids = eval_at(gamma) if init_state is None else init_state
     losses = [loss]
     stalled = False
     trial_state = None
 
     def eval_loss(trial):
-        # every trial starts from the current state; safeguarded_update
-        # accepts the last trial it evaluates, so its state is kept
+        # every trial starts from the current states; safeguarded_update
+        # accepts the last trial it evaluates, so its states are kept
         nonlocal trial_state
-        val, *trial_state = eval_at(to_gamma(trial), x)
-        return val if trial_state[1] < EQ_GATE else np.inf
+        val, *trial_state = eval_at(to_gamma(trial), xs)
+        return val if max(trial_state[1]) < EQ_GATE else np.inf
 
     kappa = None
     window = []
-    state = None                    # adjoint state at the current point
+    states = None                   # adjoint states at the current point
     for phase, iters, step in (("gd", gd_iters, GD_STEP),
                                ("gn", gn_iters, GN_STEP)):
         for it in range(iters):
-            if state is None:
-                state = adjoint_gradient(problem, sample, mat.MaterialField.from_stacked(gamma),
-                                         x, residual=resid, logger=logger)
-            grad = _coords(basis, state.grad)
+            if states is None:
+                states, grad_full = objective_gradient(
+                    problem, samples, mat.MaterialField.from_stacked(gamma), xs,
+                    resids, logger=logger)
+            grad = _coords(basis, grad_full)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-10:
                 break
             if phase == "gd":
                 d = -grad
             else:
-                d, kappa = _gn_direction(problem, sample, state, grad, kappa,
-                                         basis, clamp_cache)
+                d, kappa = _gn_direction(states, grad, kappa, basis, clamp_cache)
             # spectral coordinates may go negative; to_gamma floors them
             params, loss, accepted, t = safeguarded_update(
                 params, d, step, eval_loss, loss, clamp_cache=clamp_cache,
                 floor=floor if basis is None else None)
             if accepted:
-                gamma, (x, resid) = to_gamma(params), trial_state
-                state = None
-            logger.log_iter(sample.index, phase, it, loss, step * t, gnorm)
+                gamma, (xs, resids) = to_gamma(params), trial_state
+                states = None
+            logger.log_iter(phase, it, loss, step * t, gnorm)
             losses.append(loss)
             if not accepted:
                 # flat for GD, and GN may still move; a rejected GN step stalls
@@ -487,8 +504,8 @@ def fit_sample(problem, sample, gamma0, *, basis=None, q0=None,
                         and (window[0] - window[-1]) / window[0] < STOP_REL):
                     break
 
-    return FitResult(gamma=gamma, loss=loss, x=x, losses=losses,
-                     stalled=stalled, resid=resid, params=params)
+    return FitResult(gamma=gamma, loss=loss, xs=xs, losses=losses,
+                     stalled=stalled, resids=resids, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +549,14 @@ def harmonic_basis(mesh, r):
     return Q
 
 
-def fit_staged(problem, sample, gamma0, *, ranks=STAGE_RANKS, logger=None,
+def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS, logger=None,
                gd_iters=GD_ITERS, gn_iters=GN_ITERS):
-    """Coarse-to-fine fit through nested spectral subspaces.
+    """Coarse-to-fine fit of the summed loss through nested spectral
+    subspaces.
 
     Rank None means the full per-element space.  A stage whose space holds
     the previous stage's optimum (a larger or equal rank, zero-padding the
-    coordinates, or the full space) starts exactly there, with its state, so
+    coordinates, or the full space) starts exactly there, with its states, so
     stage-final losses can only decrease along the schedule.  Returns
     (FitResult, stage_losses dict); the result's `losses` run along the
     whole schedule, from the first stage's cold evaluation.
@@ -559,12 +577,12 @@ def fit_staged(problem, sample, gamma0, *, ranks=STAGE_RANKS, logger=None,
         r = None if basis is None else basis.shape[1]
         q0 = carry = None
         if result is not None and (r is None or (r_prev is not None and r_prev <= r)):
-            carry = (result.loss, result.x, result.resid)
+            carry = (result.loss, result.xs, result.resids)
             if r is not None:
                 q0 = np.zeros(2 * r)
                 q0[:r_prev] = result.params[:r_prev]
                 q0[r:r + r_prev] = result.params[r_prev:]
-        result = fit_sample(problem, sample, gamma, basis=basis, q0=q0,
+        result = fit_sample(problem, samples, gamma, basis=basis, q0=q0,
                             logger=logger, gd_iters=gd_iters,
                             gn_iters=gn_iters, init_state=carry)
         stage_losses["full" if rk is None else f"r{rk}"] = result.loss
@@ -576,42 +594,17 @@ def fit_staged(problem, sample, gamma0, *, ranks=STAGE_RANKS, logger=None,
 
 def fit_sequence(problem, samples, gamma0, *, logger=None,
                  gd_iters=GD_ITERS, gn_iters=GN_ITERS):
-    """Single pass over the samples with energy-weighted averaging.
-
-    The running field starts at the first sample's fit (weight zero), and
-    each later fit is blended in proportionally to its pose's elastic
-    energy; the running weight tracks the most deformed pose seen.  Fits
-    that never accepted an update are skipped.
-    Returns (MaterialField, report dict).
-    """
-    if not len(samples):
-        raise ValueError("need at least one sample")
+    """One cold full-space pass over the summed loss from gamma0, the
+    staged field; it fails if GN stalled without lowering the loss, and its
+    field is returned either way.  Returns (MaterialField, report dict)."""
     logger = FitLogger() if logger is None else logger
-    gamma = np.asarray(gamma0, dtype=float).copy()
-    w = 0.0
-    best = None
-    per_sample = []
-    any_ok = False
-    for sample in samples:
-        res = fit_sample(problem, sample, gamma, logger=logger,
-                         gd_iters=gd_iters, gn_iters=gn_iters)
-        progressed = len(res.losses) > 1 and res.losses[-1] < res.losses[0]
-        per_sample.append(dict(index=sample.index, loss=res.loss,
-                               stalled=res.stalled, progressed=progressed))
-        if best is None or res.loss < best[0]:
-            best = (res.loss, res.gamma)
-        if progressed or not res.stalled:
-            any_ok = True
-            wk = pdsolver.elastic_energy(problem.mesh, mat.MaterialField.from_stacked(gamma),
-                                         res.x)
-            if w + wk > 0.0:
-                gamma = (w / (w + wk)) * gamma + (wk / (w + wk)) * res.gamma
-            else:
-                gamma = res.gamma.copy()
-            w = max(w, wk)
-    if not any_ok:
-        log.warning("all samples stalled; returning best-loss field")
-        gamma = best[1]
-    report = dict(samples=per_sample, failed=not any_ok,
-                  gate_violations=logger.gate_violations)
-    return mat.MaterialField.from_stacked(gamma), report
+    res = fit_sample(problem, samples, gamma0, logger=logger,
+                     gd_iters=gd_iters, gn_iters=gn_iters)
+    progressed = res.losses[-1] < res.losses[0]
+    failed = res.stalled and not progressed
+    if failed:
+        log.warning("the full-space pass stalled without progress")
+    per_sample = [dict(index=s.index, loss=problem.loss(x, s), stalled=res.stalled,
+                       progressed=progressed) for s, x in zip(samples, res.xs)]
+    report = dict(samples=per_sample, failed=failed, gate_violations=logger.gate_violations)
+    return mat.MaterialField.from_stacked(res.gamma), report

@@ -1094,21 +1094,30 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
 # fitting and transfer
 
 
-def dense_gauss_newton_direction(problem, sample, state, kappa):
+def dense_gauss_newton_direction(states, kappa, basis=None, frozen=()):
     """Oracle route: explicit sensitivity columns, dense normal equations.
 
+    Solves (sum_k S_k^T G_k S_k + kappa I) d = -sum_k g_k with
+    S_k = H_k^-1 J_k, in the coordinates of `basis` (both fields; the
+    per-element space when None), with d zero on the `frozen` columns.
     Only feasible on small problems; exists to cross-check the sparse
     block solve.
     """
-    Hlu = spla.splu(state.H)
-    J = state.J
-    m = J.shape[1]
-    S = np.column_stack([
-        Hlu.solve(-np.asarray(J[:, j].todense()).ravel()) for j in range(m)])
-    G_scalar = problem.loss_hessian_scalar(sample)
-    G = sp.kron(G_scalar, sp.eye(3)).tocsr()[state.fdofs][:, state.fdofs]
-    P = S.T @ (G @ S)
-    return np.linalg.solve(P + kappa * np.eye(m), -state.grad)
+    P = g = 0.0
+    for st in states:
+        J, grad = st.J.toarray(), st.grad
+        if basis is not None:
+            nE = basis.shape[0]
+            J = np.hstack([J[:, :nE] @ basis, J[:, nE:] @ basis])
+            grad = np.concatenate([basis.T @ grad[:nE], basis.T @ grad[nE:]])
+        S = np.linalg.solve(st.H.toarray(), J)
+        P = P + S.T @ (st.G.toarray() @ S)
+        g = g + grad
+    keep = np.setdiff1d(np.arange(len(g)), frozen)
+    d = np.zeros(len(g))
+    d[keep] = np.linalg.solve(P[np.ix_(keep, keep)] + kappa * np.eye(len(keep)),
+                              -g[keep])
+    return d
 
 
 def dump_targets_csv(targets, path):

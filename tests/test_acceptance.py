@@ -131,11 +131,9 @@ def test_02_gauss_newton_direction_matches_dense_oracle():
             state = state_at(sc, gvec, logger=lg)
             tally(len(lg.gate), lg.gate_violations,
                   max(g[1] for g in lg.gate))
-            d, kappa, ok = fitting.adjoint_gauss_newton(sc["problem"],
-                                                        sc["sample"], state)
+            d, kappa, ok = fitting.adjoint_gauss_newton([state])
             assert ok
-            dense = oracles.dense_gauss_newton_direction(
-                sc["problem"], sc["sample"], state, kappa)
+            dense = oracles.dense_gauss_newton_direction([state], kappa)
             worst = max(worst, np.linalg.norm(d - dense)
                         / np.linalg.norm(dense))
     report("Gauss-Newton direction vs dense oracle", worst < 1e-6,
@@ -263,13 +261,13 @@ def test_07_two_stage_schedule_beats_first_order_only(bar_scene):
     initial = loss_at(problem, sample, g0)
 
     lg = fitting.FitLogger()
-    res = fitting.fit_sample(problem, sample, g0, gd_iters=12, gn_iters=30,
+    res = fitting.fit_sample(problem, [sample], g0, gd_iters=12, gn_iters=30,
                              logger=lg)
     tally(len(lg.gate), lg.gate_violations, max(g[1] for g in lg.gate))
     two_stage = res.loss / initial
 
     lg_gd = fitting.FitLogger()
-    res_gd = fitting.fit_sample(problem, sample, g0, gd_iters=300,
+    res_gd = fitting.fit_sample(problem, [sample], g0, gd_iters=300,
                                 gn_iters=0, logger=lg_gd)
     tally(len(lg_gd.gate), lg_gd.gate_violations,
           max(g[1] for g in lg_gd.gate))
@@ -351,7 +349,7 @@ def test_09_stage_losses_monotone_on_every_run(round_trip, bar_scene):
     nE = problem.mesh.n_elements
     g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
     lg = fitting.FitLogger()
-    _, stages = fitting.fit_staged(problem, sample, g0,
+    _, stages = fitting.fit_staged(problem, [sample], g0,
                                    ranks=(1, 10, 30, None), logger=lg)
     tally(len(lg.gate), lg.gate_violations, max(g[1] for g in lg.gate))
     chains.append([stages["r1"], stages["r10"], stages["r30"],

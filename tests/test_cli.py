@@ -267,11 +267,11 @@ def test_fit_report_counts_equilibrium_solves(block_ws):
     assert set(eq) == {"cold", "warm", "newton_iters", "unconverged",
                        "max_residual"}
     assert all(np.isfinite(v) and v >= 0 for v in eq.values())
-    # cold: the first evaluation of the staged fit, which also gives the
-    # initial loss, the first evaluation of each sample's fit, and each
-    # sample's final loss; every trial is warm and takes at least one
-    # Newton step
-    assert eq["cold"] == 1 + 2 * rep["total"]
+    # cold, once per sample each: the first evaluation of the staged fit,
+    # which also gives the initial loss, the first evaluation of the
+    # full-space pass, and the final loss; every trial is warm and takes at
+    # least one Newton step
+    assert eq["cold"] == 3 * rep["total"]
     assert eq["warm"] >= 1
     assert eq["newton_iters"] >= eq["warm"]
     assert eq["unconverged"] <= eq["cold"] + eq["warm"]
@@ -335,6 +335,38 @@ def test_fit_out_of_range_sample_exits_2(block_ws, tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("cmd,section,key,value,match", [
+    ("fit", "fit", "samples", ["a"], "fit.samples must be null or a non-empty list of integers"),
+    ("fit", "fit", "samples", [3.7], "fit.samples must be null or a non-empty list of integers"),
+    ("fit", "fit", "samples", [True], "fit.samples must be null or a non-empty list of integers"),
+    ("fit", "fit", "samples", 3, "fit.samples must be null or a non-empty list of integers"),
+    ("fit", "fit", "samples", [2, 3, 2], "fit.samples must not repeat a frame"),
+    ("compare", "compare", "frames", [1.5], "compare.frames must be null or a non-empty list of integers"),
+    ("compare", "compare", "frames", "all", "compare.frames must be null or a non-empty list of integers"),
+    ("compare", "compare", "frames", [], "compare.frames must be null or a non-empty list of integers"),
+], ids=["string", "float", "bool", "scalar", "duplicate", "frame-float", "frame-string",
+        "frame-empty"])
+def test_malformed_frame_lists_exit_2(tmp_path, capsys, cmd, section, key, value, match):
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.validate_config(cli.load_config({section: {key: value}}))
+    rc, _ = run_cli(cmd, tmp_path / "w", {section: {key: value}})
+    assert rc == cli.EXIT_USAGE
+    assert f"error: {match}" in capsys.readouterr().err
+
+
+def test_sample_stride_with_explicit_samples_exits_2(tmp_path, capsys):
+    for fit in ({"samples": [1, 3]}, {"sample_stride": 2},
+                {"samples": [1], "sample_stride": 1}):
+        cli.validate_config(cli.load_config({"fit": fit}))
+    fit = {"samples": [1, 3], "sample_stride": 2}
+    with pytest.raises(cli.ConfigError, match="fit.sample_stride"):
+        cli.validate_config(cli.load_config({"fit": fit}))
+    rc, _ = run_cli("fit", tmp_path / "w", {"fit": fit})
+    assert rc == cli.EXIT_USAGE
+    assert "fit.sample_stride applies only when fit.samples is null" in \
+        capsys.readouterr().err
+
+
 def test_fit_loss_ceiling_violation_exits_3(block_ws, tmp_path):
     cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"], loss_ceiling=1e-30))
     cfg["paths"]["material"] = None
@@ -345,14 +377,14 @@ def test_fit_loss_ceiling_violation_exits_3(block_ws, tmp_path):
 
 def quick_fit(stalled):
     """A fit_sample stand-in that returns gamma0 (floored) at once."""
-    def fit(problem, sample, gamma0, *, basis=None, **kw):
+    def fit(problem, samples, gamma0, *, basis=None, **kw):
         gamma = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
         params = gamma
         if basis is not None:
             nE = problem.mesh.n_elements
             params = np.concatenate([basis.T @ gamma[:nE], basis.T @ gamma[nE:]])
         return fitting.FitResult(gamma=gamma, loss=1.0,
-                                 x=np.asarray(sample.x_init).copy(),
+                                 xs=[s.x_init.copy() for s in samples],
                                  losses=[1.0] if stalled else [2.0, 1.0],
                                  stalled=stalled, params=params)
     return fit

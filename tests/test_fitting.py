@@ -1,5 +1,8 @@
 """Inverse-material tests: loss, adjoint gradients, block Gauss-Newton,
-safeguards, spectral staging, and the sample schedule."""
+safeguards, spectral staging, the summed objective over samples, and the
+full-space pass."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +65,7 @@ def equilibrate(mesh, gam, pins, pin_vals, tol=1e-10):
     return x
 
 
-def synthetic_sample(scene):
+def synthetic_sample(scene, index=0):
     """Sample whose targets are exactly the truth equilibrium (loss 0 at
     the generating field)."""
     mesh, emb = scene["mesh"], scene["emb"]
@@ -73,10 +76,20 @@ def synthetic_sample(scene):
         per_element_f=F.copy(), covered=np.ones(mesh.n_elements, bool), frame=0)
     pose = emb.interp @ xstar
     sample = fitting.FitSample(
-        index=0, yarn_pose=pose, targets=targets,
+        index=index, yarn_pose=pose, targets=targets,
         inertia=np.zeros_like(xstar), pins=scene["pins"],
-        pin_vals=scene["pin_vals"].copy(), x_init=xstar.copy())
+        pin_vals=scene["pin_vals"].copy(), x_init=xstar.copy(),
+        op=scene["problem"].op)
     return sample, xstar
+
+
+def lighter_stretch_sample(scene, stretch=0.05, index=1):
+    """A second synthetic sample of the scene: the moved pins travel
+    `stretch` instead of the scene's stretch."""
+    pin_vals = scene["mesh"].nodes[scene["pins"]].copy()
+    moved = scene["pin_vals"][:, 0] != pin_vals[:, 0]
+    pin_vals[moved, 0] += stretch * 0.8
+    return synthetic_sample(dict(scene, pin_vals=pin_vals), index=index)[0]
 
 
 def gamma_vec(field):
@@ -168,7 +181,7 @@ class TestLoss:
         sample = fitting.FitSample(
             index=0, yarn_pose=pose, targets=targets,
             inertia=np.zeros_like(x_rec), pins=np.empty(0, int),
-            pin_vals=np.zeros((0, 3)), x_init=x_rec)
+            pin_vals=np.zeros((0, 3)), x_init=x_rec, op=op)
         a = problem.loss(x_rec, sample)
         b = op.objective(x_rec, targets, pose)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
@@ -188,7 +201,7 @@ class TestLoss:
         sample = fitting.FitSample(
             index=0, yarn_pose=pose, targets=targets,
             inertia=np.zeros_like(x), pins=np.empty(0, int),
-            pin_vals=np.zeros((0, 3)), x_init=x)
+            pin_vals=np.zeros((0, 3)), x_init=x, op=problem.op)
         assert problem.loss(x, sample) < 1e-18
 
     def test_term_by_term_oracle(self, uniform_scene, rng):
@@ -270,6 +283,16 @@ class TestBuildSample:
         s = fitting.build_sample(op, frames, 2)   # no dt -> static
         assert np.all(s.inertia == 0.0)
 
+    def test_kept_free_dofs_and_loss_hessian_block(self, uniform_scene):
+        # the dense Kronecker expansion of the y2v matrix, restricted to the
+        # DOFs of the unpinned nodes
+        op, s = uniform_scene["op"], uniform_scene["sample"]
+        free = [n for n in range(op.mesh.n_nodes) if n not in set(s.pins)]
+        dofs = np.array([3 * n + c for n in free for c in range(3)])
+        assert np.array_equal(s.fdofs, dofs)
+        dense = np.kron(op.matrix(s.targets.covered).toarray(), np.eye(3))
+        assert np.array_equal(s.G.toarray(), dense[np.ix_(dofs, dofs)])
+
     def test_nonfinite_inertia_rejected(self, uniform_scene):
         s = uniform_scene["sample"]
         bad = s.inertia.copy()
@@ -277,7 +300,8 @@ class TestBuildSample:
         with pytest.raises(ValueError, match="inertia"):
             fitting.FitSample(index=0, yarn_pose=s.yarn_pose,
                               targets=s.targets, inertia=bad, pins=s.pins,
-                              pin_vals=s.pin_vals, x_init=s.x_init)
+                              pin_vals=s.pin_vals, x_init=s.x_init,
+                              op=uniform_scene["op"])
 
     def test_empty_coverage_rejected(self, uniform_scene):
         s = uniform_scene["sample"]
@@ -287,7 +311,8 @@ class TestBuildSample:
         with pytest.raises(ValueError, match="covers no"):
             fitting.FitSample(index=0, yarn_pose=s.yarn_pose, targets=t,
                               inertia=s.inertia, pins=s.pins,
-                              pin_vals=s.pin_vals, x_init=s.x_init)
+                              pin_vals=s.pin_vals, x_init=s.x_init,
+                              op=uniform_scene["op"])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +407,7 @@ class TestAdjointGradient:
         sample = fitting.FitSample(
             index=0, yarn_pose=pose, targets=targets,
             inertia=np.zeros((4, 3)), pins=pins, pin_vals=pin_vals,
-            x_init=np.vstack([pin_vals, mesh.nodes[3]]))
+            x_init=np.vstack([pin_vals, mesh.nodes[3]]), op=problem.op)
         g0 = np.array([3.0, 1.5])
         gf = mat.MaterialField(gamma_s=g0[:1].copy(), gamma_v=g0[1:].copy())
         x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-12)
@@ -456,10 +481,9 @@ class TestGaussNewton:
         nE = problem.mesh.n_elements
         state = self._state(small_scene,
                             np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)]))
-        d, kappa, ok = fitting.adjoint_gauss_newton(problem, sample, state)
+        d, kappa, ok = fitting.adjoint_gauss_newton([state])
         assert ok
-        dense = oracles.dense_gauss_newton_direction(problem, sample, state,
-                                                     kappa)
+        dense = oracles.dense_gauss_newton_direction([state], kappa)
         rel = np.linalg.norm(d - dense) / np.linalg.norm(dense)
         assert rel < 1e-6
         assert float(d @ state.grad) < 0.0
@@ -471,24 +495,20 @@ class TestGaussNewton:
             # drive the gradient to exact zero: stationarity modulo the
             # last bits of the equilibrium solve
             state.grad = np.zeros_like(state.grad)
-        d, _, ok = fitting.adjoint_gauss_newton(problem, sample, state)
+        d, _, ok = fitting.adjoint_gauss_newton([state])
         assert ok
         assert np.linalg.norm(d) == 0.0
 
-    def test_identity_weight_is_damped_least_squares(self, small_scene,
-                                                     monkeypatch):
-        problem, sample = small_scene["problem"], small_scene["sample"]
+    def test_identity_weight_is_damped_least_squares(self, small_scene):
+        problem = small_scene["problem"]
         nE = problem.mesh.n_elements
         state = self._state(small_scene,
                             np.concatenate([np.full(nE, 3.0), np.full(nE, 2.0)]))
-        monkeypatch.setattr(problem, "loss_hessian_scalar",
-                            lambda s: sp.eye(problem.mesh.n_nodes, format="csr"))
+        state = replace(state, G=sp.eye(state.H.shape[0], format="csr"))
         kappa = 1e-6
-        d, _, ok = fitting.adjoint_gauss_newton(problem, sample, state,
-                                                kappa=kappa)
+        d, _, ok = fitting.adjoint_gauss_newton([state], kappa=kappa)
         assert ok
-        dense = oracles.dense_gauss_newton_direction(problem, sample, state,
-                                                     kappa)
+        dense = oracles.dense_gauss_newton_direction([state], kappa)
         assert np.linalg.norm(d - dense) / np.linalg.norm(dense) < 1e-8
 
     def test_reduced_direction(self, small_scene):
@@ -497,8 +517,7 @@ class TestGaussNewton:
         state = self._state(small_scene,
                             np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)]))
         H = fitting.harmonic_basis(problem.mesh, 5)
-        d, _, ok = fitting.adjoint_gauss_newton(problem, sample, state,
-                                                basis=H)
+        d, _, ok = fitting.adjoint_gauss_newton([state], basis=H)
         assert ok and d.shape == (10,)
         grad_red = np.concatenate([H.T @ state.grad[:nE],
                                    H.T @ state.grad[nE:]])
@@ -560,7 +579,7 @@ class TestFitSample:
     def test_immediate_termination_at_truth(self, scene):
         problem, sample = scene["problem"], scene["sample"]
         g0 = gamma_vec(scene["gam_true"])
-        res = fitting.fit_sample(problem, sample, g0)
+        res = fitting.fit_sample(problem, [sample], g0)
         assert len(res.losses) == 1
         assert not res.stalled
         assert res.loss < 1e-15
@@ -574,7 +593,7 @@ class TestFitSample:
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         initial = loss_at(problem, sample, g0)
         lg = fitting.FitLogger()
-        res, _ = fitting.fit_staged(problem, sample, g0, logger=lg)
+        res, _ = fitting.fit_staged(problem, [sample], g0, logger=lg)
         assert res.loss <= 1e-3 * initial
         assert np.all(res.gamma >= 0.0)
         assert lg.gate_violations == 0
@@ -608,13 +627,13 @@ class TestFitSample:
         monkeypatch.setattr(problem, "solve_equilibrium", stub)
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         lg = fitting.FitLogger()
-        res = fitting.fit_sample(problem, sample, g0, gd_iters=2, gn_iters=0,
+        res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=0,
                                  logger=lg)
         assert len(trials) > 1
         assert lg.gate_violations == 0
         assert all(r < fitting.EQ_GATE for _, r, _ in lg.gate)
         assert lg.rows[0]["step"] < fitting.GD_STEP
-        assert res.resid < fitting.EQ_GATE
+        assert max(res.resids) < fitting.EQ_GATE
 
     def test_rejected_gd_step_hands_its_adjoint_state_to_gn(self, scene,
                                                              monkeypatch):
@@ -631,7 +650,7 @@ class TestFitSample:
             return adjoint(*args, **kw)
 
         monkeypatch.setattr(fitting, "adjoint_gradient", counted)
-        ref = fitting.fit_sample(problem, sample, g0, gd_iters=0, gn_iters=3)
+        ref = fitting.fit_sample(problem, [sample], g0, gd_iters=0, gn_iters=3)
         n_ref = len(calls)
 
         solve = problem.solve_equilibrium
@@ -646,13 +665,13 @@ class TestFitSample:
         monkeypatch.setattr(problem, "solve_equilibrium", stub)
         calls.clear()
         lg = fitting.FitLogger()
-        res = fitting.fit_sample(problem, sample, g0, gd_iters=2, gn_iters=3,
+        res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=3,
                                  logger=lg)
         assert [(r["phase"], r["step"]) for r in lg.rows[:2]] == [("gd", 0.0), ("gn", 1.0)]
         assert len(calls) == len(lg.gate) == n_ref
-        for name in ("gamma", "x", "params"):
+        for name in ("gamma", "xs", "params"):
             assert np.array_equal(getattr(res, name), getattr(ref, name))
-        assert (res.loss, res.resid, res.stalled) == (ref.loss, ref.resid, ref.stalled)
+        assert (res.loss, res.resids, res.stalled) == (ref.loss, ref.resids, ref.stalled)
         # the rejected GD step logs the start's loss once more
         assert res.losses == ref.losses[:1] + ref.losses
 
@@ -674,7 +693,7 @@ class TestFitSample:
         oracle = min(opt.fun, scalar_loss(z0))
 
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 6.0)])
-        res, stages = fitting.fit_staged(problem, sample, g0)
+        res, stages = fitting.fit_staged(problem, [sample], g0)
         assert res.loss <= oracle * (1.0 + 1e-3)
 
 
@@ -753,7 +772,7 @@ class TestStaging:
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         lg = fitting.FitLogger()
-        res, stages = fitting.fit_staged(problem, sample, g0, logger=lg)
+        res, stages = fitting.fit_staged(problem, [sample], g0, logger=lg)
         assert stages["full"] <= stages["r30"] <= stages["r10"] <= stages["r1"]
         assert res.loss == stages["full"]
         assert lg.gate_violations == 0
@@ -763,7 +782,7 @@ class TestStaging:
         # stage evaluates its own start instead of taking over that state
         problem, sample = scene["problem"], scene["sample"]
         g0 = gamma_vec(scene["gam_true"])
-        res, stages = fitting.fit_staged(problem, sample, g0, ranks=(None, 1),
+        res, stages = fitting.fit_staged(problem, [sample], g0, ranks=(None, 1),
                                          gd_iters=0, gn_iters=0)
         assert stages["full"] < 1e-15
         # the fit solves to 1e-6 and loss_at to 1e-10, hence the tolerance
@@ -777,12 +796,69 @@ class TestStaging:
         ref = loss_at(problem, sample, gamma_vec(uniform_scene["gam_true"]),
                       tol=1e-9)
         g0 = np.concatenate([np.full(nE, 24.0), np.full(nE, 1.6)])
-        res, stages = fitting.fit_staged(problem, sample, g0, ranks=(1,))
+        res, stages = fitting.fit_staged(problem, [sample], g0, ranks=(1,))
         assert stages["r1"] <= 1.05 * ref
 
 
 # ---------------------------------------------------------------------------
-# sample schedule
+# the summed objective over samples
+
+
+@pytest.fixture(scope="module")
+def two_samples(small_scene):
+    return [small_scene["sample"], lighter_stretch_sample(small_scene)]
+
+
+class TestSummedObjective:
+    G0 = (2.0, 4.0)
+
+    def _field(self, problem):
+        nE = problem.mesh.n_elements
+        return mat.MaterialField(gamma_s=np.full(nE, self.G0[0]),
+                                 gamma_v=np.full(nE, self.G0[1]))
+
+    def test_loss_and_gradient_are_the_per_sample_sums(self, small_scene,
+                                                       two_samples):
+        problem = small_scene["problem"]
+        gf = self._field(problem)
+        loss, xs, resids = problem.evaluate(gf, two_samples)
+        states, grad = fitting.objective_gradient(problem, two_samples, gf,
+                                                  xs, resids)
+        singles = []
+        for s in two_samples:
+            loss_k, xs_k, resids_k = problem.evaluate(gf, [s])
+            singles.append((loss_k, fitting.objective_gradient(
+                problem, [s], gf, xs_k, resids_k)[1]))
+            assert loss_k == problem.loss(xs_k[0], s)
+        (la, ga), (lb, gb) = singles
+        assert la > 0.0 and lb > 0.0
+        assert loss == la + lb
+        assert np.array_equal(grad, ga + gb)
+        assert np.array_equal(grad, states[0].grad + states[1].grad)
+
+    @pytest.mark.parametrize("rank,frozen", [(None, ()), (4, (2,))],
+                             ids=["full", "rank4-frozen"])
+    def test_two_sample_direction_matches_dense_oracle(self, small_scene,
+                                                       two_samples, rank, frozen):
+        problem = small_scene["problem"]
+        gf = self._field(problem)
+        _, xs, resids = problem.evaluate(gf, two_samples)
+        states, _ = fitting.objective_gradient(problem, two_samples, gf, xs, resids)
+        basis = None if rank is None else fitting.harmonic_basis(problem.mesh, rank)
+        d, kappa, ok = fitting.adjoint_gauss_newton(states, basis=basis,
+                                                    frozen=list(frozen))
+        assert ok
+        # the default damping sums the per-sample ones
+        assert kappa == pytest.approx(sum(
+            fitting.KAPPA_SCALE * st.G.diagonal().mean() for st in states), rel=1e-12)
+        dense = oracles.dense_gauss_newton_direction(states, kappa, basis=basis,
+                                                     frozen=frozen)
+        assert np.linalg.norm(d - dense) <= 1e-10 * np.linalg.norm(dense)
+        assert all(d[j] == 0.0 for j in frozen)
+
+
+# ---------------------------------------------------------------------------
+# the full-space pass
 
 
 class TestFitSequence:
@@ -790,12 +866,13 @@ class TestFitSequence:
         problem, sample = scene["problem"], scene["sample"]
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
-        res = fitting.fit_sample(problem, sample, g0, gd_iters=2, gn_iters=4)
+        res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=4)
         field, report = fitting.fit_sequence(problem, [sample], g0,
                                              gd_iters=2, gn_iters=4)
         assert np.array_equal(gamma_vec(field), res.gamma)
         assert not report["failed"]
         assert report["gate_violations"] == 0
+        assert [r["loss"] for r in report["samples"]] == [res.loss]
 
     def test_identical_samples_idempotent(self, scene):
         problem, sample = scene["problem"], scene["sample"]
@@ -805,40 +882,28 @@ class TestFitSequence:
         assert np.allclose(gamma_vec(field), g0, rtol=0, atol=1e-12)
         assert not report["failed"]
 
-    def test_equal_weights_arithmetic_mean(self, scene, monkeypatch):
+    def test_stalled_pass_reports_failed_and_returns_its_field(self, scene,
+                                                               monkeypatch):
+        # one pass over all samples at once; a pass that stalled without
+        # lowering the loss fails, and its own field is what comes back
         problem, sample = scene["problem"], scene["sample"]
         nE = problem.mesh.n_elements
-        ga = np.full(2 * nE, 3.0)
-        gb = np.full(2 * nE, 7.0)
-        fits = iter([ga, gb])
+        calls = []
 
-        def fake_fit(problem_, sample_, gamma0, **kw):
-            return fitting.FitResult(gamma=next(fits).copy(), loss=1.0,
-                                     x=sample_.x_init, losses=[2.0, 1.0],
-                                     stalled=False)
+        def stalled(problem_, samples, gamma0, **kw):
+            calls.append(list(samples))
+            return fitting.FitResult(gamma=np.full(2 * nE, 4.0), loss=2.0,
+                                     xs=[s.x_init for s in samples], losses=[2.0],
+                                     stalled=True)
 
-        monkeypatch.setattr(fitting, "fit_sample", fake_fit)
-        monkeypatch.setattr(fitting.pdsolver, "elastic_energy",
-                            lambda *a, **k: 1.0)
-        field, _ = fitting.fit_sequence(problem, [sample, sample],
-                                        np.full(2 * nE, 1.0))
-        assert np.array_equal(gamma_vec(field), 0.5 * ga + 0.5 * gb)
-
-    def test_all_stalled_returns_best(self, scene, monkeypatch):
-        problem, sample = scene["problem"], scene["sample"]
-        nE = problem.mesh.n_elements
-        results = iter([
-            fitting.FitResult(gamma=np.full(2 * nE, 9.0), loss=5.0,
-                              x=sample.x_init, losses=[5.0], stalled=True),
-            fitting.FitResult(gamma=np.full(2 * nE, 4.0), loss=2.0,
-                              x=sample.x_init, losses=[2.0], stalled=True),
-        ])
-        monkeypatch.setattr(fitting, "fit_sample",
-                            lambda *a, **k: next(results))
+        monkeypatch.setattr(fitting, "fit_sample", stalled)
         field, report = fitting.fit_sequence(problem, [sample, sample],
                                              np.full(2 * nE, 1.0))
+        assert calls == [[sample, sample]]
         assert report["failed"]
         assert np.array_equal(gamma_vec(field), np.full(2 * nE, 4.0))
+        assert [r["loss"] for r in report["samples"]] == \
+            [problem.loss(sample.x_init, sample)] * 2
 
     def test_empty_rejected(self, scene):
         with pytest.raises(ValueError, match="at least one"):

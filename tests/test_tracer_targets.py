@@ -7,7 +7,6 @@ installing it would rebind module globals for the rest of the session."""
 import importlib
 import importlib.util
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,15 +72,14 @@ def test_gauss_newton_note_reads_the_ok_flag():
     tracer = load_tracer()
     n, m = 4, 3
     rng = np.random.default_rng(0)
-    problem = SimpleNamespace(loss_hessian_scalar=lambda s: sp.eye(n, format="csr"))
     J = sp.csr_matrix(rng.normal(size=(3 * n, m)))
     for H, rejected in ((sp.eye(3 * n, format="csc"), 0),
                         (sp.csc_matrix((3 * n, 3 * n)), 1)):    # singular system
-        state = fitting.AdjointState(fdofs=np.arange(3 * n), H=H, J=J,
+        state = fitting.AdjointState(H=H, J=J, G=sp.eye(3 * n, format="csr"),
                                      grad=rng.normal(size=m))
-        out = fitting.adjoint_gauss_newton(problem, None, state)
+        out = fitting.adjoint_gauss_newton([state])
         assert out[2] == (not rejected)
-        assert tracer._gn_rejected((problem, None, state), {}, out) == {"rejected": rejected}
+        assert tracer._gn_rejected(([state],), {}, out) == {"rejected": rejected}
 
 
 def test_simulate_reaches_step_and_polish_through_module_attributes(monkeypatch):
