@@ -9,13 +9,13 @@ matrices with unit determinant (volume term):
 
 R(F) is the polar rotation.  V(F) is the closest unit-determinant matrix,
 found by adjusting the singular values of F under a product constraint.
-Both come from one batched SVD, taken from a batched eigh(F^T F) and built
-up from there by cross products and one Gram-Schmidt step; rows too
-ill-conditioned to square (sigma_min^2 <= SVD_TAU sigma_max^2) go through
-LAPACK's SVD instead.  The volume projection is one batched secular solve:
-each element reduces to a few bracketed scalar roots, one per floor-clamp
-pattern and branch, and the closest feasible candidate wins.
-Every SVD is batched, and single-element functions are batch calls of size
+Both come from one batched SVD, taken from a batched eigh(-F^T F) and built
+up by cross products and one Gram-Schmidt step; rows too ill-conditioned to
+square (sigma_min^2 <= SVD_TAU sigma_max^2) go through LAPACK's SVD.  The
+volume projection solves every row by bracket-free Newton in the multiplier
+from a tangent start, keeps the rows where that root provably wins, and
+routes the rest to a bracketed secular solve over clamp patterns; COUNTS
+tallies both fallbacks.  Single-element functions are batch calls of size
 one.  Both projections and their derivatives with respect to F live here;
 the derivatives feed the equilibrium Jacobians used during material fitting.
 The rotation helpers (skew, exponential, logarithm, minimal rotation) act
@@ -30,6 +30,9 @@ import numpy as np
 SV_FLOOR = 0.01
 # smallest admissible material coefficient during fitting
 GAMMA_FLOOR = 1e-3
+
+# rows decomposed and sent to each fallback; a caller diffs two reads
+COUNTS = {"rows": 0, "svd_lapack_rows": 0, "sl3_bracketed_rows": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +131,12 @@ def minimal_rotation(a, b):
 # through LAPACK, which keeps the error near 1e-14 on every row.
 
 
-def _det3(A):
-    """Cofactor determinant of a stack of 3x3 matrices."""
-    return (A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
-            - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
-            + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]))
-
-
 def _svd_rv_lapack(F):
     """svd_rv_batch through LAPACK, for rows too ill-conditioned to square."""
     U, s, Wt = np.linalg.svd(F)
     W = np.ascontiguousarray(np.swapaxes(Wt, -1, -2))
     s = s.copy()
-    # U and W are orthogonal, so their determinants are +-1 and the
-    # cofactor expansion gives the sign without an LU factorization
-    sign = np.where(_det3(np.stack([U, W])) < 0.0, -1.0, 1.0)
+    sign = np.where(np.linalg.det(np.stack([U, W])) < 0.0, -1.0, 1.0)
     U[:, :, 2] *= sign[0][:, None]
     W[:, :, 2] *= sign[1][:, None]
     s[:, 2] *= sign[0] * sign[1]
@@ -155,22 +149,21 @@ SVD_TAU = 1e-2
 
 def svd_rv_batch(F):
     """SVD F = U diag(s) W^T of a (B, 3, 3) stack in the convention above,
-    from one batched eigh(F^T F).
+    from one batched eigh(-F^T F).
 
-    W holds the eigenvectors in descending order, made proper by
-    w3 = w1 x w2.  U orthonormalizes the columns of G = F W (normalize g1,
-    Gram-Schmidt on g2, u3 = u1 x u2), and s = (|g1|, |g2 - (u1.g2) u1|,
-    u3.g3): the signed last entry is the reflection, with no determinant
-    test.  Rows past SVD_TAU, F = 0 and rank-deficient F among them, go
-    through LAPACK instead.
+    W holds the eigenvectors, which eigh lists by descending sigma^2, made
+    proper by w3 = w1 x w2.  U orthonormalizes the columns of G = F W
+    (normalize g1, Gram-Schmidt on g2, u3 = u1 x u2), and s = (|g1|,
+    |g2 - (u1.g2) u1|, u3.g3): the signed last entry is the reflection, with
+    no determinant test.  Rows past SVD_TAU, F = 0 and rank-deficient F
+    among them, go through LAPACK instead.
     """
-    F = np.asarray(F, dtype=float)
-    # matmul is about twice as fast on a contiguous F^T as on the view
-    ev, W = np.linalg.eigh(np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ F)
-    W = np.ascontiguousarray(W[:, :, ::-1])
+    # matmul is about twice as fast on contiguous operands as on views
+    F = np.ascontiguousarray(F, dtype=float)
+    ev, W = np.linalg.eigh(np.negative(np.swapaxes(F, -1, -2), order="C") @ F)
     W[:, :, 2] = _cross(W[:, :, 0], W[:, :, 1])
     G = F @ W
-    g1, g2, g3 = G[:, :, 0], G[:, :, 1], G[:, :, 2]
+    g1, g2 = G[:, :, 0], G[:, :, 1]
     U = np.empty_like(G)
     s = np.empty((len(F), 3))
     # the divisions by zero and their NaNs sit on fallback rows only
@@ -181,11 +174,14 @@ def svd_rv_batch(F):
         s[:, 1] = np.sqrt(np.einsum("bi,bi->b", g2, g2))
         U[:, :, 1] = g2 / s[:, 1:2]
     U[:, :, 2] = _cross(U[:, :, 0], U[:, :, 1])
-    s[:, 2] = np.einsum("bi,bi->b", U[:, :, 2], g3)
-    # ev ascends, so ev[:, 0] is sigma_min^2; the strict test sends F = 0 back
-    bad = np.flatnonzero(~(ev[:, 0] > SVD_TAU * ev[:, 2]))
+    s[:, 2] = np.einsum("bi,bi->b", U[:, :, 2], G[:, :, 2])
+    # ev ascends over -sigma^2, so -ev[:, 2] is sigma_min^2; the strict test
+    # sends F = 0 back
+    bad = np.flatnonzero(~(ev[:, 2] < SVD_TAU * ev[:, 0]))
     if len(bad):
         U[bad], s[bad], W[bad] = _svd_rv_lapack(F[bad])
+    COUNTS["rows"] += len(F)
+    COUNTS["svd_lapack_rows"] += len(bad)
     return U, s, W
 
 
@@ -196,10 +192,23 @@ def svd_rv_batch(F):
 # With sigma sorted descending the optimal s is sorted the same way, so only
 # trailing entries can sit on the floor: no clamp, s2 clamped, or s1 and s2
 # clamped, the last with the closed form (1/f^2, f, f).  A free entry
-# satisfies s_i^2 - sigma_i s_i + lam = 0.  Parametrize a pattern by t, the
-# value of its smallest free entry m: lam = t (sigma_m - t), the other free
-# entries take the larger root, and the product constraint becomes the
-# secular equation
+# satisfies s_i^2 - sigma_i s_i + lam = 0.
+#
+# Most rows keep the unclamped plus branch, every s_i the larger root,
+# solved by Newton in lam on g(lam) = sum_i log (sigma_i + r_i) / 2 with
+# r_i = sqrt(sigma_i^2 - 4 lam).  For sigma > 0, g is concave and
+# decreasing on lam <= sigma_2^2 / 4, so the root of its tangent at 0,
+# lam0 = sum log sigma_i / sum sigma_i^-2, has g(lam0) <= 0, and Newton
+# from there moves left to the root without a bracket.  _plus_root keeps a
+# row only where its root provably wins: sigma_2 > 2 f, lam0 in the domain,
+# converged, r_2 > 0 (|g'| >= 1 / (r_2 s_2) up to the domain end, so
+# phi(sigma_2 / 2) < -r_2 / 4 s_2: no fold root), the s2-clamp bound above
+# its objective plus rounding, and sigma_0 < 1 / (4 f^2) (the corner farther).
+#
+# The other rows (inverted, near the floor, expansive, unconverged) take
+# the bracketed solve.  Parametrize a clamp pattern by t, the value of its
+# smallest free entry m: lam = t (sigma_m - t), the other free entries take
+# the larger root, and the product constraint becomes the secular equation
 #
 #     phi(t) = log t + sum_i log s_i(t) + |clamped| log f = 0.
 #
@@ -214,6 +223,8 @@ def svd_rv_batch(F):
 # other free ones.
 _FOLD_GRID = 16
 _ROOT_ITERS = 100
+_NEWTON_ITERS = 50
+_G_TOL = 1e-10      # a step from |g| <= _G_TOL errs by about g''/g'^3 g^2
 
 
 def _secular(u, sm, so, p):
@@ -225,12 +236,8 @@ def _secular(u, sm, so, p):
     t = np.exp(u)
     lam = t * (sm - t)
     rt = np.sqrt(np.maximum(so * so - 4.0 * lam, 0.0))
-    # larger root of s^2 - sigma s + lam; only a negative sigma needs the
-    # cancellation-free form, and svd_rv_batch never puts one among so
-    if not (so < 0.0).any():
-        s = 0.5 * (so + rt)
-    else:
-        s = np.where(so >= 0.0, 0.5 * (so + rt), -2.0 * lam / (rt - so))
+    # larger root of s^2 - sigma s + lam, free of cancellation
+    s = np.where(so >= 0.0, 0.5 * (so + rt), -2.0 * lam / (rt - so))
     # the sums over the one or two other entries, spelled out
     logs = np.log(s)
     inv = 1.0 / (s * rt)
@@ -246,7 +253,9 @@ def _secular(u, sm, so, p):
 
 def _secular_root(lo, hi, u, sm, so, p):
     """Root of phi in [lo, hi], given phi(lo) <= 0 <= phi(hi), by Newton in
-    log t with a bisection step whenever Newton leaves the bracket."""
+    log t with a bisection step whenever Newton leaves the bracket; a lane
+    keeps its root once its step falls below rounding, whatever the others."""
+    done = np.zeros(np.shape(u), dtype=bool)
     for _ in range(_ROOT_ITERS):
         phi, dphi, *_ = _secular(u, sm, so, p)
         neg = phi < 0.0
@@ -257,9 +266,8 @@ def _secular_root(lo, hi, u, sm, so, p):
         if not newton.all():
             un = np.where(newton, un, 0.5 * (lo + hi))
         un = np.where(phi == 0.0, u, un)
-        done = (np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u))).all()
-        u = un
-        if done:
+        u, done = np.where(done, u, un), done | (np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u)))
+        if done.all():
             break
     return u
 
@@ -322,41 +330,12 @@ def _rounding(s, ss):
     return np.sum(e * (2.0 * np.abs(s - ss) + e), axis=1)
 
 
-def sl3_sigma_project_batch(sig):
-    """Closest singular-value triples with unit product and floored entries.
-
-    For each row of sig (B, 3), minimizes |s - sigma|^2 subject to
-    s1*s2*s3 = 1 and s_i >= SV_FLOOR by one batched secular solve: each
-    clamp pattern and branch gives a bracketed scalar root, and the feasible
-    candidate with the least objective wins.  Returns (s, lam, clamped): the
-    singular values, the multiplier of the free-entry stationarity
-    condition s_i - sigma_i + lam * prod_{k != i} s_k = 0, and the clamp
-    mask, all in the input order.
-
-    Tie rule: when a winner's free entry sits at f to rounding, it is also a
-    point of the pattern that clamps that entry, and the two objectives agree
-    to rounding (_rounding); the clamped candidate then wins, so that the
-    mask never hangs on the last bits of a root.
-    """
-    sig = np.asarray(sig, dtype=float)
+def _bracketed(ss, bound):
+    """Multi-pattern solve of descending rows ss (R, 3): (s, lam, clamped
+    count).  Only rows not below the s2-clamp bound by rounding solve p = 1."""
     f = SV_FLOOR
-    # svd_rv_batch rows already descend; only other input is sorted here
-    order = None
-    ss = sig
-    if not np.all(sig[:, :-1] >= sig[:, 1:]):
-        order = np.argsort(-sig, axis=1, kind="stable")
-        ss = np.take_along_axis(sig, order, axis=1)
-
     s, lam, obj = _pattern_candidates(ss, 0)
     n_clamped = np.zeros(len(ss), dtype=int)
-
-    # a candidate with s2 on the floor has s0 s1 = 1/f, so one of them is at
-    # least 1/sqrt(f), and as sigma_1 <= sigma_0 it costs at least
-    # (sigma_2 - f)^2 plus (1/sqrt(f) - sigma_0)^2 if positive; half of
-    # 1/sqrt(f) keeps the bound clear of the roots' rounding.  Only rows
-    # whose unclamped winner is not below the bound by more than rounding
-    # solve the s2-clamped pattern
-    bound = (f - ss[:, 2]) ** 2 + np.maximum(0.0, 0.5 / np.sqrt(f) - ss[:, 0]) ** 2
     tie = _rounding(s, ss)
     rows = np.flatnonzero(~(obj + tie < bound))
     if len(rows):
@@ -365,18 +344,81 @@ def sl3_sigma_project_batch(sig):
         rows = rows[take]
         s[rows], lam[rows], obj[rows], n_clamped[rows] = s1[take], lam1[take], obj1[take], 1
         tie[rows] = _rounding(s[rows], ss[rows])
-
     # the closed form (1/f^2, f, f) with s1 and s2 on the floor
     corner = np.array([1.0 / f**2, f, f])
     take = np.sum((corner - ss) ** 2, axis=1) <= obj + tie
     s[take], lam[take], n_clamped[take] = corner, (ss[take, 0] - 1.0 / f**2) / f**2, 2
-    clamped = np.arange(3) >= 3 - n_clamped[:, None]
+    return s, lam, n_clamped
+
+
+def _plus_root(ss, bound):
+    """Unclamped plus-branch candidates of descending rows ss (R, 3) by
+    Newton in lam from the tangent start: (s, lam, certified)."""
+    f = SV_FLOOR
+    sT = np.ascontiguousarray(ss.T)
+    sq = sT * sT
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.log(sT[0] * sT[1] * sT[2]) / (1.0 / sq[0] + 1.0 / sq[1] + 1.0 / sq[2])
+        start = (sT[2] > 2.0 * f) & (4.0 * lam <= sq[2])
+        active = start.copy()
+        for _ in range(_NEWTON_ITERS):
+            r = np.sqrt(sq - 4.0 * lam)
+            s2 = sT + r                             # 2 s
+            h = 1.0 / (r * s2)                      # -g' = 2 sum h
+            g = np.log(0.125 * (s2[0] * s2[1] * s2[2]))
+            # a converged row takes this last step and then keeps its lam
+            lam = np.where(active, lam + g / (2.0 * (h[0] + h[1] + h[2])), lam)
+            active &= g < -_G_TOL
+            if not active.any():
+                break
+        r = np.sqrt(sq - 4.0 * lam)
+    s = (0.5 * (sT + r)).T
+    obj = np.sum((s - ss) ** 2, axis=1) + _rounding(s, ss)
+    certified = (start & ~active & (r[2] > 1e-12 * sT[2]) & (sT[0] < 0.25 / f**2)
+                 & (obj < bound))
+    return s, lam, certified
+
+
+def sl3_sigma_project_batch(sig):
+    """Closest singular-value triples with unit product and floored entries.
+
+    For each row of sig (B, 3), minimizes |s - sigma|^2 subject to
+    s1*s2*s3 = 1 and s_i >= SV_FLOOR: rows that _plus_root certifies keep
+    its candidate, and the others take _bracketed.  Returns (s, lam,
+    clamped): the singular values, the multiplier of the free-entry
+    stationarity condition s_i - sigma_i + lam * prod_{k != i} s_k = 0, and
+    the clamp mask, all in the input order.
+
+    Tie rule: when a winner's free entry sits at f to rounding, it is also a
+    point of the pattern that clamps that entry, and the two objectives agree
+    to rounding (_rounding); the clamped candidate then wins, so that the
+    mask never hangs on the last bits of a root.
+    """
+    sig = np.asarray(sig, dtype=float)
+    # svd_rv_batch rows already descend; only other input is sorted here
+    order = None
+    ss = sig
+    if not (sig[:, :-1] >= sig[:, 1:]).all():
+        order = np.argsort(-sig, axis=1, kind="stable")
+        ss = np.take_along_axis(sig, order, axis=1)
+
+    # a candidate with s2 on the floor has s0 s1 = 1/f, so one of them is at
+    # least 1/sqrt(f), and as sigma_1 <= sigma_0 it costs at least
+    # (sigma_2 - f)^2 plus (1/sqrt(f) - sigma_0)^2 if positive; half of
+    # 1/sqrt(f) keeps the bound clear of the roots' rounding
+    f = SV_FLOOR
+    bound = (f - ss[:, 2]) ** 2 + np.maximum(0.0, 0.5 / np.sqrt(f) - ss[:, 0]) ** 2
+    s, lam, certified = _plus_root(ss, bound)
+    clamped = np.zeros(ss.shape, dtype=bool)
+    rows = np.flatnonzero(~certified)
+    if len(rows):
+        s[rows], lam[rows], n_clamped = _bracketed(ss[rows], bound[rows])
+        clamped[rows] = np.arange(3) >= 3 - n_clamped[:, None]
+    COUNTS["sl3_bracketed_rows"] += len(rows)
 
     if order is not None:
-        s_sorted, clamped_sorted = s, clamped
-        s, clamped = np.empty_like(s), np.empty_like(clamped)
-        np.put_along_axis(s, order, s_sorted, axis=1)
-        np.put_along_axis(clamped, order, clamped_sorted, axis=1)
+        back = np.argsort(order, axis=1)
+        s, clamped = np.take_along_axis(s, back, axis=1), np.take_along_axis(clamped, back, axis=1)
     return s, lam, clamped
 
 
@@ -446,13 +488,14 @@ def batch_projections(F):
 
     Returns (R, V) with shapes matching F ((B, 3, 3) each).
     """
-    F = np.asarray(F, dtype=float)
-    if not np.all(np.isfinite(F)):
+    F = np.ascontiguousarray(F, dtype=float)
+    if not np.isfinite(F).all():
         raise ValueError("non-finite deformation gradient in batch")
     U, _, W, s, _, _ = _entry(F)[1]
-    # matmul is about twice as fast on a contiguous W^T as on the view
-    Wt = np.ascontiguousarray(np.swapaxes(W, -1, -2))
-    return U @ Wt, (U * s[:, None, :]) @ Wt
+    # R and V as views of W U^T and W diag(s) U^T, the layout mesh.scatter
+    # reads without a copy; matmul is about twice as fast on a contiguous U^T
+    Ut = np.ascontiguousarray(np.swapaxes(U, -1, -2))
+    return np.swapaxes(W @ Ut, -1, -2), np.swapaxes((W * s[:, None, :]) @ Ut, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +589,6 @@ class MaterialField:
     def stacked(self):
         """Flat view [gamma_s; gamma_v] used by the fitting optimizer."""
         return np.concatenate([self.gamma_s, self.gamma_v])
-
-    def copy(self):
-        return MaterialField(self.gamma_s.copy(), self.gamma_v.copy())
 
     def __len__(self):
         return self.gamma_s.size

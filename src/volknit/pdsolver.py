@@ -59,10 +59,11 @@ def _coefficients(mesh, gammas):
     return w * gammas.gamma_s[:, None, None], w * gammas.gamma_v[:, None, None]
 
 
-def elastic_rhs(mesh, gammas, x):
-    """Local-step right-hand side sum_e 2 V_e (g_s R + g_v V) G^T, (nV, 3)."""
+def elastic_rhs(mesh, gammas, x, coef=None):
+    """Local-step right-hand side sum_e 2 V_e (g_s R + g_v V) G^T, (nV, 3);
+    coef is _coefficients(mesh, gammas) where the caller already holds it."""
     R, V = mat.batch_projections(mesh.deformation_gradients(x))
-    cs, cv = _coefficients(mesh, gammas)
+    cs, cv = _coefficients(mesh, gammas) if coef is None else coef
     return mesh.scatter(cs * R + cv * V)
 
 
@@ -178,6 +179,7 @@ class GlobalSolver:
         Kf = K[free]
         self.Kff = Kf[:, free].tocsc()
         self.Kfp = Kf[:, pins].tocsc() if len(pins) else None
+        self._pin_key = self._pin_load = None
         self.mode = mode
         self.refine_sweeps = refine_sweeps
         self.aggregation = aggregation
@@ -194,7 +196,11 @@ class GlobalSolver:
         columns go through one factorization or subspace call."""
         Bf = B[self.free]
         if len(self.pins):
-            Bf = Bf - self.Kfp @ pin_vals
+            # kept for the last pin values: a step solves every round with them
+            key = (pin_vals.dtype, pin_vals.shape, pin_vals.tobytes())
+            if key != self._pin_key:
+                self._pin_key, self._pin_load = key, self.Kfp @ pin_vals
+            Bf -= self._pin_load
         out = np.empty_like(B)
         out[self.pins] = pin_vals
         if self.mode == "direct":
@@ -240,14 +246,15 @@ def pd_step(mesh, gammas, xhat, dt, pins, pin_vals, iterations=PD_ITERS_DEFAULT,
     x = xhat.copy()
     x[pins] = pin_vals
     inertia = (mesh.node_mass[:, None] / dt**2) * xhat
+    coef = _coefficients(mesh, gammas)
     for it in range(iterations):
-        b = inertia + elastic_rhs(mesh, gammas, x)
+        b = inertia + elastic_rhs(mesh, gammas, x, coef)
         for idx, c in coll:
             # constrained nodes are pulled to their surface projection
             # (or held where they are once they have separated)
             b[idx] += cw[idx, None] * surface_targets(x[idx], c)
         x = solver.solve(b, pin_vals)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise RuntimeError(f"projective step produced non-finite positions at iteration {it}")
     return x
 
@@ -330,19 +337,14 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
     m_dt2 = mesh.node_mass[:, None] / dt**2
 
     def residual(xc):
-        g = elastic_gradient(mesh, gammas, xc)
-        if xhat is not None:
-            g = g + m_dt2 * (xc - xhat)
-        else:
-            g = g + m_dt2 * inertia_target
-        return g
+        anchor = xc - xhat if xhat is not None else inertia_target
+        return elastic_gradient(mesh, gammas, xc) + m_dt2 * anchor
 
     def objective(xc):
         if xhat is not None:
             d = xc - xhat
             return elastic_energy(mesh, gammas, xc) + 0.5 * float(np.sum(m_dt2 * d * d))
-        lin = float(np.sum(m_dt2 * inertia_target * xc))
-        return elastic_energy(mesh, gammas, xc) + lin
+        return elastic_energy(mesh, gammas, xc) + float(np.sum(m_dt2 * inertia_target * xc))
 
     def gmax(gv):
         return float(np.abs(gv[free]).max()) if len(free) else 0.0

@@ -305,11 +305,9 @@ def voxelize(yarn, cell_size, origin=None):
     """
     if not np.isfinite(cell_size) or cell_size <= 0.0:
         raise ValueError("cell size must be positive")
+    # YarnModel rejects zero-length rest segments
     rest = yarn.rest_vertices
     segs = yarn.segments
-    lengths = np.linalg.norm(rest[segs[:, 1]] - rest[segs[:, 0]], axis=1)
-    if np.any(lengths < 1e-12):
-        raise ValueError("degenerate yarn segment with zero rest length")
     if origin is None:
         origin = np.floor(rest.min(axis=0) / cell_size - 1.0) * cell_size
     origin = np.asarray(origin, dtype=float)
@@ -329,15 +327,8 @@ def voxelize(yarn, cell_size, origin=None):
                           return_inverse=True)
     tets = ids.reshape(len(cells), 8)[:, _CELL_TETS].reshape(-1, 4)
     nodes = origin + grid * float(cell_size)
-    return VolumeMesh(
-        nodes=nodes,
-        tets=tets,
-        cell_size=float(cell_size),
-        origin=origin,
-        node_grid=grid,
-        voxels=cells,
-        tet_voxel=np.repeat(np.arange(len(cells)), 6),
-    )
+    return VolumeMesh(nodes=nodes, tets=tets, cell_size=float(cell_size), origin=origin,
+                      node_grid=grid, voxels=cells, tet_voxel=np.repeat(np.arange(len(cells)), 6))
 
 
 def auto_cell_size(yarn, node_fraction=0.5, iters=24):
@@ -460,16 +451,8 @@ def embed_yarn(mesh, yarn):
             pieces.append((min(owners), si, u0, u1))
 
     pe, ps, pa, pb = map(np.array, zip(*pieces))
-    return YarnEmbedding(
-        host_elem=host,
-        host_weights=weights,
-        interp=interp,
-        piece_elem=pe,
-        piece_seg=ps,
-        piece_t0=pa,
-        piece_t1=pb,
-        yarn_mass=yarn.vertex_mass(),
-    )
+    return YarnEmbedding(host_elem=host, host_weights=weights, interp=interp, piece_elem=pe,
+                         piece_seg=ps, piece_t0=pa, piece_t1=pb, yarn_mass=yarn.vertex_mass())
 
 
 def scatter_line_mass(mesh, elems, p0, p1, mass, out):
@@ -550,16 +533,14 @@ def boundary_faces(mesh):
 def write_mesh(mesh, prefix, comment=None):
     """Write <prefix>.node, <prefix>.ele, <prefix>.json and <prefix>_boundary.obj."""
     head = f"# {comment}\n" if comment else ""
+    # one % format per file, as in write_obj
+    n, m = mesh.n_nodes, mesh.n_elements
     with open(f"{prefix}.node", "w") as fh:
-        fh.write(head)
-        fh.write(f"{mesh.n_nodes} 3 0 0\n")
-        for i, p in enumerate(mesh.nodes):
-            fh.write(f"{i} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        fh.write(head + f"{n} 3 0 0\n" + "%d %.17g %.17g %.17g\n" * n % tuple(
+            np.c_[np.arange(n), mesh.nodes].ravel().tolist()))
     with open(f"{prefix}.ele", "w") as fh:
-        fh.write(head)
-        fh.write(f"{mesh.n_elements} 4 0\n")
-        for i, t in enumerate(mesh.tets):
-            fh.write(f"{i} {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        fh.write(head + f"{m} 4 0\n" + "%d %d %d %d %d\n" * m % tuple(
+            np.c_[np.arange(m), mesh.tets].ravel().tolist()))
     meta = {
         "cell_size": mesh.cell_size,
         "origin": [float(v) for v in mesh.origin],
@@ -615,15 +596,9 @@ def read_mesh(prefix):
     origin = np.asarray(meta["origin"], dtype=float)
     h = float(meta["cell_size"])
     grid = np.rint((nodes - origin) / h).astype(int)
-    mesh = VolumeMesh(
-        nodes=nodes,
-        tets=tets,
-        cell_size=h,
-        origin=origin,
-        node_grid=grid,
-        voxels=np.asarray(meta["voxels"], dtype=int),
-        tet_voxel=np.asarray(meta["tet_voxel"], dtype=int),
-    )
+    mesh = VolumeMesh(nodes=nodes, tets=tets, cell_size=h, origin=origin, node_grid=grid,
+                      voxels=np.asarray(meta["voxels"], dtype=int),
+                      tet_voxel=np.asarray(meta["tet_voxel"], dtype=int))
     if "node_mass" in meta:
         mesh.node_mass = np.asarray(meta["node_mass"], dtype=float)
     return mesh

@@ -167,12 +167,7 @@ class RodParams:
 
 
 def _second_neighbors(model):
-    pairs = []
-    for pi in range(len(model.polylines)):
-        run = model.polylines[pi]
-        for a, b in zip(run[:-2], run[2:]):
-            pairs.append((a, b))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
+    return np.concatenate([np.c_[run[:-2], run[2:]] for run in model.polylines]).astype(int)
 
 
 def _incidence(n, pairs):
@@ -186,6 +181,13 @@ def _incidence(n, pairs):
 def _pair_rhs(incidence, weights, targets):
     """w * S p for pair difference constraints."""
     return incidence @ (weights[:, None] * targets)
+
+
+def _pair_targets(x, pairs, goal):
+    """Differences of x over pairs, rescaled to the lengths goal(length)."""
+    d = x[pairs[:, 1]] - x[pairs[:, 0]]
+    ln = np.linalg.norm(d, axis=1)
+    return d * (goal(ln) / np.maximum(ln, 1e-12))[:, None]
 
 
 def _pair_keys(pairs, n):
@@ -287,21 +289,13 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
         const_rhs = (mass[:, None] / dt**2 * xhat)[free]
         pin_rhs = Afp @ xp if len(pins) else 0.0
         for _ in range(params.pd_iters):
-            d = xi[stretch[:, 1]] - xi[stretch[:, 0]]
-            ln = np.linalg.norm(d, axis=1)
-            tgt = d * (model.rest_lengths / np.maximum(ln, 1e-12))[:, None]
-            rhs = _pair_rhs(S_stretch, w_stretch, tgt)
+            rhs = _pair_rhs(S_stretch, w_stretch,
+                            _pair_targets(xi, stretch, lambda ln: model.rest_lengths))
             if len(bend):
-                d = xi[bend[:, 1]] - xi[bend[:, 0]]
-                ln = np.linalg.norm(d, axis=1)
-                tgt = d * (bend_rest / np.maximum(ln, 1e-12))[:, None]
-                rhs += _pair_rhs(S_bend, w_bend, tgt)
+                rhs += _pair_rhs(S_bend, w_bend, _pair_targets(xi, bend, lambda ln: bend_rest))
             if len(contacts):
-                d = xi[contacts[:, 1]] - xi[contacts[:, 0]]
-                ln = np.linalg.norm(d, axis=1)
-                goal = np.maximum(ln, model.radius)
-                tgt = d * (goal / np.maximum(ln, 1e-12))[:, None]
-                rhs += _pair_rhs(S_contact, w_contact, tgt)
+                rhs += _pair_rhs(S_contact, w_contact, _pair_targets(
+                    xi, contacts, lambda ln: np.maximum(ln, model.radius)))
             for idx, c in coll:
                 # the surface projection while inside, held where it is once
                 # separated

@@ -611,7 +611,9 @@ def _secular(u, sm, so):
 
 def _secular_root(lo, hi, u, sm, so):
     """Root of phi in [lo, hi], given phi(lo) <= 0 <= phi(hi), by Newton in
-    log t with a bisection step whenever Newton leaves the bracket."""
+    log t with a bisection step whenever Newton leaves the bracket; each lane
+    stops on its own once its step falls below rounding."""
+    active = np.ones(u.shape, dtype=bool)
     for _ in range(_ROOT_ITERS):
         phi, dphi, *_ = _secular(u, sm, so)
         neg = phi < 0.0
@@ -621,9 +623,10 @@ def _secular_root(lo, hi, u, sm, so):
             un = u - phi / dphi
         newton = np.isfinite(dphi) & (un >= lo) & (un <= hi)
         un = np.where(phi == 0.0, u, np.where(newton, un, 0.5 * (lo + hi)))
-        done = np.all(np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u)))
-        u = un
-        if done:
+        small = np.abs(un - u) <= 1e-15 * np.maximum(1.0, np.abs(u))
+        u = np.where(active, un, u)
+        active &= ~small
+        if not active.any():
             break
     return u
 

@@ -401,6 +401,30 @@ def test_fit_all_samples_stalled_exits_3(block_ws, tmp_path, monkeypatch):
     assert all(r["stalled"] for r in rep["samples"])
 
 
+def test_fit_reports_and_checks_the_summed_loss(block_ws, tmp_path, monkeypatch,
+                                                capsys):
+    # the fit minimizes the sum of the per-sample losses, so the report and
+    # the ceiling use that sum; the stub leaves gamma_init as the field
+    monkeypatch.setattr(fitting, "fit_sample", quick_fit(stalled=False))
+    fit = dict(BLOCK_FIT["fit"], samples=[2, 3])
+    cfg = alias_cfg(block_ws, fit=fit)
+    cfg["paths"]["material"] = None
+    rc, out = run_cli("fit", tmp_path / "sum", cfg)
+    assert rc == cli.EXIT_OK
+    rep = read_report(out, "fit_report.json")
+    finals = rep["final_losses"]
+    assert len(finals) == 2 and min(finals) > 0.0
+    assert rep["final_loss"] == sum(finals)
+    # a ceiling above every sample's loss but below their sum fails the fit
+    cfg["fit"]["loss_ceiling"] = 0.5 * (max(finals) + sum(finals))
+    rc, out = run_cli("fit", tmp_path / "over", cfg)
+    assert rc == cli.EXIT_NUMERIC
+    assert "above ceiling" in capsys.readouterr().err
+    cfg["fit"]["loss_ceiling"] = sum(finals)
+    rc, out = run_cli("fit", tmp_path / "at", cfg)
+    assert rc == cli.EXIT_OK
+
+
 def test_fit_unconverged_final_solve_exits_3(block_ws, tmp_path, monkeypatch,
                                              capsys):
     # with the fit itself stubbed, the only equilibrium solves left are the
@@ -466,6 +490,19 @@ def test_write_obj_bytes_match_the_per_coordinate_writer(tmp_path):
             oracles.write_obj(tmp_path / "loop.obj", verts, **kw)
             assert ((tmp_path / "block.obj").read_bytes()
                     == (tmp_path / "loop.obj").read_bytes())
+
+
+def test_simulate_reports_fallback_counters(pipeline_ws):
+    # a mild stretch squares every F and keeps every Newton root
+    rep = read_report(pipeline_ws, "sim_report.json")
+    counters = rep["counters"]
+    assert set(counters) == set(mat.COUNTS)
+    assert all(type(v) is int for v in counters.values())
+    mesh = volmesh.read_mesh(os.path.join(str(pipeline_ws), "mesh"))
+    sim = PIPELINE_CFG["simulate"]
+    assert 0 < counters["rows"] <= sim["steps"] * sim["pd_iters"] * mesh.n_elements
+    assert counters["svd_lapack_rows"] == 0
+    assert counters["sl3_bracketed_rows"] == 0
 
 
 def test_simulate_twist_reports_det_deviation(pipeline_ws, tmp_path):

@@ -328,10 +328,8 @@ def _bound_rows():
     return np.array(rows)
 
 
-def test_sl3_pruned_matches_two_lane_reference(rng):
-    # the clamped lane runs only on rows the bound cannot rule out, so the
-    # answer must be the reference's, which solves both lanes on every row
-    sets = {
+def _reference_sets(rng):
+    return {
         "mild": mat.svd_rv_batch(np.eye(3) + 0.05 * rng.normal(size=(400, 3, 3)))[1],
         "compress": mat.svd_rv_batch(np.eye(3) + 0.3 * rng.normal(size=(400, 3, 3)))[1]
         * [1.0, 1.0, 0.3],
@@ -341,7 +339,12 @@ def test_sl3_pruned_matches_two_lane_reference(rng):
         "hand": np.array([[2.0, 2.0, 2.0], [100.0, 100.0, 1e-5], [1.0, 1.0, 1.0]]),
         "bound": _bound_rows(),
     }
-    for name, sig in sets.items():
+
+
+def test_sl3_pruned_matches_two_lane_reference(rng):
+    # the clamped lane runs only on rows the bound cannot rule out, so the
+    # answer must be the reference's, which solves both lanes on every row
+    for name, sig in _reference_sets(rng).items():
         s, lam, clamped = mat.sl3_sigma_project_batch(sig)
         s_ref, _, clamped_ref = oracles.sl3_sigma_project_batch(sig)
         assert np.array_equal(clamped, clamped_ref), name
@@ -349,6 +352,117 @@ def test_sl3_pruned_matches_two_lane_reference(rng):
         obj = np.sum((s - sig) ** 2, axis=1)
         obj_ref = np.sum((s_ref - sig) ** 2, axis=1)
         assert np.all(obj <= obj_ref + 1e-15 * np.maximum(1.0, obj_ref)), name
+
+
+def _s2_bound(ss):
+    """Lower bound on the objective of any s2-clamped candidate of the
+    descending rows ss, as sl3_sigma_project_batch takes it."""
+    f = mat.SV_FLOOR
+    return (f - ss[:, 2]) ** 2 + np.maximum(0.0, 0.5 / np.sqrt(f) - ss[:, 0]) ** 2
+
+
+def _certified(sig):
+    """The rows of descending sig that the Newton solve keeps."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mat._plus_root(sig, _s2_bound(sig))[2]
+
+
+def _clamp_bound_rows():
+    """Rows whose unclamped objective plus its rounding meets the s2-clamp
+    bound, found by bisection on sigma_0 along (a, k a, c), each with its
+    neighbours a few ulps away on both sides."""
+    def margin(a, k, c):
+        ss = np.stack([a, k * a, np.full_like(a, c)], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = mat._plus_root(ss, _s2_bound(ss))[0]
+        return np.sum((s - ss) ** 2, axis=1) + mat._rounding(s, ss) - _s2_bound(ss)
+
+    rows = []
+    for c in (0.021, 0.05, 0.1):
+        for k in (1.0, 0.5, 0.2):
+            a = np.geomspace(max(c, 2.0), 60.0, 400)
+            m = margin(a, k, c)
+            for i in np.flatnonzero(np.sign(m[:-1]) * np.sign(m[1:]) < 0):
+                lo, hi = a[i], a[i + 1]
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if np.sign(margin(np.array([mid]), k, c)[0]) == np.sign(m[i]) \
+                        else (lo, mid)
+                for r in lo * (1.0 + EPS * np.arange(-4, 5)):
+                    rows.append([r, k * r, c])
+    return np.array(rows)
+
+
+def test_sl3_newton_rows_match_reference(rng):
+    # every row, kept by the Newton solve or routed, carries the reference's
+    # clamp mask and its roots to rounding, also near expansion at (2, 2, 2),
+    # at the s2-clamp bound and just above the floor, where kept and routed
+    # rows meet
+    f = mat.SV_FLOOR
+    t = np.linspace(1.0, 2.6, 161)
+    sets = dict(_reference_sets(rng), **{
+        "near (2, 2, 2)": np.concatenate([
+            t[:, None] * np.ones(3),
+            np.sort(2.0 * np.exp(0.05 * rng.normal(size=(400, 3))), axis=1)[:, ::-1]]),
+        "clamp bound": _clamp_bound_rows(),
+        "above floor": np.concatenate([
+            np.array([[1.0, 1.0, 2.0 * f * (1.0 + k * EPS)] for k in range(-2, 6)]),
+            np.array([[hi, 1.0, lo] for hi in (1.0, 5.0, 50.0)
+                      for lo in 2.0 * f * np.array([1.0 + 1e-12, 1.001, 1.1, 1.5, 3.0])])]),
+    })
+    kept = 0
+    for name, sig in sets.items():
+        s, lam, clamped = mat.sl3_sigma_project_batch(sig)
+        s_ref, _, clamped_ref = oracles.sl3_sigma_project_batch(sig)
+        assert np.array_equal(clamped, clamped_ref), name
+        assert np.all(np.abs(s - s_ref) <= 1e-15 * np.maximum(1.0, np.abs(s_ref))), name
+        kept += int(_certified(-np.sort(-sig, axis=1)).sum())
+    # both sides of every boundary are exercised
+    assert 0 < np.sum(_certified(sets["clamp bound"])) < len(sets["clamp bound"])
+    assert 0 < np.sum(_certified(sets["near (2, 2, 2)"])) < len(sets["near (2, 2, 2)"])
+    assert 0 < np.sum(_certified(sets["above floor"])) < len(sets["above floor"])
+    assert kept > 1000
+
+
+def test_sl3_tangent_start_is_right_of_the_root(rng):
+    # g is concave and decreasing, so its tangent at lam = 0 lies above it
+    # and crosses zero right of the root: g(lam0) <= 0 wherever lam0 lies
+    # in the domain lam <= sigma_min^2 / 4
+    sig = np.sort(np.exp(rng.uniform(-3.0, 1.5, size=(10000, 3))), axis=1)[:, ::-1]
+    lam0 = np.log(np.prod(sig, axis=1)) / np.sum(sig ** -2.0, axis=1)
+    inside = 4.0 * lam0 <= sig[:, 2] ** 2
+    sig, lam0 = sig[inside], lam0[inside, None]
+    g = np.sum(np.log(0.5 * (sig + np.sqrt(sig * sig - 4.0 * lam0))), axis=1)
+    assert inside.sum() > 5000
+    assert np.all(g <= 0.0)
+
+
+def test_sl3_uncertified_rows_take_the_bracketed_solve(monkeypatch):
+    f = mat.SV_FLOOR
+    sig = np.array([
+        [1.1, 1.0, 0.9],            # mild: kept
+        [2.0, 2.0, 2.0],            # expansive: the start leaves the domain
+        [1.0, 1.0, -0.5],           # inverted
+        [50.0, 1.0, 1.5 * f],       # near the floor
+        [1e4, 0.02, 0.02],          # the s2-clamped candidate ties
+        [1.2, 0.8, 0.3],            # compressive: kept
+    ])
+    seen = []
+    bracketed = mat._bracketed
+    monkeypatch.setattr(mat, "_bracketed",
+                        lambda ss, bound: seen.append(ss.copy()) or bracketed(ss, bound))
+    before = mat.COUNTS["sl3_bracketed_rows"]
+    s, _, clamped = mat.sl3_sigma_project_batch(sig)
+    assert len(seen) == 1 and np.array_equal(seen[0], sig[1:5])
+    assert mat.COUNTS["sl3_bracketed_rows"] - before == 4
+    s_ref, _, clamped_ref = oracles.sl3_sigma_project_batch(sig)
+    assert np.array_equal(clamped, clamped_ref)
+    assert np.all(np.abs(s - s_ref) <= 1e-15 * np.maximum(1.0, np.abs(s_ref)))
+    # a row that does not converge within the cap is not kept
+    monkeypatch.setattr(mat, "_NEWTON_ITERS", 1)
+    seen.clear()
+    mat.sl3_sigma_project_batch(sig[[0, 5]])
+    assert len(seen) == 1 and len(seen[0]) == 2
 
 
 def _tie_rows():
