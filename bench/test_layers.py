@@ -1,8 +1,7 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
 runs, of the CMS solver build, of the fit's projection Jacobians,
 exact-Hessian assembly and equilibrium solves, and of the load path
-(voxelize, yarn embedding, rest-frame normals, element targets), at fixed
-sizes and seeds.
+(voxelize, yarn embedding, element targets), at fixed sizes and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
@@ -143,7 +142,6 @@ def test_solve_equilibrium(benchmark, start):
     model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
                                  wale_spacing=0.005, amplitude=0.002,
                                  rib_period=4, linear_density=0.002)
-    yarn_model.compute_segment_normals(model)
     mesh = volmesh.voxelize(model, 0.03)
     emb = volmesh.embed_yarn(mesh, model)
     volmesh.lump_mass(mesh, model, emb)
@@ -173,12 +171,10 @@ PATCHES = {
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
-@pytest.mark.parametrize("layer", ["voxelize", "embed_yarn", "compute_segment_normals",
-                                   "element_targets"])
+@pytest.mark.parametrize("layer", ["voxelize", "embed_yarn", "element_targets"])
 def test_load_path(benchmark, layer, name):
-    """Voxelizing a rib patch, embedding its yarn in the voxel mesh, its
-    rest-frame normals, or the element targets of the patch stretched by
-    10 % with noise."""
+    """Voxelizing a rib patch, embedding its yarn in the voxel mesh, or the
+    element targets of the patch stretched by 10 % with noise."""
     kw, cell, n_tets = PATCHES[name]
     model = yarn_model.rib_patch(course_spacing=0.005, wale_spacing=0.005, amplitude=0.002,
                                  rib_period=4, linear_density=0.002, **kw)
@@ -187,10 +183,7 @@ def test_load_path(benchmark, layer, name):
         benchmark(volmesh.voxelize, model, cell)
     elif layer == "embed_yarn":
         benchmark(volmesh.embed_yarn, mesh, model)
-    elif layer == "compute_segment_normals":
-        benchmark(yarn_model.compute_segment_normals, model)
     else:
-        yarn_model.compute_segment_normals(model)
         rng = np.random.default_rng(3)
         pose = (model.rest_vertices * np.array([1.1, 1.0, 1.0])
                 + 1e-4 * rng.normal(size=model.rest_vertices.shape))

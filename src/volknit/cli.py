@@ -141,6 +141,8 @@ def _merge(base, override, path=""):
             raise ConfigError(f"unknown config key {path + key!r}")
         if isinstance(base[key], dict) and isinstance(val, dict):
             out[key] = _merge(base[key], val, path + key + ".")
+        elif isinstance(base[key], dict):
+            raise ConfigError(f"config key {path + key!r} must be an object")
         else:
             out[key] = val
     return out
@@ -167,7 +169,25 @@ def load_config(user=None):
     return _merge(copy.deepcopy(DEFAULTS), user or {})
 
 
+NULLABLE = ("yarn.radius", "mesh.cell_size", "fit.dt", "fit.loss_ceiling", "simulate.polish_tol")
+
+
+def _check_numbers(cfg, defaults=DEFAULTS, path=""):
+    """Keys whose default is a number hold a number, an integer where the
+    default is one; NULLABLE keys default to null and hold a number if set."""
+    for key, default in defaults.items():
+        name, val = path + key, cfg[key]
+        if isinstance(default, dict):
+            _check_numbers(val, default, name + ".")
+        elif type(default) in (int, float) or val is not None and name in NULLABLE:
+            whole = type(default) is int
+            if type(val) not in ((int,) if whole else (int, float)):
+                kind = "an integer" if whole else "a number"
+                raise ConfigError(f"{name} must be {kind}, not {val!r}")
+
+
 def validate_config(cfg):
+    _check_numbers(cfg)
     for section in ("generate", "fit", "simulate"):
         dt = cfg[section]["dt"]
         if dt is None and section == "fit":
@@ -295,21 +315,19 @@ def write_material(path, field, chash):
 
 
 def read_material(path):
-    gs, gv = [], []
+    rows = []
     try:
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
-                if not line or line.startswith("#") or line.startswith("element"):
-                    continue
-                _, a, b = line.split(",")
-                gs.append(float(a))
-                gv.append(float(b))
-    except OSError as exc:
+                if line and not line.startswith(("#", "element")):
+                    _, a, b = line.split(",")
+                    rows.append((float(a), float(b)))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read material file {path}: {exc}") from exc
-    if not gs:
+    if not rows:
         raise ConfigError(f"material file {path} holds no rows")
-    return mat.MaterialField(np.array(gs), np.array(gv))
+    return mat.MaterialField.from_stacked(np.array(rows).T.reshape(-1))
 
 
 def _write_report(path, payload, chash):
@@ -341,7 +359,7 @@ def build_yarn(cfg, rng):
         try:
             model = yarn_model.read_yarn(path, linear_density=y["linear_density"],
                                          radius=y["radius"])
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read yarn file {path}: {exc}") from exc
     elif y["kind"] == "rib":
         model = yarn_model.rib_patch(
@@ -360,7 +378,6 @@ def build_yarn(cfg, rng):
             model.rest_vertices.shape)
         model = yarn_model.YarnModel(pts, model.polylines,
                                      y["linear_density"], y["radius"])
-    yarn_model.compute_segment_normals(model)
     return model
 
 
@@ -477,7 +494,6 @@ def _load_stage(cfg, out):
     """Sequence, mesh, and embedding shared by fit and simulate."""
     ws = _workspace(cfg, out)
     model, seq = _read_sequence(ws["sequence"])
-    yarn_model.compute_segment_normals(model)
     mesh = volmesh.read_mesh(ws["mesh"])
     emb = volmesh.embed_yarn(mesh, model)
     if mesh.node_mass is None:

@@ -86,7 +86,7 @@ def build_sample(op, frames, i, dt=None, yarn_pins=(), yarn_force=None):
     needs two history frames and dt; static samples (dt None or i < 2) get
     a zero target.
     """
-    x_init, targets = op.transfer(frames[i], frame=i)
+    x_init, targets = op.transfer(frames[i])
     if dt is not None and i >= 2:
         a = transfer.estimate_inertia(op, YarnSequence(frames=frames, dt=dt), i, yarn_force)
     else:
@@ -415,8 +415,7 @@ def _gn_direction(states, grad, kappa, basis, clamp_cache):
 
 
 def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
-               gd_iters=GD_ITERS, gn_iters=GN_ITERS, logger=None,
-               floor=mat.GAMMA_FLOOR, init_state=None):
+               gd_iters=GD_ITERS, gn_iters=GN_ITERS, logger=None, init_state=None):
     """Two-phase fit of the summed loss of `samples`: gradient descent,
     then Gauss-Newton.
 
@@ -439,7 +438,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
     logger = FitLogger() if logger is None else logger
     clamp_cache = set()             # stays empty in a spectral subspace
     if basis is None:
-        params = np.maximum(np.asarray(gamma0, dtype=float), floor)
+        params = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
     elif q0 is None:
         params = _coords(basis, np.asarray(gamma0, dtype=float))
     else:
@@ -449,7 +448,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
         if basis is None:
             return p
         r = basis.shape[1]
-        return np.maximum(np.concatenate([basis @ p[:r], basis @ p[r:]]), floor)
+        return np.maximum(np.concatenate([basis @ p[:r], basis @ p[r:]]), mat.GAMMA_FLOOR)
 
     def eval_at(gamma_vec, warm=None):
         return problem.evaluate(mat.MaterialField.from_stacked(gamma_vec), samples, warm)
@@ -488,7 +487,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
             # spectral coordinates may go negative; to_gamma floors them
             params, loss, accepted, t = safeguarded_update(
                 params, d, step, eval_loss, loss, clamp_cache=clamp_cache,
-                floor=floor if basis is None else None)
+                floor=mat.GAMMA_FLOOR if basis is None else None)
             if accepted:
                 gamma, (xs, resids) = to_gamma(params), trial_state
                 states = None

@@ -2,12 +2,13 @@
 
 Mesh to yarn is plain barycentric interpolation.  Yarn to mesh solves a
 least-squares reconstruction: per-element deformation-gradient targets are
-aggregated from segment frames (rotation logs and stretches averaged
-separately, weighted by embedded length) and combined with a mass-weighted
-positional anchor.  The same prefactored system, fed with zero gradient
-targets, transfers second-difference acceleration vectors for the inertia
-estimate.  Frames and targets cover all segments and elements of a pose at
-once; only the fill of elements without yarn steps, one face per round.
+aggregated from the segments' closed-form polar factors (rotation logs and
+axial stretches averaged separately, weighted by embedded length) and
+combined with a mass-weighted positional anchor.  The same prefactored
+system, fed with zero gradient targets, transfers second-difference
+acceleration vectors for the inertia estimate.  Polar factors and targets
+cover all segments and elements of a pose at once; only the fill of
+elements without yarn steps, one face per round.
 """
 
 from __future__ import annotations
@@ -31,21 +32,18 @@ def v2y(embedding, node_positions):
 
 
 # ---------------------------------------------------------------------------
-# segment frames and deformation gradients
+# segment polar factors
 
 
-def deformed_segment_normals(model, deformed):
-    """Material normals carried onto the deformed segment directions.
+def segment_polar(model, deformed):
+    """Polar factors (R, S), each (nS, 3, 3), of the segment deformations.
 
-    Each polyline first gets its best-fit rotation (rest to deformed, via
-    the orthogonal Procrustes solution); each segment then corrects that
-    rotation by the minimal rotation aligning the co-rotated rest direction
-    with the actual deformed direction.  A rigidly moved polyline therefore
-    reproduces the rigidly moved rest normals exactly, and no twist about
-    the segment axis is ever introduced.
+    R is the polyline's best-fit rotation (orthogonal Procrustes, rest to
+    deformed), corrected per segment by the minimal rotation aligning the
+    co-rotated rest direction with the deformed one.  The rods carry no
+    twist, so a segment with unit rest direction e and length ratio lam
+    deforms by R S, S = I + (lam - 1) e e^T, positive definite by design.
     """
-    if model.segment_normals is None:
-        raise ValueError("rest segment normals not computed")
     deformed = np.asarray(deformed, dtype=float)
     if not np.all(np.isfinite(deformed)):
         raise ValueError("non-finite deformed pose")
@@ -70,44 +68,10 @@ def deformed_segment_normals(model, deformed):
     nd = np.sqrt(np.einsum("si,si->s", d, d))
     if np.any(nd < 1e-12):
         raise ValueError(f"segment {np.argmax(nd < 1e-12)} degenerate in deformed pose")
-    dbar = (model.rest_vertices[b] - model.rest_vertices[a]) / model.rest_lengths[:, None]
-    align = mat.minimal_rotation(np.einsum("sij,sj->si", R, dbar), d / nd[:, None])
-    return np.einsum("sij,skj->ski", align, np.einsum("sij,skj->ski", R, model.segment_normals))
-
-
-def yarn_segment_f(model, deformed, normals=None):
-    """Per-segment deformation gradients (nS, 3, 3).
-
-    F maps the rest frame [d̄, n̄1, n̄2] onto the deformed frame
-    [d, n1, n2]; the normals stay unit length, so all cross-section
-    stretch is ignored and F captures axial stretch plus rotation.
-    """
-    deformed = np.asarray(deformed, dtype=float)
-    if normals is None:
-        normals = deformed_segment_normals(model, deformed)
-    a, b = model.segments.T
-    rest = model.rest_vertices
-    rest_frame = np.stack([rest[b] - rest[a], model.segment_normals[:, 0],
-                           model.segment_normals[:, 1]], axis=2)
-    def_frame = np.stack([deformed[b] - deformed[a], normals[:, 0], normals[:, 1]], axis=2)
-    return def_frame @ np.linalg.inv(rest_frame)
-
-
-def segment_rotation_stretch(F):
-    """Split segment gradients F (B, 3, 3) into rotation logs (B, 3) and
-    stretches (B, 3, 3), with the rotations from one batched SVD.
-
-    Raises on a non-positive determinant, which would mean a reflected or
-    collapsed segment frame, naming the first such segment.
-    """
-    bad = ~(np.linalg.det(F) > 0.0)
-    if bad.any():
-        raise ValueError(f"segment {np.argmax(bad)} has non-positive deformation determinant")
-    U, _, W = mat._svd_rv_lapack(F)
-    R = U @ np.swapaxes(W, 1, 2)
-    S = np.swapaxes(R, 1, 2) @ F
-    S = 0.5 * (S + np.swapaxes(S, 1, 2))
-    return mat.rotation_log(R), S
+    e = (model.rest_vertices[b] - model.rest_vertices[a]) / model.rest_lengths[:, None]
+    R = mat.minimal_rotation(np.einsum("sij,sj->si", R, e), d / nd[:, None]) @ R
+    lam = (nd / model.rest_lengths)[:, None, None]
+    return R, np.eye(3) + (lam - 1.0) * (e[:, :, None] * e[:, None, :])
 
 
 @dataclass
@@ -116,10 +80,9 @@ class TargetDeformation:
 
     per_element_f: np.ndarray   # (nE, 3, 3); fill values on uncovered elements
     covered: np.ndarray         # (nE,) bool, True where yarn length is embedded
-    frame: int = -1
 
 
-def element_targets(mesh, embedding, model, deformed, frame=-1):
+def element_targets(mesh, embedding, model, deformed):
     """Aggregate segment deformations into per-element target gradients.
 
     Rotation logs and stretches are averaged separately, weighted by the
@@ -128,13 +91,11 @@ def element_targets(mesh, embedding, model, deformed, frame=-1):
     fill value: the aggregate of their voxel if it has yarn elsewhere, else
     the average over face neighbors, propagated breadth-first in rounds.
     """
-    deformed = np.asarray(deformed, dtype=float)
-    normals = deformed_segment_normals(model, deformed)
-    omega, stretch = segment_rotation_stretch(yarn_segment_f(model, deformed, normals))
+    R, S = segment_polar(model, deformed)
     seg = embedding.piece_seg
     piece_w = (embedding.piece_t1 - embedding.piece_t0) * model.rest_lengths[seg]
     # per piece, its rotation log and stretch side by side, weighted
-    weighted = piece_w[:, None] * np.concatenate([omega, stretch.reshape(-1, 9)], axis=1)[seg]
+    weighted = piece_w[:, None] * np.concatenate([mat.rotation_log(R), S.reshape(-1, 9)], 1)[seg]
 
     def pooled(index, n):
         """Piece weights (n,) and weighted values (n, 12) summed into n bins."""
@@ -166,7 +127,7 @@ def element_targets(mesh, embedding, model, deformed, frame=-1):
     F = np.einsum("eij,ejk->eik", mat.rotation_exp(val[:, :3]), val[:, 3:].reshape(-1, 3, 3))
     if np.any(np.linalg.det(F[covered]) <= 0.0):
         raise ValueError("covered element received a non-positive target determinant")
-    return TargetDeformation(per_element_f=F, covered=covered, frame=frame)
+    return TargetDeformation(per_element_f=F, covered=covered)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +185,10 @@ class Y2VOperator:
         solve = self._factorize(targets.covered)
         return solve(-self.gradient(np.zeros((self.mesh.n_nodes, 3)), targets, yarn_pose))
 
-    def transfer(self, deformed, frame=-1):
+    def transfer(self, deformed):
         """y2v: reconstruct mesh node positions for one yarn pose."""
         deformed = np.asarray(deformed, dtype=float)
-        targets = element_targets(self.mesh, self.embedding, self.model, deformed, frame)
+        targets = element_targets(self.mesh, self.embedding, self.model, deformed)
         return self.solve_with_targets(targets, deformed), targets
 
     def linear_transfer(self, vec):

@@ -1,6 +1,7 @@
-"""Yarn-level model: polyline geometry, material normals, and a small
-elastic-rod simulator used to produce ground-truth pose sequences.
+"""Yarn-level model: polyline geometry and a small elastic-rod simulator
+used to produce ground-truth pose sequences.
 
+Vertex positions are the only degrees of freedom; the rods carry no twist.
 The simulator is deliberately simple: per-segment stretch springs,
 second-neighbor distance springs as a bending stand-in, quadratic
 vertex-vertex contact penalties, and optional plane/sphere colliders,
@@ -18,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .material import minimal_rotation
 from .pdsolver import collider_targets, surface_targets
 
 
@@ -65,7 +65,6 @@ class YarnModel:
             raise ValueError("need one linear density per polyline")
         self.linear_density = dens
         self.radius = float(radius) if radius is not None else 0.25 * float(np.median(rl))
-        self.segment_normals = None    # (nS, 2, 3) once computed
 
     @property
     def n_vertices(self):
@@ -88,37 +87,6 @@ class YarnModel:
         np.add.at(m, self.segments[:, 0], sm)
         np.add.at(m, self.segments[:, 1], sm)
         return m
-
-
-def compute_segment_normals(model):
-    """Populate rest-frame material normals by parallel transport.
-
-    The first segment of each polyline picks the coordinate axis least
-    aligned with its direction (ties to the lower axis index) and
-    orthogonalizes it; later segments carry the previous frame over by the
-    minimal rotation between consecutive directions, then re-orthonormalize
-    so {d, n1, n2} stays a right-handed triple.  All polylines step along
-    together, one segment position at a time.
-    """
-    rest = model.rest_vertices
-    d = (rest[model.segments[:, 1]] - rest[model.segments[:, 0]]) / model.rest_lengths[:, None]
-    # turn[s - 1] takes d[s - 1] to d[s]; the rows that straddle two
-    # polylines go unused
-    turn = minimal_rotation(d[:-1], d[1:])
-    # segments are numbered polyline by polyline, so each one's first
-    # segment and the count behind it give every segment position
-    count = np.bincount(model.segment_poly, minlength=len(model.polylines))
-    first = np.cumsum(count) - count
-    n1 = np.empty_like(d)
-    n1[first] = np.eye(3)[np.argmin(np.abs(d[first]), axis=1)]
-    for k in range(count.max()):
-        rows = first[count > k] + k
-        if k:
-            n1[rows] = np.einsum("sij,sj->si", turn[rows - 1], n1[rows - 1])
-        g = n1[rows] - np.einsum("si,si->s", n1[rows], d[rows])[:, None] * d[rows]
-        n1[rows] = g / np.sqrt(np.einsum("si,si->s", g, g))[:, None]
-    model.segment_normals = np.stack([n1, np.cross(d, n1)], axis=1)
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +350,7 @@ def read_yarn(path, linear_density=1.0, radius=None):
             if not tok or tok[0] == "#":
                 continue
             if tok[0] == "yarn":
-                nv, npoly = int(tok[1]), int(tok[2])
+                nv, npoly = map(int, tok[1:])
             elif tok[0] == "v":
                 verts.append([float(t) for t in tok[1:4]])
             elif tok[0] == "l":

@@ -7,11 +7,13 @@ face adjacency and embedding functions do one segment, cell, face, point or
 piece at a time, with Python sets, dicts and a breadth-first search, as the
 batched code they check once did, so tests can require equal bits.  The
 rotation helpers (skew, exponential, logarithm, minimal rotation) take one
-vector or matrix, and the segment normals, segment gradients and element
-targets are built from them one segment or element at a time.  Their norms
-and dots go through BLAS, so the batched code matches them to equal bits
-only where it does the same arithmetic (the log away from pi, the segment
-gradients), and to a few ulps elsewhere.
+vector or matrix.  The segment polar factors come from the material-frame
+path that src/ replaced by a closed form: rest normals by parallel
+transport, deformed normals, each segment's gradient through a frame
+inverse, and its polar factors by SVD.  They and the element targets are
+built one segment or element at a time.  Their norms and dots go through
+BLAS, so the batched code matches them to equal bits only where it does the
+same arithmetic (the log away from pi), and to a few ulps elsewhere.
 The volume projection solves both clamp patterns on every row, which the
 pruned solve in src/ must reproduce.  The component-mode basis is filled
 one column at a time from Python lists.  The element operators are the dense
@@ -478,7 +480,8 @@ def deformed_segment_normals(model, deformed):
     polyline rotation and one segment at a time."""
     deformed = np.asarray(deformed, dtype=float)
     rest = model.rest_vertices
-    out = np.empty_like(model.segment_normals)
+    normals = compute_segment_normals(model)
+    out = np.empty_like(normals)
     for pi, run in enumerate(model.polylines):
         P = rest[run] - rest[run].mean(axis=0)
         Q = deformed[run] - deformed[run].mean(axis=0)
@@ -493,21 +496,34 @@ def deformed_segment_normals(model, deformed):
                 raise ValueError(f"segment {si} degenerate in deformed pose")
             d = d / nd
             align = minimal_rotation(R @ dbar, d)
-            out[si, 0] = align @ (R @ model.segment_normals[si, 0])
-            out[si, 1] = align @ (R @ model.segment_normals[si, 1])
+            out[si, 0] = align @ (R @ normals[si, 0])
+            out[si, 1] = align @ (R @ normals[si, 1])
     return out
 
 
-def yarn_segment_f(model, deformed, normals):
-    """Per-segment deformation gradients, one frame inverse at a time."""
+def yarn_segment_f(model, deformed):
+    """Per-segment deformation gradients: the rest material frame
+    [d, n1, n2] mapped onto the deformed one, one frame inverse at a time."""
+    deformed = np.asarray(deformed, dtype=float)
     rest = model.rest_vertices
+    rest_normals = compute_segment_normals(model)
+    normals = deformed_segment_normals(model, deformed)
     F = np.empty((model.n_segments, 3, 3))
     for si, (a, b) in enumerate(model.segments):
         rest_frame = np.column_stack([
-            rest[b] - rest[a], model.segment_normals[si, 0], model.segment_normals[si, 1]])
+            rest[b] - rest[a], rest_normals[si, 0], rest_normals[si, 1]])
         def_frame = np.column_stack([deformed[b] - deformed[a], normals[si, 0], normals[si, 1]])
         F[si] = def_frame @ np.linalg.inv(rest_frame)
     return F
+
+
+def segment_polar(model, deformed):
+    """Polar factors (R, S) of the segment gradients of the material-frame
+    path, one SVD at a time, S symmetrized."""
+    F = yarn_segment_f(model, deformed)
+    R = np.stack([project_so3(f) for f in F])
+    S = np.swapaxes(R, 1, 2) @ F
+    return R, 0.5 * (S + np.swapaxes(S, 1, 2))
 
 
 def element_targets(mesh, embedding, model, deformed):
@@ -515,16 +531,8 @@ def element_targets(mesh, embedding, model, deformed):
     elements filled one at a time: from their voxel, then breadth-first
     over face neighbors with Python sets.  Also returns the number of
     breadth-first rounds."""
-    deformed = np.asarray(deformed, dtype=float)
-    normals = deformed_segment_normals(model, deformed)
-    F = yarn_segment_f(model, deformed, normals)
-    omega = np.empty((len(F), 3))
-    stretch = np.empty_like(F)
-    for si, f in enumerate(F):
-        R = project_so3(f)
-        S = R.T @ f
-        omega[si] = unskew(rotation_log(R))
-        stretch[si] = 0.5 * (S + S.T)
+    R, stretch = segment_polar(model, deformed)
+    omega = np.stack([unskew(rotation_log(r)) for r in R])
 
     nE = mesh.n_elements
     w_elem = np.zeros(nE)

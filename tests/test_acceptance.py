@@ -49,7 +49,6 @@ def random_yarn_scene(seed, truth_span=(2.0, 10.0, 1.0, 5.0)):
                 amp[0] * np.sin(freq[0] * t + ph[0]),
                 amp[1] * np.cos(freq[1] * t + ph[1])]
     yarn = yarn_model.YarnModel(pts, [list(range(n))], linear_density=0.01)
-    yarn_model.compute_segment_normals(yarn)
     cell = float(rng.uniform(0.11, 0.16))
     mesh = volmesh.voxelize(yarn, cell)
     emb = volmesh.embed_yarn(mesh, yarn)

@@ -55,7 +55,6 @@ def make_two_block_asset(dest):
     # half-cell offset keeps the single course layer clear of voxel faces
     model.rest_vertices[:, 1] += 0.5 * cell
     model.rest_vertices[:, 2] += 0.5 * cell
-    yarn_model.compute_segment_normals(model)
     mesh = volmesh.voxelize(model, cell)
     emb = volmesh.embed_yarn(mesh, model)
     volmesh.lump_mass(mesh, model, emb)
@@ -219,6 +218,20 @@ def test_generate_bad_yarn_path_exits_2(tmp_path):
     cfg = {"paths": {"yarn_file": str(tmp_path / "no_such_file.obj")}}
     rc, _ = run_cli("generate", tmp_path / "bad", cfg)
     assert rc == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("text", [
+    "yarn 3 1\nv 0 0 0\nv 1 0 0\nl 0 1 2\n",      # one vertex short
+    "yarn 2\nv 0 0 0\nv 1 0 0\nl 0 1\n",          # header without a count
+    "yarn 2 1\nv 0 0 zero\nv 1 0 0\nl 0 1\n",     # non-numeric coordinate
+    "yarn 2 1\nv 0 0 0\nv 1 0 0\nl 0 5\n",        # missing vertex
+], ids=["count", "header", "coordinate", "index"])
+def test_generate_malformed_yarn_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.yarn"
+    path.write_text(text)
+    rc, _ = run_cli("generate", tmp_path / "bad", {"paths": {"yarn_file": str(path)}})
+    assert rc == cli.EXIT_USAGE
+    assert f"error: cannot read yarn file {path}" in capsys.readouterr().err
 
 
 def test_generate_divergence_exits_3_keeping_partial_frames(tmp_path):
@@ -615,6 +628,24 @@ def test_nonpositive_dt_exits_2(tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("user,match", [
+    ({"simulate": {"pd_iters": "30"}}, "simulate.pd_iters must be an integer, not '30'"),
+    ({"simulate": {"pd_iters": 30.0}}, "simulate.pd_iters must be an integer"),
+    ({"simulate": {"dt": None}}, "simulate.dt must be a number, not None"),
+    ({"generate": {"rod": {"damping": True}}}, "generate.rod.damping must be a number"),
+    ({"mesh": {"cell_size": "0.03"}}, "mesh.cell_size must be a number"),
+    ({"seed": [1]}, "seed must be an integer"),
+    ({"fit": 3}, "'fit' must be an object"),
+], ids=["string-count", "float-count", "null-dt", "bool-float", "string-nullable", "list-seed",
+        "scalar-section"])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, user, match):
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.validate_config(cli.load_config(user))
+    rc, _ = run_cli("generate", tmp_path / "w", user)
+    assert rc == cli.EXIT_USAGE
+    assert match.split()[0].strip("'") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("simulate", "scenario", "shear"),
     ("simulate", "solver", "multigrid"),
@@ -725,6 +756,18 @@ def test_cli_import_leaves_scipy_spatial_out():
                        "print('scipy.spatial' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("rows", ["0,1.0\n", "0,1.0,one\n", "0,1.0,2.0\n1,1.0,2.0,3.0\n"],
+                         ids=["two-fields", "non-numeric", "four-fields"])
+def test_simulate_malformed_material_file_exits_2(pipeline_ws, tmp_path, capsys, rows):
+    path = tmp_path / "material.csv"
+    path.write_text("# config 0\nelement,gamma_s,gamma_v\n" + rows)
+    cfg = alias_cfg(pipeline_ws)
+    cfg["paths"]["material"] = str(path)
+    rc, _ = run_cli("simulate", tmp_path / "w", cfg)
+    assert rc == cli.EXIT_USAGE
+    assert f"error: cannot read material file {path}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["fit", "simulate", "compare"])

