@@ -95,7 +95,7 @@ def test_global_solve(benchmark, patch, mode, n_tets):
     mesh, K, pins, free, B, pin_vals = patch if n_tets == 192 else _pinned(25, 200)
     assert mesh.n_elements == n_tets
     # the CLI's simulate defaults for the CMS solver
-    solver = pdsolver.GlobalSolver(K, free, pins, mode=mode, mesh=mesh, n_domains=2,
+    solver = pdsolver.GlobalSolver(K, pins, mode=mode, mesh=mesh, n_domains=2,
                                    modes_per_domain=20, refine_sweeps=30, aggregation=2)
     X = benchmark(solver.solve, B, pin_vals)
     assert np.all(np.isfinite(X))
@@ -108,7 +108,7 @@ def test_cms_build(benchmark, patch, n_tets):
     reduced factorization, on the fitted-size or the 25x200 patch."""
     mesh, K, pins, free, _, _ = patch if n_tets == 192 else _pinned(25, 200)
     assert mesh.n_elements == n_tets
-    solver = benchmark(pdsolver.GlobalSolver, K, free, pins, mode="cms", mesh=mesh,
+    solver = benchmark(pdsolver.GlobalSolver, K, pins, mode="cms", mesh=mesh,
                        n_domains=2, modes_per_domain=20, refine_sweeps=30, aggregation=2)
     assert solver.cms.T.shape[0] == len(free)
 

@@ -18,20 +18,21 @@ The fit minimizes the summed loss of its samples, so convergence.csv rows
 name no sample; fit_report.json's `samples` entries give each sample's loss
 after the full-space pass, beside that pass's stalled and progressed flags.
 
-Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.  Every
-artifact carries the hash of the user's config (with any --seed override)
-so a result can be traced to the configuration that produced it; a change
-of DEFAULTS leaves the hash alone.
+Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.  Exit 2
+covers any config value outside its kind or domain.  Every artifact
+carries the hash of the user's config (with any --seed override) so a
+result can be traced to the configuration that produced it; a change of
+DEFAULTS leaves the hash alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -169,41 +170,62 @@ def load_config(user=None):
     return _merge(copy.deepcopy(DEFAULTS), user or {})
 
 
-NULLABLE = ("yarn.radius", "mesh.cell_size", "fit.dt", "fit.loss_ceiling", "simulate.polish_tol")
+# dotted key -> what it takes besides the kind of its default: a tuple of
+# choices, POSITIVE, or the least value (of each entry, for a list)
+POSITIVE = "positive"
+DOMAIN = {
+    "seed": 0, "yarn.kind": ("rib", "strand"), "yarn.courses": 1, "yarn.wales": 2,
+    "yarn.rib_period": 1, "yarn.strand_vertices": 2, "yarn.strand_length": POSITIVE,
+    "yarn.linear_density": POSITIVE, "yarn.radius": 0, "yarn.jitter": 0,
+    "generate.scenario": ("stretch", "twist", "hold", "drape"), "generate.steps": 1,
+    "generate.dt": POSITIVE, "generate.rod.pd_iters": 1, "mesh.cell_size": POSITIVE,
+    "fit.sample_stride": 1, "fit.gd_iters": 0, "fit.gn_iters": 0, "fit.dt": POSITIVE,
+    "fit.alpha": POSITIVE, "fit.gamma_init": 0, "fit.loss_ceiling": POSITIVE,
+    "simulate.scenario": ("hold", "stretch", "twist"), "simulate.steps": 1,
+    "simulate.dt": POSITIVE, "simulate.pd_iters": 1, "simulate.solver": ("direct", "cms"),
+    "simulate.domains": 1, "simulate.modes_per_domain": 1, "simulate.refine_sweeps": 0,
+    "simulate.aggregation": (2, 3), "simulate.polish_tol": POSITIVE,
+}
+KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _check_numbers(cfg, defaults=DEFAULTS, path=""):
-    """Keys whose default is a number hold a number, an integer where the
-    default is one; NULLABLE keys default to null and hold a number if set."""
+def _check_value(name, val, kind, rule):
+    if type(val) not in ((int, float) if kind is float else (kind,)):
+        raise ConfigError(f"{name} must be {KINDS[kind]}, not {val!r}")
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"{name} must be finite, not {val!r}")
+    if isinstance(rule, tuple) and val not in rule:
+        raise ConfigError(f"unknown {name} {val!r}")
+    if rule == POSITIVE and val <= 0:
+        raise ConfigError(f"{name} must be positive")
+    if type(rule) is int and val < rule:
+        raise ConfigError(f"{name} must be at least {rule}")
+
+
+def _check_values(cfg, defaults=DEFAULTS, path=""):
+    """Every key holds a value of its default's kind, finite if a number and
+    within its DOMAIN entry.  A null default takes null, a string under
+    paths, or a number where DOMAIN bounds it; fit.samples, compare.frames,
+    fit.ranks and the colliders are checked by validate_config."""
     for key, default in defaults.items():
-        name, val = path + key, cfg[key]
+        name, val, rule = path + key, cfg[key], DOMAIN.get(path + key)
         if isinstance(default, dict):
-            _check_numbers(val, default, name + ".")
-        elif type(default) in (int, float) or val is not None and name in NULLABLE:
-            whole = type(default) is int
-            if type(val) not in ((int,) if whole else (int, float)):
-                kind = "an integer" if whole else "a number"
-                raise ConfigError(f"{name} must be {kind}, not {val!r}")
+            _check_values(val, default, name + ".")
+        elif default is None:
+            if val is not None and (rule is not None or path == "paths."):
+                _check_value(name, val, str if rule is None else float, rule)
+        elif type(default) is not list:
+            _check_value(name, val, type(default), rule)
+        elif default and type(default[0]) is float:
+            if type(val) is not list or len(val) != len(default):
+                raise ConfigError(f"{name} must be a list of {len(default)} numbers, not {val!r}")
+            for v in val:
+                _check_value(name + " entries", v, float, rule)
 
 
 def validate_config(cfg):
-    _check_numbers(cfg)
-    for section in ("generate", "fit", "simulate"):
-        dt = cfg[section]["dt"]
-        if dt is None and section == "fit":
-            dt = 1.0                # resolved to the sequence dt at run time
-        if dt <= 0.0:
-            raise ConfigError(f"{section}.dt must be positive")
-        if cfg[section].get("steps", 1) < 1:
-            raise ConfigError(f"{section}.steps must be at least 1")
-    if cfg["mesh"]["cell_size"] is not None and cfg["mesh"]["cell_size"] <= 0.0:
-        raise ConfigError("mesh.cell_size must be positive")
-    if cfg["fit"]["alpha"] < 0.0:
-        raise ConfigError("fit.alpha must be non-negative")
-    ceiling = cfg["fit"]["loss_ceiling"]
-    if ceiling is not None and ceiling <= 0.0:
-        raise ConfigError("fit.loss_ceiling must be positive")
-    samples, stride = cfg["fit"]["samples"], cfg["fit"]["sample_stride"]
+    _check_values(cfg)
+    samples = cfg["fit"]["samples"]
     for key, sel in (("fit.samples", samples), ("compare.frames", cfg["compare"]["frames"])):
         if sel is not None and not (isinstance(sel, list) and sel
                                     and all(type(i) is int for i in sel)):
@@ -211,36 +233,15 @@ def validate_config(cfg):
     if samples is not None and len(set(samples)) < len(samples):
         # under the summed loss a repeated frame would count twice
         raise ConfigError("fit.samples must not repeat a frame")
-    if type(stride) is not int or stride < 1:
-        raise ConfigError("fit.sample_stride must be an integer >= 1")
-    if samples is not None and stride != 1:
+    if samples is not None and cfg["fit"]["sample_stride"] != 1:
         raise ConfigError("fit.sample_stride applies only when fit.samples is null")
-    tol = cfg["simulate"]["polish_tol"]
-    if tol is not None and tol <= 0.0:
-        raise ConfigError("simulate.polish_tol must be positive")
-    if tol is not None and cfg["simulate"]["colliders"]:
+    if cfg["simulate"]["polish_tol"] is not None and cfg["simulate"]["colliders"]:
         # simulate_mesh rejects it too: collider steps are never polished
         raise ConfigError("simulate.polish_tol cannot be combined with simulate.colliders")
-    if any(g < 0 for g in cfg["fit"]["gamma_init"]):
-        raise ConfigError("fit.gamma_init entries must be non-negative")
     ranks = cfg["fit"]["ranks"]
     if not isinstance(ranks, list) or not ranks or not all(
             r is None or (type(r) is int and r >= 1) for r in ranks):
         raise ConfigError("fit.ranks must be a non-empty list of nulls and integers >= 1")
-    for section, key, allowed in (
-            ("generate", "scenario", ("stretch", "twist", "hold", "drape")),
-            ("simulate", "scenario", ("hold", "stretch", "twist")),
-            ("simulate", "solver", ("direct", "cms")),
-            ("simulate", "aggregation", (2, 3))):
-        if cfg[section][key] not in allowed:
-            raise ConfigError(f"unknown {section}.{key} {cfg[section][key]!r}")
-    for name, least in (("simulate.domains", 1), ("simulate.modes_per_domain", 1),
-                        ("simulate.pd_iters", 1), ("simulate.refine_sweeps", 0),
-                        ("fit.gd_iters", 0), ("fit.gn_iters", 0), ("generate.rod.pd_iters", 1),
-                        ("yarn.courses", 1), ("yarn.wales", 2), ("yarn.strand_vertices", 2)):
-        *path, key = name.split(".")
-        if functools.reduce(dict.get, path, cfg)[key] < least:
-            raise ConfigError(f"{name} must be at least {least}")
     for section in ("generate", "simulate"):
         items = cfg[section]["colliders"]
         if not isinstance(items, list):
@@ -367,12 +368,10 @@ def build_yarn(cfg, rng):
             course_spacing=y["course_spacing"], wale_spacing=y["wale_spacing"],
             amplitude=y["amplitude"], rib_period=y["rib_period"],
             linear_density=y["linear_density"], radius=y["radius"])
-    elif y["kind"] == "strand":
+    else:
         model = yarn_model.straight_strand(
             y["strand_vertices"], length=y["strand_length"],
             linear_density=y["linear_density"], radius=y["radius"])
-    else:
-        raise ConfigError(f"unknown yarn kind {y['kind']!r}")
     if y["jitter"] > 0.0:
         pts = model.rest_vertices + y["jitter"] * rng.standard_normal(
             model.rest_vertices.shape)
@@ -465,9 +464,7 @@ def cmd_generate(cfg, out, chash):
 def cmd_voxelize(cfg, out, chash):
     ws = _workspace(cfg, out)
     model, _ = _read_sequence(ws["sequence"])
-    cell = cfg["mesh"]["cell_size"]
-    if cell is None:
-        cell = volmesh.auto_cell_size(model)
+    cell = cfg["mesh"]["cell_size"] or volmesh.auto_cell_size(model)
     mesh = volmesh.voxelize(model, cell)
     emb = volmesh.embed_yarn(mesh, model)
     volmesh.lump_mass(mesh, model, emb)
@@ -523,8 +520,7 @@ def cmd_fit(cfg, out, chash):
     nE = mesh.n_elements
     logger = fitting.FitLogger()
 
-    gs0, gv0 = fc["gamma_init"]
-    gamma0 = np.concatenate([np.full(nE, float(gs0)), np.full(nE, float(gv0))])
+    gamma0 = np.repeat(np.asarray(fc["gamma_init"], dtype=float), nE)
     res0, stages = fitting.fit_staged(
         problem, samples, gamma0, ranks=tuple(fc["ranks"]),
         logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
@@ -612,11 +608,10 @@ def cmd_simulate(cfg, out, chash):
         # with colliders every step assembles and factorizes its own matrix
         t = time.perf_counter()
         K = pdsolver.assemble_global(mesh, field, sc["dt"])
-        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
         clock("assemble", t)
         t = time.perf_counter()
         solver = pdsolver.GlobalSolver(
-            K, free, pins, mode=sc["solver"], mesh=mesh, n_domains=sc["domains"],
+            K, pins, mode=sc["solver"], mesh=mesh, n_domains=sc["domains"],
             modes_per_domain=sc["modes_per_domain"],
             refine_sweeps=sc["refine_sweeps"], aggregation=sc["aggregation"])
         clock("factorize", t)

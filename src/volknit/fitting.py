@@ -74,7 +74,7 @@ class FitSample:
         # built once per sample; the loss Hessian acts on each coordinate
         free = np.setdiff1d(np.arange(len(self.x_init)), self.pins)
         self.fdofs = (3 * free[:, None] + np.arange(3)[None, :]).reshape(-1)
-        G = sp.kron(op.matrix(self.targets.covered), sp.eye(3)).tocsr()
+        G = sp.kron(op.matrix(), sp.eye(3)).tocsr()
         self.G = G[self.fdofs][:, self.fdofs]
 
 
@@ -111,6 +111,7 @@ class EquilibriumStats:
     newton_iters: int = 0       # Newton iterations over all solves
     unconverged: int = 0        # solves that ended at or above their tol
     max_residual: float = 0.0   # largest final residual
+    ridges: int = 0             # adjoint solves retried on H + kappa I
 
     def record(self, cold, iters, ok, resid):
         self.cold += int(cold)
@@ -238,6 +239,7 @@ def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
     except RuntimeError:
         kap = KAPPA_SCALE * Hff.diagonal().sum() / Hff.shape[0]
         log.warning("singular equilibrium Jacobian; adding %.3e ridge", kap)
+        problem.stats.ridges += 1
         lam = spla.spsolve((Hff + kap * sp.eye(Hff.shape[0])).tocsc(), gx)
     J = gamma_jacobian(problem.mesh, x)[fdofs]
     grad = -(J.T @ lam)

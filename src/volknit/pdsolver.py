@@ -172,9 +172,9 @@ class GlobalSolver:
     JACOBI_OMEGA (0 keeps the subspace solution).
     """
 
-    def __init__(self, K, free, pins, mode="direct", mesh=None, n_domains=2,
+    def __init__(self, K, pins, mode="direct", mesh=None, n_domains=2,
                  modes_per_domain=20, refine_sweeps=0, aggregation=2):
-        self.free = free
+        self.free = free = np.setdiff1d(np.arange(K.shape[0]), pins)
         self.pins = pins
         Kf = K[free]
         self.Kff = Kf[:, free].tocsc()
@@ -241,7 +241,7 @@ def pd_step(mesh, gammas, xhat, dt, pins, pin_vals, iterations=PD_ITERS_DEFAULT,
             cw = CONTACT_STIFFNESS * K.diagonal()
             cidx = np.concatenate([idx for idx, _ in coll])
             K = (K + sp.csr_matrix((cw[cidx], (cidx, cidx)), shape=(n, n))).tocsc()
-        solver = GlobalSolver(K, np.setdiff1d(np.arange(n), pins), pins)
+        solver = GlobalSolver(K, pins)
 
     x = xhat.copy()
     x[pins] = pin_vals
@@ -268,8 +268,7 @@ def pd_equilibrium(mesh, gammas, inertia_target, x0, pins, pin_vals, dt,
     frozen-projection objective plus a mass-metric proximal anchor at the
     current iterate.  pin_vals is (nP, 3).
     """
-    solver = GlobalSolver(assemble_global(mesh, gammas, dt),
-                          np.setdiff1d(np.arange(mesh.n_nodes), pins), pins)
+    solver = GlobalSolver(assemble_global(mesh, gammas, dt), pins)
     x = np.asarray(x0, dtype=float).reshape(-1, 3).copy()
     x[pins] = pin_vals
     m_dt2 = mesh.node_mass[:, None] / dt**2
@@ -359,7 +358,7 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
 
     def gn_step(gc):
         if not frozen:
-            frozen.append(GlobalSolver(assemble_global(mesh, gammas, dt), free, pins))
+            frozen.append(GlobalSolver(assemble_global(mesh, gammas, dt), pins))
         return frozen[0].solve(-gc, np.zeros((len(pins), 3)))
 
     def exact_step(xc, gc):
@@ -625,8 +624,7 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
     if colliders:
         solver = None
     elif solver is None:
-        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
-        solver = GlobalSolver(assemble_global(mesh, gammas, dt), free, pins)
+        solver = GlobalSolver(assemble_global(mesh, gammas, dt), pins)
 
     inv_m = np.zeros(mesh.n_nodes)
     pos = mesh.node_mass > 0.0

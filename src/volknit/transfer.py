@@ -23,7 +23,6 @@ from . import material as mat
 from . import volmesh
 
 MASS_ANCHOR_WEIGHT = 0.1      # positional regularizer weight in the y2v solve
-FILL_WEIGHT = 1.0             # gradient-target weight on elements without yarn
 
 
 def v2y(embedding, node_positions):
@@ -139,14 +138,14 @@ class Y2VOperator:
 
     Minimizes over node positions x the y2v objective
 
-        sum_e w_e V_e || F_e(x) - T_e ||^2  +  alpha || M_y (N x - x_yarn) ||^2
+        sum_e V_e || F_e(x) - T_e ||^2  +  alpha || M_y (N x - x_yarn) ||^2
 
-    with w_e = 1 on covered elements and FILL_WEIGHT on uncovered ones (the
-    fill keeps the system positive definite when some elements carry no
-    yarn).  The objective is quadratic and the three coordinates decouple,
-    so its Hessian is one scalar matrix, factored once and solved for all
-    three right-hand sides in one call.  Material fitting uses the same
-    objective as its pose-matching loss.
+    with every element weighted alike, whether its target is its own
+    aggregate or a fill value.  The objective is quadratic and the three
+    coordinates decouple, so its Hessian is one scalar matrix, the same for
+    every pose, factored once and solved for all three right-hand sides in
+    one call.  Material fitting uses the same objective as its
+    pose-matching loss.
     """
 
     def __init__(self, mesh, embedding, model, alpha=MASS_ANCHOR_WEIGHT):
@@ -156,34 +155,28 @@ class Y2VOperator:
         self.alpha = float(alpha)
         self._anchor = 2.0 * self.alpha * (
             embedding.interp.T @ sp.diags(embedding.yarn_mass**2) @ embedding.interp)
-        self._factor = None
+        self._solve = None
 
-    def weights(self, covered):
-        """Per-element target weights w_e V_e for a coverage mask."""
-        return np.where(covered, 1.0, FILL_WEIGHT) * self.mesh.volume
-
-    def matrix(self, covered):
+    def matrix(self):
         """Objective Hessian, one (nV, nV) matrix acting on each coordinate."""
-        return (self.mesh.laplacian(2.0 * self.weights(covered)) + self._anchor).tocsc()
+        return (self.mesh.laplacian(2.0 * self.mesh.volume) + self._anchor).tocsc()
 
-    def _factorize(self, covered):
+    def _factorize(self):
         if self.alpha <= 0.0:
             # translations lie exactly in the elastic null space
             raise ValueError("y2v system is singular without a positive mass anchor")
-        key = self.weights(covered).tobytes()
-        if self._factor is None or self._factor[0] != key:
+        if self._solve is None:
             try:
-                solve = spla.splu(self.matrix(covered)).solve
+                self._solve = spla.splu(self.matrix()).solve
             except RuntimeError as exc:
                 raise ValueError(f"y2v system is singular: {exc}") from exc
-            self._factor = (key, solve)
-        return self._factor[1]
+        return self._solve
 
     def solve_with_targets(self, targets, yarn_pose):
         """Node positions minimizing the objective: the objective is
         quadratic, so they solve (matrix) x = -gradient at x = 0."""
-        solve = self._factorize(targets.covered)
-        return solve(-self.gradient(np.zeros((self.mesh.n_nodes, 3)), targets, yarn_pose))
+        zero = np.zeros((self.mesh.n_nodes, 3))
+        return self._factorize()(-self.gradient(zero, targets, yarn_pose))
 
     def transfer(self, deformed):
         """y2v: reconstruct mesh node positions for one yarn pose."""
@@ -204,8 +197,8 @@ class Y2VOperator:
         """Value of the objective at node positions x."""
         x = np.asarray(x, dtype=float).reshape(-1, 3)
         F = self.mesh.deformation_gradients(x)
-        wv = self.weights(targets.covered)
-        val = float(np.sum(wv * np.sum((F - targets.per_element_f) ** 2, axis=(1, 2))))
+        d2 = np.sum((F - targets.per_element_f) ** 2, axis=(1, 2))
+        val = float(np.sum(self.mesh.volume * d2))
         d = self.embedding.yarn_mass[:, None] * (self.embedding.interp @ x - yarn_pose)
         return val + self.alpha * float(np.sum(d * d))
 
@@ -213,7 +206,7 @@ class Y2VOperator:
         """Gradient of the objective in the node positions x, (nV, 3)."""
         x = np.asarray(x, dtype=float).reshape(-1, 3)
         F = self.mesh.deformation_gradients(x)
-        P = 2.0 * self.weights(targets.covered)[:, None, None] * (F - targets.per_element_f)
+        P = 2.0 * self.mesh.volume[:, None, None] * (F - targets.per_element_f)
         r = self.embedding.yarn_mass[:, None] ** 2 * (self.embedding.interp @ x - yarn_pose)
         return self.mesh.scatter(P) + 2.0 * self.alpha * (self.embedding.interp.T @ r)
 

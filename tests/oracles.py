@@ -1023,7 +1023,6 @@ def pd_step_state(state, mesh, gammas, iterations=pdsolver.PD_ITERS_DEFAULT, for
     """One implicit-Euler step of a SimState: its own prediction, start
     copy, local/global rounds and velocity update."""
     n = mesh.n_nodes
-    free = np.setdiff1d(np.arange(n), state.pins)
     xhat = predicted(state, forces, mesh)
     dt2 = state.dt**2
     coll = [(collider_targets(xhat, [c])[0], c) for c in state.colliders]
@@ -1035,7 +1034,7 @@ def pd_step_state(state, mesh, gammas, iterations=pdsolver.PD_ITERS_DEFAULT, for
             cw = pdsolver.CONTACT_STIFFNESS * K.diagonal()
             cidx = np.concatenate([idx for idx, _ in coll])
             K = (K + sp.csr_matrix((cw[cidx], (cidx, cidx)), shape=(n, n))).tocsc()
-        base_solver = pdsolver.GlobalSolver(K, free, state.pins)
+        base_solver = pdsolver.GlobalSolver(K, state.pins)
 
     x_start = state.x.copy()
     x = xhat.copy()
@@ -1076,8 +1075,7 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
     if state.colliders:
         solver = None
     elif solver is None:
-        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
-        solver = pdsolver.GlobalSolver(pdsolver.assemble_global(mesh, gammas, dt), free, pins)
+        solver = pdsolver.GlobalSolver(pdsolver.assemble_global(mesh, gammas, dt), pins)
 
     frames = np.empty((steps, mesh.n_nodes, 3))
     polish = polish_tol is not None and not state.colliders

@@ -2,6 +2,7 @@
 workspaces, the documented exit codes, artifact provenance, and the
 fitted-material round trip against its own ground truth."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -278,7 +279,7 @@ def test_fit_report_counts_equilibrium_solves(block_ws):
     rep = read_report(block_ws, "fit_report.json")
     eq = rep["equilibrium"]
     assert set(eq) == {"cold", "warm", "newton_iters", "unconverged",
-                       "max_residual"}
+                       "max_residual", "ridges"}
     assert all(np.isfinite(v) and v >= 0 for v in eq.values())
     # cold, once per sample each: the first evaluation of the staged fit,
     # which also gives the initial loss, the first evaluation of the
@@ -636,8 +637,22 @@ def test_nonpositive_dt_exits_2(tmp_path):
     ({"mesh": {"cell_size": "0.03"}}, "mesh.cell_size must be a number"),
     ({"seed": [1]}, "seed must be an integer"),
     ({"fit": 3}, "'fit' must be an object"),
+    ({"fit": {"gamma_init": ["a", 1]}}, "fit.gamma_init entries must be a number, not 'a'"),
+    ({"fit": {"gamma_init": [1.0, -1.0]}}, "fit.gamma_init entries must be at least 0"),
+    ({"generate": {"gravity": [0, 0]}}, "generate.gravity must be a list of 3 numbers"),
+    ({"generate": {"dt": float("nan")}}, "generate.dt must be finite, not nan"),
+    ({"generate": {"dt": float("inf")}}, "generate.dt must be finite, not inf"),
+    ({"simulate": {"dt": float("inf")}}, "simulate.dt must be finite, not inf"),
+    ({"fit": {"alpha": 0}}, "fit.alpha must be positive"),
+    ({"yarn": {"linear_density": 0.0}}, "yarn.linear_density must be positive"),
+    ({"yarn": {"strand_length": 0.0}}, "yarn.strand_length must be positive"),
+    ({"generate": {"rod": {"contacts": "no"}}}, "generate.rod.contacts must be true or false"),
+    ({"fit": {"use_inertia": "no"}}, "fit.use_inertia must be true or false"),
+    ({"paths": {"mesh": 5}}, "paths.mesh must be a string, not 5"),
 ], ids=["string-count", "float-count", "null-dt", "bool-float", "string-nullable", "list-seed",
-        "scalar-section"])
+        "scalar-section", "string-entry", "negative-entry", "short-list", "nan-dt", "inf-dt",
+        "inf-simulate-dt", "zero-alpha", "zero-density", "zero-length", "string-bool",
+        "string-inertia", "number-path"])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, user, match):
     with pytest.raises(cli.ConfigError, match=match):
         cli.validate_config(cli.load_config(user))
@@ -652,6 +667,7 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, user, match):
     ("generate", "scenario", "drop"),
     ("simulate", "aggregation", 4),
     ("simulate", "aggregation", 1),
+    ("yarn", "kind", "garter"),
 ])
 def test_validate_config_rejects_unknown_enum(section, key, value):
     cfg = cli.load_config()
@@ -664,7 +680,8 @@ def test_validate_config_rejects_unknown_enum(section, key, value):
     ("simulate.domains", 1), ("simulate.modes_per_domain", 1), ("simulate.pd_iters", 1),
     ("generate.rod.pd_iters", 1), ("yarn.courses", 1), ("yarn.wales", 2),
     ("yarn.strand_vertices", 2), ("simulate.refine_sweeps", 0), ("fit.gd_iters", 0),
-    ("fit.gn_iters", 0),
+    ("fit.gn_iters", 0), ("yarn.jitter", 0), ("yarn.radius", 0), ("yarn.rib_period", 1),
+    ("seed", 0),
 ])
 def test_validate_config_rejects_counts_below_minimum(name, least):
     cfg = cli.load_config()
@@ -689,6 +706,21 @@ def test_validate_config_rejects_bad_ranks(ranks):
     cfg["fit"]["ranks"] = ranks
     with pytest.raises(cli.ConfigError, match="fit.ranks"):
         cli.validate_config(cfg)
+
+
+def test_every_benchmark_config_validates():
+    # perfbench/workloads.py is only read, as test_tracer_targets reads the
+    # tracer, so the benchmark's configs are checked without running it
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for scale in workloads.SCALES:
+            for seed in (1, 2, 3):
+                for cfg in workloads.plan(workload, seed, scale)[0].values():
+                    cli.validate_config(cli.load_config(cfg))
 
 
 def test_zero_rank_exits_2(tmp_path):

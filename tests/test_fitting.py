@@ -204,16 +204,15 @@ class TestLoss:
         assert problem.loss(x, sample) < 1e-18
 
     def test_term_by_term_oracle(self, uniform_scene, rng):
-        # realistic sample: mixed covered/fill weighting exercised
+        # realistic sample: covered and fill targets weighted alike
         problem, sample = uniform_scene["problem"], uniform_scene["sample"]
         mesh = problem.mesh
         x = mesh.nodes + 0.01 * rng.standard_normal(mesh.nodes.shape)
         F = mesh.deformation_gradients(x.reshape(-1))
         total = 0.0
         for e in range(mesh.n_elements):
-            w = 1.0 if sample.targets.covered[e] else transfer.FILL_WEIGHT
             d = F[e] - sample.targets.per_element_f[e]
-            total += w * mesh.volume[e] * np.sum(d * d)
+            total += mesh.volume[e] * np.sum(d * d)
         r = problem.op.embedding.interp @ x - sample.yarn_pose
         for k in range(len(sample.yarn_pose)):
             total += problem.op.alpha * problem.op.embedding.yarn_mass[k] ** 2 \
@@ -289,7 +288,7 @@ class TestBuildSample:
         free = [n for n in range(op.mesh.n_nodes) if n not in set(s.pins)]
         dofs = np.array([3 * n + c for n in free for c in range(3)])
         assert np.array_equal(s.fdofs, dofs)
-        dense = np.kron(op.matrix(s.targets.covered).toarray(), np.eye(3))
+        dense = np.kron(op.matrix().toarray(), np.eye(3))
         assert np.array_equal(s.G.toarray(), dense[np.ix_(dofs, dofs)])
 
     def test_nonfinite_inertia_rejected(self, uniform_scene):
@@ -457,6 +456,30 @@ class TestAdjointGradient:
                                  residual=resid, logger=lg)
         assert lg.gate_violations == 1
         assert len(lg.gate) == 2
+
+    def test_failed_solve_retries_with_a_counted_ridge(self, small_scene, monkeypatch):
+        problem, sample = small_scene["problem"], small_scene["sample"]
+        nE = problem.mesh.n_elements
+        gf = mat.MaterialField(gamma_s=np.full(nE, 2.0), gamma_v=np.full(nE, 4.0))
+        x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
+        assert ok
+        plain = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid).grad
+        spsolve, calls = fitting.spla.spsolve, []
+
+        def first_fails(*args, **kw):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return spsolve(*args, **kw)
+
+        monkeypatch.setattr(fitting.spla, "spsolve", first_fails)
+        before = problem.stats.ridges
+        state = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid)
+        assert problem.stats.ridges == before + 1
+        assert len(calls) == 2
+        assert np.all(np.isfinite(state.grad))
+        # the ridge is KAPPA_SCALE times the mean diagonal: a small nudge
+        assert np.linalg.norm(state.grad - plain) < 1e-4 * np.linalg.norm(plain)
 
 
 # ---------------------------------------------------------------------------

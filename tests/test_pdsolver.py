@@ -260,9 +260,7 @@ class TestStepping:
         pins = np.flatnonzero(np.abs(mesh.nodes[:, 0] - mesh.nodes[:, 0].min()) < 1e-9)
         tgt = mesh.nodes[pins]
         xhat = 1.002 * mesh.nodes
-        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
-        solver = pdsolver.GlobalSolver(
-            pdsolver.assemble_global(mesh, gam, dt), free, pins)
+        solver = pdsolver.GlobalSolver(pdsolver.assemble_global(mesh, gam, dt), pins)
         x = xhat.copy()
         x[pins] = tgt
         objs = [oracles.pd_objective(x, mesh, gam, xhat, dt)]
@@ -650,7 +648,7 @@ class TestAJacobi:
         """The benchmark patch's pinned global matrix with three right-hand
         sides and their CMS start, as GlobalSolver.solve refines them."""
         mesh, K, pins, free = pinned_bench_patch()
-        solver = pdsolver.GlobalSolver(K, free, pins, mode="cms", mesh=mesh)
+        solver = pdsolver.GlobalSolver(K, pins, mode="cms", mesh=mesh)
         B = np.random.default_rng(0).normal(size=(mesh.n_nodes, 3))
         Bf = B[free] - solver.Kfp @ mesh.nodes[pins]
         return solver.Kff, Bf, solver.cms.solve(Bf)
@@ -774,7 +772,7 @@ class TestGlobalSolver:
         free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
         B = rng.normal(size=(mesh.n_nodes, 3))
         pin_vals = rng.normal(size=(len(pins), 3))
-        X = pdsolver.GlobalSolver(K, free, pins).solve(B, pin_vals)
+        X = pdsolver.GlobalSolver(K, pins).solve(B, pin_vals)
         lu = spla.splu(K[free][:, free].tocsc())
         rhs = B[free] - K[free][:, pins].tocsc() @ pin_vals
         for k in range(3):
@@ -790,7 +788,7 @@ class TestGlobalSolver:
         pin_vals = rng.normal(size=(len(pins), 3))
         B = rng.normal(size=(mesh.n_nodes, 3))
         for sweeps in (0, 5):
-            solver = pdsolver.GlobalSolver(K, free, pins, mode="cms", mesh=mesh,
+            solver = pdsolver.GlobalSolver(K, pins, mode="cms", mesh=mesh,
                                            modes_per_domain=10, refine_sweeps=sweeps,
                                            aggregation=3)
             X = solver.solve(B, pin_vals)
@@ -819,9 +817,8 @@ class TestSimulate:
             moving = (c[pins] >= c.max() - 1e-9)[None, :, None]
             shift = np.linspace(0.01, 0.04, steps)[:, None, None] * np.array([1.0, 0.0, 0.0])
             kw["pin_targets"] = mesh.nodes[pins][None] + moving * shift
-            free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
             kw["solver"] = pdsolver.GlobalSolver(
-                pdsolver.assemble_global(mesh, gam, dt), free, pins, mode="cms", mesh=mesh,
+                pdsolver.assemble_global(mesh, gam, dt), pins, mode="cms", mesh=mesh,
                 modes_per_domain=8, refine_sweeps=5)
         elif case == "colliders":
             # two overlapping floor planes and a sphere around a mid node,
@@ -865,9 +862,8 @@ class TestSimulate:
         f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])
         kw = dict(forces=f, pins=pins, pin_targets=mesh.nodes[pins], iterations=8)
         direct = pdsolver.simulate_mesh(mesh, gam, 4, dt, **kw)
-        free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
         cms = pdsolver.GlobalSolver(
-            pdsolver.assemble_global(mesh, gam, dt), free, pins, mode="cms",
+            pdsolver.assemble_global(mesh, gam, dt), pins, mode="cms",
             mesh=mesh, n_domains=2, modes_per_domain=12, refine_sweeps=200)
         reduced = pdsolver.simulate_mesh(mesh, gam, 4, dt, solver=cms, **kw)
         scale = np.abs(direct[-1]).max()

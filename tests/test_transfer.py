@@ -334,9 +334,8 @@ def test_y2v_matches_dense_normal_equations(rng):
     op = tr.Y2VOperator(mesh, emb, y)
     yd = y.rest_vertices + 0.02 * np.sin(y.rest_vertices[:, :1] * 20.0) * np.array([0.3, 1.0, 0.5])
     x, tg = op.transfer(yd)
-    A = op.matrix(tg.covered).toarray()
-    wv = op.weights(tg.covered)
-    GT = 2.0 * np.einsum("e,enj,eij->eni", wv, mesh.shape_grad, tg.per_element_f)
+    A = op.matrix().toarray()
+    GT = 2.0 * np.einsum("e,enj,eij->eni", mesh.volume, mesh.shape_grad, tg.per_element_f)
     rhs = np.zeros((mesh.n_nodes, 3))
     np.add.at(rhs, mesh.tets.reshape(-1), GT.reshape(-1, 3))
     rhs += 2.0 * op.alpha * (emb.interp.T @ ((emb.yarn_mass[:, None] ** 2) * yd))
