@@ -9,7 +9,8 @@ All commands operate on a workspace directory given with --out:
         frames.npy                  (frames, vertices, 3) float64 poses
         external_force.npy          per-frame forces; sim_yarn/ lacks it
         sequence.json               dt, pins, density, radius
-    mesh.node/.ele/.json            tetrahedral mesh             (voxelize)
+    mesh.json                       the cells read_mesh rebuilds (voxelize)
+    mesh.node/.ele/_boundary.obj    exports of the same mesh     (voxelize)
     material.csv, convergence.csv, fit_report.json               (fit)
     frames/, sim_yarn/, timings.csv, sim_report.json             (simulate)
     compare_report.json                                          (compare)
@@ -98,7 +99,6 @@ DEFAULTS = {
         "ranks": [1, 10, 30, None],
         "gd_iters": 12,
         "gn_iters": 30,
-        "dt": None,                 # load-term step; None = sequence dt
         "alpha": 0.1,
         "gamma_init": [1.0, 1.0],
         "use_inertia": True,
@@ -175,16 +175,19 @@ def load_config(user=None):
 POSITIVE = "positive"
 DOMAIN = {
     "seed": 0, "yarn.kind": ("rib", "strand"), "yarn.courses": 1, "yarn.wales": 2,
+    "yarn.course_spacing": POSITIVE, "yarn.wale_spacing": POSITIVE,
     "yarn.rib_period": 1, "yarn.strand_vertices": 2, "yarn.strand_length": POSITIVE,
     "yarn.linear_density": POSITIVE, "yarn.radius": 0, "yarn.jitter": 0,
     "generate.scenario": ("stretch", "twist", "hold", "drape"), "generate.steps": 1,
-    "generate.dt": POSITIVE, "generate.rod.pd_iters": 1, "mesh.cell_size": POSITIVE,
-    "fit.sample_stride": 1, "fit.gd_iters": 0, "fit.gn_iters": 0, "fit.dt": POSITIVE,
+    "generate.dt": POSITIVE, "generate.rod.stretch_stiffness": POSITIVE,
+    "generate.rod.bend_stiffness": 0, "generate.rod.contact_stiffness": 0,
+    "generate.rod.damping": 0, "generate.rod.pd_iters": 1, "mesh.cell_size": POSITIVE,
+    "fit.sample_stride": 1, "fit.gd_iters": 0, "fit.gn_iters": 0,
     "fit.alpha": POSITIVE, "fit.gamma_init": 0, "fit.loss_ceiling": POSITIVE,
     "simulate.scenario": ("hold", "stretch", "twist"), "simulate.steps": 1,
     "simulate.dt": POSITIVE, "simulate.pd_iters": 1, "simulate.solver": ("direct", "cms"),
     "simulate.domains": 1, "simulate.modes_per_domain": 1, "simulate.refine_sweeps": 0,
-    "simulate.aggregation": (2, 3), "simulate.polish_tol": POSITIVE,
+    "simulate.aggregation": (2, 3), "simulate.damping": 0, "simulate.polish_tol": POSITIVE,
 }
 KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
@@ -516,7 +519,7 @@ def cmd_fit(cfg, out, chash):
                              yarn_force=seq.force(i) if fc["use_inertia"] else None)
         for i in indices
     ]
-    problem = fitting.FitProblem(op, dt=seq.dt if fc["dt"] is None else fc["dt"])
+    problem = fitting.FitProblem(op, dt=seq.dt)
     nE = mesh.n_elements
     logger = fitting.FitLogger()
 
@@ -603,18 +606,18 @@ def cmd_simulate(cfg, out, chash):
     forces = mesh.node_mass[:, None] * gravity
     colliders = parse_colliders(sc["colliders"])
 
-    solver = None
-    if not colliders:
-        # with colliders every step assembles and factorizes its own matrix
-        t = time.perf_counter()
-        K = pdsolver.assemble_global(mesh, field, sc["dt"])
-        clock("assemble", t)
-        t = time.perf_counter()
-        solver = pdsolver.GlobalSolver(
-            K, pins, mode=sc["solver"], mesh=mesh, n_domains=sc["domains"],
-            modes_per_domain=sc["modes_per_domain"],
-            refine_sweeps=sc["refine_sweeps"], aggregation=sc["aggregation"])
-        clock("factorize", t)
+    # a collider step with a penetrating node factorizes its own matrix
+    # directly, so under colliders the base solver is direct too
+    solver_used = "direct" if colliders else sc["solver"]
+    t = time.perf_counter()
+    K = pdsolver.assemble_global(mesh, field, sc["dt"])
+    clock("assemble", t)
+    t = time.perf_counter()
+    solver = pdsolver.GlobalSolver(
+        K, pins, mode=solver_used, mesh=mesh, n_domains=sc["domains"],
+        modes_per_domain=sc["modes_per_domain"],
+        refine_sweeps=sc["refine_sweeps"], aggregation=sc["aggregation"])
+    clock("factorize", t)
 
     frames_dir = os.path.join(out, "frames")
     os.makedirs(frames_dir, exist_ok=True)
@@ -654,8 +657,7 @@ def cmd_simulate(cfg, out, chash):
               timings, chash)
     _write_report(os.path.join(out, "sim_report.json"), dict(
         frames=int(sc["steps"]), scenario=sc["scenario"], solver=sc["solver"],
-        # with colliders every step reassembles and factorizes K directly
-        solver_used="direct" if colliders else sc["solver"],
+        solver_used=solver_used,
         max_det_deviation=max(det_dev), det_deviation=det_dev,
         polish_iters=[it for _, it in polish],
         polish_unconverged=sum(not ok for ok, _ in polish),

@@ -237,6 +237,9 @@ def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
     try:
         lam = spla.spsolve(Hff, gx)
     except RuntimeError:
+        lam = None
+    # an exactly singular H can also come back as a warning and a NaN lambda
+    if lam is None or not np.isfinite(lam).all():
         kap = KAPPA_SCALE * Hff.diagonal().sum() / Hff.shape[0]
         log.warning("singular equilibrium Jacobian; adding %.3e ridge", kap)
         problem.stats.ridges += 1
@@ -525,20 +528,8 @@ def harmonic_basis(mesh, r):
     r = min(r, nE)
     adj = volmesh.element_adjacency(mesh)
     L = (sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsc()
-    if nE <= 1500 or r >= nE - 1:
-        w, v = np.linalg.eigh(L.toarray())
-        H = v[:, :r]
-    else:
-        try:
-            # a seeded start vector makes the basis the same on every call;
-            # not the constant one, which is L's null vector
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nE)
-            w, v = spla.eigsh(L, k=r, sigma=-1e-6, mode="normal", v0=v0)
-            order = np.argsort(w)
-            H = v[:, order]
-        except Exception as exc:
-            log.warning("Laplacian eigensolver failed (%s); constant-only basis", exc)
-            return np.full((nE, 1), 1.0 / np.sqrt(nE))
+    # L is singular (the constants are its null space), so the shift sits below 0
+    H = pdsolver.lowest_modes(L, r, -1e-6, 1500)
     # pin the null eigenvector to the exact constant and re-orthonormalize;
     # QR preserves the nested prefix spans
     H = H.copy()

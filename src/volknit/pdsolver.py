@@ -450,6 +450,21 @@ def _column_triplets(sel, M, c0):
     return np.tile(sel, m), np.repeat(np.arange(c0, c0 + m), len(sel)), M.T.ravel()
 
 
+def lowest_modes(A, k, sigma, dense_up_to):
+    """Eigenvectors (n, k) of the k lowest eigenvalues of the sparse
+    symmetric A, ascending.  Up to dense_up_to rows, or for k >= n - 1, a
+    dense eigh; above, ARPACK shift-invert about sigma from a seeded start
+    vector (the same basis on every call), and the dense eigh if it fails."""
+    n = A.shape[0]
+    if n > dense_up_to and k < n - 1:
+        try:
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+            return spla.eigsh(A, k=k, sigma=sigma, mode="normal", v0=v0)[1]
+        except Exception as exc:                      # eigensolver failure
+            log.warning("sparse eigensolver failed (%s); falling back to dense", exc)
+    return np.linalg.eigh(A.toarray())[1][:, :k]
+
+
 class CmsSubspace:
     """Craig-Bampton style reduction of a sparse SPD matrix.
 
@@ -466,7 +481,7 @@ class CmsSubspace:
             if len(sel) == 0:
                 continue
             Kii = K[sel][:, sel].tocsc()
-            Phi = self._modes(Kii, min(modes_per_domain, len(sel)))
+            Phi = lowest_modes(Kii, min(modes_per_domain, len(sel)), 0.0, 400)
             Psi = (-spla.splu(Kii).solve(np.asarray(K[sel][:, boundary].todense()))
                    if nb else np.empty((len(sel), 0)))
             blocks.append((sel, Phi, Psi))
@@ -486,22 +501,6 @@ class CmsSubspace:
         # symmetrize away assembly roundoff before factorizing
         self.K_red = 0.5 * (self.K_red + self.K_red.T)
         self._solve = spla.splu(self.K_red).solve
-
-    @staticmethod
-    def _modes(Kii, m):
-        nloc = Kii.shape[0]
-        try:
-            if m >= nloc or nloc <= 400:
-                w, v = np.linalg.eigh(Kii.toarray())
-                return v[:, :m]
-            # a seeded start vector makes the basis the same on every call
-            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, nloc)
-            w, v = spla.eigsh(Kii, k=m, sigma=0.0, mode="normal", v0=v0)
-            return v
-        except Exception as exc:                      # eigensolver failure
-            log.warning("interior eigensolver failed (%s); falling back to dense", exc)
-            w, v = np.linalg.eigh(Kii.toarray())
-            return v[:, : min(m, nloc)]
 
     def solve(self, b):
         return self.T @ self._solve(self.T.T @ b)
@@ -607,11 +606,11 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
     from the final positions.  forces is one constant (nV, 3) load.
     pin_targets may be constant (nP, 3) or a per-step path (steps, nP, 3);
     None holds the pins at rest.  solver is a prebuilt GlobalSolver for the
-    pinned global matrix; None builds a direct one.  With colliders every
-    step assembles and factorizes its own matrix, so no solver is built or
-    used, and polish_tol must be None.  on_step(i, x, polish) is called after
-    each step with its frame and, for a polished step, (converged,
-    iterations), else None.
+    pinned global matrix; None builds a direct one.  With colliders a step
+    with a penetrating node assembles and factorizes its own matrix, the
+    others use the solver, and polish_tol must be None.  on_step(i, x,
+    polish) is called after each step with its frame and, for a polished
+    step, (converged, iterations), else None.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -621,9 +620,7 @@ def simulate_mesh(mesh, gammas, steps, dt, forces=None, pins=(), pin_targets=Non
     pin_path = np.broadcast_to(
         mesh.nodes[pins] if pin_targets is None else np.asarray(pin_targets, dtype=float),
         (steps, len(pins), 3))
-    if colliders:
-        solver = None
-    elif solver is None:
+    if solver is None:
         solver = GlobalSolver(assemble_global(mesh, gammas, dt), pins)
 
     inv_m = np.zeros(mesh.n_nodes)

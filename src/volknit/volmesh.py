@@ -4,8 +4,9 @@ A regular voxel grid is rasterized along the yarn so that the occupied
 cells fully cover it.  One batched rasterizer, segment_cells, turns all
 segments at once into unique (segment, cell) pairs; voxelize, auto_cell_size
 and the yarn embedding each call it once.  voxelize keeps the largest
-face-connected component of the cells, numbers their corners in
-lexicographic order, and splits each cell into six tetrahedra sharing its
+face-connected component of the cells, and grid_mesh, the one cells-to-mesh
+builder (read_mesh rebuilds through it too), numbers their corners in
+lexicographic order and splits each cell into six tetrahedra sharing its
 main diagonal (faces between neighboring cells match exactly).  The yarn is
 then embedded into the result: every yarn vertex gets a host element with
 barycentric weights, every segment is clipped into per-element pieces, and
@@ -54,7 +55,6 @@ class VolumeMesh:
     tets: np.ndarray           # (nE, 4) node indices, positive orientation
     cell_size: float
     origin: np.ndarray         # (3,) grid origin
-    node_grid: np.ndarray      # (nV, 3) integer grid coordinates
     voxels: np.ndarray         # (nC, 3) occupied cells, lexicographic order
     tet_voxel: np.ndarray      # (nE,) index into voxels
     volume: np.ndarray = field(default=None)        # (nE,) rest volumes
@@ -295,6 +295,36 @@ def _largest_component(cells):
     return label == label[np.argmax(size[label] == size.max())]
 
 
+def _occupied(yarn, h, origin=None):
+    """Origin (a cell below the yarn unless given), the sorted unique cells
+    of the yarn's (segment, cell) pairs, the mask of their largest
+    face-connected component, and each pair's segment and cell index."""
+    rest, segs = yarn.rest_vertices, yarn.segments
+    if origin is None:
+        origin = np.floor(rest.min(axis=0) / h - 1.0) * h
+    origin = np.asarray(origin, dtype=float)
+    seg, cells = segment_cells(rest[segs[:, 0]], rest[segs[:, 1]], h, origin)
+    covered, where = np.unique(cells, axis=0, return_inverse=True)
+    return origin, covered, _largest_component(covered), seg, where.reshape(-1)
+
+
+def _corners(cells):
+    """Sorted unique grid corners (N, 3) of cells (C, 3), and the index of
+    each cell's eight corners into them, (8C,)."""
+    return np.unique((cells[:, None] + _CELL_CORNERS).reshape(-1, 3), axis=0,
+                     return_inverse=True)
+
+
+def grid_mesh(cells, cell_size, origin):
+    """The mesh of sorted unique cells (C, 3): nodes at origin + corner *
+    cell_size in lexicographic corner order, six tetrahedra per cell."""
+    grid, ids = _corners(cells)
+    return VolumeMesh(nodes=origin + grid * float(cell_size),
+                      tets=ids.reshape(len(cells), 8)[:, _CELL_TETS].reshape(-1, 4),
+                      cell_size=float(cell_size), origin=origin, voxels=cells,
+                      tet_voxel=np.repeat(np.arange(len(cells)), 6))
+
+
 def voxelize(yarn, cell_size, origin=None):
     """Rasterize yarn segments into a voxel grid and split into tetrahedra.
 
@@ -306,29 +336,14 @@ def voxelize(yarn, cell_size, origin=None):
     if not np.isfinite(cell_size) or cell_size <= 0.0:
         raise ValueError("cell size must be positive")
     # YarnModel rejects zero-length rest segments
-    rest = yarn.rest_vertices
-    segs = yarn.segments
-    if origin is None:
-        origin = np.floor(rest.min(axis=0) / cell_size - 1.0) * cell_size
-    origin = np.asarray(origin, dtype=float)
-
-    seg, cells = segment_cells(rest[segs[:, 0]], rest[segs[:, 1]], cell_size, origin)
-    covered, where = np.unique(cells, axis=0, return_inverse=True)
-    keep = _largest_component(covered)
-    outside = ~keep[where.reshape(-1)]
+    origin, cells, keep, seg, where = _occupied(yarn, cell_size, origin)
+    outside = ~keep[where]
     if outside.any():
         raise ValueError(
             f"segment {seg[np.argmax(outside)]} occupies cells outside the largest "
             "connected component; refine the cell size or split the yarn input"
         )
-
-    cells = covered[keep]
-    grid, ids = np.unique((cells[:, None] + _CELL_CORNERS).reshape(-1, 3), axis=0,
-                          return_inverse=True)
-    tets = ids.reshape(len(cells), 8)[:, _CELL_TETS].reshape(-1, 4)
-    nodes = origin + grid * float(cell_size)
-    return VolumeMesh(nodes=nodes, tets=tets, cell_size=float(cell_size), origin=origin,
-                      node_grid=grid, voxels=cells, tet_voxel=np.repeat(np.arange(len(cells)), 6))
+    return grid_mesh(cells[keep], cell_size, origin)
 
 
 def auto_cell_size(yarn, node_fraction=0.5, iters=24):
@@ -340,13 +355,9 @@ def auto_cell_size(yarn, node_fraction=0.5, iters=24):
     rest = yarn.rest_vertices
     target = max(8, int(node_fraction * len(rest)))
 
-    segs = yarn.segments
-
     def count(h):
-        origin = np.floor(rest.min(axis=0) / h - 1.0) * h
-        cells = np.unique(segment_cells(rest[segs[:, 0]], rest[segs[:, 1]], h, origin)[1], axis=0)
-        cells = cells[_largest_component(cells)]
-        return len(np.unique((cells[:, None] + _CELL_CORNERS).reshape(-1, 3), axis=0))
+        _, cells, keep = _occupied(yarn, h)[:3]
+        return len(_corners(cells[keep])[0])
 
     span = np.linalg.norm(rest.max(axis=0) - rest.min(axis=0))
     hi = span
@@ -531,7 +542,8 @@ def boundary_faces(mesh):
 
 
 def write_mesh(mesh, prefix, comment=None):
-    """Write <prefix>.node, <prefix>.ele, <prefix>.json and <prefix>_boundary.obj."""
+    """Write <prefix>.json, which read_mesh rebuilds the mesh from, and the
+    exports <prefix>.node, <prefix>.ele and <prefix>_boundary.obj."""
     head = f"# {comment}\n" if comment else ""
     # one % format per file, as in write_obj
     n, m = mesh.n_nodes, mesh.n_elements
@@ -545,7 +557,6 @@ def write_mesh(mesh, prefix, comment=None):
         "cell_size": mesh.cell_size,
         "origin": [float(v) for v in mesh.origin],
         "voxels": [[int(v) for v in c] for c in mesh.voxels],
-        "tet_voxel": [int(v) for v in mesh.tet_voxel],
     }
     if mesh.node_mass is not None:
         meta["node_mass"] = [float(v) for v in mesh.node_mass]
@@ -572,33 +583,12 @@ def write_obj(path, vertices, faces=None, lines=None, comment=None):
 
 
 def read_mesh(prefix):
-    """Read a mesh written by write_mesh."""
-
-    def rows(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    yield line.split()
-
-    it = rows(f"{prefix}.node")
-    n = int(next(it)[0])
-    nodes = np.empty((n, 3))
-    for r in it:
-        nodes[int(r[0])] = [float(v) for v in r[1:4]]
-    it = rows(f"{prefix}.ele")
-    m = int(next(it)[0])
-    tets = np.empty((m, 4), dtype=int)
-    for r in it:
-        tets[int(r[0])] = [int(v) for v in r[1:5]]
+    """Rebuild a mesh written by write_mesh from its cells, cell size,
+    origin and node masses in <prefix>.json."""
     with open(f"{prefix}.json") as fh:
         meta = json.load(fh)
-    origin = np.asarray(meta["origin"], dtype=float)
-    h = float(meta["cell_size"])
-    grid = np.rint((nodes - origin) / h).astype(int)
-    mesh = VolumeMesh(nodes=nodes, tets=tets, cell_size=h, origin=origin, node_grid=grid,
-                      voxels=np.asarray(meta["voxels"], dtype=int),
-                      tet_voxel=np.asarray(meta["tet_voxel"], dtype=int))
+    mesh = grid_mesh(np.asarray(meta["voxels"], dtype=int), meta["cell_size"],
+                     np.asarray(meta["origin"], dtype=float))
     if "node_mass" in meta:
         mesh.node_mass = np.asarray(meta["node_mass"], dtype=float)
     return mesh

@@ -123,7 +123,7 @@ def cell_tets():
 
 
 def voxelize(yarn, cell_size, origin=None):
-    """Mesh arrays (nodes, tets, voxels, tet_voxel, node grid), one segment
+    """Mesh arrays (nodes, tets, voxels, tet_voxel), one segment
     and one cell at a time, with corners numbered through a dict."""
     rest = yarn.rest_vertices
     if origin is None:
@@ -151,7 +151,7 @@ def voxelize(yarn, cell_size, origin=None):
         for ti, quad in enumerate(cell_tets()):
             tets[6 * ci + ti] = [ids[q] for q in quad]
     nodes = origin + grid * float(cell_size)
-    return nodes, tets, cells, np.repeat(np.arange(len(cells)), 6), grid
+    return nodes, tets, cells, np.repeat(np.arange(len(cells)), 6)
 
 
 def element_adjacency(mesh):
@@ -877,7 +877,7 @@ def cms_basis(K, mesh, free, n_domains=2, modes_per_domain=20):
         if len(sel) == 0:
             continue
         Kii = K[sel][:, sel].tocsc()
-        Phi = pdsolver.CmsSubspace._modes(Kii, min(modes_per_domain, len(sel)))
+        Phi = pdsolver.lowest_modes(Kii, min(modes_per_domain, len(sel)), 0.0, 400)
         Psi = None
         if nb:
             Psi = -spla.splu(Kii).solve(np.asarray(K[sel][:, boundary].todense()))

@@ -554,7 +554,7 @@ def test_simulate_polish_tol_changes_replay(pipeline_ws, tmp_path):
 
 def test_simulate_colliders_report_direct_solver_used(pipeline_ws, tmp_path,
                                                       monkeypatch):
-    # every step builds its own collider solver, so no CMS basis is built
+    # under colliders the base solver is direct, so no CMS basis is built
     calls = []
     build_cms = pdsolver.build_cms
     monkeypatch.setattr(pdsolver, "build_cms",
@@ -649,10 +649,15 @@ def test_nonpositive_dt_exits_2(tmp_path):
     ({"generate": {"rod": {"contacts": "no"}}}, "generate.rod.contacts must be true or false"),
     ({"fit": {"use_inertia": "no"}}, "fit.use_inertia must be true or false"),
     ({"paths": {"mesh": 5}}, "paths.mesh must be a string, not 5"),
+    ({"yarn": {"course_spacing": 0}}, "yarn.course_spacing must be positive"),
+    ({"yarn": {"wale_spacing": -0.01}}, "yarn.wale_spacing must be positive"),
+    ({"generate": {"rod": {"stretch_stiffness": 0.0}}},
+     "generate.rod.stretch_stiffness must be positive"),
 ], ids=["string-count", "float-count", "null-dt", "bool-float", "string-nullable", "list-seed",
         "scalar-section", "string-entry", "negative-entry", "short-list", "nan-dt", "inf-dt",
         "inf-simulate-dt", "zero-alpha", "zero-density", "zero-length", "string-bool",
-        "string-inertia", "number-path"])
+        "string-inertia", "number-path", "zero-course-spacing", "negative-wale-spacing",
+        "zero-stretch-stiffness"])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, user, match):
     with pytest.raises(cli.ConfigError, match=match):
         cli.validate_config(cli.load_config(user))
@@ -681,7 +686,8 @@ def test_validate_config_rejects_unknown_enum(section, key, value):
     ("generate.rod.pd_iters", 1), ("yarn.courses", 1), ("yarn.wales", 2),
     ("yarn.strand_vertices", 2), ("simulate.refine_sweeps", 0), ("fit.gd_iters", 0),
     ("fit.gn_iters", 0), ("yarn.jitter", 0), ("yarn.radius", 0), ("yarn.rib_period", 1),
-    ("seed", 0),
+    ("seed", 0), ("generate.rod.bend_stiffness", 0), ("generate.rod.contact_stiffness", 0),
+    ("generate.rod.damping", 0), ("simulate.damping", 0),
 ])
 def test_validate_config_rejects_counts_below_minimum(name, least):
     cfg = cli.load_config()

@@ -156,8 +156,8 @@ def single_tet_problem():
     nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     mesh = volmesh.VolumeMesh(
         nodes=nodes, tets=np.array([[0, 1, 2, 3]]), cell_size=1.0,
-        origin=np.zeros(3), node_grid=np.zeros((4, 3), dtype=int),
-        voxels=np.zeros((1, 3), dtype=int), tet_voxel=np.zeros(1, dtype=int),
+        origin=np.zeros(3), voxels=np.zeros((1, 3), dtype=int),
+        tet_voxel=np.zeros(1, dtype=int),
     )
     mesh.node_mass = np.full(4, 0.1)
     emb = type("E", (), {})()
@@ -458,28 +458,34 @@ class TestAdjointGradient:
         assert len(lg.gate) == 2
 
     def test_failed_solve_retries_with_a_counted_ridge(self, small_scene, monkeypatch):
+        # spsolve reports an exactly singular matrix by raising or, with a
+        # MatrixRankWarning, by an all-NaN result; either retries on H + kI
         problem, sample = small_scene["problem"], small_scene["sample"]
         nE = problem.mesh.n_elements
         gf = mat.MaterialField(gamma_s=np.full(nE, 2.0), gamma_v=np.full(nE, 4.0))
         x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
         assert ok
         plain = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid).grad
-        spsolve, calls = fitting.spla.spsolve, []
+        spsolve = fitting.spla.spsolve
+        for failure in ("raises", "nan"):
+            calls = []
 
-        def first_fails(*args, **kw):
-            calls.append(1)
-            if len(calls) == 1:
-                raise RuntimeError("Factor is exactly singular")
-            return spsolve(*args, **kw)
+            def first_fails(*args, **kw):
+                calls.append(1)
+                if len(calls) > 1:
+                    return spsolve(*args, **kw)
+                if failure == "raises":
+                    raise RuntimeError("Factor is exactly singular")
+                return np.full(args[1].shape, np.nan)
 
-        monkeypatch.setattr(fitting.spla, "spsolve", first_fails)
-        before = problem.stats.ridges
-        state = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid)
-        assert problem.stats.ridges == before + 1
-        assert len(calls) == 2
-        assert np.all(np.isfinite(state.grad))
-        # the ridge is KAPPA_SCALE times the mean diagonal: a small nudge
-        assert np.linalg.norm(state.grad - plain) < 1e-4 * np.linalg.norm(plain)
+            monkeypatch.setattr(fitting.spla, "spsolve", first_fails)
+            before = problem.stats.ridges
+            state = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid)
+            assert problem.stats.ridges == before + 1, failure
+            assert len(calls) == 2, failure
+            assert np.all(np.isfinite(state.grad)), failure
+            # the ridge is KAPPA_SCALE times the mean diagonal: a small nudge
+            assert np.linalg.norm(state.grad - plain) < 1e-4 * np.linalg.norm(plain), failure
 
 
 # ---------------------------------------------------------------------------

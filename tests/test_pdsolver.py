@@ -29,8 +29,8 @@ def single_tet(mass=0.1):
     nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     mesh = volmesh.VolumeMesh(
         nodes=nodes, tets=np.array([[0, 1, 2, 3]]), cell_size=1.0,
-        origin=np.zeros(3), node_grid=np.zeros((4, 3), dtype=int),
-        voxels=np.zeros((1, 3), dtype=int), tet_voxel=np.zeros(1, dtype=int),
+        origin=np.zeros(3), voxels=np.zeros((1, 3), dtype=int),
+        tet_voxel=np.zeros(1, dtype=int),
     )
     mesh.node_mass = np.full(4, mass)
     return mesh
@@ -101,8 +101,8 @@ class TestAssembly:
         tets = np.vectorize(remap.get)(mesh.tets[keep])
         small = volmesh.VolumeMesh(
             nodes=mesh.nodes[sub_nodes], tets=tets, cell_size=mesh.cell_size,
-            origin=mesh.origin, node_grid=mesh.node_grid[sub_nodes],
-            voxels=mesh.voxels[:1], tet_voxel=np.zeros(len(keep), dtype=int),
+            origin=mesh.origin, voxels=mesh.voxels[:1],
+            tet_voxel=np.zeros(len(keep), dtype=int),
         )
         nv = small.n_nodes
         small.node_mass = rng.uniform(0.1, 1.0, size=nv)
@@ -801,7 +801,57 @@ class TestGlobalSolver:
             assert np.array_equal(X[pins], pin_vals)
 
 
+    def test_lowest_modes_arpack_branch_and_dense_fallback(self, monkeypatch):
+        # a small dense_up_to forces the shifted ARPACK branch, whose modes
+        # are the lowest eigenpairs of dense eigh; when ARPACK raises, the
+        # dense eigh stands in
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        K = pdsolver.assemble_global(mesh, gam, 1e-2)
+        Kd = K.toarray()
+        w, V = np.linalg.eigh(Kd)
+        k = 8
+        eigsh, calls = spla.eigsh, []
+        monkeypatch.setattr(pdsolver.spla, "eigsh",
+                            lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+        Phi = pdsolver.lowest_modes(K, k, 0.0, 10)
+        assert len(calls) == 1 and Phi.shape == (K.shape[0], k)
+        ray = np.einsum("ij,ij->j", Phi, Kd @ Phi)
+        assert np.allclose(ray, w[:k], rtol=1e-10, atol=0.0)
+        assert np.abs(Kd @ Phi - Phi * ray).max() < 1e-8 * w[-1]
+        assert np.abs(Phi.T @ Phi - np.eye(k)).max() < 1e-12
+
+        def fails(A, k, **kw):
+            calls.append(1)
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                           np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(pdsolver.spla, "eigsh", fails)
+        assert np.array_equal(pdsolver.lowest_modes(K, k, 0.0, 10), V[:, :k])
+        assert len(calls) == 2
+
+
 class TestSimulate:
+    def test_contact_free_collider_run_factorizes_once(self, monkeypatch):
+        # a floor far below the mesh never catches a node, so every step
+        # solves with the one base factorization, to the bits of the
+        # reference that factorizes each step
+        mesh, _, _ = wavy_mesh(mass_floor=1e-5)
+        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        dt, steps = 1e-3, 5
+        f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])
+        kw = dict(forces=f, iterations=6, damping=0.9,
+                  colliders=(("plane", (0.0, -10.0, 0.0), (0.0, 1.0, 0.0)),))
+        built, solver = [], pdsolver.GlobalSolver
+        monkeypatch.setattr(pdsolver, "GlobalSolver",
+                            lambda *a, **k: built.append(1) or solver(*a, **k))
+        ref = oracles.simulate_mesh(mesh, gam, steps, dt, **kw)
+        assert len(built) == steps
+        del built[:]
+        frames = pdsolver.simulate_mesh(mesh, gam, steps, dt, **kw)
+        assert len(built) == 1
+        assert np.array_equal(frames, ref)
+
     @pytest.mark.parametrize("case", ["direct", "cms-pin-path", "colliders", "polish"])
     def test_frames_match_state_loop_oracle(self, case):
         # the loop that kept its state in a SimState and made a polished
@@ -846,8 +896,8 @@ class TestSimulate:
         assert all(p[1] > 0 for p in seen) if case == "polish" else all(p is None for p in seen)
 
     def test_polish_with_colliders_rejected(self):
-        # the collider steps factorize their own matrices and are never
-        # polished, so a polish_tol there would be silently dropped
+        # collider steps are never polished, so a polish_tol there would be
+        # silently dropped
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
         gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
         floor = (("plane", mesh.nodes.min(axis=0), (0.0, 1.0, 0.0)),)

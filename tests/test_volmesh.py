@@ -3,6 +3,8 @@ embedding, and exact mass lumping against quadrature oracles."""
 
 import collections
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -96,7 +98,7 @@ def assert_same_voxelization(yarn, h, origin=None):
         assert str(got.value) == str(exc)
         return str(exc)
     mesh = vm.voxelize(yarn, h, origin)
-    for name, a in zip(("nodes", "tets", "voxels", "tet_voxel", "node_grid"), arrays):
+    for name, a in zip(("nodes", "tets", "voxels", "tet_voxel"), arrays):
         b = getattr(mesh, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     got, want = vm.element_adjacency(mesh), oracles.element_adjacency(mesh)
@@ -359,9 +361,11 @@ def test_straight_yarn_interior_mass_pattern():
     mesh = vm.voxelize(y, h, origin=np.zeros(3))
     m = vm.lump_mass(mesh, y)
 
+    grid = np.rint(mesh.nodes / h).astype(int)
+
     def plane(k):
-        sel = mesh.node_grid[:, 0] == k
-        order = np.lexsort(mesh.node_grid[sel, 1:].T)
+        sel = grid[:, 0] == k
+        order = np.lexsort(grid[sel, 1:].T)
         return m[sel][order]
 
     assert np.abs(plane(2) - plane(3)).max() < 1e-12
@@ -422,17 +426,31 @@ def test_boundary_faces_orientation(rng):
 
 
 def test_mesh_file_roundtrip(tmp_path, rng):
+    # read_mesh rebuilds the mesh from <prefix>.json alone, to the bit; the
+    # .node and .ele exports hold the same nodes and tets
     y = random_yarn(rng, 10)
     mesh = vm.voxelize(y, 0.18)
     vm.lump_mass(mesh, y)
     prefix = str(tmp_path / "mesh")
     vm.write_mesh(mesh, prefix, comment="cfg deadbeef")
+    assert np.array_equal(np.loadtxt(prefix + ".node", skiprows=2)[:, 1:], mesh.nodes)
+    assert np.array_equal(np.loadtxt(prefix + ".ele", skiprows=2, dtype=int)[:, 1:], mesh.tets)
+    os.remove(prefix + ".node")
+    os.remove(prefix + ".ele")
     back = vm.read_mesh(prefix)
-    assert np.array_equal(back.tets, mesh.tets)
-    assert np.abs(back.nodes - mesh.nodes).max() == 0.0
     assert back.cell_size == mesh.cell_size
-    assert np.array_equal(back.voxels, mesh.voxels)
-    assert np.abs(back.node_mass - mesh.node_mass).max() == 0.0
+    for name in ("nodes", "tets", "voxels", "tet_voxel", "volume", "shape_grad", "node_mass",
+                 "origin"):
+        a, b = getattr(back, name), getattr(mesh, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # a workspace written with the cells' tet_voxel list still reads
+    with open(prefix + ".json") as fh:
+        meta = json.load(fh)
+    assert "tet_voxel" not in meta
+    meta["tet_voxel"] = mesh.tet_voxel.tolist()
+    with open(prefix + ".json", "w") as fh:
+        json.dump(meta, fh)
+    assert np.array_equal(vm.read_mesh(prefix).nodes, mesh.nodes)
     # boundary obj exists and references valid vertices
     lines = open(prefix + "_boundary.obj").read().splitlines()
     nv = sum(1 for ln in lines if ln.startswith("v "))
