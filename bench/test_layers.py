@@ -1,7 +1,8 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
 runs, of the CMS solver build, of the fit's projection Jacobians,
-exact-Hessian assembly and equilibrium solves, and of the load path
-(voxelize, yarn embedding, element targets), at fixed sizes and seeds.
+exact-Hessian assembly, equilibrium solves and Gauss-Newton direction, and
+of the load path (voxelize, yarn embedding, element targets), at fixed
+sizes and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
@@ -134,11 +135,9 @@ def test_element_operator(benchmark, patch, layer, n_tets):
     assert np.all(np.isfinite(out))
 
 
-@pytest.mark.parametrize("start", ["cold", "warm"])
-def test_solve_equilibrium(benchmark, start):
-    """One fit equilibrium on the benchmark patch stretched by 10 % with its
-    end columns pinned: cold from the transferred pose, or warm from the
-    equilibrium of coefficients 1 % away, as a line-search trial starts."""
+def _stretched_sample():
+    """The benchmark patch stretched by 10 % with its end columns pinned: its
+    fit problem and that one sample."""
     model = yarn_model.rib_patch(courses=6, wales=40, course_spacing=0.005,
                                  wale_spacing=0.005, amplitude=0.002,
                                  rib_period=4, linear_density=0.002)
@@ -149,8 +148,16 @@ def test_solve_equilibrium(benchmark, start):
     x = model.rest_vertices[:, 0]
     ends = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
     pose = model.rest_vertices * np.array([1.1, 1.0, 1.0])
-    sample = fitting.build_sample(problem.op, [pose], 0, yarn_pins=ends)
-    nE = mesh.n_elements
+    return problem, fitting.build_sample(problem.op, [pose], 0, yarn_pins=ends)
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_solve_equilibrium(benchmark, start):
+    """One fit equilibrium on the stretched benchmark patch: cold from the
+    transferred pose, or warm from the equilibrium of coefficients 1 % away,
+    as a line-search trial starts."""
+    problem, sample = _stretched_sample()
+    nE = problem.mesh.n_elements
     rng = np.random.default_rng(2)
     gammas = mat.MaterialField(1.0 + 0.01 * rng.normal(size=nE),
                                1.0 + 0.01 * rng.normal(size=nE))
@@ -161,6 +168,35 @@ def test_solve_equilibrium(benchmark, start):
         assert ok
     _, resid, ok = benchmark(_fresh(problem.solve_equilibrium), gammas, sample, x0)
     assert ok and resid < 1e-6
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """The stretched benchmark patch fitted from unit coefficients with the
+    benchmark's schedule (ranks 1 and full, 3 GD and 6 GN iterations): its
+    adjoint states there and its full-space active set, the floored
+    coefficients with a positive gradient."""
+    problem, sample = _stretched_sample()
+    res, _ = fitting.fit_staged(problem, [sample], np.ones(2 * problem.mesh.n_elements),
+                                ranks=(1, None), gd_iters=3, gn_iters=6)
+    field = mat.MaterialField.from_stacked(res.gamma)
+    _, xs, resids = problem.evaluate(field, [sample])
+    states, grad = fitting.objective_gradient(problem, [sample], field, xs, resids)
+    active = np.flatnonzero((grad > 0.0) & (res.gamma <= mat.GAMMA_FLOOR))
+    assert len(active)
+    return problem, states, active
+
+
+@pytest.mark.parametrize("rank", [10, None], ids=["rank10", "full"])
+def test_gn_direction(benchmark, fitted, rank):
+    """One Gauss-Newton direction (block system, factorization and solve) at
+    the fitted state of the 192-tet patch: in the rank-10 spectral subspace,
+    or in the full space with its active set frozen."""
+    problem, states, active = fitted
+    basis = None if rank is None else fitting.harmonic_basis(problem.mesh, rank)
+    frozen = active if basis is None else ()
+    _, _, ok = benchmark(fitting.adjoint_gauss_newton, states, None, basis, frozen)
+    assert ok
 
 
 # rib patch size, cell size and tet count

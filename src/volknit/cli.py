@@ -171,7 +171,8 @@ def load_config(user=None):
 
 
 # dotted key -> what it takes besides the kind of its default: a tuple of
-# choices, POSITIVE, or the least value (of each entry, for a list)
+# choices, POSITIVE, a [low, high] closed interval, or the least value (of
+# each entry, for a list)
 POSITIVE = "positive"
 DOMAIN = {
     "seed": 0, "yarn.kind": ("rib", "strand"), "yarn.courses": 1, "yarn.wales": 2,
@@ -181,13 +182,13 @@ DOMAIN = {
     "generate.scenario": ("stretch", "twist", "hold", "drape"), "generate.steps": 1,
     "generate.dt": POSITIVE, "generate.rod.stretch_stiffness": POSITIVE,
     "generate.rod.bend_stiffness": 0, "generate.rod.contact_stiffness": 0,
-    "generate.rod.damping": 0, "generate.rod.pd_iters": 1, "mesh.cell_size": POSITIVE,
+    "generate.rod.damping": [0, 1], "generate.rod.pd_iters": 1, "mesh.cell_size": POSITIVE,
     "fit.sample_stride": 1, "fit.gd_iters": 0, "fit.gn_iters": 0,
     "fit.alpha": POSITIVE, "fit.gamma_init": 0, "fit.loss_ceiling": POSITIVE,
     "simulate.scenario": ("hold", "stretch", "twist"), "simulate.steps": 1,
     "simulate.dt": POSITIVE, "simulate.pd_iters": 1, "simulate.solver": ("direct", "cms"),
     "simulate.domains": 1, "simulate.modes_per_domain": 1, "simulate.refine_sweeps": 0,
-    "simulate.aggregation": (2, 3), "simulate.damping": 0, "simulate.polish_tol": POSITIVE,
+    "simulate.aggregation": (2, 3), "simulate.damping": [0, 1], "simulate.polish_tol": POSITIVE,
 }
 KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
@@ -203,6 +204,8 @@ def _check_value(name, val, kind, rule):
         raise ConfigError(f"{name} must be positive")
     if type(rule) is int and val < rule:
         raise ConfigError(f"{name} must be at least {rule}")
+    if type(rule) is list and not rule[0] <= val <= rule[1]:
+        raise ConfigError(f"{name} must be at least {rule[0]} and at most {rule[1]}")
 
 
 def _check_values(cfg, defaults=DEFAULTS, path=""):
@@ -331,6 +334,9 @@ def read_material(path):
         raise ConfigError(f"cannot read material file {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"material file {path} holds no rows")
+    bad = [e for e, row in enumerate(rows) if not all(0.0 <= g < np.inf for g in row)]
+    if bad:
+        raise ConfigError(f"material {path}: element {bad[0]} has a negative or non-finite gamma")
     return mat.MaterialField.from_stacked(np.array(rows).T.reshape(-1))
 
 
@@ -554,6 +560,7 @@ def cmd_fit(cfg, out, chash):
         final_losses=finals, final_loss=final_loss,
         final_unconverged=len(unconverged),
         loss_ceiling=fc["loss_ceiling"], equilibrium=asdict(problem.stats),
+        gauss_newton=logger.gauss_newton,
         elapsed_s=time.perf_counter() - t0,
     )
     _write_report(os.path.join(out, "fit_report.json"), payload, chash)

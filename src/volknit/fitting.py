@@ -17,7 +17,9 @@ transferred pose, then Newton.  Every line-search trial after it is a warm
 solve from the current converged state, straight to Newton with at least
 one step; a trial whose residual misses the adjoint gate on any sample
 counts as a failed halving.  The problem counts its solves for the fit
-report.
+report.  The per-element coefficients keep to GAMMA_FLOOR by projected
+Newton (Bertsekas 1982): an active set taken from the current point alone,
+and every trial projected onto the floor.
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
 
     kappa defaults to KAPPA_SCALE times the summed mean diagonals of the
     G_k.  `basis` restricts the direction to a spectral subspace; `frozen`
-    zeroes pivoted coefficient columns.  Returns (d, kappa, ok); ok False
+    drops coefficient columns, d is zero there.  Returns (d, kappa, ok); ok False
     means the factorization failed or produced a non-descent direction and
     the caller should escalate kappa or fall back to the gradient.
     """
@@ -330,22 +332,17 @@ def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
 
 
 def safeguarded_update(gamma, d, step, eval_loss, current_loss,
-                       clamp_cache=None, floor=mat.GAMMA_FLOOR):
-    """Backtracking update with a positivity floor.
+                       floor=mat.GAMMA_FLOOR):
+    """Backtracking update projected onto a floor.
 
-    Trials gamma + t*step*d, halving t while the loss does not decrease;
-    trial entries that go negative are set to the floor and their indices
-    cached.  floor None leaves negative entries, for parameters that map to
-    the coefficients elsewhere.  Returns (gamma', loss', accepted, t).
+    Trials max(gamma + t*step*d, floor), halving t while the loss does not
+    decrease.  floor None leaves the trials unprojected, for parameters
+    that map to the coefficients elsewhere.  Returns (gamma', loss',
+    accepted, t).
     """
     def point(t):
         trial = gamma + t * step * d
-        neg = trial < 0.0
-        if floor is not None and neg.any():
-            trial[neg] = floor
-            if clamp_cache is not None:
-                clamp_cache.update(np.flatnonzero(neg).tolist())
-        return trial
+        return trial if floor is None else np.maximum(trial, floor)
 
     trial, val, t = pdsolver.backtrack(point, eval_loss, current_loss,
                                        MAX_HALVINGS + 1)
@@ -360,6 +357,8 @@ class FitLogger:
 
     gate: list = field(default_factory=list)          # (sample, resid, ok)
     rows: list = field(default_factory=list)          # convergence entries
+    # damping-ladder block solves, the failed ones, and fallbacks to -grad
+    gauss_newton: dict = field(default_factory=lambda: dict(solves=0, escalations=0, exhausted=0))
 
     def log_gate(self, sample, resid, ok):
         self.gate.append((sample, resid, ok))
@@ -384,38 +383,29 @@ class FitResult:
     params: np.ndarray = None  # the fit's coordinates (gamma in the full space)
 
 
-def _gn_direction(states, grad, kappa, basis, clamp_cache):
-    """Gauss-Newton direction with the damping ladder and clamp pivoting.
+def _gn_direction(states, grad, kappa, basis, active, logger):
+    """Gauss-Newton direction with the damping ladder, zero on `active`.
 
-    Up to five solves, kappa times ten after each failed one, then -grad.
-    The first call fixes the kappa every later iteration starts from.
-    Repeat offenders, cached clamps that the direction would push negative,
-    get zeroed; if that kills descent they are pivoted out of the block
-    system and it is re-solved without them.  Returns (d, kappa).
+    Up to five solves with `active` frozen, kappa times ten after each
+    failed one, then -grad (`grad` is zero on `active`); `logger` counts
+    them.  The first call fixes the kappa every later iteration starts
+    from.  Returns (d, kappa).
     """
+    counts = logger.gauss_newton
     kap = kappa
     for _ in range(5):
-        d, kap, ok = adjoint_gauss_newton(states, kappa=kap, basis=basis)
+        counts["solves"] += 1
+        d, kap, ok = adjoint_gauss_newton(states, kappa=kap, basis=basis,
+                                          frozen=active)
         if ok:
             break
+        counts["escalations"] += 1
         kap *= 10.0
     else:
-        d = -grad                               # damping ladder exhausted
+        counts["exhausted"] += 1
+        d = -grad
     if kappa is None:
         kappa = kap
-
-    cached = np.array(sorted(clamp_cache), dtype=int)
-    push = cached[d[cached] < 0.0]
-    if len(push):
-        d[push] = 0.0
-        if float(d @ grad) >= 0.0:
-            d_piv, _, ok = adjoint_gauss_newton(states, kappa=kap, basis=basis,
-                                                frozen=push)
-            if ok:
-                d = d_piv
-            else:
-                d = -grad
-                d[push] = 0.0
     return d, kappa
 
 
@@ -424,13 +414,13 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
     """Two-phase fit of the summed loss of `samples`: gradient descent,
     then Gauss-Newton.
 
-    The parameters are the coefficients themselves, floored elementwise
-    with clamp caching and pivoting, or with `basis` the spectral
-    coordinates q of length 2r (coefficients = basis @ q per field, floored
-    elementwise), starting at q0 or at gamma0's coordinates.  Both phases
-    search with safeguarded_update; they differ in the direction (-grad, or
-    _gn_direction) and in the stop rule (GD stops at its first rejected
-    step, GN also when the loss plateaus).  The first evaluation solves
+    The parameters are the coefficients themselves, with a gradient zeroed
+    on the active set (floored entries it would push down), or with `basis`
+    the spectral coordinates q of length 2r (coefficients = basis @ q per
+    field, floored elementwise), starting at q0 or at gamma0's coordinates.
+    Both phases search with safeguarded_update; they differ in the
+    direction (-grad, or _gn_direction) and in the stop rule (GD stops at
+    its first rejected step, GN also when the loss plateaus).  The first evaluation solves
     every sample cold, each trial solves them warm from their current
     states, and a trial that misses EQ_GATE on any sample is a failed
     halving; a phase that ends without moving hands its adjoint states to
@@ -441,7 +431,6 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
     if not len(samples):
         raise ValueError("need at least one sample")
     logger = FitLogger() if logger is None else logger
-    clamp_cache = set()             # stays empty in a spectral subspace
     if basis is None:
         params = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
     elif q0 is None:
@@ -481,17 +470,20 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
                 states, grad_full = objective_gradient(
                     problem, samples, mat.MaterialField.from_stacked(gamma), xs,
                     resids, logger=logger)
-            grad = _coords(basis, grad_full)
+            grad = _coords(basis, grad_full).copy()
+            active = (np.flatnonzero((grad > 0.0) & (params <= mat.GAMMA_FLOOR))
+                      if basis is None else [])
+            grad[active] = 0.0
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-10:
                 break
             if phase == "gd":
                 d = -grad
             else:
-                d, kappa = _gn_direction(states, grad, kappa, basis, clamp_cache)
+                d, kappa = _gn_direction(states, grad, kappa, basis, active, logger)
             # spectral coordinates may go negative; to_gamma floors them
             params, loss, accepted, t = safeguarded_update(
-                params, d, step, eval_loss, loss, clamp_cache=clamp_cache,
+                params, d, step, eval_loss, loss,
                 floor=mat.GAMMA_FLOOR if basis is None else None)
             if accepted:
                 gamma, (xs, resids) = to_gamma(params), trial_state

@@ -295,6 +295,22 @@ def test_fit_report_counts_equilibrium_solves(block_ws):
         assert eq["max_residual"] < 1e-6
 
 
+def test_fit_report_counts_gauss_newton_solves(block_ws):
+    gn = read_report(block_ws, "fit_report.json")["gauss_newton"]
+    assert set(gn) == {"solves", "escalations", "exhausted"}
+    with open(os.path.join(str(block_ws), "convergence.csv")) as fh:
+        gn_rows = sum(1 for line in fh if line.split(",")[1:2] == ["gn"])
+    # each GN row took one direction: a solve that succeeded, or the
+    # gradient after five failed ones
+    assert gn["solves"] - gn["escalations"] + gn["exhausted"] == gn_rows > 0
+
+
+def test_fit_keeps_every_coefficient_on_or_above_the_floor(block_ws):
+    field = cli.read_material(os.path.join(str(block_ws), "material.csv"))
+    assert field.gamma_s.min() >= mat.GAMMA_FLOOR
+    assert field.gamma_v.min() >= mat.GAMMA_FLOOR
+
+
 def test_fit_recovers_block_contrast(block_ws):
     field = cli.read_material(os.path.join(str(block_ws), "material.csv"))
     mesh = volmesh.read_mesh(os.path.join(str(block_ws), "mesh"))
@@ -653,11 +669,14 @@ def test_nonpositive_dt_exits_2(tmp_path):
     ({"yarn": {"wale_spacing": -0.01}}, "yarn.wale_spacing must be positive"),
     ({"generate": {"rod": {"stretch_stiffness": 0.0}}},
      "generate.rod.stretch_stiffness must be positive"),
+    ({"simulate": {"damping": 1.5}}, "simulate.damping must be at least 0 and at most 1"),
+    ({"generate": {"rod": {"damping": 1.5}}},
+     "generate.rod.damping must be at least 0 and at most 1"),
 ], ids=["string-count", "float-count", "null-dt", "bool-float", "string-nullable", "list-seed",
         "scalar-section", "string-entry", "negative-entry", "short-list", "nan-dt", "inf-dt",
         "inf-simulate-dt", "zero-alpha", "zero-density", "zero-length", "string-bool",
         "string-inertia", "number-path", "zero-course-spacing", "negative-wale-spacing",
-        "zero-stretch-stiffness"])
+        "zero-stretch-stiffness", "simulate-damping-above-one", "rod-damping-above-one"])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, user, match):
     with pytest.raises(cli.ConfigError, match=match):
         cli.validate_config(cli.load_config(user))
@@ -700,6 +719,12 @@ def test_validate_config_rejects_counts_below_minimum(name, least):
     section[key] = least - 1
     with pytest.raises(cli.ConfigError, match=f"{name} must be at least {least}"):
         cli.validate_config(cfg)
+
+
+@pytest.mark.parametrize("user", [{"generate": {"rod": {"damping": 1.0}}},
+                                  {"simulate": {"damping": 1.0}}], ids=["rod", "simulate"])
+def test_validate_config_accepts_damping_of_one(user):
+    cli.validate_config(cli.load_config(user))
 
 
 @pytest.mark.parametrize("ranks", [[0, None], [-1, None], [1.5, None], [True], [], "full"],
@@ -796,16 +821,21 @@ def test_cli_import_leaves_scipy_spatial_out():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("rows", ["0,1.0\n", "0,1.0,one\n", "0,1.0,2.0\n1,1.0,2.0,3.0\n"],
-                         ids=["two-fields", "non-numeric", "four-fields"])
-def test_simulate_malformed_material_file_exits_2(pipeline_ws, tmp_path, capsys, rows):
+@pytest.mark.parametrize("rows,match", [
+    ("0,1.0\n", "cannot read material file {path}"),
+    ("0,1.0,one\n", "cannot read material file {path}"),
+    ("0,1.0,2.0\n1,1.0,2.0,3.0\n", "cannot read material file {path}"),
+    ("0,1.0,2.0\n1,-0.5,2.0\n", "material {path}: element 1 has a negative or non-finite"),
+    ("0,1.0,nan\n", "material {path}: element 0 has a negative or non-finite"),
+], ids=["two-fields", "non-numeric", "four-fields", "negative", "nan"])
+def test_simulate_malformed_material_file_exits_2(pipeline_ws, tmp_path, capsys, rows, match):
     path = tmp_path / "material.csv"
     path.write_text("# config 0\nelement,gamma_s,gamma_v\n" + rows)
     cfg = alias_cfg(pipeline_ws)
     cfg["paths"]["material"] = str(path)
     rc, _ = run_cli("simulate", tmp_path / "w", cfg)
     assert rc == cli.EXIT_USAGE
-    assert f"error: cannot read material file {path}" in capsys.readouterr().err
+    assert "error: " + match.format(path=path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["fit", "simulate", "compare"])

@@ -564,16 +564,14 @@ class TestSafeguardedUpdate:
         assert np.array_equal(out, gamma)
         assert not accepted and t == 0.0
 
-    def test_negative_entry_floored_and_cached(self):
-        gamma = np.array([1.0, 0.5])
-        d = np.array([0.0, -1.0])
-        cache = set()
+    def test_trial_projected_onto_floor(self):
+        # one entry goes negative, one lands in (0, floor); both end on it
+        gamma = np.array([1.0, 0.5, 1.0 + 0.5 * mat.GAMMA_FLOOR])
+        d = np.array([0.0, -1.0, -1.0])
         out, val, accepted, t = fitting.safeguarded_update(
-            gamma, d, 1.0, lambda g: float(np.sum(g)), 10.0,
-            clamp_cache=cache)
-        assert accepted
-        assert out[1] == mat.GAMMA_FLOOR
-        assert cache == {1}
+            gamma, d, 1.0, lambda g: float(np.sum(g)), 10.0)
+        assert accepted and t == 1.0
+        assert np.array_equal(out, [1.0, mat.GAMMA_FLOOR, mat.GAMMA_FLOOR])
 
     def test_quadratic_converges_to_minimizer(self, rng):
         n = 6
@@ -864,14 +862,31 @@ class TestSummedObjective:
         assert np.array_equal(grad, ga + gb)
         assert np.array_equal(grad, states[0].grad + states[1].grad)
 
-    @pytest.mark.parametrize("rank,frozen", [(None, ()), (4, (2,))],
-                             ids=["full", "rank4-frozen"])
+    def _floored(self, problem, samples):
+        """A full-space point with a third of each field on the floor: its
+        adjoint states, its gradient zeroed on the fit's active set (the
+        floored coefficients with a positive gradient), and that set."""
+        gf = self._field(problem)
+        gf.gamma_s[::3] = gf.gamma_v[1::3] = mat.GAMMA_FLOOR
+        _, xs, resids = problem.evaluate(gf, samples)
+        states, grad = fitting.objective_gradient(problem, samples, gf, xs, resids)
+        active = np.flatnonzero((grad > 0.0) & (gamma_vec(gf) <= mat.GAMMA_FLOOR))
+        assert len(active)
+        grad = grad.copy()
+        grad[active] = 0.0
+        return states, grad, active
+
+    @pytest.mark.parametrize("rank,frozen", [(None, ()), (4, (2,)), (None, "active")],
+                             ids=["full", "rank4-frozen", "full-active-set"])
     def test_two_sample_direction_matches_dense_oracle(self, small_scene,
                                                        two_samples, rank, frozen):
         problem = small_scene["problem"]
-        gf = self._field(problem)
-        _, xs, resids = problem.evaluate(gf, two_samples)
-        states, _ = fitting.objective_gradient(problem, two_samples, gf, xs, resids)
+        if frozen == "active":
+            states, _, frozen = self._floored(problem, two_samples)
+        else:
+            gf = self._field(problem)
+            _, xs, resids = problem.evaluate(gf, two_samples)
+            states, _ = fitting.objective_gradient(problem, two_samples, gf, xs, resids)
         basis = None if rank is None else fitting.harmonic_basis(problem.mesh, rank)
         d, kappa, ok = fitting.adjoint_gauss_newton(states, basis=basis,
                                                     frozen=list(frozen))
@@ -883,6 +898,35 @@ class TestSummedObjective:
                                                      frozen=frozen)
         assert np.linalg.norm(d - dense) <= 1e-10 * np.linalg.norm(dense)
         assert all(d[j] == 0.0 for j in frozen)
+
+    @pytest.mark.parametrize("fails", [0, 2, 5])
+    def test_damping_ladder_escalates_then_falls_back(self, small_scene, two_samples,
+                                                      monkeypatch, fails):
+        states, grad, active = self._floored(small_scene["problem"], two_samples)
+        real, kappas = fitting.adjoint_gauss_newton, []
+
+        def flaky(states, kappa=None, basis=None, frozen=()):
+            assert np.array_equal(frozen, active)
+            d, kap, ok = real(states, kappa=kappa, basis=basis, frozen=frozen)
+            kappas.append(kap)
+            return (None, kap, False) if len(kappas) <= fails else (d, kap, ok)
+
+        monkeypatch.setattr(fitting, "adjoint_gauss_newton", flaky)
+        logger = fitting.FitLogger()
+        d, kappa = fitting._gn_direction(states, grad, None, None, active, logger)
+        solves = min(fails + 1, 5)
+        # kappa grows ten times per rung; the first call keeps the last one
+        assert kappas == pytest.approx([kappas[0] * 10.0 ** j for j in range(solves)],
+                                       rel=1e-12)
+        assert kappa == pytest.approx(kappas[-1] * (10.0 if fails >= 5 else 1.0), rel=1e-12)
+        assert logger.gauss_newton == dict(solves=solves, escalations=min(fails, 5),
+                                           exhausted=int(fails >= 5))
+        assert not d[active].any()
+        if fails >= 5:
+            assert np.array_equal(d, -grad)
+        else:
+            assert np.array_equal(d, real(states, kappa=kappas[-1], frozen=active)[0])
+            assert float(d @ grad) < 0.0
 
 
 # ---------------------------------------------------------------------------
