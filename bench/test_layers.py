@@ -1,8 +1,8 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
 runs, of the CMS solver build, of the fit's projection Jacobians,
-exact-Hessian assembly, equilibrium solves and Gauss-Newton direction, and
-of the load path (voxelize, yarn embedding, element targets), at fixed
-sizes and seeds.
+exact-Hessian assembly, equilibrium solves and Gauss-Newton direction, of
+a whole fit, and of the load path (voxelize, yarn embedding, element
+targets), at fixed sizes and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
@@ -197,6 +197,23 @@ def test_gn_direction(benchmark, fitted, rank):
     frozen = active if basis is None else ()
     _, _, ok = benchmark(fitting.adjoint_gauss_newton, states, None, basis, frozen)
     assert ok
+
+
+def test_fit_pass(benchmark):
+    """A whole fit of the stretched benchmark patch from unit coefficients
+    with the benchmark's schedule: fit_staged over ranks 1 and full (3 GD and
+    6 GN iterations), then fit_sequence's cold full-space pass."""
+    problem, sample = _stretched_sample()
+    gamma0 = np.ones(2 * problem.mesh.n_elements)
+
+    def fit():
+        mat.clear_decomposition_cache()
+        res, _ = fitting.fit_staged(problem, [sample], gamma0, ranks=(1, None),
+                                    gd_iters=3, gn_iters=6)
+        return fitting.fit_sequence(problem, [sample], res.gamma, gd_iters=3, gn_iters=6)
+
+    _, report = benchmark(fit)
+    assert not report["failed"] and report["gate_violations"] == 0
 
 
 # rib patch size, cell size and tet count

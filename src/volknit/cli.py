@@ -529,13 +529,27 @@ def cmd_fit(cfg, out, chash):
     nE = mesh.n_elements
     logger = fitting.FitLogger()
 
+    def write_fit_report(**fields):
+        # what the fit has done so far, failed or not
+        _write_report(os.path.join(out, "fit_report.json"), dict(
+            fields, total=len(samples), gate_violations=logger.gate_violations,
+            gate_evaluations=len(logger.gate),
+            gate_max_residual=max((g[1] for g in logger.gate), default=0.0),
+            equilibrium=asdict(problem.stats), gauss_newton=logger.gauss_newton,
+            elapsed_s=time.perf_counter() - t0), chash)
+
     gamma0 = np.repeat(np.asarray(fc["gamma_init"], dtype=float), nE)
-    res0, stages = fitting.fit_staged(
-        problem, samples, gamma0, ranks=tuple(fc["ranks"]),
-        logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
-    field, report = fitting.fit_sequence(
-        problem, samples, res0.gamma, logger=logger,
-        gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
+    try:
+        res0, stages = fitting.fit_staged(
+            problem, samples, gamma0, ranks=tuple(fc["ranks"]),
+            logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
+        field, report = fitting.fit_sequence(
+            problem, samples, res0.gamma, logger=logger,
+            gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
+    except fitting.EquilibriumGateError as exc:
+        # the last gate row is the one that missed; main still exits 3
+        write_fit_report(failed=True, error=str(exc), failed_sample=logger.gate[-1][0])
+        raise
 
     # loss of the fitted field on every sample, each from a cold solve
     solved = [problem.solve_equilibrium(field, s) for s in samples]
@@ -550,20 +564,11 @@ def cmd_fit(cfg, out, chash):
               ["iteration", "phase", "loss", "step_size", "grad_norm"],
               [(r["iteration"], r["phase"], r["loss"], r["step"], r["grad_norm"])
                for r in logger.rows], chash)
-    payload = dict(
-        samples=report["samples"], failed=report["failed"], total=len(samples),
-        gate_violations=logger.gate_violations,
-        gate_evaluations=len(logger.gate),
-        gate_max_residual=max((g[1] for g in logger.gate), default=0.0),
-        # the first stage's cold evaluation is the loss at gamma_init
-        initial_loss=res0.losses[0], stage_losses=stages,
-        final_losses=finals, final_loss=final_loss,
-        final_unconverged=len(unconverged),
-        loss_ceiling=fc["loss_ceiling"], equilibrium=asdict(problem.stats),
-        gauss_newton=logger.gauss_newton,
-        elapsed_s=time.perf_counter() - t0,
-    )
-    _write_report(os.path.join(out, "fit_report.json"), payload, chash)
+    # the first stage's cold evaluation is the loss at gamma_init
+    write_fit_report(samples=report["samples"], failed=report["failed"],
+                     initial_loss=res0.losses[0], stage_losses=stages,
+                     final_losses=finals, final_loss=final_loss,
+                     final_unconverged=len(unconverged), loss_ceiling=fc["loss_ceiling"])
 
     if report["failed"]:
         print("error: the full-space pass stalled without lowering the loss",

@@ -13,13 +13,14 @@ cold full-space pass from it ends the fit (without that pass the bench
 training loss was 10 % higher).
 
 A sample's first equilibrium is a cold solve: proximal rounds from the
-transferred pose, then Newton.  Every line-search trial after it is a warm
-solve from the current converged state, straight to Newton with at least
-one step; a trial whose residual misses the adjoint gate on any sample
-counts as a failed halving.  The problem counts its solves for the fit
-report.  The per-element coefficients keep to GAMMA_FLOOR by projected
-Newton (Bertsekas 1982): an active set taken from the current point alone,
-and every trial projected onto the floor.
+transferred pose, then Newton.  Every trial after it is a warm solve from
+the current converged state, straight to Newton with at least one step.
+Gradient descent tries its fixed step once and stops when it fails;
+Gauss-Newton halves its step until the loss falls.  A trial that misses
+the adjoint gate on any sample fails.  The problem counts its solves.  The
+per-element coefficients keep to GAMMA_FLOOR by projected Newton (Bertsekas
+1982): an active set taken from the current point alone, and every trial
+projected onto the floor.
 """
 
 from __future__ import annotations
@@ -332,20 +333,20 @@ def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
 
 
 def safeguarded_update(gamma, d, step, eval_loss, current_loss,
-                       floor=mat.GAMMA_FLOOR):
+                       floor=mat.GAMMA_FLOOR, tries=MAX_HALVINGS + 1):
     """Backtracking update projected onto a floor.
 
-    Trials max(gamma + t*step*d, floor), halving t while the loss does not
-    decrease.  floor None leaves the trials unprojected, for parameters
-    that map to the coefficients elsewhere.  Returns (gamma', loss',
-    accepted, t).
+    Trials max(gamma + t*step*d, floor) at t = 1, 1/2, ..., at most `tries`
+    of them, halving t while the loss does not decrease; tries 1 takes the
+    fixed step or nothing.  floor None leaves the trials unprojected, for
+    parameters that map to the coefficients elsewhere.  Returns (gamma',
+    loss', accepted, t).
     """
     def point(t):
         trial = gamma + t * step * d
         return trial if floor is None else np.maximum(trial, floor)
 
-    trial, val, t = pdsolver.backtrack(point, eval_loss, current_loss,
-                                       MAX_HALVINGS + 1)
+    trial, val, t = pdsolver.backtrack(point, eval_loss, current_loss, tries)
     if trial is None:
         return gamma, current_loss, False, 0.0
     return trial, val, True, t
@@ -418,15 +419,15 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
     on the active set (floored entries it would push down), or with `basis`
     the spectral coordinates q of length 2r (coefficients = basis @ q per
     field, floored elementwise), starting at q0 or at gamma0's coordinates.
-    Both phases search with safeguarded_update; they differ in the
-    direction (-grad, or _gn_direction) and in the stop rule (GD stops at
-    its first rejected step, GN also when the loss plateaus).  The first evaluation solves
-    every sample cold, each trial solves them warm from their current
-    states, and a trial that misses EQ_GATE on any sample is a failed
-    halving; a phase that ends without moving hands its adjoint states to
-    the next.  `init_state` is an optional (loss, states, residuals) triple
-    for gamma0, so a stage starts exactly at the previous optimum.
-    Returns FitResult.
+    Both phases step with safeguarded_update and stop at their first
+    rejected step.  GD tries its fixed step -GD_STEP*grad once; GN halves
+    its step along _gn_direction up to MAX_HALVINGS times and also stops
+    when the loss plateaus.  The first evaluation solves every sample cold,
+    each trial solves them warm from their current states, and a trial that
+    misses EQ_GATE on any sample fails; a phase that ends without moving
+    hands its adjoint states to the next.  `init_state` is an optional
+    (loss, states, residuals) triple for gamma0, so a stage starts exactly
+    at the previous optimum.  Returns FitResult.
     """
     if not len(samples):
         raise ValueError("need at least one sample")
@@ -463,8 +464,8 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
     kappa = None
     window = []
     states = None                   # adjoint states at the current point
-    for phase, iters, step in (("gd", gd_iters, GD_STEP),
-                               ("gn", gn_iters, GN_STEP)):
+    for phase, iters, step, tries in (("gd", gd_iters, GD_STEP, 1),
+                                      ("gn", gn_iters, GN_STEP, MAX_HALVINGS + 1)):
         for it in range(iters):
             if states is None:
                 states, grad_full = objective_gradient(
@@ -484,7 +485,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
             # spectral coordinates may go negative; to_gamma floors them
             params, loss, accepted, t = safeguarded_update(
                 params, d, step, eval_loss, loss,
-                floor=mat.GAMMA_FLOOR if basis is None else None)
+                floor=mat.GAMMA_FLOOR if basis is None else None, tries=tries)
             if accepted:
                 gamma, (xs, resids) = to_gamma(params), trial_state
                 states = None

@@ -586,9 +586,5 @@ class MaterialField:
         n = stacked.size // 2
         return cls(stacked[:n].copy(), stacked[n:].copy())
 
-    def stacked(self):
-        """Flat view [gamma_s; gamma_v] used by the fitting optimizer."""
-        return np.concatenate([self.gamma_s, self.gamma_v])
-
     def __len__(self):
         return self.gamma_s.size

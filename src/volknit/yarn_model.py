@@ -77,9 +77,6 @@ class YarnModel:
     def segment_density(self):
         return self.linear_density[self.segment_poly]
 
-    def total_mass(self):
-        return float(np.dot(self.rest_lengths, self.segment_density()))
-
     def vertex_mass(self):
         """Half of each incident segment's mass, per vertex."""
         m = np.zeros(self.n_vertices)

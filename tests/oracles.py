@@ -289,6 +289,11 @@ def embed_yarn(mesh, yarn):
     )
 
 
+def total_mass(yarn):
+    """The yarn's mass: rest length times linear density, summed."""
+    return float(np.dot(yarn.rest_lengths, yarn.segment_density()))
+
+
 def lump_mass(mesh, yarn, embedding):
     """Node masses, one piece at a time."""
     rest = yarn.rest_vertices
@@ -787,6 +792,12 @@ def batch_energies(F, gamma_s, gamma_v, volumes):
     ds = np.sum((F - R) ** 2, axis=(1, 2))
     dv = np.sum((F - V) ** 2, axis=(1, 2))
     return volumes * (gamma_s * ds + gamma_v * dv)
+
+
+def stacked(field):
+    """A MaterialField as one flat [gamma_s; gamma_v], the inverse of
+    MaterialField.from_stacked."""
+    return np.concatenate([field.gamma_s, field.gamma_v])
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,26 @@ def test_fit_report_counts_equilibrium_solves(block_ws):
         assert eq["max_residual"] < 1e-6
 
 
+def test_fit_warm_solves_are_the_line_search_trials(block_ws):
+    # every warm solve is a line-search trial of some sample: GD tries its
+    # fixed step once, an accepted GN step took log2(1/t) halvings before
+    # its trial, and a rejected one tried MAX_HALVINGS + 1 points
+    rep = read_report(block_ws, "fit_report.json")
+    with open(os.path.join(str(block_ws), "convergence.csv")) as fh:
+        rows = [line.split(",") for line in fh if line[:1].isdigit()]
+    trials = 0
+    for _, phase, _, step, _ in rows:
+        t = float(step) / fitting.GN_STEP
+        if phase == "gd":
+            trials += 1
+        elif t > 0.0:
+            trials += round(np.log2(1.0 / t)) + 1
+        else:
+            trials += fitting.MAX_HALVINGS + 1
+    assert trials > len(rows) > 0
+    assert rep["equilibrium"]["warm"] == trials * rep["total"]
+
+
 def test_fit_report_counts_gauss_newton_solves(block_ws):
     gn = read_report(block_ws, "fit_report.json")["gauss_newton"]
     assert set(gn) == {"solves", "escalations", "exhausted"}
@@ -403,6 +423,28 @@ def test_fit_loss_ceiling_violation_exits_3(block_ws, tmp_path):
     rc, out = run_cli("fit", tmp_path / "ceiling", cfg)
     assert rc == cli.EXIT_NUMERIC
     assert read_report(out, "fit_report.json")["final_loss"] > 1e-30
+
+
+def test_fit_missing_the_gate_reports_and_exits_3(block_ws, tmp_path, monkeypatch,
+                                                  capsys):
+    # no residual is below a zero gate, so the first adjoint gradient raises
+    monkeypatch.setattr(fitting, "EQ_GATE", 0.0)
+    cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"]))
+    cfg["paths"]["material"] = None
+    rc, out = run_cli("fit", tmp_path / "gate", cfg)
+    assert rc == cli.EXIT_NUMERIC
+    assert "error: adjoint evaluation rejected: residual" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "material.csv"))
+    rep = read_report(out, "fit_report.json")
+    assert rep["failed"] is True
+    assert rep["error"].startswith("adjoint evaluation rejected: residual")
+    assert rep["failed_sample"] == BLOCK_FIT["fit"]["samples"][0]
+    assert (rep["gate_evaluations"], rep["gate_violations"]) == (1, 1)
+    assert rep["gate_max_residual"] >= 0.0
+    eq = rep["equilibrium"]
+    assert (eq["cold"], eq["warm"]) == (rep["total"], 0) == (1, 0)
+    assert rep["gauss_newton"]["solves"] == 0
+    assert rep["elapsed_s"] > 0.0
 
 
 def quick_fit(stalled):

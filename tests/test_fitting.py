@@ -635,7 +635,7 @@ class TestFitSample:
 
     def test_trial_missing_the_gate_is_a_failed_halving(self, scene,
                                                          monkeypatch):
-        # the first trial reports a residual above the gate with a loss
+        # the first GN trial reports a residual above the gate with a loss
         # below the current one; accepting it would make the next adjoint
         # gradient raise, so the search must halve past it
         problem, sample = scene["problem"], scene["sample"]
@@ -653,17 +653,18 @@ class TestFitSample:
         monkeypatch.setattr(problem, "solve_equilibrium", stub)
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         lg = fitting.FitLogger()
-        res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=0,
+        res = fitting.fit_sample(problem, [sample], g0, gd_iters=0, gn_iters=2,
                                  logger=lg)
         assert len(trials) > 1
         assert lg.gate_violations == 0
         assert all(r < fitting.EQ_GATE for _, r, _ in lg.gate)
-        assert lg.rows[0]["step"] < fitting.GD_STEP
+        assert lg.rows[0]["phase"] == "gn"
+        assert 0.0 < lg.rows[0]["step"] < fitting.GN_STEP
         assert max(res.resids) < fitting.EQ_GATE
 
     def test_rejected_gd_step_hands_its_adjoint_state_to_gn(self, scene,
                                                              monkeypatch):
-        # every GD trial misses the gate, so GD ends where it started and GN
+        # GD's one trial misses the gate, so GD ends where it started and GN
         # starts from its adjoint state instead of recomputing it
         problem, sample = scene["problem"], scene["sample"]
         nE = problem.mesh.n_elements
@@ -683,7 +684,7 @@ class TestFitSample:
         missed = []
 
         def stub(gammas, sample_, x0=None, **kw):
-            if x0 is not None and len(missed) <= fitting.MAX_HALVINGS:
+            if x0 is not None and not missed:
                 missed.append(1)
                 return x0.copy(), 2.0 * fitting.EQ_GATE, False
             return solve(gammas, sample_, x0=x0, **kw)

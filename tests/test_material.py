@@ -665,7 +665,7 @@ def test_batch_energies(rng):
 
 def test_material_field_roundtrip():
     f = mat.MaterialField.uniform(7, 1.5, 0.25)
-    st = f.stacked()
+    st = oracles.stacked(f)
     assert st.shape == (14,)
     g = mat.MaterialField.from_stacked(st)
     assert np.array_equal(g.gamma_s, f.gamma_s)

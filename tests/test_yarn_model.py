@@ -68,7 +68,7 @@ def test_normals_reject_degenerate():
 
 def test_mass_bookkeeping():
     y = ym.straight_strand(5, 1.0, linear_density=2.0)
-    assert abs(y.total_mass() - 2.0) < 1e-12
+    assert abs(oracles.total_mass(y) - 2.0) < 1e-12
     m = y.vertex_mass()
     assert abs(m.sum() - 2.0) < 1e-12
     assert abs(m[0] - 0.25) < 1e-12          # half of one quarter-length segment
