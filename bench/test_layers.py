@@ -72,7 +72,7 @@ def _pinned(courses, wales, cell=0.03):
                                  rib_period=4, linear_density=0.002)
     mesh = volmesh.voxelize(model, cell)
     volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
-    K = pdsolver.assemble_global(mesh, mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
+    K = pdsolver.assemble_global(mesh, np.ones((2, mesh.n_elements)), 2e-2)
     x = mesh.nodes[:, 0]
     pins = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
     free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
@@ -126,7 +126,7 @@ def test_element_operator(benchmark, patch, layer, n_tets):
     assert mesh.n_elements == n_tets
     rng = np.random.default_rng(1)
     x = mesh.nodes * np.array([1.1, 1.0, 1.0]) + 1e-3 * rng.normal(size=mesh.nodes.shape)
-    gammas = mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
+    gammas = np.ones((2, mesh.n_elements))
     if layer == "elastic_rhs":
         out = benchmark(_fresh(pdsolver.elastic_rhs), mesh, gammas, x)
     else:
@@ -159,12 +159,10 @@ def test_solve_equilibrium(benchmark, start):
     problem, sample = _stretched_sample()
     nE = problem.mesh.n_elements
     rng = np.random.default_rng(2)
-    gammas = mat.MaterialField(1.0 + 0.01 * rng.normal(size=nE),
-                               1.0 + 0.01 * rng.normal(size=nE))
+    gammas = 1.0 + 0.01 * rng.normal(size=(2, nE))
     x0 = None
     if start == "warm":
-        x0, _, ok = problem.solve_equilibrium(
-            mat.MaterialField.uniform(nE, 1.0, 1.0), sample)
+        x0, _, ok = problem.solve_equilibrium(np.ones((2, nE)), sample)
         assert ok
     _, resid, ok = benchmark(_fresh(problem.solve_equilibrium), gammas, sample, x0)
     assert ok and resid < 1e-6
@@ -179,9 +177,9 @@ def fitted():
     problem, sample = _stretched_sample()
     res, _ = fitting.fit_staged(problem, [sample], np.ones(2 * problem.mesh.n_elements),
                                 ranks=(1, None), gd_iters=3, gn_iters=6)
-    field = mat.MaterialField.from_stacked(res.gamma)
-    _, xs, resids = problem.evaluate(field, [sample])
-    states, grad = fitting.objective_gradient(problem, [sample], field, xs, resids)
+    gammas = res.gamma.reshape(2, -1)
+    _, xs, resids = problem.evaluate(gammas, [sample])
+    states, grad = fitting.objective_gradient(problem, [sample], gammas, xs, resids)
     active = np.flatnonzero((grad > 0.0) & (res.gamma <= mat.GAMMA_FLOOR))
     assert len(active)
     return problem, states, active

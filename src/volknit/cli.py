@@ -316,12 +316,13 @@ def write_csv(path, header, rows, chash):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_material(path, field, chash):
-    rows = [(e, field.gamma_s[e], field.gamma_v[e]) for e in range(len(field))]
+def write_material(path, gammas, chash):
+    rows = [(e, gs, gv) for e, (gs, gv) in enumerate(zip(*gammas))]
     write_csv(path, ["element", "gamma_s", "gamma_v"], rows, chash)
 
 
 def read_material(path):
+    """The material of a material.csv, a (2, nE) float array."""
     rows = []
     try:
         with open(path) as fh:
@@ -337,7 +338,7 @@ def read_material(path):
     bad = [e for e, row in enumerate(rows) if not all(0.0 <= g < np.inf for g in row)]
     if bad:
         raise ConfigError(f"material {path}: element {bad[0]} has a negative or non-finite gamma")
-    return mat.MaterialField.from_stacked(np.array(rows).T.reshape(-1))
+    return np.array(rows).T.copy()
 
 
 def _write_report(path, payload, chash):
@@ -516,6 +517,9 @@ def cmd_fit(cfg, out, chash):
     bad = [i for i in indices if i < 0 or i >= seq.n_frames]
     if bad:
         raise ConfigError(f"fit.samples out of range {bad} for {seq.n_frames} frames")
+    # a fit that fails leaves no material, not an earlier fit's
+    if os.path.exists(ws["material"]):
+        os.remove(ws["material"])
 
     op = transfer.Y2VOperator(mesh, emb, model, alpha=fc["alpha"])
     dt_inertia = seq.dt if fc["use_inertia"] else None
@@ -543,7 +547,7 @@ def cmd_fit(cfg, out, chash):
         res0, stages = fitting.fit_staged(
             problem, samples, gamma0, ranks=tuple(fc["ranks"]),
             logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
-        field, report = fitting.fit_sequence(
+        gammas, report = fitting.fit_sequence(
             problem, samples, res0.gamma, logger=logger,
             gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
     except fitting.EquilibriumGateError as exc:
@@ -551,15 +555,15 @@ def cmd_fit(cfg, out, chash):
         write_fit_report(failed=True, error=str(exc), failed_sample=logger.gate[-1][0])
         raise
 
-    # loss of the fitted field on every sample, each from a cold solve
-    solved = [problem.solve_equilibrium(field, s) for s in samples]
+    # loss of the fitted material on every sample, each from a cold solve
+    solved = [problem.solve_equilibrium(gammas, s) for s in samples]
     finals = [problem.loss(x, s) if ok else float("inf")
               for s, (x, _, ok) in zip(samples, solved)]
     unconverged = [s.index for s, (_, _, ok) in zip(samples, solved) if not ok]
     # the fit minimizes the sum of the per-sample losses
     final_loss = float(sum(finals))
 
-    write_material(ws["material"], field, chash)
+    write_material(ws["material"], gammas, chash)
     write_csv(os.path.join(out, "convergence.csv"),
               ["iteration", "phase", "loss", "step_size", "grad_norm"],
               [(r["iteration"], r["phase"], r["loss"], r["step"], r["grad_norm"])
@@ -594,8 +598,8 @@ def cmd_simulate(cfg, out, chash):
 
     t = time.perf_counter()
     ws, model, seq, mesh, emb = _load_stage(cfg, out)
-    field = read_material(ws["material"])
-    if len(field) != mesh.n_elements:
+    gammas = read_material(ws["material"])
+    if gammas.shape[1] != mesh.n_elements:
         raise ConfigError("material file does not match the mesh")
     clock("load", t)
 
@@ -622,7 +626,7 @@ def cmd_simulate(cfg, out, chash):
     # directly, so under colliders the base solver is direct too
     solver_used = "direct" if colliders else sc["solver"]
     t = time.perf_counter()
-    K = pdsolver.assemble_global(mesh, field, sc["dt"])
+    K = pdsolver.assemble_global(mesh, gammas, sc["dt"])
     clock("assemble", t)
     t = time.perf_counter()
     solver = pdsolver.GlobalSolver(
@@ -657,7 +661,7 @@ def cmd_simulate(cfg, out, chash):
 
     t = time.perf_counter()
     pdsolver.simulate_mesh(
-        mesh, field, sc["steps"], sc["dt"], forces=forces, pins=pins,
+        mesh, gammas, sc["steps"], sc["dt"], forces=forces, pins=pins,
         pin_targets=pin_path, colliders=colliders, iterations=sc["pd_iters"],
         solver=solver, damping=sc["damping"], polish_tol=sc["polish_tol"],
         on_step=write_frame)

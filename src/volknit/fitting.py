@@ -8,7 +8,7 @@ state and adjoint solve against the exact equilibrium Jacobian; gradients
 add up, and Gauss-Newton directions come from one sparse symmetric block
 system, one block pair per sample, that never forms the dense sensitivity
 matrix.  A spectral coarse-to-fine schedule (element-graph Laplacian
-eigenvectors, ranks 1 / 10 / 30 / full) initializes the field, and one
+eigenvectors, ranks 1 / 10 / 30 / full) initializes the material, and one
 cold full-space pass from it ends the fit (without that pass the bench
 training loss was 10 % higher).
 
@@ -446,7 +446,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
         return np.maximum(np.concatenate([basis @ p[:r], basis @ p[r:]]), mat.GAMMA_FLOOR)
 
     def eval_at(gamma_vec, warm=None):
-        return problem.evaluate(mat.MaterialField.from_stacked(gamma_vec), samples, warm)
+        return problem.evaluate(gamma_vec.reshape(2, -1), samples, warm)
 
     gamma = to_gamma(params)
     loss, xs, resids = eval_at(gamma) if init_state is None else init_state
@@ -469,8 +469,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
         for it in range(iters):
             if states is None:
                 states, grad_full = objective_gradient(
-                    problem, samples, mat.MaterialField.from_stacked(gamma), xs,
-                    resids, logger=logger)
+                    problem, samples, gamma.reshape(2, -1), xs, resids, logger=logger)
             grad = _coords(basis, grad_full).copy()
             active = (np.flatnonzero((grad > 0.0) & (params <= mat.GAMMA_FLOOR))
                       if basis is None else [])
@@ -580,8 +579,8 @@ def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS, logger=None,
 def fit_sequence(problem, samples, gamma0, *, logger=None,
                  gd_iters=GD_ITERS, gn_iters=GN_ITERS):
     """One cold full-space pass over the summed loss from gamma0, the
-    staged field; it fails if GN stalled without lowering the loss, and its
-    field is returned either way.  Returns (MaterialField, report dict)."""
+    staged material; it fails if GN stalled without lowering the loss, and
+    its material is returned either way.  Returns ((2, nE) gamma, report dict)."""
     logger = FitLogger() if logger is None else logger
     res = fit_sample(problem, samples, gamma0, logger=logger,
                      gd_iters=gd_iters, gn_iters=gn_iters)
@@ -592,4 +591,4 @@ def fit_sequence(problem, samples, gamma0, *, logger=None,
     per_sample = [dict(index=s.index, loss=problem.loss(x, s), stalled=res.stalled,
                        progressed=progressed) for s, x in zip(samples, res.xs)]
     report = dict(samples=per_sample, failed=failed, gate_violations=logger.gate_violations)
-    return mat.MaterialField.from_stacked(res.gamma), report
+    return res.gamma.reshape(2, -1), report

@@ -1,9 +1,10 @@
 """Per-element constitutive model built on two matrix projections.
 
-Each tetrahedron stores a pair of nonnegative coefficients (gamma_s, gamma_v).
-Its elastic energy penalizes the Frobenius distance of the deformation
-gradient F to the rotation group (shape term) and to the volume-preserving
-matrices with unit determinant (volume term):
+Each tetrahedron stores a pair of nonnegative coefficients (gamma_s, gamma_v);
+a material is one (2, nE) array of them, whose ravel is the fit's stacked
+vector.  An element's elastic energy penalizes the Frobenius distance of
+the deformation gradient F to the rotation group (shape term) and to the
+volume-preserving matrices with unit determinant (volume term):
 
     E = gamma_s * vol * |F - R(F)|^2 + gamma_v * vol * |F - V(F)|^2
 
@@ -565,26 +566,3 @@ def _jacobians(U, sig, W, s, lam, clamped):
     JR = Q @ LR @ Qt
     JV = Q @ LV @ Qt
     return JR, JV
-
-
-class MaterialField:
-    """Per-element coefficient pair over a mesh, stored as two flat arrays."""
-
-    def __init__(self, gamma_s, gamma_v):
-        self.gamma_s = np.asarray(gamma_s, dtype=float)
-        self.gamma_v = np.asarray(gamma_v, dtype=float)
-        if self.gamma_s.shape != self.gamma_v.shape:
-            raise ValueError("coefficient arrays must have matching shapes")
-
-    @classmethod
-    def uniform(cls, n_elements, gamma_s, gamma_v):
-        return cls(np.full(n_elements, float(gamma_s)), np.full(n_elements, float(gamma_v)))
-
-    @classmethod
-    def from_stacked(cls, stacked):
-        stacked = np.asarray(stacked, dtype=float)
-        n = stacked.size // 2
-        return cls(stacked[:n].copy(), stacked[n:].copy())
-
-    def __len__(self):
-        return self.gamma_s.size

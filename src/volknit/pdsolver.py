@@ -13,6 +13,7 @@ through a component-mode subspace (per-domain interior eigenmodes plus
 exact boundary coupling, built by build_cms in free-local indices) refined
 by aggregated weighted-Jacobi sweeps.  Colliders are planes and spheres,
 one at a time through collider_targets, shared with the rod simulator.
+Every `gammas` argument is a material, the (2, nE) array of material.py.
 """
 
 from __future__ import annotations
@@ -42,21 +43,23 @@ def assemble_global(mesh, gammas, dt):
     The same matrix acts on each coordinate; expanding to all DOFs would
     just be the Kronecker product with a 3x3 identity.
     """
+    gamma_s, gamma_v = gammas
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if np.any(gammas.gamma_s < 0.0) or np.any(gammas.gamma_v < 0.0):
+    if np.any(gamma_s < 0.0) or np.any(gamma_v < 0.0):
         raise ValueError("negative material coefficient")
     if mesh.node_mass is None:
         raise ValueError("mesh node masses not lumped yet")
-    w = 2.0 * mesh.volume * (gammas.gamma_s + gammas.gamma_v)
+    w = 2.0 * mesh.volume * (gamma_s + gamma_v)
     K = mesh.laplacian(w) + sp.diags(mesh.node_mass / dt**2)
     return K.tocsc()
 
 
 def _coefficients(mesh, gammas):
     """Per-element 2 V_e gamma_s and 2 V_e gamma_v, shaped to scale (nE, 3, 3)."""
+    gamma_s, gamma_v = gammas
     w = 2.0 * mesh.volume[:, None, None]
-    return w * gammas.gamma_s[:, None, None], w * gammas.gamma_v[:, None, None]
+    return w * gamma_s[:, None, None], w * gamma_v[:, None, None]
 
 
 def elastic_rhs(mesh, gammas, x, coef=None):
@@ -68,11 +71,12 @@ def elastic_rhs(mesh, gammas, x, coef=None):
 
 
 def elastic_energy(mesh, gammas, x):
+    gamma_s, gamma_v = gammas
     F = mesh.deformation_gradients(x)
     R, V = mat.batch_projections(F)
     ds = np.sum((F - R) ** 2, axis=(1, 2))
     dv = np.sum((F - V) ** 2, axis=(1, 2))
-    return float(np.sum(mesh.volume * (gammas.gamma_s * ds + gammas.gamma_v * dv)))
+    return float(np.sum(mesh.volume * (gamma_s * ds + gamma_v * dv)))
 
 
 def elastic_gradient(mesh, gammas, x):
@@ -320,7 +324,8 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
 
     At least min_iters iterations run even when x0 already meets tol: a
     start that is converged for neighbouring coefficients is within tol of
-    its own equilibrium, yet a step still carries it there.
+    its own equilibrium, yet a step still carries it there.  An iteration
+    whose two searches both fail leaves x where it is, so the polish stops.
 
     Returns (x, converged flag, iterations used, free-node residual
     infinity norm at x).
@@ -387,18 +392,17 @@ def newton_polish(mesh, gammas, x0, *, dt, pins=(), pin_vals=None,
         return xn, on
 
     obj = objective(x)
-    stall = 0
     for it in range(1, max_iters + 1):
         step = exact_step(x, g)
         xn, on = (None, obj) if step is None else search(step)
         if xn is None:
             xn, on = search(gn_step(g))
         if xn is None:
-            stall += 1
-            if stall >= 10:
+            # x is unchanged, so every later iteration would repeat this one
+            ok = gmax(g) < tol
+            if not ok:
                 log.warning("newton polish stalled at residual %.3e", gmax(g))
-                return x, False, it, gmax(g)
-            xn, on = x, obj
+            return x, ok, it, gmax(g)
         x, obj = xn, on
         g = residual(x)
         if it >= min_iters and gmax(g) < tol:

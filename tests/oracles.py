@@ -794,10 +794,9 @@ def batch_energies(F, gamma_s, gamma_v, volumes):
     return volumes * (gamma_s * ds + gamma_v * dv)
 
 
-def stacked(field):
-    """A MaterialField as one flat [gamma_s; gamma_v], the inverse of
-    MaterialField.from_stacked."""
-    return np.concatenate([field.gamma_s, field.gamma_v])
+def uniform(n_elements, gamma_s, gamma_v):
+    """A (2, nE) material with the same (gamma_s, gamma_v) on every element."""
+    return np.repeat([[float(gamma_s)], [float(gamma_v)]], n_elements, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from volknit import cli, fitting, material as mat, pdsolver, transfer, \
     volmesh, yarn_model
 
 import oracles
-from test_fitting import (equilibrate, fd_gamma_gradient, gamma_vec, loss_at,
+from test_fitting import (equilibrate, fd_gamma_gradient, loss_at,
                           make_scene, synthetic_sample)
 from test_material import _grid_polish_oracle
 from test_pdsolver import random_spd, wavy_mesh
@@ -54,9 +54,8 @@ def random_yarn_scene(seed, truth_span=(2.0, 10.0, 1.0, 5.0)):
     emb = volmesh.embed_yarn(mesh, yarn)
     volmesh.lump_mass(mesh, yarn, emb)
     lo_s, hi_s, lo_v, hi_v = truth_span
-    truth = mat.MaterialField(
-        gamma_s=rng.uniform(lo_s, hi_s, mesh.n_elements),
-        gamma_v=rng.uniform(lo_v, hi_v, mesh.n_elements))
+    truth = np.array([rng.uniform(lo_s, hi_s, mesh.n_elements),
+                      rng.uniform(lo_v, hi_v, mesh.n_elements)])
     end_verts = np.array([0, 1, n - 2, n - 1])
     pins = np.unique(mesh.tets[emb.host_elem[end_verts]])
     pin_vals = mesh.nodes[pins].copy()
@@ -72,8 +71,7 @@ def random_yarn_scene(seed, truth_span=(2.0, 10.0, 1.0, 5.0)):
 
 def state_at(sc, gvec, logger=None):
     problem, sample = sc["problem"], sc["sample"]
-    nE = problem.mesh.n_elements
-    gf = mat.MaterialField(gamma_s=gvec[:nE].copy(), gamma_v=gvec[nE:].copy())
+    gf = gvec.reshape(2, -1)
     x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
                                              max_newton=150)
     assert ok
@@ -171,8 +169,8 @@ def test_03_volume_projection_determinant_floor_and_objective():
 def test_04_subspace_solve_exact_with_complete_bases():
     mesh, _, _ = wavy_mesh(n=34, cell=0.07, mass_floor=1e-5)
     rng = np.random.default_rng(13)
-    gam = mat.MaterialField(gamma_s=rng.uniform(2.0, 8.0, mesh.n_elements),
-                            gamma_v=rng.uniform(1.0, 4.0, mesh.n_elements))
+    gam = np.array([rng.uniform(2.0, 8.0, mesh.n_elements),
+                    rng.uniform(1.0, 4.0, mesh.n_elements)])
     K = pdsolver.assemble_global(mesh, gam, 1e-2)
     dof = K.shape[0]
     assert dof <= 600

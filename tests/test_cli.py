@@ -70,8 +70,7 @@ def make_two_block_asset(dest):
     vox_ix = mesh.voxels[mesh.tet_voxel][:, 0]
     lo = vox_ix <= np.median(np.unique(vox_ix))
     ghi, glo = BLOCK_GAMMA
-    truth = mat.MaterialField(gamma_s=np.where(lo, ghi, glo),
-                              gamma_v=np.zeros(mesh.n_elements))
+    truth = np.array([np.where(lo, ghi, glo), np.zeros(mesh.n_elements)])
 
     # ideal piecewise stretch: ghi*(sh-1) = glo*(ss-1) with the total
     # extension split over the hard span [min, xb) and soft span [xb, max]
@@ -326,18 +325,17 @@ def test_fit_report_counts_gauss_newton_solves(block_ws):
 
 
 def test_fit_keeps_every_coefficient_on_or_above_the_floor(block_ws):
-    field = cli.read_material(os.path.join(str(block_ws), "material.csv"))
-    assert field.gamma_s.min() >= mat.GAMMA_FLOOR
-    assert field.gamma_v.min() >= mat.GAMMA_FLOOR
+    gam = cli.read_material(os.path.join(str(block_ws), "material.csv"))
+    assert gam.min() >= mat.GAMMA_FLOOR
 
 
 def test_fit_recovers_block_contrast(block_ws):
-    field = cli.read_material(os.path.join(str(block_ws), "material.csv"))
+    gam = cli.read_material(os.path.join(str(block_ws), "material.csv"))
     mesh = volmesh.read_mesh(os.path.join(str(block_ws), "mesh"))
     vox_ix = mesh.voxels[mesh.tet_voxel][:, 0]
     lo = vox_ix <= np.median(np.unique(vox_ix))
-    hard = np.median(field.gamma_s[lo])
-    soft = np.median(field.gamma_s[~lo])
+    hard = np.median(gam[0, lo])
+    soft = np.median(gam[0, ~lo])
     assert hard > 2.0 * soft
 
 
@@ -445,6 +443,24 @@ def test_fit_missing_the_gate_reports_and_exits_3(block_ws, tmp_path, monkeypatc
     assert (eq["cold"], eq["warm"]) == (rep["total"], 0) == (1, 0)
     assert rep["gauss_newton"]["solves"] == 0
     assert rep["elapsed_s"] > 0.0
+
+
+def test_failed_fit_leaves_no_earlier_material(block_ws, tmp_path, monkeypatch, capsys):
+    # a re-fit that fails removes the earlier fit's material, so simulate
+    # cannot run on it
+    out = tmp_path / "refit"
+    out.mkdir()
+    shutil.copy(os.path.join(str(block_ws), "material.csv"), out / "material.csv")
+    monkeypatch.setattr(fitting, "EQ_GATE", 0.0)
+    cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"]))
+    cfg["paths"]["material"] = None
+    rc, _ = run_cli("fit", out, cfg)
+    assert rc == cli.EXIT_NUMERIC
+    assert not os.path.exists(out / "material.csv")
+    capsys.readouterr()
+    rc, _ = run_cli("simulate", out, cfg)
+    assert rc == cli.EXIT_USAGE
+    assert "cannot read material file" in capsys.readouterr().err
 
 
 def quick_fit(stalled):

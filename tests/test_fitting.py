@@ -36,10 +36,7 @@ def make_scene(n, cell, gamma_pairs, stretch=0.12):
     xm = 0.5 * (centers[:, 0].min() + centers[:, 0].max())
     right = centers[:, 0] > xm
     (gsl, gvl), (gsr, gvr) = gamma_pairs
-    gam_true = mat.MaterialField(
-        gamma_s=np.where(right, gsr, gsl).astype(float),
-        gamma_v=np.where(right, gvr, gvl).astype(float),
-    )
+    gam_true = np.array([np.where(right, gsr, gsl), np.where(right, gvr, gvl)], dtype=float)
 
     end_verts = np.array([0, 1, n - 2, n - 1])
     pins = np.unique(mesh.tets[emb.host_elem[end_verts]])
@@ -91,15 +88,9 @@ def lighter_stretch_sample(scene, stretch=0.05, index=1):
     return synthetic_sample(dict(scene, pin_vals=pin_vals), index=index)[0]
 
 
-def gamma_vec(field):
-    return np.concatenate([field.gamma_s, field.gamma_v])
-
-
 def loss_at(problem, sample, gvec, tol=1e-10, warm=None):
-    nE = problem.mesh.n_elements
-    gf = mat.MaterialField(gamma_s=gvec[:nE].copy(), gamma_v=gvec[nE:].copy())
     x, resid, ok = problem.solve_equilibrium(
-        gf, sample, x0=sample.x_init if warm is None else warm,
+        gvec.reshape(2, -1), sample, x0=sample.x_init if warm is None else warm,
         tol=tol, pd_iters=4, max_newton=150)
     assert ok, f"equilibrium stalled at residual {resid:.3e}"
     return problem.loss(x, sample)
@@ -323,12 +314,12 @@ class TestSolveEquilibrium:
         # within tol of the new equilibrium; the warm solve still steps
         problem, sample = scene["problem"], scene["sample"]
         nE = problem.mesh.n_elements
-        g = gamma_vec(scene["gam_true"]) * np.linspace(0.8, 1.2, 2 * nE)
-        x, resid, ok = problem.solve_equilibrium(mat.MaterialField.from_stacked(g), sample)
+        g = scene["gam_true"] * np.linspace(0.8, 1.2, 2 * nE).reshape(2, -1)
+        x, resid, ok = problem.solve_equilibrium(g, sample)
         assert ok and resid < 1e-6
         before = fitting.EquilibriumStats(**vars(problem.stats))
         x2, resid2, ok2 = problem.solve_equilibrium(
-            mat.MaterialField.from_stacked(g * (1.0 + 1e-9)), sample, x0=x)
+            g * (1.0 + 1e-9), sample, x0=x)
         assert ok2 and resid2 < 1e-6
         assert not np.array_equal(x2, x)
         st = problem.stats
@@ -363,7 +354,7 @@ class TestGammaJacobian:
             unit = np.zeros(2 * nE)
             unit[col] = 1.0
             g = pdsolver.elastic_gradient(
-                mesh, mat.MaterialField.from_stacked(unit), x).reshape(-1)
+                mesh, unit.reshape(2, -1), x).reshape(-1)
             assert np.abs(J[:, col] - g).max() <= 1e-14 * np.abs(g).max()
 
 
@@ -372,7 +363,7 @@ class TestAdjointGradient:
         problem, sample = small_scene["problem"], small_scene["sample"]
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
-        gf = mat.MaterialField(gamma_s=g0[:nE].copy(), gamma_v=g0[nE:].copy())
+        gf = g0.reshape(2, -1)
         x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
                                                  max_newton=150)
         assert ok
@@ -407,7 +398,7 @@ class TestAdjointGradient:
             inertia=np.zeros((4, 3)), pins=pins, pin_vals=pin_vals,
             x_init=np.vstack([pin_vals, mesh.nodes[3]]), op=problem.op)
         g0 = np.array([3.0, 1.5])
-        gf = mat.MaterialField(gamma_s=g0[:1].copy(), gamma_v=g0[1:].copy())
+        gf = g0.reshape(2, -1)
         x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-12)
         assert ok
         state = fitting.adjoint_gradient(problem, sample, gf, x,
@@ -434,7 +425,7 @@ class TestAdjointGradient:
         p2 = fitting.FitProblem(transfer.Y2VOperator(mesh, emb, yarn, alpha=0.2), dt=DT)
         nE = mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.5), np.full(nE, 3.5)])
-        gf = mat.MaterialField(gamma_s=g0[:nE].copy(), gamma_v=g0[nE:].copy())
+        gf = g0.reshape(2, -1)
         x, resid, ok = p2.solve_equilibrium(gf, sample, tol=1e-10,
                                             max_newton=150)
         assert ok
@@ -462,7 +453,7 @@ class TestAdjointGradient:
         # MatrixRankWarning, by an all-NaN result; either retries on H + kI
         problem, sample = small_scene["problem"], small_scene["sample"]
         nE = problem.mesh.n_elements
-        gf = mat.MaterialField(gamma_s=np.full(nE, 2.0), gamma_v=np.full(nE, 4.0))
+        gf = oracles.uniform(nE, 2.0, 4.0)
         x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
         assert ok
         plain = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid).grad
@@ -495,9 +486,7 @@ class TestAdjointGradient:
 class TestGaussNewton:
     def _state(self, sc, gvec):
         problem, sample = sc["problem"], sc["sample"]
-        nE = problem.mesh.n_elements
-        gf = mat.MaterialField(gamma_s=gvec[:nE].copy(),
-                               gamma_v=gvec[nE:].copy())
+        gf = gvec.reshape(2, -1)
         x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
                                                  max_newton=150)
         assert ok
@@ -518,7 +507,7 @@ class TestGaussNewton:
 
     def test_zero_gradient_zero_direction(self, small_scene):
         problem, sample = small_scene["problem"], small_scene["sample"]
-        state = self._state(small_scene, gamma_vec(small_scene["gam_true"]))
+        state = self._state(small_scene, small_scene["gam_true"])
         if np.linalg.norm(state.grad) > 0.0:
             # drive the gradient to exact zero: stationarity modulo the
             # last bits of the equilibrium solve
@@ -604,7 +593,7 @@ class TestSafeguardedUpdate:
 class TestFitSample:
     def test_immediate_termination_at_truth(self, scene):
         problem, sample = scene["problem"], scene["sample"]
-        g0 = gamma_vec(scene["gam_true"])
+        g0 = scene["gam_true"].reshape(-1)
         res = fitting.fit_sample(problem, [sample], g0)
         assert len(res.losses) == 1
         assert not res.stalled
@@ -770,8 +759,7 @@ class TestHarmonicBasis:
         gvec = np.concatenate([H @ q0[:r], H @ q0[r:]])
         assert gvec.min() > 0.5
 
-        gf = mat.MaterialField(gamma_s=gvec[:nE].copy(),
-                               gamma_v=gvec[nE:].copy())
+        gf = gvec.reshape(2, -1)
         x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
                                                  max_newton=150)
         assert ok
@@ -808,7 +796,7 @@ class TestStaging:
         # the rank-1 space cannot hold the full stage's optimum, so the r1
         # stage evaluates its own start instead of taking over that state
         problem, sample = scene["problem"], scene["sample"]
-        g0 = gamma_vec(scene["gam_true"])
+        g0 = scene["gam_true"].reshape(-1)
         res, stages = fitting.fit_staged(problem, [sample], g0, ranks=(None, 1),
                                          gd_iters=0, gn_iters=0)
         assert stages["full"] < 1e-15
@@ -820,7 +808,7 @@ class TestStaging:
     def test_r1_recovers_uniform_truth(self, uniform_scene):
         problem, sample = uniform_scene["problem"], uniform_scene["sample"]
         nE = problem.mesh.n_elements
-        ref = loss_at(problem, sample, gamma_vec(uniform_scene["gam_true"]),
+        ref = loss_at(problem, sample, uniform_scene["gam_true"].reshape(-1),
                       tol=1e-9)
         g0 = np.concatenate([np.full(nE, 24.0), np.full(nE, 1.6)])
         res, stages = fitting.fit_staged(problem, [sample], g0, ranks=(1,))
@@ -840,9 +828,7 @@ class TestSummedObjective:
     G0 = (2.0, 4.0)
 
     def _field(self, problem):
-        nE = problem.mesh.n_elements
-        return mat.MaterialField(gamma_s=np.full(nE, self.G0[0]),
-                                 gamma_v=np.full(nE, self.G0[1]))
+        return oracles.uniform(problem.mesh.n_elements, *self.G0)
 
     def test_loss_and_gradient_are_the_per_sample_sums(self, small_scene,
                                                        two_samples):
@@ -868,10 +854,10 @@ class TestSummedObjective:
         adjoint states, its gradient zeroed on the fit's active set (the
         floored coefficients with a positive gradient), and that set."""
         gf = self._field(problem)
-        gf.gamma_s[::3] = gf.gamma_v[1::3] = mat.GAMMA_FLOOR
+        gf[0, ::3] = gf[1, 1::3] = mat.GAMMA_FLOOR
         _, xs, resids = problem.evaluate(gf, samples)
         states, grad = fitting.objective_gradient(problem, samples, gf, xs, resids)
-        active = np.flatnonzero((grad > 0.0) & (gamma_vec(gf) <= mat.GAMMA_FLOOR))
+        active = np.flatnonzero((grad > 0.0) & (gf.reshape(-1) <= mat.GAMMA_FLOOR))
         assert len(active)
         grad = grad.copy()
         grad[active] = 0.0
@@ -940,19 +926,19 @@ class TestFitSequence:
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=4)
-        field, report = fitting.fit_sequence(problem, [sample], g0,
+        gam, report = fitting.fit_sequence(problem, [sample], g0,
                                              gd_iters=2, gn_iters=4)
-        assert np.array_equal(gamma_vec(field), res.gamma)
+        assert gam.shape == (2, nE) and np.array_equal(gam.reshape(-1), res.gamma)
         assert not report["failed"]
         assert report["gate_violations"] == 0
         assert [r["loss"] for r in report["samples"]] == [res.loss]
 
     def test_identical_samples_idempotent(self, scene):
         problem, sample = scene["problem"], scene["sample"]
-        g0 = gamma_vec(scene["gam_true"])
-        field, report = fitting.fit_sequence(problem, [sample, sample], g0,
+        g0 = scene["gam_true"].reshape(-1)
+        gam, report = fitting.fit_sequence(problem, [sample, sample], g0,
                                              gd_iters=2, gn_iters=4)
-        assert np.allclose(gamma_vec(field), g0, rtol=0, atol=1e-12)
+        assert np.allclose(gam.reshape(-1), g0, rtol=0, atol=1e-12)
         assert not report["failed"]
 
     def test_stalled_pass_reports_failed_and_returns_its_field(self, scene,
@@ -970,11 +956,11 @@ class TestFitSequence:
                                      stalled=True)
 
         monkeypatch.setattr(fitting, "fit_sample", stalled)
-        field, report = fitting.fit_sequence(problem, [sample, sample],
+        gam, report = fitting.fit_sequence(problem, [sample, sample],
                                              np.full(2 * nE, 1.0))
         assert calls == [[sample, sample]]
         assert report["failed"]
-        assert np.array_equal(gamma_vec(field), np.full(2 * nE, 4.0))
+        assert np.array_equal(gam.reshape(-1), np.full(2 * nE, 4.0))
         assert [r["loss"] for r in report["samples"]] == \
             [problem.loss(sample.x_init, sample)] * 2
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from volknit import material as mat
+from volknit import cli, material as mat
 from conftest import random_f, random_rotation
 
 
@@ -660,17 +660,20 @@ def test_batch_energies(rng):
 
 
 # ---------------------------------------------------------------------------
-# material field container
+# material files
 
 
-def test_material_field_roundtrip():
-    f = mat.MaterialField.uniform(7, 1.5, 0.25)
-    st = oracles.stacked(f)
-    assert st.shape == (14,)
-    g = mat.MaterialField.from_stacked(st)
-    assert np.array_equal(g.gamma_s, f.gamma_s)
-    assert np.array_equal(g.gamma_v, f.gamma_v)
-    assert len(g) == 7
+def test_material_field_roundtrip(tmp_path):
+    # a material is one (2, nE) array; its file round trip keeps every bit
+    gam = np.random.default_rng(3).uniform(0.1, 5.0, (2, 7))
+    path, again = tmp_path / "material.csv", tmp_path / "again.csv"
+    cli.write_material(path, gam, "0")
+    back = cli.read_material(path)
+    assert back.shape == (2, 7) and back.dtype == np.float64
+    assert back.flags.c_contiguous
+    assert np.array_equal(back, gam)
+    cli.write_material(again, back, "0")
+    assert again.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

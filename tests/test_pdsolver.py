@@ -46,7 +46,7 @@ def pinned_bench_patch(courses=6, wales=40):
     mesh = volmesh.voxelize(model, 0.03)
     volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
     K = pdsolver.assemble_global(
-        mesh, mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
+        mesh, oracles.uniform(mesh.n_elements, 1.0, 1.0), 2e-2)
     x = mesh.nodes[:, 0]
     pins = np.flatnonzero((x <= x.min() + 1e-9) | (x >= x.max() - 1e-9))
     return mesh, K, pins, np.setdiff1d(np.arange(mesh.n_nodes), pins)
@@ -69,22 +69,22 @@ def random_spd(rng, n, density=0.3):
 class TestAssembly:
     def test_symmetric(self):
         mesh, _, _ = wavy_mesh()
-        gam = mat.MaterialField.uniform(mesh.n_elements, 3.0, 1.5)
+        gam = oracles.uniform(mesh.n_elements, 3.0, 1.5)
         K = pdsolver.assemble_global(mesh, gam, 1e-3)
         d = abs(K - K.T).max()
         assert d < 1e-12
 
     def test_zero_gamma_is_mass_diagonal(self):
         mesh, _, _ = wavy_mesh()
-        gam = mat.MaterialField.uniform(mesh.n_elements, 0.0, 0.0)
+        gam = oracles.uniform(mesh.n_elements, 0.0, 0.0)
         dt = 2e-3
         K = pdsolver.assemble_global(mesh, gam, dt).toarray()
         assert np.allclose(K, np.diag(mesh.node_mass / dt**2), atol=1e-14)
 
     def test_linear_in_gamma(self):
         mesh, _, _ = wavy_mesh()
-        g1 = mat.MaterialField.uniform(mesh.n_elements, 2.0, 1.0)
-        g2 = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        g1 = oracles.uniform(mesh.n_elements, 2.0, 1.0)
+        g2 = oracles.uniform(mesh.n_elements, 4.0, 2.0)
         dt = 1e-3
         M = sp.diags(mesh.node_mass / dt**2)
         A1 = (pdsolver.assemble_global(mesh, g1, dt) - M).toarray()
@@ -108,7 +108,7 @@ class TestAssembly:
         small.node_mass = rng.uniform(0.1, 1.0, size=nv)
         gs = rng.uniform(0.5, 2.0, size=2)
         gv = rng.uniform(0.5, 2.0, size=2)
-        gam = mat.MaterialField(gamma_s=gs, gamma_v=gv)
+        gam = np.array([gs, gv])
         dt = 1e-2
 
         dense = np.zeros((3 * nv, 3 * nv))
@@ -129,7 +129,7 @@ class TestAssembly:
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
         nE, nv = mesh.n_elements, mesh.n_nodes
         gs, gv = rng.uniform(0.5, 2.0, nE), rng.uniform(0.5, 2.0, nE)
-        gam = mat.MaterialField(gamma_s=gs, gamma_v=gv)
+        gam = np.array([gs, gv])
         x = mesh.nodes + 0.2 * mesh.cell_size * rng.normal(size=mesh.nodes.shape)
         dt = 1e-2
         De = oracles.diff_op(mesh.shape_grad)             # (nE, 9, 12)
@@ -166,19 +166,20 @@ class TestAssembly:
 
     def test_rejects_bad_input(self):
         mesh, _, _ = wavy_mesh()
-        gam = mat.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
+        gam = oracles.uniform(mesh.n_elements, 1.0, 1.0)
         with pytest.raises(ValueError):
             pdsolver.assemble_global(mesh, gam, 0.0)
-        bad = mat.MaterialField(gamma_s=np.full(mesh.n_elements, -1.0),
-                                gamma_v=np.ones(mesh.n_elements))
+        bad = oracles.uniform(mesh.n_elements, -1.0, 1.0)
         with pytest.raises(ValueError):
             pdsolver.assemble_global(mesh, bad, 1e-3)
+        with pytest.raises(ValueError):         # not a (2, nE) material
+            pdsolver.assemble_global(mesh, gam.reshape(-1), 1e-3)
 
 
 class TestElasticGradient:
     def test_matches_finite_differences(self, rng):
         mesh = single_tet()
-        gam = mat.MaterialField.uniform(1, 2.0, 1.2)
+        gam = oracles.uniform(1, 2.0, 1.2)
         x = mesh.nodes + 0.1 * rng.normal(size=(4, 3))
         g = pdsolver.elastic_gradient(mesh, gam, x)
         h = 1e-6
@@ -192,7 +193,7 @@ class TestElasticGradient:
 
     def test_zero_at_rigid_motion(self, rng):
         mesh, _, _ = wavy_mesh()
-        gam = mat.MaterialField.uniform(mesh.n_elements, 3.0, 2.0)
+        gam = oracles.uniform(mesh.n_elements, 3.0, 2.0)
         from tests.conftest import random_rotation
         Q = random_rotation(rng)
         x = mesh.nodes @ Q.T + rng.normal(size=3)
@@ -207,7 +208,7 @@ class TestElasticGradient:
 class TestStepping:
     def test_rest_is_fixed_point(self):
         mesh, _, _ = wavy_mesh()
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         x = pdsolver.pd_step(mesh, gam, mesh.nodes, 1e-3, *NO_PINS, iterations=5)
         assert np.abs(x - mesh.nodes).max() < 1e-12
 
@@ -219,7 +220,7 @@ class TestStepping:
         # polished step
         mesh, _, _ = wavy_mesh()
         mesh.node_mass = np.full(mesh.n_nodes, 1e-3)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt, steps = 1e-3, 8
         g = np.array([0.0, -9.8, 0.0])
         f = mesh.node_mass[:, None] * g
@@ -242,7 +243,7 @@ class TestStepping:
         # at small dt the scheme's O(dt^2 n) lag stays below 1e-8 per step
         mesh, _, _ = wavy_mesh()
         mesh.node_mass = np.full(mesh.n_nodes, 1e-3)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt, steps = 1e-5, 10
         g = np.array([0.0, -9.8, 0.0])
         f = mesh.node_mass[:, None] * g
@@ -255,7 +256,7 @@ class TestStepping:
 
     def test_objective_monotone_without_collisions(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt = 1e-3
         pins = np.flatnonzero(np.abs(mesh.nodes[:, 0] - mesh.nodes[:, 0].min()) < 1e-9)
         tgt = mesh.nodes[pins]
@@ -274,7 +275,7 @@ class TestStepping:
 
     def test_non_finite_abort_reports_iteration(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
 
         class BadSolver:
             def solve(self, b, pin_vals):
@@ -285,7 +286,7 @@ class TestStepping:
 
     def test_pinned_nodes_track_targets(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         pins = np.array([0, 1, 2])
         tgt = mesh.nodes[pins] + np.array([0.0, 0.01, 0.0])
         x = pdsolver.pd_step(mesh, gam, mesh.nodes, 1e-3, pins, tgt, iterations=4)
@@ -306,8 +307,7 @@ class TestExactHessian:
         F = mesh.deformation_gradients(x)
         assert np.any(np.linalg.det(F) < 0.0)
         assert np.any(mat.sl3_sigma_project_batch(mat.svd_rv_batch(F)[1])[2])
-        gam = mat.MaterialField(gamma_s=rng.uniform(0.5, 2.0, mesh.n_elements),
-                                gamma_v=rng.uniform(0.5, 2.0, mesh.n_elements))
+        gam = rng.uniform(0.5, 2.0, (2, mesh.n_elements))
         H = pdsolver.exact_elastic_hessian(mesh, gam, x).toarray()
         h = 1e-6
         fd = np.empty_like(H)
@@ -357,7 +357,7 @@ class TestBacktrack:
 class TestNewtonPolish:
     def test_single_tet_matches_derivative_free_minimizer(self):
         mesh = single_tet()
-        gam = mat.MaterialField.uniform(1, 2.0, 1.0)
+        gam = oracles.uniform(1, 2.0, 1.0)
         pins = np.array([0, 1, 2])
         pv = mesh.nodes[:3].copy()
         a = np.zeros((4, 3))
@@ -383,7 +383,7 @@ class TestNewtonPolish:
 
     def test_zero_iterations_at_equilibrium(self):
         mesh = single_tet()
-        gam = mat.MaterialField.uniform(1, 2.0, 1.0)
+        gam = oracles.uniform(1, 2.0, 1.0)
         x, ok, iters, _ = pdsolver.newton_polish(
             mesh, gam, mesh.nodes, dt=1.0, inertia_target=np.zeros((4, 3)),
             tol=1e-5)
@@ -392,7 +392,7 @@ class TestNewtonPolish:
 
     def test_zero_gamma_zero_target_trivial(self):
         mesh = single_tet()
-        gam = mat.MaterialField.uniform(1, 0.0, 0.0)
+        gam = oracles.uniform(1, 0.0, 0.0)
         x, ok, iters, _ = pdsolver.newton_polish(
             mesh, gam, mesh.nodes * 1.3, dt=1.0,
             inertia_target=np.zeros((4, 3)), tol=1e-5)
@@ -400,7 +400,7 @@ class TestNewtonPolish:
 
     def test_dynamic_flavor_reaches_step_equilibrium(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt = 1e-3
         xhat = mesh.nodes * 1.01
         x, ok, _, resid = pdsolver.newton_polish(
@@ -412,7 +412,7 @@ class TestNewtonPolish:
 
     def test_mismatched_arguments_rejected(self):
         mesh = single_tet()
-        gam = mat.MaterialField.uniform(1, 1.0, 1.0)
+        gam = oracles.uniform(1, 1.0, 1.0)
         with pytest.raises(ValueError):
             pdsolver.newton_polish(mesh, gam, mesh.nodes, dt=1.0)
 
@@ -431,7 +431,7 @@ class TestNewtonPolish:
 
     def _dynamic_polish(self, max_iters=100):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         xhat = mesh.nodes * 1.01
         return pdsolver.newton_polish(mesh, gam, xhat, dt=1e-3, xhat=xhat, tol=1e-7,
                                       max_iters=max_iters)
@@ -455,10 +455,28 @@ class TestNewtonPolish:
         assert len(calls) == 1
 
 
+    def test_failed_searches_stop_at_the_first_iteration(self, monkeypatch):
+        # with both searches failing x cannot move, so a second iteration
+        # would repeat the first: one exact Jacobian, then the return
+        mesh, _, _, _ = pinned_bench_patch(3, 12)
+        gam = oracles.uniform(mesh.n_elements, 1.0, 1.0)
+        jacobians = []
+        hessian = pdsolver.exact_elastic_hessian
+        monkeypatch.setattr(pdsolver, "exact_elastic_hessian",
+                            lambda *a: jacobians.append(1) or hessian(*a))
+        monkeypatch.setattr(pdsolver, "backtrack", lambda *a: (None, None, 0.0))
+        xhat = mesh.nodes.copy()
+        x0 = xhat + 1e-3 * np.random.default_rng(0).normal(size=xhat.shape)
+        x, ok, iters, resid = pdsolver.newton_polish(mesh, gam, x0, dt=1e-3,
+                                                     xhat=xhat, tol=1e-9)
+        assert (len(jacobians), iters, ok) == (1, 1, False)
+        assert np.array_equal(x, x0) and resid > 1e-9
+
+
 class TestQuasiStatic:
     def test_proximal_rounds_monotone(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt = 1e-2
         pins = np.array([0])
         pv = mesh.nodes[pins]
@@ -480,7 +498,7 @@ class TestQuasiStatic:
 class TestCms:
     def setup_system(self, dt=1e-2):
         mesh, _, _ = wavy_mesh(n=34, cell=0.07, mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        gam = oracles.uniform(mesh.n_elements, 4.0, 2.0)
         K = pdsolver.assemble_global(mesh, gam, dt)
         return mesh, K
 
@@ -706,7 +724,7 @@ class TestColliders:
     def settle(self, colliders, steps=250):
         mesh, _, _ = wavy_mesh(n=22, cell=0.05)
         mesh.node_mass = np.full(mesh.n_nodes, 2e-4)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 50.0, 25.0)
+        gam = oracles.uniform(mesh.n_elements, 50.0, 25.0)
         f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])
         frames = pdsolver.simulate_mesh(mesh, gam, steps, 2e-3, forces=f, colliders=colliders,
                                         iterations=10, damping=0.9)
@@ -743,7 +761,7 @@ class TestColliders:
         dt = 1e-2
         planes = (("plane", (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
                   ("plane", (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
-        gam = mat.MaterialField.uniform(1, 0.0, 0.0)
+        gam = oracles.uniform(1, 0.0, 0.0)
         x = pdsolver.pd_step(mesh, gam, x0, dt, *NO_PINS, iterations=200, colliders=planes)
 
         m_dt2 = mesh.node_mass[0] / dt**2
@@ -766,7 +784,7 @@ class TestColliders:
 class TestGlobalSolver:
     def test_direct_block_solve_equals_column_solves(self, rng):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        gam = oracles.uniform(mesh.n_elements, 4.0, 2.0)
         K = pdsolver.assemble_global(mesh, gam, 1e-2)
         pins = np.arange(0, mesh.n_nodes, 7)
         free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
@@ -781,7 +799,7 @@ class TestGlobalSolver:
 
     def test_cms_solve_refines_the_subspace_start(self, rng):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        gam = oracles.uniform(mesh.n_elements, 4.0, 2.0)
         K = pdsolver.assemble_global(mesh, gam, 1e-2)
         pins = np.arange(0, mesh.n_nodes, 7)
         free = np.setdiff1d(np.arange(mesh.n_nodes), pins)
@@ -806,7 +824,7 @@ class TestGlobalSolver:
         # are the lowest eigenpairs of dense eigh; when ARPACK raises, the
         # dense eigh stands in
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 4.0, 2.0)
+        gam = oracles.uniform(mesh.n_elements, 4.0, 2.0)
         K = pdsolver.assemble_global(mesh, gam, 1e-2)
         Kd = K.toarray()
         w, V = np.linalg.eigh(Kd)
@@ -837,7 +855,7 @@ class TestSimulate:
         # solves with the one base factorization, to the bits of the
         # reference that factorizes each step
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt, steps = 1e-3, 5
         f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])
         kw = dict(forces=f, iterations=6, damping=0.9,
@@ -857,7 +875,7 @@ class TestSimulate:
         # the loop that kept its state in a SimState and made a polished
         # step's prediction and velocity twice gives the same bits
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt, steps = 1e-3, 4
         c = mesh.nodes[:, 0]
         pins = np.flatnonzero((c <= c.min() + 1e-9) | (c >= c.max() - 1e-9))
@@ -899,14 +917,14 @@ class TestSimulate:
         # collider steps are never polished, so a polish_tol there would be
         # silently dropped
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         floor = (("plane", mesh.nodes.min(axis=0), (0.0, 1.0, 0.0)),)
         with pytest.raises(ValueError, match="polish_tol.*colliders"):
             pdsolver.simulate_mesh(mesh, gam, 2, 1e-3, colliders=floor, polish_tol=1e-8)
 
     def test_cms_mode_matches_direct(self):
         mesh, _, _ = wavy_mesh(mass_floor=1e-5)
-        gam = mat.MaterialField.uniform(mesh.n_elements, 5.0, 3.0)
+        gam = oracles.uniform(mesh.n_elements, 5.0, 3.0)
         dt = 1e-3
         pins = np.flatnonzero(np.abs(mesh.nodes[:, 0] - mesh.nodes[:, 0].min()) < 1e-9)
         f = mesh.node_mass[:, None] * np.array([0.0, -9.8, 0.0])

@@ -11,7 +11,8 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from volknit import fitting, material, pdsolver, volmesh, yarn_model
+import oracles
+from volknit import fitting, pdsolver, volmesh, yarn_model
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
@@ -50,7 +51,7 @@ def small_mesh():
                                  wale_spacing=0.005, amplitude=0.002, rib_period=4)
     mesh = volmesh.voxelize(model, 0.03)
     volmesh.lump_mass(mesh, model, volmesh.embed_yarn(mesh, model))
-    return mesh, material.MaterialField.uniform(mesh.n_elements, 1.0, 1.0)
+    return mesh, oracles.uniform(mesh.n_elements, 1.0, 1.0)
 
 
 def test_polish_note_counts_the_iterations(monkeypatch):
