@@ -248,6 +248,9 @@ def validate_config(cfg):
     if not isinstance(ranks, list) or not ranks or not all(
             r is None or (type(r) is int and r >= 1) for r in ranks):
         raise ConfigError("fit.ranks must be a non-empty list of nulls and integers >= 1")
+    if len(set(ranks)) < len(ranks):
+        # fit_report.json keys the stage losses by rank, so a repeat would drop one
+        raise ConfigError("fit.ranks must not repeat a rank")
     for section in ("generate", "simulate"):
         items = cfg[section]["colliders"]
         if not isinstance(items, list):

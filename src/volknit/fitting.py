@@ -7,10 +7,12 @@ per-sample pose-matching losses.  Each sample keeps its own equilibrium
 state and adjoint solve against the exact equilibrium Jacobian; gradients
 add up, and Gauss-Newton directions come from one sparse symmetric block
 system, one block pair per sample, that never forms the dense sensitivity
-matrix.  A spectral coarse-to-fine schedule (element-graph Laplacian
-eigenvectors, ranks 1 / 10 / 30 / full) initializes the material, and one
-cold full-space pass from it ends the fit (without that pass the bench
-training loss was 10 % higher).
+matrix.  The parameter is the per-element coefficient vector alone.  A
+spectral coarse-to-fine schedule (element-graph Laplacian eigenvectors,
+ranks 1 / 10 / 30 / full) initializes the material: each stage's basis
+only restricts the direction, and each stage starts at the previous
+stage's coefficients.  One cold full-space pass from them ends the fit
+(without that pass the bench training loss was 10 % higher).
 
 A sample's first equilibrium is a cold solve: proximal rounds from the
 transferred pose, then Newton.  Every trial after it is a warm solve from
@@ -333,18 +335,15 @@ def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
 
 
 def safeguarded_update(gamma, d, step, eval_loss, current_loss,
-                       floor=mat.GAMMA_FLOOR, tries=MAX_HALVINGS + 1):
-    """Backtracking update projected onto a floor.
+                       tries=MAX_HALVINGS + 1):
+    """Backtracking update projected onto GAMMA_FLOOR.
 
-    Trials max(gamma + t*step*d, floor) at t = 1, 1/2, ..., at most `tries`
-    of them, halving t while the loss does not decrease; tries 1 takes the
-    fixed step or nothing.  floor None leaves the trials unprojected, for
-    parameters that map to the coefficients elsewhere.  Returns (gamma',
-    loss', accepted, t).
+    Trials max(gamma + t*step*d, GAMMA_FLOOR) at t = 1, 1/2, ..., at most
+    `tries` of them, halving t while the loss does not decrease; tries 1
+    takes the fixed step or nothing.  Returns (gamma', loss', accepted, t).
     """
     def point(t):
-        trial = gamma + t * step * d
-        return trial if floor is None else np.maximum(trial, floor)
+        return np.maximum(gamma + t * step * d, mat.GAMMA_FLOOR)
 
     trial, val, t = pdsolver.backtrack(point, eval_loss, current_loss, tries)
     if trial is None:
@@ -381,7 +380,6 @@ class FitResult:
     losses: list
     stalled: bool
     resids: list = None        # equilibrium residual of each final state
-    params: np.ndarray = None  # the fit's coordinates (gamma in the full space)
 
 
 def _gn_direction(states, grad, kappa, basis, active, logger):
@@ -410,45 +408,39 @@ def _gn_direction(states, grad, kappa, basis, active, logger):
     return d, kappa
 
 
-def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
+def fit_sample(problem, samples, gamma0, *, basis=None,
                gd_iters=GD_ITERS, gn_iters=GN_ITERS, logger=None, init_state=None):
     """Two-phase fit of the summed loss of `samples`: gradient descent,
     then Gauss-Newton.
 
-    The parameters are the coefficients themselves, with a gradient zeroed
-    on the active set (floored entries it would push down), or with `basis`
-    the spectral coordinates q of length 2r (coefficients = basis @ q per
-    field, floored elementwise), starting at q0 or at gamma0's coordinates.
-    Both phases step with safeguarded_update and stop at their first
-    rejected step.  GD tries its fixed step -GD_STEP*grad once; GN halves
-    its step along _gn_direction up to MAX_HALVINGS times and also stops
-    when the loss plateaus.  The first evaluation solves every sample cold,
-    each trial solves them warm from their current states, and a trial that
-    misses EQ_GATE on any sample fails; a phase that ends without moving
-    hands its adjoint states to the next.  `init_state` is an optional
-    (loss, states, residuals) triple for gamma0, so a stage starts exactly
-    at the previous optimum.  Returns FitResult.
+    The parameter is the coefficient vector, from gamma0 floored at
+    GAMMA_FLOOR.  Without `basis` the gradient is zeroed on the active set
+    (floored entries it would push down); an (nE, r) `basis` restricts the
+    direction to its span per field: the gradient enters in its
+    coordinates, and the direction found there steps the coefficients by
+    basis @ d per field.  Both phases step with safeguarded_update and stop
+    at their first rejected step.  GD tries its fixed step -GD_STEP*grad
+    once; GN halves its step along _gn_direction up to MAX_HALVINGS times
+    and also stops when the loss plateaus.  The first evaluation solves
+    every sample cold, each trial solves them warm from their current
+    states, and a trial that misses EQ_GATE on any sample fails; a phase
+    that ends without moving hands its adjoint states to the next.  An
+    `init_state`, the (loss, states, residuals) triple of gamma0, starts a
+    stage exactly at the previous optimum.  Returns FitResult.
     """
     if not len(samples):
         raise ValueError("need at least one sample")
     logger = FitLogger() if logger is None else logger
-    if basis is None:
-        params = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
-    elif q0 is None:
-        params = _coords(basis, np.asarray(gamma0, dtype=float))
-    else:
-        params = np.asarray(q0, dtype=float).copy()
-
-    def to_gamma(p):
-        if basis is None:
-            return p
-        r = basis.shape[1]
-        return np.maximum(np.concatenate([basis @ p[:r], basis @ p[r:]]), mat.GAMMA_FLOOR)
 
     def eval_at(gamma_vec, warm=None):
         return problem.evaluate(gamma_vec.reshape(2, -1), samples, warm)
 
-    gamma = to_gamma(params)
+    def lift(d):
+        # a direction in the stage's coordinates steps gamma by basis @ d per field
+        r = len(d) // 2
+        return d if basis is None else np.concatenate([basis @ d[:r], basis @ d[r:]])
+
+    gamma = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
     loss, xs, resids = eval_at(gamma) if init_state is None else init_state
     losses = [loss]
     stalled = False
@@ -458,7 +450,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
         # every trial starts from the current states; safeguarded_update
         # accepts the last trial it evaluates, so its states are kept
         nonlocal trial_state
-        val, *trial_state = eval_at(to_gamma(trial), xs)
+        val, *trial_state = eval_at(trial, xs)
         return val if max(trial_state[1]) < EQ_GATE else np.inf
 
     kappa = None
@@ -471,7 +463,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
                 states, grad_full = objective_gradient(
                     problem, samples, gamma.reshape(2, -1), xs, resids, logger=logger)
             grad = _coords(basis, grad_full).copy()
-            active = (np.flatnonzero((grad > 0.0) & (params <= mat.GAMMA_FLOOR))
+            active = (np.flatnonzero((grad > 0.0) & (gamma <= mat.GAMMA_FLOOR))
                       if basis is None else [])
             grad[active] = 0.0
             gnorm = float(np.linalg.norm(grad))
@@ -481,12 +473,10 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
                 d = -grad
             else:
                 d, kappa = _gn_direction(states, grad, kappa, basis, active, logger)
-            # spectral coordinates may go negative; to_gamma floors them
-            params, loss, accepted, t = safeguarded_update(
-                params, d, step, eval_loss, loss,
-                floor=mat.GAMMA_FLOOR if basis is None else None, tries=tries)
+            gamma, loss, accepted, t = safeguarded_update(
+                gamma, lift(d), step, eval_loss, loss, tries=tries)
             if accepted:
-                gamma, (xs, resids) = to_gamma(params), trial_state
+                xs, resids = trial_state
                 states = None
             logger.log_iter(phase, it, loss, step * t, gnorm)
             losses.append(loss)
@@ -501,7 +491,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None, q0=None,
                     break
 
     return FitResult(gamma=gamma, loss=loss, xs=xs, losses=losses,
-                     stalled=stalled, resids=resids, params=params)
+                     stalled=stalled, resids=resids)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +503,8 @@ def harmonic_basis(mesh, r):
 
     Coefficients live on elements, so the graph couples elements sharing a
     face.  Columns are orthonormal and the first is the constant vector;
-    prefixes are nested, which lets a coarser stage's coordinates carry
-    over by zero-padding.
+    prefixes are nested, so one build at the largest rank serves every
+    stage of a schedule.
     """
     nE = mesh.n_elements
     r = min(r, nE)
@@ -523,13 +513,10 @@ def harmonic_basis(mesh, r):
     # L is singular (the constants are its null space), so the shift sits below 0
     H = pdsolver.lowest_modes(L, r, -1e-6, 1500)
     # pin the null eigenvector to the exact constant and re-orthonormalize;
-    # QR preserves the nested prefix spans
-    H = H.copy()
+    # QR keeps the nested prefix spans, and the sign fix a positive constant
     H[:, 0] = 1.0 / np.sqrt(nE)
     Q, R = np.linalg.qr(H)
     Q *= np.sign(np.diag(R))[None, :]
-    if Q[0, 0] < 0:
-        Q[:, 0] *= -1.0
     return Q
 
 
@@ -538,41 +525,30 @@ def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS, logger=None,
     """Coarse-to-fine fit of the summed loss through nested spectral
     subspaces.
 
-    Rank None means the full per-element space.  A stage whose space holds
-    the previous stage's optimum (a larger or equal rank, zero-padding the
-    coordinates, or the full space) starts exactly there, with its states, so
-    stage-final losses can only decrease along the schedule.  Returns
-    (FitResult, stage_losses dict); the result's `losses` run along the
-    whole schedule, from the first stage's cold evaluation.
+    Each stage restricts the direction to the first `rank` harmonics per
+    field, or not at all for rank None (the full per-element space).  Every
+    stage after the first starts exactly at the previous stage's
+    coefficients, loss and states, so stage-final losses can only decrease
+    along the schedule.  Returns (FitResult, stage_losses dict); the
+    result's `losses` run along the whole schedule, from the first stage's
+    cold evaluation.
     """
-    logger = FitLogger() if logger is None else logger
     max_rank = max((rk for rk in ranks if rk is not None), default=0)
     H_full = harmonic_basis(problem.mesh, max_rank) if max_rank else None
     if H_full is not None and H_full.shape[1] < max_rank:
         log.warning("spectral basis truncated to rank %d", H_full.shape[1])
 
-    gamma = np.asarray(gamma0, dtype=float).copy()
+    gamma, start = gamma0, None
     stage_losses = {}
     losses = []
-    result = None
-    r_prev = None           # the previous stage's rank; None in the full space
     for rk in ranks:
-        basis = None if rk is None else H_full[:, :min(rk, H_full.shape[1])]
-        r = None if basis is None else basis.shape[1]
-        q0 = carry = None
-        if result is not None and (r is None or (r_prev is not None and r_prev <= r)):
-            carry = (result.loss, result.xs, result.resids)
-            if r is not None:
-                q0 = np.zeros(2 * r)
-                q0[:r_prev] = result.params[:r_prev]
-                q0[r:r + r_prev] = result.params[r_prev:]
-        result = fit_sample(problem, samples, gamma, basis=basis, q0=q0,
+        result = fit_sample(problem, samples, gamma,
+                            basis=None if rk is None else H_full[:, :rk],
                             logger=logger, gd_iters=gd_iters,
-                            gn_iters=gn_iters, init_state=carry)
+                            gn_iters=gn_iters, init_state=start)
         stage_losses["full" if rk is None else f"r{rk}"] = result.loss
-        losses += result.losses if carry is None else result.losses[1:]
-        gamma = result.gamma
-        r_prev = r
+        losses += result.losses if start is None else result.losses[1:]
+        gamma, start = result.gamma, (result.loss, result.xs, result.resids)
     return replace(result, losses=losses), stage_losses
 
 
@@ -580,8 +556,8 @@ def fit_sequence(problem, samples, gamma0, *, logger=None,
                  gd_iters=GD_ITERS, gn_iters=GN_ITERS):
     """One cold full-space pass over the summed loss from gamma0, the
     staged material; it fails if GN stalled without lowering the loss, and
-    its material is returned either way.  Returns ((2, nE) gamma, report dict)."""
-    logger = FitLogger() if logger is None else logger
+    its material is returned either way.  Returns ((2, nE) gamma, report
+    dict); `logger` counts the gate checks."""
     res = fit_sample(problem, samples, gamma0, logger=logger,
                      gd_iters=gd_iters, gn_iters=gn_iters)
     progressed = res.losses[-1] < res.losses[0]
@@ -590,5 +566,4 @@ def fit_sequence(problem, samples, gamma0, *, logger=None,
         log.warning("the full-space pass stalled without progress")
     per_sample = [dict(index=s.index, loss=problem.loss(x, s), stalled=res.stalled,
                        progressed=progressed) for s, x in zip(samples, res.xs)]
-    report = dict(samples=per_sample, failed=failed, gate_violations=logger.gate_violations)
-    return res.gamma.reshape(2, -1), report
+    return res.gamma.reshape(2, -1), dict(samples=per_sample, failed=failed)

@@ -465,16 +465,12 @@ def test_failed_fit_leaves_no_earlier_material(block_ws, tmp_path, monkeypatch, 
 
 def quick_fit(stalled):
     """A fit_sample stand-in that returns gamma0 (floored) at once."""
-    def fit(problem, samples, gamma0, *, basis=None, **kw):
+    def fit(problem, samples, gamma0, **kw):
         gamma = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
-        params = gamma
-        if basis is not None:
-            nE = problem.mesh.n_elements
-            params = np.concatenate([basis.T @ gamma[:nE], basis.T @ gamma[nE:]])
         return fitting.FitResult(gamma=gamma, loss=1.0,
                                  xs=[s.x_init.copy() for s in samples],
                                  losses=[1.0] if stalled else [2.0, 1.0],
-                                 stalled=stalled, params=params)
+                                 stalled=stalled)
     return fit
 
 
@@ -785,8 +781,10 @@ def test_validate_config_accepts_damping_of_one(user):
     cli.validate_config(cli.load_config(user))
 
 
-@pytest.mark.parametrize("ranks", [[0, None], [-1, None], [1.5, None], [True], [], "full"],
-                         ids=["zero", "negative", "float", "bool", "empty", "string"])
+@pytest.mark.parametrize("ranks", [[0, None], [-1, None], [1.5, None], [True], [], "full",
+                                   [1, 1, None], [None, None]],
+                         ids=["zero", "negative", "float", "bool", "empty", "string",
+                              "repeated-rank", "repeated-full"])
 def test_validate_config_rejects_bad_ranks(ranks):
     cfg = cli.load_config()
     for good in ([1, None], [None], [30]):

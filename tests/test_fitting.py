@@ -685,7 +685,7 @@ class TestFitSample:
                                  logger=lg)
         assert [(r["phase"], r["step"]) for r in lg.rows[:2]] == [("gd", 0.0), ("gn", 1.0)]
         assert len(calls) == len(lg.gate) == n_ref
-        for name in ("gamma", "xs", "params"):
+        for name in ("gamma", "xs"):
             assert np.array_equal(getattr(res, name), getattr(ref, name))
         assert (res.loss, res.resids, res.stalled) == (ref.loss, ref.resids, ref.stalled)
         # the rejected GD step logs the start's loss once more
@@ -792,18 +792,17 @@ class TestStaging:
         assert res.loss == stages["full"]
         assert lg.gate_violations == 0
 
-    def test_stage_after_the_full_space_starts_cold(self, scene):
-        # the rank-1 space cannot hold the full stage's optimum, so the r1
-        # stage evaluates its own start instead of taking over that state
+    def test_every_stage_starts_at_the_previous_optimum(self, scene):
+        # a basis only restricts the direction, so even after a finer stage
+        # the r1 stage takes over its coefficients, loss and states
         problem, sample = scene["problem"], scene["sample"]
         g0 = scene["gam_true"].reshape(-1)
-        res, stages = fitting.fit_staged(problem, [sample], g0, ranks=(None, 1),
-                                         gd_iters=0, gn_iters=0)
-        assert stages["full"] < 1e-15
-        # the fit solves to 1e-6 and loss_at to 1e-10, hence the tolerance
-        assert res.loss == pytest.approx(loss_at(problem, sample, res.gamma),
-                                         rel=1e-3)
-        assert res.losses == [stages["full"], stages["r1"]]
+        for ranks in ((None, 1), (10, 1)):
+            res, stages = fitting.fit_staged(problem, [sample], g0, ranks=ranks,
+                                             gd_iters=0, gn_iters=0)
+            first, last = stages.values()
+            assert last == first and res.losses == [first]
+            assert np.array_equal(res.gamma, np.maximum(g0, mat.GAMMA_FLOOR))
 
     def test_r1_recovers_uniform_truth(self, uniform_scene):
         problem, sample = uniform_scene["problem"], uniform_scene["sample"]
@@ -926,11 +925,12 @@ class TestFitSequence:
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=4)
-        gam, report = fitting.fit_sequence(problem, [sample], g0,
-                                             gd_iters=2, gn_iters=4)
+        logger = fitting.FitLogger()
+        gam, report = fitting.fit_sequence(problem, [sample], g0, logger=logger,
+                                           gd_iters=2, gn_iters=4)
         assert gam.shape == (2, nE) and np.array_equal(gam.reshape(-1), res.gamma)
         assert not report["failed"]
-        assert report["gate_violations"] == 0
+        assert logger.gate and logger.gate_violations == 0
         assert [r["loss"] for r in report["samples"]] == [res.loss]
 
     def test_identical_samples_idempotent(self, scene):
