@@ -185,11 +185,12 @@ def fitted():
     return problem, states, active
 
 
-@pytest.mark.parametrize("rank", [10, None], ids=["rank10", "full"])
+@pytest.mark.parametrize("rank", [1, 10, None], ids=["rank1", "rank10", "full"])
 def test_gn_direction(benchmark, fitted, rank):
-    """One Gauss-Newton direction (block system, factorization and solve) at
-    the fitted state of the 192-tet patch: in the rank-10 spectral subspace,
-    or in the full space with its active set frozen."""
+    """One Gauss-Newton direction (factorizations and solves) at the fitted
+    state of the 192-tet patch: in the rank-1 spectral subspace that the
+    benchmark fit runs, in the rank-10 one, or in the full space with its
+    active set frozen."""
     problem, states, active = fitted
     basis = None if rank is None else fitting.harmonic_basis(problem.mesh, rank)
     frozen = active if basis is None else ()

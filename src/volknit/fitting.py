@@ -5,9 +5,9 @@ inertia target; the fitted state is the quasi-static equilibrium of the
 homogenized mesh under those loads.  The fit minimizes the sum of the
 per-sample pose-matching losses.  Each sample keeps its own equilibrium
 state and adjoint solve against the exact equilibrium Jacobian; gradients
-add up, and Gauss-Newton directions come from one sparse symmetric block
-system, one block pair per sample, that never forms the dense sensitivity
-matrix.  The parameter is the per-element coefficient vector alone.  A
+add up.  A Gauss-Newton direction is a dense 2r x 2r solve in a rank-r
+stage, one sparse solve with the coefficients eliminated in the full
+space.  The parameter is the per-element coefficient vector alone.  A
 spectral coarse-to-fine schedule (element-graph Laplacian eigenvectors,
 ranks 1 / 10 / 30 / full) initializes the material: each stage's basis
 only restricts the direction, and each stage starts at the previous
@@ -278,56 +278,56 @@ def _coords(basis, v):
 
 
 def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
-    """Gauss-Newton direction of the summed loss from one sparse symmetric
-    block system, given one AdjointState per sample.
+    """Gauss-Newton direction d of the summed loss, given one AdjointState
+    per sample: (sum_k S_k^T G_k S_k + kappa I) d = -grad, S_k = H_k^-1 J_k.
 
-    Two auxiliary vectors (v_k, u_k) per sample turn (sum_k J_k^T H_k^-1 G_k
-    H_k^-1 J_k + kappa I) d = -sum_k grad_k into one sparse solve; the last
-    row carries -(P + kappa I) d, so the gradient enters with a plus sign.
-    Each sample adds its pair of block rows around that shared row:
+    With a spectral `basis` (nE, r), S_k comes from one LU of H_k per
+    sample and the 2r x 2r system is solved densely.  In the full space
+    (basis None), d = (sum_k J_k^T v_k - grad) / kappa is eliminated from
+    the SGN block system (Zehnder et al. 2021), leaving one sparse solve of
+    size 2 sum_k n_k, with J the J_k stacked and H, G block diagonal:
 
-        [ 0   H_k  J_k ] [v_k]   [ 0    ]
-        [ H_k -G_k  0  ] [u_k] = [ 0    ]
-        [ J_k^T 0  -kI ] [ d ]   [ grad ]
+        [ J J^T / kappa   H ] [v]   [ J grad / kappa ]
+        [ H              -G ] [u] = [ 0              ]
 
-    kappa defaults to KAPPA_SCALE times the summed mean diagonals of the
-    G_k.  `basis` restricts the direction to a spectral subspace; `frozen`
-    drops coefficient columns, d is zero there.  Returns (d, kappa, ok); ok False
-    means the factorization failed or produced a non-descent direction and
+    J J^T has the pattern of H.  kappa must be positive; it defaults to
+    KAPPA_SCALE times the summed mean diagonals of the G_k.  `frozen` drops
+    coefficient columns, d is zero there.  Returns (d, kappa, ok); ok False
+    means a factorization failed or produced a non-descent direction and
     the caller should escalate kappa or fall back to the gradient.
     """
     if kappa is None:
-        kappa = _total([KAPPA_SCALE * st.G.diagonal().sum() / st.G.shape[0]
-                        for st in states])
+        kappa = _total([KAPPA_SCALE * st.G.diagonal().mean() for st in states])
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     grad = _coords(basis, _total([st.grad for st in states]))
     keep = np.setdiff1d(np.arange(len(grad)), frozen)
     gk = grad[keep]
-
-    m, n = len(keep), 2 * len(states)
-    blocks = [[None] * (n + 1) for _ in range(n + 1)]
-    for k, st in enumerate(states):
-        Jk = sp.csr_matrix(_coords(basis, st.J))[:, keep]
-        v, u = 2 * k, 2 * k + 1
-        blocks[v][u] = blocks[u][v] = st.H
-        blocks[u][u] = -st.G
-        blocks[v][n], blocks[n][v] = Jk, Jk.T
-    blocks[n][n] = -kappa * sp.eye(m)
-    KKT = sp.bmat(blocks, format="csc")
-    rhs = np.concatenate([np.zeros(KKT.shape[0] - m), gk])
+    Js = [_coords(basis, st.J)[:, keep] for st in states]
     try:
-        sol = spla.splu(KKT).solve(rhs)
-    except RuntimeError:
+        if basis is not None:
+            S = [spla.splu(st.H).solve(Jk) for st, Jk in zip(states, Js)]
+            P = _total([Sk.T @ (st.G @ Sk) for st, Sk in zip(states, S)])
+            dk = np.linalg.solve(P + kappa * np.eye(len(keep)), -gk)
+        else:
+            J, H = sp.vstack(Js, format="csr"), sp.block_diag([st.H for st in states])
+            G, n = sp.block_diag([st.G for st in states]), J.shape[0]
+            lu = spla.splu(sp.bmat([[J @ J.T / kappa, H], [H, -G]], format="csc"))
+            # SuperLU raises on exact zero pivots only; a singular H_k leaves tiny ones
+            piv = np.abs(lu.U.diagonal())
+            if piv.min() <= 1e-12 * piv.max():
+                raise RuntimeError("numerically singular system")
+            v = lu.solve(np.concatenate([J @ gk / kappa, np.zeros(n)]))[:n]
+            dk = (J.T @ v - gk) / kappa
+    except (RuntimeError, np.linalg.LinAlgError):
         return None, kappa, False
-    dk = sol[KKT.shape[0] - m:]
     if not np.all(np.isfinite(dk)):
         return None, kappa, False
     d = np.zeros(len(grad))
     d[keep] = dk
     # d = 0 at a stationary point is the valid homogeneous solution, not a
     # failed descent direction
-    if len(gk) and np.linalg.norm(gk) > 0.0 and float(d @ grad) >= 0.0:
-        return d, kappa, False
-    return d, kappa, True
+    return d, kappa, not (np.any(gk) and float(d @ grad) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ class FitLogger:
 
     gate: list = field(default_factory=list)          # (sample, resid, ok)
     rows: list = field(default_factory=list)          # convergence entries
-    # damping-ladder block solves, the failed ones, and fallbacks to -grad
+    # damping-ladder direction solves, the failed ones, and fallbacks to -grad
     gauss_newton: dict = field(default_factory=lambda: dict(solves=0, escalations=0, exhausted=0))
 
     def log_gate(self, sample, resid, ok):

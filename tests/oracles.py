@@ -1120,7 +1120,7 @@ def dense_gauss_newton_direction(states, kappa, basis=None, frozen=()):
     S_k = H_k^-1 J_k, in the coordinates of `basis` (both fields; the
     per-element space when None), with d zero on the `frozen` columns.
     Only feasible on small problems; exists to cross-check the sparse
-    block solve.
+    factorizations of `fitting.adjoint_gauss_newton`.
     """
     P = g = 0.0
     for st in states:

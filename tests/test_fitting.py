@@ -1,4 +1,4 @@
-"""Inverse-material tests: loss, adjoint gradients, block Gauss-Newton,
+"""Inverse-material tests: loss, adjoint gradients, Gauss-Newton directions,
 safeguards, spectral staging, the summed objective over samples, and the
 full-space pass."""
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 from volknit import fitting, material as mat, pdsolver, transfer, volmesh, yarn_model
@@ -528,6 +529,15 @@ class TestGaussNewton:
         dense = oracles.dense_gauss_newton_direction([state], kappa)
         assert np.linalg.norm(d - dense) / np.linalg.norm(dense) < 1e-8
 
+    def test_nonpositive_kappa_rejected(self):
+        # the full-space solve divides by kappa
+        state = fitting.AdjointState(H=sp.eye(6, format="csc"), J=sp.csr_matrix(np.ones((6, 4))),
+                                     G=sp.eye(6, format="csr"), grad=np.ones(4))
+        for basis in (None, np.full((2, 1), np.sqrt(0.5))):
+            for kappa in (0.0, -1e-6, np.nan):
+                with pytest.raises(ValueError, match="kappa must be positive"):
+                    fitting.adjoint_gauss_newton([state], kappa=kappa, basis=basis)
+
     def test_reduced_direction(self, small_scene):
         problem, sample = small_scene["problem"], small_scene["sample"]
         nE = problem.mesh.n_elements
@@ -823,6 +833,18 @@ def two_samples(small_scene):
     return [small_scene["sample"], lighter_stretch_sample(small_scene)]
 
 
+# every two-sample direction case at the default damping, then at 1e-4 and
+# 1e4 times it
+DIRECTION_CASES = {"full": (None, ()), "rank4-frozen": (4, (2,)),
+                   "full-active-set": (None, "active")}
+# In the full space the direction is (sum_k J_k^T v_k - grad) / kappa, and at
+# small kappa that difference cancels: at 1e-4 times the default the two
+# full-space cases miss the 1e-10 bound (9e-10 against a 40-digit reference
+# in the plain case; 2.8e-9 against the dense oracle with the active set).
+SMALL_KAPPA_FULL_SPACE = pytest.mark.xfail(
+    strict=True, reason="full-space direction at 1e-4 x the default damping misses 1e-10")
+
+
 class TestSummedObjective:
     G0 = (2.0, 4.0)
 
@@ -862,28 +884,50 @@ class TestSummedObjective:
         grad[active] = 0.0
         return states, grad, active
 
-    @pytest.mark.parametrize("rank,frozen", [(None, ()), (4, (2,)), (None, "active")],
-                             ids=["full", "rank4-frozen", "full-active-set"])
+    def _states(self, problem, samples):
+        gf = self._field(problem)
+        _, xs, resids = problem.evaluate(gf, samples)
+        return fitting.objective_gradient(problem, samples, gf, xs, resids)[0]
+
+    @pytest.mark.parametrize("rank,frozen,scale", [
+        pytest.param(rank, frozen, scale, id=name if scale == 1.0 else f"kappa{scale:g}-{name}",
+                     marks=[SMALL_KAPPA_FULL_SPACE] if rank is None and scale < 1.0 else [])
+        for name, (rank, frozen) in DIRECTION_CASES.items() for scale in (1.0, 1e-4, 1e4)])
     def test_two_sample_direction_matches_dense_oracle(self, small_scene,
-                                                       two_samples, rank, frozen):
+                                                       two_samples, rank, frozen, scale):
         problem = small_scene["problem"]
         if frozen == "active":
             states, _, frozen = self._floored(problem, two_samples)
         else:
-            gf = self._field(problem)
-            _, xs, resids = problem.evaluate(gf, two_samples)
-            states, _ = fitting.objective_gradient(problem, two_samples, gf, xs, resids)
+            states = self._states(problem, two_samples)
         basis = None if rank is None else fitting.harmonic_basis(problem.mesh, rank)
-        d, kappa, ok = fitting.adjoint_gauss_newton(states, basis=basis,
-                                                    frozen=list(frozen))
-        assert ok
         # the default damping sums the per-sample ones
-        assert kappa == pytest.approx(sum(
-            fitting.KAPPA_SCALE * st.G.diagonal().mean() for st in states), rel=1e-12)
+        default = sum(fitting.KAPPA_SCALE * st.G.diagonal().mean() for st in states)
+        d, kappa, ok = fitting.adjoint_gauss_newton(
+            states, kappa=None if scale == 1.0 else scale * default, basis=basis,
+            frozen=list(frozen))
+        assert ok
+        assert kappa == pytest.approx(scale * default, rel=1e-12)
         dense = oracles.dense_gauss_newton_direction(states, kappa, basis=basis,
                                                      frozen=frozen)
         assert np.linalg.norm(d - dense) <= 1e-10 * np.linalg.norm(dense)
         assert all(d[j] == 0.0 for j in frozen)
+
+    def test_factorizes_each_hessian_or_the_eliminated_system(self, small_scene,
+                                                              two_samples, monkeypatch):
+        # a spectral direction factorizes each n_k x n_k H_k, a full-space one
+        # the 2 sum_k n_k system: never the (2 sum_k n_k + m) block system
+        problem = small_scene["problem"]
+        states = self._states(problem, two_samples)
+        basis = fitting.harmonic_basis(problem.mesh, 4)
+        shapes, real = [], spla.splu
+        monkeypatch.setattr(spla, "splu", lambda A, **kw: shapes.append(A.shape) or real(A, **kw))
+        n = [st.H.shape[0] for st in states]
+        assert fitting.adjoint_gauss_newton(states, basis=basis)[2]
+        assert shapes == [(nk, nk) for nk in n]
+        shapes.clear()
+        assert fitting.adjoint_gauss_newton(states)[2]
+        assert shapes == [(2 * sum(n), 2 * sum(n))]
 
     @pytest.mark.parametrize("fails", [0, 2, 5])
     def test_damping_ladder_escalates_then_falls_back(self, small_scene, two_samples,

@@ -70,17 +70,19 @@ def test_polish_note_counts_the_iterations(monkeypatch):
 
 
 def test_gauss_newton_note_reads_the_ok_flag():
+    # a singular H fails the full-space solve and a spectral stage's LU alike
     tracer = load_tracer()
-    n, m = 4, 3
+    n, nE = 4, 3
     rng = np.random.default_rng(0)
-    J = sp.csr_matrix(rng.normal(size=(3 * n, m)))
-    for H, rejected in ((sp.eye(3 * n, format="csc"), 0),
-                        (sp.csc_matrix((3 * n, 3 * n)), 1)):    # singular system
-        state = fitting.AdjointState(H=H, J=J, G=sp.eye(3 * n, format="csr"),
-                                     grad=rng.normal(size=m))
-        out = fitting.adjoint_gauss_newton([state])
-        assert out[2] == (not rejected)
-        assert tracer._gn_rejected(([state],), {}, out) == {"rejected": rejected}
+    J = sp.csr_matrix(rng.normal(size=(3 * n, 2 * nE)))
+    for basis in (None, np.full((nE, 1), 1.0 / np.sqrt(nE))):
+        for H, rejected in ((sp.eye(3 * n, format="csc"), 0),
+                            (sp.csc_matrix((3 * n, 3 * n)), 1)):    # singular
+            state = fitting.AdjointState(H=H, J=J, G=sp.eye(3 * n, format="csr"),
+                                         grad=rng.normal(size=2 * nE))
+            out = fitting.adjoint_gauss_newton([state], basis=basis)
+            assert out[2] == (not rejected)
+            assert tracer._gn_rejected(([state],), {"basis": basis}, out) == {"rejected": rejected}
 
 
 def test_simulate_reaches_step_and_polish_through_module_attributes(monkeypatch):
