@@ -1,8 +1,9 @@
 """Layer bench: per-call times of the kernels one projective-dynamics round
 runs, of the CMS solver build, of the fit's projection Jacobians,
 exact-Hessian assembly, equilibrium solves and Gauss-Newton direction, of
-a whole fit, and of the load path (voxelize, yarn embedding, element
-targets), at fixed sizes and seeds.
+a whole fit, of the load path (voxelize, yarn embedding, element
+targets) and of the rod simulator that generates the poses, at fixed sizes
+and seeds.
 
     python -m pytest bench --benchmark-json=BENCH_layers.json
 
@@ -18,7 +19,7 @@ one F forgets them first and times a fresh decomposition.
 import numpy as np
 import pytest
 
-from volknit import fitting, transfer
+from volknit import cli, fitting, transfer
 from volknit import material as mat
 from volknit import pdsolver, volmesh, yarn_model
 
@@ -243,3 +244,22 @@ def test_load_path(benchmark, layer, name):
                 + 1e-4 * rng.normal(size=model.rest_vertices.shape))
         benchmark(transfer.element_targets, mesh, volmesh.embed_yarn(mesh, model), model, pose)
     assert mesh.n_elements == n_tets
+
+
+@pytest.mark.parametrize("name,steps", [("bench", 40), ("acceptance", 4)])
+def test_simulate_yarn(benchmark, name, steps):
+    """The rod simulator as the benchmark's generate runs it: the end columns
+    of a rib patch pinned and pulled 10 % over 40 frames with contacts off,
+    on the bench patch, or the first 4 of those frames on the acceptance
+    patch (5,000 yarn vertices, where generate runs 80 frames)."""
+    model = yarn_model.rib_patch(course_spacing=0.005, wale_spacing=0.005, amplitude=0.002,
+                                 rib_period=4, linear_density=0.002, **PATCHES[name][0])
+    left, right, ext = cli._end_groups(model.rest_vertices, model)
+    pins = np.concatenate([left, right])
+    path = cli.scenario_pin_path(model.rest_vertices[pins], np.arange(len(pins)) >= len(left),
+                                 "stretch", 40, 0.1, ext, model.rest_vertices[right].mean(axis=0),
+                                 0.0)[:steps]
+    params = yarn_model.RodParams(contacts=False, damping=0.85)
+    seq = benchmark(yarn_model.simulate_yarn, model, steps, 2e-3, pins=pins, pin_targets=path,
+                    params=params)
+    assert np.all(np.isfinite(seq.frames))

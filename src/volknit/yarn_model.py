@@ -6,7 +6,10 @@ The simulator is deliberately simple: per-segment stretch springs,
 second-neighbor distance springs as a bending stand-in, quadratic
 vertex-vertex contact penalties, and optional plane/sphere colliders,
 integrated with implicit Euler through a projective local/global loop.
-It exists to generate plausible desk-scale motion, not to model real rods.
+Springs and contacts are one stacked set of vertex pairs, each with a
+weight and a goal length, so a round gathers and scatters every pair at
+once.  It exists to generate plausible desk-scale motion, not to model
+real rods.
 """
 
 from __future__ import annotations
@@ -143,18 +146,6 @@ def _incidence(n, pairs):
                          shape=(n, m))
 
 
-def _pair_rhs(incidence, weights, targets):
-    """w * S p for pair difference constraints."""
-    return incidence @ (weights[:, None] * targets)
-
-
-def _pair_targets(x, pairs, goal):
-    """Differences of x over pairs, rescaled to the lengths goal(length)."""
-    d = x[pairs[:, 1]] - x[pairs[:, 0]]
-    ln = np.linalg.norm(d, axis=1)
-    return d * (goal(ln) / np.maximum(ln, 1e-12))[:, None]
-
-
 def _pair_keys(pairs, n):
     """Order-free integer key of each vertex pair."""
     s = np.sort(pairs, axis=1)
@@ -172,6 +163,16 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
     colliders: iterable of ("plane", point, normal) or ("sphere", center,
     radius) tuples that vertices may not penetrate.
 
+    Every spring and contact is one pair in one stacked set: the segments,
+    the second neighbors and that step's contacts, with one signed
+    incidence S, one weight w and one goal length per pair (the rest length
+    for a spring, max(length, radius) for a contact).  The matrix is
+    M/dt^2 + S diag(w) S^T plus each collider's diagonal, restricted to the
+    free vertices; it is factorized once for the springs and again only on
+    a step with contacts or collider rows.  A local/global round gathers
+    d = S^T x, and scatters rhs = c + S_free (w goal/|d| d) with
+    c = M/dt^2 xhat_free - A_fp x_pins made once per step.
+
     The step blows up (and raises) if any vertex moves more than ten times
     the longest rest segment within one step.
     """
@@ -181,30 +182,44 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
     x = rest.copy()
     v = np.zeros((n, 3))
     mass = model.vertex_mass()
+    inertia = mass / dt**2
 
     pins = np.asarray(pins, dtype=int) if pins is not None else np.empty(0, dtype=int)
     free = np.setdiff1d(np.arange(n), pins)
+    row = np.full(n, -1)
+    row[free] = np.arange(len(free))
     pin_path = np.broadcast_to(
         rest[pins] if pin_targets is None else np.asarray(pin_targets, dtype=float),
         (steps, len(pins), 3))
     force_path = np.broadcast_to(
         0.0 if forces is None else np.asarray(forces, dtype=float), (steps, n, 3))
 
-    stretch = model.segments
-    w_stretch = params.stretch_stiffness / model.rest_lengths
-    bend = _second_neighbors(model)
-    bend_rest = np.linalg.norm(rest[bend[:, 1]] - rest[bend[:, 0]], axis=1) if len(bend) else np.empty(0)
-    w_bend = params.bend_stiffness / bend_rest if len(bend) else np.empty(0)
+    springs = np.concatenate([model.segments, _second_neighbors(model)])
+    spring_rest = np.linalg.norm(rest[springs[:, 1]] - rest[springs[:, 0]], axis=1)
+    spring_w = np.repeat([params.stretch_stiffness, params.bend_stiffness],
+                         [model.n_segments, len(springs) - model.n_segments]) / spring_rest
+    connected = _pair_keys(springs, n)
+    w_contact = params.contact_stiffness / max(model.radius, 1e-12)
 
-    # every pair spring adds S diag(w) S^T to the matrix and w * S p to the rhs
-    S_stretch, S_bend = _incidence(n, stretch), _incidence(n, bend)
-    base = (
-        sp.diags(mass / dt**2)
-        + S_stretch @ sp.diags(w_stretch) @ S_stretch.T
-        + S_bend @ sp.diags(w_bend) @ S_bend.T
-    )
-    connected = _pair_keys(np.concatenate([stretch, bend]), n)
-    base_solver = None
+    def system(contacts, coll):
+        """Gather, scatter, weights, goal bounds, pin block and solver of the
+        springs plus these contacts and collider rows.  A goal is its length
+        clipped to [lo, hi]: the rest length for a spring, at least the
+        radius for a contact."""
+        S = _incidence(n, np.concatenate([springs, contacts]))
+        w = np.concatenate([spring_w, np.full(len(contacts), w_contact)])
+        lo = np.concatenate([spring_rest, np.full(len(contacts), model.radius)])
+        hi = np.concatenate([spring_rest, np.full(len(contacts), np.inf)])
+        A = sp.diags(inertia) + S @ sp.diags(w) @ S.T
+        for _, idx, _ in coll:
+            A = A + sp.csr_matrix((np.full(len(idx), w_contact), (idx, idx)), shape=(n, n))
+        A = A[free]
+        return (S.T.tocsr(), S[free], w, lo, hi, A[:, pins],
+                spla.factorized(A[:, free].tocsc()))
+
+    # the spring system is factorized once and reused by every step that
+    # adds no contact or collider rows
+    base = system(np.empty((0, 2), dtype=int), [])
     blow = 10.0 * float(model.rest_lengths.max())
     frames = np.empty((steps, n, 3))
     rec_forces = np.empty((steps, n, 3))
@@ -219,53 +234,36 @@ def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
             # process, and only yarn contacts use it
             from scipy.spatial import cKDTree
 
-            tree = cKDTree(xhat)
-            raw = tree.query_pairs(model.radius, output_type="ndarray")
+            raw = cKDTree(xhat).query_pairs(model.radius, output_type="ndarray")
             contacts = raw[~np.isin(_pair_keys(raw, n), connected)]
         else:
             contacts = np.empty((0, 2), dtype=int)
-        w_contact = np.full(len(contacts), params.contact_stiffness / max(model.radius, 1e-12))
-        S_contact = _incidence(n, contacts)
 
-        # per collider, the vertices it holds for this whole step, found on
-        # the prediction
-        coll = [(collider_targets(xhat, c)[0], c) for c in colliders]
-        coll = [(idx, c) for idx, c in coll if len(idx)]
-        w_coll = params.contact_stiffness / max(model.radius, 1e-12)
+        # per collider, the free vertices it holds for this whole step, found
+        # on the prediction: their rows in the free system, their indices
+        coll = []
+        for col in colliders:
+            idx = collider_targets(xhat, col)[0]
+            idx = idx[row[idx] >= 0]
+            if len(idx):
+                coll.append((row[idx], idx, col))
 
-        # the base matrix is factorized once and reused by every step that
-        # adds no contact or collider rows
-        extra = len(contacts) > 0 or len(coll) > 0
-        if extra or base_solver is None:
-            A = base + S_contact @ sp.diags(w_contact) @ S_contact.T
-            for idx, _ in coll:
-                A = A + sp.csr_matrix(
-                    (np.full(len(idx), w_coll), (idx, idx)), shape=(n, n)
-                )
-            solver = (A[free][:, pins] if len(pins) else None,
-                      spla.factorized(A[free][:, free].tocsc()))
-            if not extra:
-                base_solver = solver
-        Afp, solve = solver if extra else base_solver
-
+        ST, S_free, w, lo, hi, Afp, solve = (
+            system(contacts, coll) if len(contacts) or coll else base)
         xp = pin_path[step]
         xi = xhat.copy()
         xi[pins] = xp
-        const_rhs = (mass[:, None] / dt**2 * xhat)[free]
-        pin_rhs = Afp @ xp if len(pins) else 0.0
+        const = inertia[free, None] * xhat[free] - Afp @ xp
         for _ in range(params.pd_iters):
-            rhs = _pair_rhs(S_stretch, w_stretch,
-                            _pair_targets(xi, stretch, lambda ln: model.rest_lengths))
-            if len(bend):
-                rhs += _pair_rhs(S_bend, w_bend, _pair_targets(xi, bend, lambda ln: bend_rest))
-            if len(contacts):
-                rhs += _pair_rhs(S_contact, w_contact, _pair_targets(
-                    xi, contacts, lambda ln: np.maximum(ln, model.radius)))
-            for idx, c in coll:
+            d = ST @ xi
+            ln = np.sqrt(np.einsum("ij,ij->i", d, d))
+            goal = np.minimum(np.maximum(ln, lo), hi)
+            rhs = const + S_free @ ((w * goal / np.maximum(ln, 1e-12))[:, None] * d)
+            for r, idx, col in coll:
                 # the surface projection while inside, held where it is once
                 # separated
-                rhs[idx] += w_coll * surface_targets(xi[idx], c)
-            xi[free] = solve(const_rhs + rhs[free] - pin_rhs)
+                rhs[r] += w_contact * surface_targets(xi[idx], col)
+            xi[free] = solve(rhs)
 
         if not np.all(np.isfinite(xi)) or np.abs(xi - x).max() > blow:
             err = RuntimeError(f"yarn simulation diverged at frame {step}")

@@ -24,7 +24,9 @@ coordinate or index at a time.  The objectives, energies and single-element
 functions serve as oracles for the solvers.  The collider functions take a
 list of colliders, and the stepping loop keeps its state in a mutable
 SimState that makes each polished step's prediction and velocity twice, as
-the loop that pdsolver.simulate_mesh replaced did.
+the loop that pdsolver.simulate_mesh replaced did.  The rod simulator
+gathers, normalizes and scatters its stretch, bend and contact pairs one
+set at a time, as yarn_model.simulate_yarn did before it stacked them.
 """
 
 import itertools
@@ -992,6 +994,115 @@ def rod_energy(model, x, params=None, forces=None):
     if forces is not None:
         e -= float(np.sum(forces * x))
     return e
+
+
+def _pair_rhs(incidence, weights, targets):
+    """w * S p for pair difference constraints."""
+    return incidence @ (weights[:, None] * targets)
+
+
+def _pair_targets(x, pairs, goal):
+    """Differences of x over pairs, rescaled to the lengths goal(length)."""
+    d = x[pairs[:, 1]] - x[pairs[:, 0]]
+    ln = np.linalg.norm(d, axis=1)
+    return d * (goal(ln) / np.maximum(ln, 1e-12))[:, None]
+
+
+def simulate_yarn(model, steps, dt, forces=None, pins=None, pin_targets=None,
+                  params=None, colliders=()):
+    """yarn_model.simulate_yarn with one pair set at a time: each round
+    gathers, normalizes and scatters the stretch, bend and contact pairs in
+    separate passes into a full-length right-hand side, then takes its free
+    rows and subtracts the pin load."""
+    params = params or ym.RodParams()
+    n = model.n_vertices
+    rest = model.rest_vertices
+    x = rest.copy()
+    v = np.zeros((n, 3))
+    mass = model.vertex_mass()
+
+    pins = np.asarray(pins, dtype=int) if pins is not None else np.empty(0, dtype=int)
+    free = np.setdiff1d(np.arange(n), pins)
+    pin_path = np.broadcast_to(
+        rest[pins] if pin_targets is None else np.asarray(pin_targets, dtype=float),
+        (steps, len(pins), 3))
+    force_path = np.broadcast_to(
+        0.0 if forces is None else np.asarray(forces, dtype=float), (steps, n, 3))
+
+    stretch = model.segments
+    w_stretch = params.stretch_stiffness / model.rest_lengths
+    bend = ym._second_neighbors(model)
+    bend_rest = np.linalg.norm(rest[bend[:, 1]] - rest[bend[:, 0]], axis=1) if len(bend) else np.empty(0)
+    w_bend = params.bend_stiffness / bend_rest if len(bend) else np.empty(0)
+
+    S_stretch, S_bend = ym._incidence(n, stretch), ym._incidence(n, bend)
+    base = (
+        sp.diags(mass / dt**2)
+        + S_stretch @ sp.diags(w_stretch) @ S_stretch.T
+        + S_bend @ sp.diags(w_bend) @ S_bend.T
+    )
+    connected = ym._pair_keys(np.concatenate([stretch, bend]), n)
+    base_solver = None
+    blow = 10.0 * float(model.rest_lengths.max())
+    frames = np.empty((steps, n, 3))
+    rec_forces = np.empty((steps, n, 3))
+
+    for step in range(steps):
+        f_ext = force_path[step]
+        xhat = x + dt * v + dt**2 * f_ext / mass[:, None]
+
+        if params.contacts and model.radius > 0.0:
+            from scipy.spatial import cKDTree
+
+            raw = cKDTree(xhat).query_pairs(model.radius, output_type="ndarray")
+            contacts = raw[~np.isin(ym._pair_keys(raw, n), connected)]
+        else:
+            contacts = np.empty((0, 2), dtype=int)
+        w_contact = np.full(len(contacts), params.contact_stiffness / max(model.radius, 1e-12))
+        S_contact = ym._incidence(n, contacts)
+
+        coll = [(pdsolver.collider_targets(xhat, c)[0], c) for c in colliders]
+        coll = [(idx, c) for idx, c in coll if len(idx)]
+        w_coll = params.contact_stiffness / max(model.radius, 1e-12)
+
+        extra = len(contacts) > 0 or len(coll) > 0
+        if extra or base_solver is None:
+            A = base + S_contact @ sp.diags(w_contact) @ S_contact.T
+            for idx, _ in coll:
+                A = A + sp.csr_matrix(
+                    (np.full(len(idx), w_coll), (idx, idx)), shape=(n, n)
+                )
+            solver = (A[free][:, pins] if len(pins) else None,
+                      spla.factorized(A[free][:, free].tocsc()))
+            if not extra:
+                base_solver = solver
+        Afp, solve = solver if extra else base_solver
+
+        xp = pin_path[step]
+        xi = xhat.copy()
+        xi[pins] = xp
+        const_rhs = (mass[:, None] / dt**2 * xhat)[free]
+        pin_rhs = Afp @ xp if len(pins) else 0.0
+        for _ in range(params.pd_iters):
+            rhs = _pair_rhs(S_stretch, w_stretch,
+                            _pair_targets(xi, stretch, lambda ln: model.rest_lengths))
+            if len(bend):
+                rhs += _pair_rhs(S_bend, w_bend, _pair_targets(xi, bend, lambda ln: bend_rest))
+            if len(contacts):
+                rhs += _pair_rhs(S_contact, w_contact, _pair_targets(
+                    xi, contacts, lambda ln: np.maximum(ln, model.radius)))
+            for idx, c in coll:
+                rhs[idx] += w_coll * pdsolver.surface_targets(xi[idx], c)
+            xi[free] = solve(const_rhs + rhs[free] - pin_rhs)
+
+        if not np.all(np.isfinite(xi)) or np.abs(xi - x).max() > blow:
+            raise RuntimeError(f"yarn simulation diverged at frame {step}")
+        v = params.damping * (xi - x) / dt
+        x = xi
+        frames[step] = x
+        rec_forces[step] = f_ext
+
+    return ym.YarnSequence(frames=frames, dt=dt, pins=pins, external_force=rec_forces)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.spatial import cKDTree
 
 import oracles
-from volknit import pdsolver
+from volknit import cli, pdsolver
 from volknit import yarn_model as ym
 
 
@@ -215,21 +216,29 @@ def add_at_rhs(pairs, weights, targets, n):
 
 
 def test_pair_rhs_incidence_matches_add_at(rng):
+    # the simulator's scatter S_free (w p) over one stacked pair set, where
+    # S_free holds the free rows of the signed incidence
     y = ym.rib_patch(courses=4, wales=12)
     n = y.n_vertices
+    free = np.setdiff1d(np.arange(n), [0, 11, 12, 23])
+
+    def scatter(pairs, w, tgt):
+        return ym._incidence(n, pairs)[free] @ (w[:, None] * tgt)
+
     # stretch and bend pairs give each vertex at most two terms: same bits
     for pairs in (y.segments, ym._second_neighbors(y)):
         w = rng.uniform(0.5, 2.0, len(pairs))
         tgt = rng.normal(size=(len(pairs), 3))
-        got = ym._pair_rhs(ym._incidence(n, pairs), w, tgt)
-        assert np.array_equal(got, add_at_rhs(pairs, w, tgt, n))
-    # contact pairs repeat vertices, so only the summation order differs
-    pairs = rng.integers(0, 8, size=(60, 2))
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        assert np.array_equal(scatter(pairs, w, tgt), add_at_rhs(pairs, w, tgt, n)[free])
+    # the stacked set, contact pairs among them, repeats vertices, so only
+    # the summation order differs
+    contacts = rng.integers(0, 8, size=(60, 2))
+    contacts = contacts[contacts[:, 0] != contacts[:, 1]]
+    pairs = np.concatenate([y.segments, ym._second_neighbors(y), contacts])
     w = rng.uniform(0.5, 2.0, len(pairs))
     tgt = rng.normal(size=(len(pairs), 3))
-    got = ym._pair_rhs(ym._incidence(n, pairs), w, tgt)
-    want = add_at_rhs(pairs, w, tgt, n)
+    got = scatter(pairs, w, tgt)
+    want = add_at_rhs(pairs, w, tgt, n)[free]
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -287,6 +296,138 @@ def test_yarn_and_mesh_collider_targets_agree(collider, rng):
     assert 20 <= len(idx) < 60
     q = pdsolver.surface_targets(xi[idx], collider)
     assert np.abs(q - q_ref).max() <= 1e-15 * (1.0 + np.abs(xi).max())
+
+
+# ---------------------------------------------------------------------------
+# one stacked pair set against the per-set oracle
+
+
+def _bench_stretch():
+    """The benchmark's 6x40 rib patch, end columns pinned and stretched."""
+    y = ym.rib_patch(courses=6, wales=40, course_spacing=0.005, wale_spacing=0.005,
+                     amplitude=0.002, rib_period=4, linear_density=0.002)
+    left, right, ext = cli._end_groups(y.rest_vertices, y)
+    pins = np.concatenate([left, right])
+    path = cli.scenario_pin_path(y.rest_vertices[pins], np.arange(len(pins)) >= len(left),
+                                 "stretch", 40, 0.1, ext,
+                                 y.rest_vertices[right].mean(axis=0), 0.0)
+    return y, dict(steps=40, dt=2e-3, pins=pins, pin_targets=path,
+                   params=ym.RodParams(contacts=False, damping=0.85))
+
+
+def _close_strands(contact_stiffness=200.0):
+    """test_contacts_separate_close_strands: two strands 0.004 apart, within
+    the contact radius of each other."""
+    n = 8
+    a = ym.straight_strand(n, 0.35)
+    pts = np.vstack([a.rest_vertices, a.rest_vertices + [0.0, 0.004, 0.0]])
+    y = ym.YarnModel(pts, [np.arange(n), np.arange(n, 2 * n)], radius=0.01)
+    return y, dict(steps=60, dt=0.005, params=ym.RodParams(
+        contacts=True, damping=0.8, contact_stiffness=contact_stiffness))
+
+
+def _released_strands():
+    """The close strands with the second one pinned 0.014 from the first:
+    the first prediction finds them in contact, and the first step's rounds
+    see them beyond the radius, where a contact's goal is its own length."""
+    y, kw = _close_strands()
+    kw.update(pins=np.arange(8, 16), pin_targets=y.rest_vertices[8:] + [0.0, 0.01, 0.0])
+    return y, kw
+
+
+def _falling_strand(collider, pins=None):
+    """A strand falling under gravity onto a collider."""
+    y = ym.straight_strand(12, 0.6, origin=(-0.3, 0.0, 0.06))
+    forces = y.vertex_mass()[:, None] * np.array([0.0, 0.0, -9.81])
+    return y, dict(steps=80, dt=0.005, forces=forces, pins=pins, colliders=[collider],
+                   params=ym.RodParams(contacts=False, damping=0.8))
+
+
+def _drape():
+    """The 6x40 rib patch hanging from its left column, contacts on."""
+    y = ym.rib_patch(courses=6, wales=40, course_spacing=0.005, wale_spacing=0.005,
+                     amplitude=0.002, rib_period=4, linear_density=0.002)
+    x = y.rest_vertices[:, 0]
+    forces = y.vertex_mass()[:, None] * np.array([0.0, 0.0, -9.81])
+    return y, dict(steps=40, dt=2e-3, forces=forces, pins=np.flatnonzero(x <= x.min()),
+                   params=ym.RodParams(damping=0.85))
+
+
+def _two_vertex_polylines():
+    """Five hanging two-vertex polylines: segments and no bend pairs."""
+    top = np.c_[0.1 * np.arange(5), np.zeros(5), np.zeros(5)]
+    y = ym.YarnModel(np.vstack([top, top + [0.02, 0.0, -0.05]]),
+                     [[i, i + 5] for i in range(5)])
+    assert len(ym._second_neighbors(y)) == 0
+    forces = y.vertex_mass()[:, None] * np.array([0.0, 0.0, -9.81])
+    return y, dict(steps=30, dt=0.005, forces=forces, pins=np.arange(5),
+                   params=ym.RodParams(damping=0.9))
+
+
+SCENES = {
+    "bench_stretch": _bench_stretch,
+    "close_strands": _close_strands,
+    "released_strands": _released_strands,
+    "sphere": lambda: _falling_strand(("sphere", (0.0, 0.0, -0.05), 0.1)),
+    # the pinned end starts under the plane, so the collider holds a pinned
+    # vertex as well as free ones
+    "plane_holding_pin": lambda: _falling_strand(
+        ("plane", (0.0, 0.0, 0.065), (0.0, 0.0, 1.0)), pins=[0]),
+    "drape": _drape,
+    "two_vertex_polylines": _two_vertex_polylines,
+}
+
+
+@pytest.mark.parametrize("scene", sorted(SCENES))
+def test_stacked_pairs_match_per_set_oracle(scene):
+    y, kw = SCENES[scene]()
+    got = ym.simulate_yarn(y, **kw).frames
+    want = oracles.simulate_yarn(y, **kw).frames
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(want[-1] - y.rest_vertices).max() > 1e-3 * np.abs(want).max()
+
+
+def _extra_steps(y, kw, seq):
+    """Steps whose prediction holds a contact pair or a free vertex inside a
+    collider, with each prediction rebuilt from the frames as the simulator
+    makes it."""
+    prm, dt = kw["params"], kw["dt"]
+    mass = y.vertex_mass()
+    f = kw.get("forces", np.zeros_like(y.rest_vertices))
+    pins = kw.get("pins")
+    pins = np.empty(0, dtype=int) if pins is None else pins
+    connected = ym._pair_keys(np.concatenate([y.segments, ym._second_neighbors(y)]), y.n_vertices)
+    x, v, count = y.rest_vertices, np.zeros_like(y.rest_vertices), 0
+    for frame in seq.frames:
+        xhat = x + dt * v + dt**2 * f / mass[:, None]
+        pairs = np.empty((0, 2), dtype=int)
+        if prm.contacts:
+            pairs = cKDTree(xhat).query_pairs(y.radius, output_type="ndarray")
+            pairs = pairs[~np.isin(ym._pair_keys(pairs, y.n_vertices), connected)]
+        held = [np.setdiff1d(pdsolver.collider_targets(xhat, c)[0], pins)
+                for c in kw.get("colliders", ())]
+        count += len(pairs) > 0 or any(len(h) for h in held)
+        v = prm.damping * (frame - x) / dt
+        x = frame
+    return count
+
+
+@pytest.mark.parametrize("scene", ["bench_stretch", "drape", "contacts", "sphere",
+                                   "plane_holding_pin"])
+def test_factorizations_one_base_plus_one_per_extra_step(scene, monkeypatch):
+    # the spring system is factorized once; a step with contact or collider
+    # rows on free vertices factorizes its own matrix, and no other does
+    y, kw = _close_strands(contact_stiffness=2.0) if scene == "contacts" else SCENES[scene]()
+    calls = []
+    factorized = ym.spla.factorized
+    monkeypatch.setattr(ym.spla, "factorized", lambda A: calls.append(1) or factorized(A))
+    seq = ym.simulate_yarn(y, **kw)
+    extra = _extra_steps(y, kw, seq)
+    assert len(calls) == 1 + extra
+    if scene in ("bench_stretch", "drape"):
+        assert extra == 0
+    else:
+        assert 1 < extra < seq.n_frames
 
 
 # ---------------------------------------------------------------------------
