@@ -163,10 +163,11 @@ def test_solve_equilibrium(benchmark, start):
     gammas = 1.0 + 0.01 * rng.normal(size=(2, nE))
     x0 = None
     if start == "warm":
-        x0, _, ok = problem.solve_equilibrium(np.ones((2, nE)), sample)
-        assert ok
-    _, resid, ok = benchmark(_fresh(problem.solve_equilibrium), gammas, sample, x0)
-    assert ok and resid < 1e-6
+        warm = problem.solve_equilibrium(np.ones((2, nE)), sample)
+        assert warm.converged
+        x0 = warm.x
+    eq = benchmark(_fresh(problem.solve_equilibrium), gammas, sample, x0)
+    assert eq.converged and eq.residual < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +180,8 @@ def fitted():
     res, _ = fitting.fit_staged(problem, [sample], np.ones(2 * problem.mesh.n_elements),
                                 ranks=(1, None), gd_iters=3, gn_iters=6)
     gammas = res.gamma.reshape(2, -1)
-    _, xs, resids = problem.evaluate(gammas, [sample])
-    states, grad = fitting.objective_gradient(problem, [sample], gammas, xs, resids)
+    states, grad = fitting.objective_gradient(problem, [sample], gammas,
+                                              problem.evaluate(gammas, [sample])[1])
     active = np.flatnonzero((grad > 0.0) & (res.gamma <= mat.GAMMA_FLOOR))
     assert len(active)
     return problem, states, active

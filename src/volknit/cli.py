@@ -560,9 +560,8 @@ def cmd_fit(cfg, out, chash):
 
     # loss of the fitted material on every sample, each from a cold solve
     solved = [problem.solve_equilibrium(gammas, s) for s in samples]
-    finals = [problem.loss(x, s) if ok else float("inf")
-              for s, (x, _, ok) in zip(samples, solved)]
-    unconverged = [s.index for s, (_, _, ok) in zip(samples, solved) if not ok]
+    finals = [e.loss if e.converged else float("inf") for e in solved]
+    unconverged = [s.index for s, e in zip(samples, solved) if not e.converged]
     # the fit minimizes the sum of the per-sample losses
     final_loss = float(sum(finals))
 

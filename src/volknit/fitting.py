@@ -3,16 +3,16 @@
 Each sample couples a yarn pose with its transferred mesh targets and an
 inertia target; the fitted state is the quasi-static equilibrium of the
 homogenized mesh under those loads.  The fit minimizes the sum of the
-per-sample pose-matching losses.  Each sample keeps its own equilibrium
-state and adjoint solve against the exact equilibrium Jacobian; gradients
-add up.  A Gauss-Newton direction is a dense 2r x 2r solve in a rank-r
-stage, one sparse solve with the coefficients eliminated in the full
-space.  The parameter is the per-element coefficient vector alone.  A
-spectral coarse-to-fine schedule (element-graph Laplacian eigenvectors,
-ranks 1 / 10 / 30 / full) initializes the material: each stage's basis
-only restricts the direction, and each stage starts at the previous
-stage's coefficients.  One cold full-space pass from them ends the fit
-(without that pass the bench training loss was 10 % higher).
+per-sample pose-matching losses.  Each solve gives a sample's Equilibrium
+record; its adjoint solve factorizes the exact equilibrium Jacobian once,
+and a rank-r stage's Gauss-Newton direction (a dense 2r x 2r solve) reuses
+that LU; gradients add up.  The full space eliminates the coefficients to
+one sparse direction solve.  The parameter is the per-element coefficient
+vector alone.  A spectral coarse-to-fine schedule (element-graph Laplacian
+eigenvectors, ranks 1 / 10 / 30 / full) initializes the material: each
+stage's basis only restricts the direction, and each stage starts at the
+previous stage's coefficients.  One cold full-space pass from them ends the
+fit (without that pass the bench training loss was 10 % higher).
 
 A sample's first equilibrium is a cold solve: proximal rounds from the
 transferred pose, then Newton.  Every trial after it is a warm solve from
@@ -96,12 +96,8 @@ def build_sample(op, frames, i, dt=None, yarn_pins=(), yarn_force=None):
         a = transfer.estimate_inertia(op, YarnSequence(frames=frames, dt=dt), i, yarn_force)
     else:
         a = np.zeros_like(x_init)
-    yarn_pins = np.asarray(yarn_pins, dtype=int)
-    if len(yarn_pins):
-        hosts = op.embedding.host_elem[yarn_pins]
-        pins = np.unique(op.mesh.tets[hosts])
-    else:
-        pins = np.empty(0, dtype=int)
+    hosts = op.embedding.host_elem[np.asarray(yarn_pins, dtype=int)]
+    pins = np.unique(op.mesh.tets[hosts])
     return FitSample(index=i, yarn_pose=np.asarray(frames[i], dtype=float),
                      targets=targets, inertia=a, pins=pins,
                      pin_vals=x_init[pins], x_init=x_init, op=op)
@@ -118,12 +114,22 @@ class EquilibriumStats:
     max_residual: float = 0.0   # largest final residual
     ridges: int = 0             # adjoint solves retried on H + kappa I
 
-    def record(self, cold, iters, ok, resid):
+    def record(self, eq, cold, iters):
         self.cold += int(cold)
         self.warm += int(not cold)
         self.newton_iters += int(iters)
-        self.unconverged += int(not ok)
-        self.max_residual = max(self.max_residual, float(resid))
+        self.unconverged += int(not eq.converged)
+        self.max_residual = max(self.max_residual, float(eq.residual))
+
+
+@dataclass
+class Equilibrium:
+    """One sample's solved equilibrium."""
+
+    x: np.ndarray               # (nV, 3) state
+    residual: float             # free-node residual infinity norm
+    converged: bool             # residual below the solve's tol
+    loss: float                 # the sample's loss at x
 
 
 class FitProblem:
@@ -151,7 +157,7 @@ class FitProblem:
 
     def solve_equilibrium(self, gammas, sample, x0=None, tol=1e-6,
                           pd_iters=6, max_newton=60):
-        """Quasi-static state under the sample loads.
+        """Quasi-static state under the sample loads, as an Equilibrium.
 
         A cold solve (x0 None) runs pd_iters proximal rounds from
         sample.x_init, then polishes with exact-Jacobian Newton.  A given
@@ -159,8 +165,6 @@ class FitProblem:
         rounds would only move it off the equilibrium for Newton to bring
         back, so the warm solve goes straight to Newton and takes at least
         one step, which moves x even when the start already meets tol.
-
-        Returns (x, residual infinity norm on free nodes, converged flag).
         """
         cold = x0 is None
         if cold:
@@ -171,17 +175,16 @@ class FitProblem:
             self.mesh, gammas, x0, dt=self.dt, pins=sample.pins,
             pin_vals=sample.pin_vals, inertia_target=sample.inertia,
             tol=tol, max_iters=max_newton, min_iters=0 if cold else 1)
-        self.stats.record(cold, iters, ok, resid)
-        return x, resid, ok
+        eq = Equilibrium(x, resid, ok, self.loss(x, sample))
+        self.stats.record(eq, cold, iters)
+        return eq
 
-    def evaluate(self, gammas, samples, xs=None):
-        """(summed loss, states, residuals) of the samples' equilibria:
-        cold solves, or warm ones from the states xs (one per sample)."""
-        solved = [self.solve_equilibrium(gammas, s, x0=x0) for s, x0 in
-                  zip(samples, [None] * len(samples) if xs is None else xs)]
-        xs = [x for x, _, _ in solved]
-        return (_total([self.loss(x, s) for x, s in zip(xs, samples)]), xs,
-                [resid for _, resid, _ in solved])
+    def evaluate(self, gammas, samples, warm=None):
+        """(summed loss, Equilibrium of each sample): cold solves, or warm
+        ones from the records `warm` (one per sample)."""
+        x0s = [None] * len(samples) if warm is None else [w.x for w in warm]
+        eqs = [self.solve_equilibrium(gammas, s, x0=x0) for s, x0 in zip(samples, x0s)]
+        return _total([e.loss for e in eqs]), eqs
 
 
 def _total(values):
@@ -215,49 +218,53 @@ def gamma_jacobian(mesh, x):
 class AdjointState:
     """One sample's equilibrium-point quantities, on its free DOFs."""
 
-    H: sp.csc_matrix          # exact equilibrium Jacobian
+    H: sp.csc_matrix          # exact equilibrium Jacobian, ridged if singular
+    lu: spla.SuperLU          # the one LU of H: adjoint and spectral GN solves
     J: sp.csr_matrix          # residual derivative in gamma
     G: sp.csr_matrix          # loss Hessian (the sample's kept block)
     grad: np.ndarray          # loss gradient in gamma, length 2nE
 
 
-def adjoint_gradient(problem, sample, gammas, x, residual, logger=None):
-    """One sample's loss gradient in the coefficients via one adjoint solve.
+def adjoint_gradient(problem, sample, gammas, eq, logger=None):
+    """One sample's loss gradient in the coefficients via one adjoint solve
+    at its Equilibrium `eq`, gated on eq.residual and logged.
 
     The equilibrium Jacobian carries the projection sensitivities; with
-    the frozen-projection form the gradient has order-one error.  Each
-    call is gated on `residual`, the equilibrium residual that
-    solve_equilibrium returned with x, and logged.
+    the frozen-projection form the gradient has order-one error.  An
+    exactly singular H gives way to H + kappa I, in the state too.
     """
-    ok = residual < EQ_GATE
+    ok = eq.residual < EQ_GATE
     if logger is not None:
-        logger.log_gate(sample.index, residual, ok)
+        logger.gate.append((sample.index, eq.residual, ok))
     if not ok:
         raise EquilibriumGateError(
-            f"adjoint evaluation rejected: residual {residual:.3e} >= {EQ_GATE:g}")
+            f"adjoint evaluation rejected: residual {eq.residual:.3e} >= {EQ_GATE:g}")
 
     fdofs = sample.fdofs
-    Hff = pdsolver.exact_elastic_hessian(problem.mesh, gammas, x, fdofs)
-    gx = problem.loss_grad_x(x, sample).reshape(-1)[fdofs]
+    Hff = pdsolver.exact_elastic_hessian(problem.mesh, gammas, eq.x, fdofs)
+    gx = problem.loss_grad_x(eq.x, sample).reshape(-1)[fdofs]
     try:
-        lam = spla.spsolve(Hff, gx)
+        lu = spla.splu(Hff)
+        lam = lu.solve(gx)
     except RuntimeError:
         lam = None
-    # an exactly singular H can also come back as a warning and a NaN lambda
+    # SuperLU raises on an exact zero pivot; a tiny one can overflow lambda
     if lam is None or not np.isfinite(lam).all():
         kap = KAPPA_SCALE * Hff.diagonal().sum() / Hff.shape[0]
         log.warning("singular equilibrium Jacobian; adding %.3e ridge", kap)
         problem.stats.ridges += 1
-        lam = spla.spsolve((Hff + kap * sp.eye(Hff.shape[0])).tocsc(), gx)
-    J = gamma_jacobian(problem.mesh, x)[fdofs]
+        Hff = (Hff + kap * sp.eye(Hff.shape[0])).tocsc()
+        lu = spla.splu(Hff)
+        lam = lu.solve(gx)
+    J = gamma_jacobian(problem.mesh, eq.x)[fdofs]
     grad = -(J.T @ lam)
-    return AdjointState(H=Hff, J=J, G=sample.G, grad=grad)
+    return AdjointState(H=Hff, lu=lu, J=J, G=sample.G, grad=grad)
 
 
-def objective_gradient(problem, samples, gammas, xs, residuals, logger=None):
-    """Adjoint states of every sample and the summed loss gradient."""
-    states = [adjoint_gradient(problem, s, gammas, x, residual=r, logger=logger)
-              for s, x, r in zip(samples, xs, residuals)]
+def objective_gradient(problem, samples, gammas, equilibria, logger=None):
+    """Adjoint states at every sample's Equilibrium and the summed gradient."""
+    states = [adjoint_gradient(problem, s, gammas, eq, logger=logger)
+              for s, eq in zip(samples, equilibria)]
     return states, _total([st.grad for st in states])
 
 
@@ -281,8 +288,8 @@ def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
     """Gauss-Newton direction d of the summed loss, given one AdjointState
     per sample: (sum_k S_k^T G_k S_k + kappa I) d = -grad, S_k = H_k^-1 J_k.
 
-    With a spectral `basis` (nE, r), S_k comes from one LU of H_k per
-    sample and the 2r x 2r system is solved densely.  In the full space
+    With a spectral `basis` (nE, r), S_k solves with the adjoint's LU of H_k
+    (st.lu) and the 2r x 2r system is solved densely.  In the full space
     (basis None), d = (sum_k J_k^T v_k - grad) / kappa is eliminated from
     the SGN block system (Zehnder et al. 2021), leaving one sparse solve of
     size 2 sum_k n_k, with J the J_k stacked and H, G block diagonal:
@@ -306,7 +313,7 @@ def adjoint_gauss_newton(states, kappa=None, basis=None, frozen=()):
     Js = [_coords(basis, st.J)[:, keep] for st in states]
     try:
         if basis is not None:
-            S = [spla.splu(st.H).solve(Jk) for st, Jk in zip(states, Js)]
+            S = [st.lu.solve(Jk) for st, Jk in zip(states, Js)]
             P = _total([Sk.T @ (st.G @ Sk) for st, Sk in zip(states, S)])
             dk = np.linalg.solve(P + kappa * np.eye(len(keep)), -gk)
         else:
@@ -360,13 +367,6 @@ class FitLogger:
     # damping-ladder direction solves, the failed ones, and fallbacks to -grad
     gauss_newton: dict = field(default_factory=lambda: dict(solves=0, escalations=0, exhausted=0))
 
-    def log_gate(self, sample, resid, ok):
-        self.gate.append((sample, resid, ok))
-
-    def log_iter(self, phase, iteration, loss, step, grad_norm):
-        self.rows.append(dict(phase=phase, iteration=iteration,
-                              loss=loss, step=step, grad_norm=grad_norm))
-
     @property
     def gate_violations(self):
         return sum(1 for _, _, ok in self.gate if not ok)
@@ -374,12 +374,13 @@ class FitLogger:
 
 @dataclass
 class FitResult:
+    """A fit's end point; each sample's adjoint state and its one LU stay behind."""
+
     gamma: np.ndarray          # stacked (2nE,)
     loss: float                # summed over the samples
-    xs: list                   # equilibrium state of each sample
+    equilibria: list           # Equilibrium of each sample at gamma
     losses: list
     stalled: bool
-    resids: list = None        # equilibrium residual of each final state
 
 
 def _gn_direction(states, grad, kappa, basis, active, logger):
@@ -425,15 +426,12 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
     every sample cold, each trial solves them warm from their current
     states, and a trial that misses EQ_GATE on any sample fails; a phase
     that ends without moving hands its adjoint states to the next.  An
-    `init_state`, the (loss, states, residuals) triple of gamma0, starts a
-    stage exactly at the previous optimum.  Returns FitResult.
+    `init_state`, the (loss, equilibria) pair of gamma0, starts a stage
+    exactly at the previous optimum.  Returns FitResult.
     """
     if not len(samples):
         raise ValueError("need at least one sample")
     logger = FitLogger() if logger is None else logger
-
-    def eval_at(gamma_vec, warm=None):
-        return problem.evaluate(gamma_vec.reshape(2, -1), samples, warm)
 
     def lift(d):
         # a direction in the stage's coordinates steps gamma by basis @ d per field
@@ -441,17 +439,18 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
         return d if basis is None else np.concatenate([basis @ d[:r], basis @ d[r:]])
 
     gamma = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
-    loss, xs, resids = eval_at(gamma) if init_state is None else init_state
+    loss, eqs = (problem.evaluate(gamma.reshape(2, -1), samples) if init_state is None
+                 else init_state)
     losses = [loss]
     stalled = False
-    trial_state = None
+    trial_eqs = None
 
     def eval_loss(trial):
         # every trial starts from the current states; safeguarded_update
         # accepts the last trial it evaluates, so its states are kept
-        nonlocal trial_state
-        val, *trial_state = eval_at(trial, xs)
-        return val if max(trial_state[1]) < EQ_GATE else np.inf
+        nonlocal trial_eqs
+        val, trial_eqs = problem.evaluate(trial.reshape(2, -1), samples, eqs)
+        return val if max(e.residual for e in trial_eqs) < EQ_GATE else np.inf
 
     kappa = None
     window = []
@@ -461,7 +460,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
         for it in range(iters):
             if states is None:
                 states, grad_full = objective_gradient(
-                    problem, samples, gamma.reshape(2, -1), xs, resids, logger=logger)
+                    problem, samples, gamma.reshape(2, -1), eqs, logger=logger)
             grad = _coords(basis, grad_full).copy()
             active = (np.flatnonzero((grad > 0.0) & (gamma <= mat.GAMMA_FLOOR))
                       if basis is None else [])
@@ -476,9 +475,10 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
             gamma, loss, accepted, t = safeguarded_update(
                 gamma, lift(d), step, eval_loss, loss, tries=tries)
             if accepted:
-                xs, resids = trial_state
+                eqs = trial_eqs
                 states = None
-            logger.log_iter(phase, it, loss, step * t, gnorm)
+            logger.rows.append(dict(phase=phase, iteration=it, loss=loss,
+                                    step=step * t, grad_norm=gnorm))
             losses.append(loss)
             if not accepted:
                 # flat for GD, and GN may still move; a rejected GN step stalls
@@ -490,8 +490,8 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
                         and (window[0] - window[-1]) / window[0] < STOP_REL):
                     break
 
-    return FitResult(gamma=gamma, loss=loss, xs=xs, losses=losses,
-                     stalled=stalled, resids=resids)
+    return FitResult(gamma=gamma, loss=loss, equilibria=eqs, losses=losses,
+                     stalled=stalled)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +548,7 @@ def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS, logger=None,
                             gn_iters=gn_iters, init_state=start)
         stage_losses["full" if rk is None else f"r{rk}"] = result.loss
         losses += result.losses if start is None else result.losses[1:]
-        gamma, start = result.gamma, (result.loss, result.xs, result.resids)
+        gamma, start = result.gamma, (result.loss, result.equilibria)
     return replace(result, losses=losses), stage_losses
 
 
@@ -564,6 +564,6 @@ def fit_sequence(problem, samples, gamma0, *, logger=None,
     failed = res.stalled and not progressed
     if failed:
         log.warning("the full-space pass stalled without progress")
-    per_sample = [dict(index=s.index, loss=problem.loss(x, s), stalled=res.stalled,
-                       progressed=progressed) for s, x in zip(samples, res.xs)]
+    per_sample = [dict(index=s.index, loss=e.loss, stalled=res.stalled,
+                       progressed=progressed) for s, e in zip(samples, res.equilibria)]
     return res.gamma.reshape(2, -1), dict(samples=per_sample, failed=failed)

@@ -72,11 +72,9 @@ def random_yarn_scene(seed, truth_span=(2.0, 10.0, 1.0, 5.0)):
 def state_at(sc, gvec, logger=None):
     problem, sample = sc["problem"], sc["sample"]
     gf = gvec.reshape(2, -1)
-    x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
-                                             max_newton=150)
-    assert ok
-    return fitting.adjoint_gradient(problem, sample, gf, x, residual=resid,
-                                    logger=logger)
+    eq = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
+    assert eq.converged
+    return fitting.adjoint_gradient(problem, sample, gf, eq, logger=logger)
 
 
 @pytest.fixture(scope="module")

@@ -467,8 +467,9 @@ def quick_fit(stalled):
     """A fit_sample stand-in that returns gamma0 (floored) at once."""
     def fit(problem, samples, gamma0, **kw):
         gamma = np.maximum(np.asarray(gamma0, dtype=float), mat.GAMMA_FLOOR)
-        return fitting.FitResult(gamma=gamma, loss=1.0,
-                                 xs=[s.x_init.copy() for s in samples],
+        eqs = [fitting.Equilibrium(s.x_init.copy(), 0.0, True, problem.loss(s.x_init, s))
+               for s in samples]
+        return fitting.FitResult(gamma=gamma, loss=1.0, equilibria=eqs,
                                  losses=[1.0] if stalled else [2.0, 1.0],
                                  stalled=stalled)
     return fit
@@ -516,8 +517,8 @@ def test_fit_unconverged_final_solve_exits_3(block_ws, tmp_path, monkeypatch,
     monkeypatch.setattr(fitting, "fit_sample", quick_fit(stalled=False))
     monkeypatch.setattr(
         fitting.FitProblem, "solve_equilibrium",
-        lambda self, gammas, sample, x0=None, **kw: (sample.x_init.copy(),
-                                                     1.0, False))
+        lambda self, gammas, sample, x0=None, **kw: fitting.Equilibrium(
+            sample.x_init.copy(), 1.0, False, self.loss(sample.x_init, sample)))
     cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"]))
     cfg["paths"]["material"] = None
     rc, out = run_cli("fit", tmp_path / "unconverged", cfg)

@@ -2,6 +2,7 @@
 safeguards, spectral staging, the summed objective over samples, and the
 full-space pass."""
 
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -90,11 +91,11 @@ def lighter_stretch_sample(scene, stretch=0.05, index=1):
 
 
 def loss_at(problem, sample, gvec, tol=1e-10, warm=None):
-    x, resid, ok = problem.solve_equilibrium(
+    eq = problem.solve_equilibrium(
         gvec.reshape(2, -1), sample, x0=sample.x_init if warm is None else warm,
         tol=tol, pd_iters=4, max_newton=150)
-    assert ok, f"equilibrium stalled at residual {resid:.3e}"
-    return problem.loss(x, sample)
+    assert eq.converged, f"equilibrium stalled at residual {eq.residual:.3e}"
+    return problem.loss(eq.x, sample)
 
 
 def fd_gamma_gradient(problem, sample, gvec, h=1e-3):
@@ -316,13 +317,13 @@ class TestSolveEquilibrium:
         problem, sample = scene["problem"], scene["sample"]
         nE = problem.mesh.n_elements
         g = scene["gam_true"] * np.linspace(0.8, 1.2, 2 * nE).reshape(2, -1)
-        x, resid, ok = problem.solve_equilibrium(g, sample)
-        assert ok and resid < 1e-6
+        eq = problem.solve_equilibrium(g, sample)
+        assert eq.converged and eq.residual < 1e-6
         before = fitting.EquilibriumStats(**vars(problem.stats))
-        x2, resid2, ok2 = problem.solve_equilibrium(
-            g * (1.0 + 1e-9), sample, x0=x)
-        assert ok2 and resid2 < 1e-6
-        assert not np.array_equal(x2, x)
+        eq2 = problem.solve_equilibrium(
+            g * (1.0 + 1e-9), sample, x0=eq.x)
+        assert eq2.converged and eq2.residual < 1e-6
+        assert not np.array_equal(eq2.x, eq.x)
         st = problem.stats
         assert (st.cold, st.warm) == (before.cold, before.warm + 1)
         assert st.newton_iters >= before.newton_iters + 1
@@ -333,8 +334,8 @@ class TestSolveEquilibrium:
         pd_eq = pdsolver.pd_equilibrium
         monkeypatch.setattr(pdsolver, "pd_equilibrium",
                             lambda *a, **k: calls.append(1) or pd_eq(*a, **k))
-        x, _, _ = problem.solve_equilibrium(scene["gam_true"], sample)
-        problem.solve_equilibrium(scene["gam_true"], sample, x0=x)
+        eq = problem.solve_equilibrium(scene["gam_true"], sample)
+        problem.solve_equilibrium(scene["gam_true"], sample, x0=eq.x)
         assert len(calls) == 1
 
 
@@ -365,11 +366,9 @@ class TestAdjointGradient:
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         gf = g0.reshape(2, -1)
-        x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
-                                                 max_newton=150)
-        assert ok
-        state = fitting.adjoint_gradient(problem, sample, gf, x,
-                                         residual=resid)
+        eq = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
+        assert eq.converged
+        state = fitting.adjoint_gradient(problem, sample, gf, eq)
         fd = fd_gamma_gradient(problem, sample, g0)
         rel = np.linalg.norm(state.grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-3
@@ -378,10 +377,9 @@ class TestAdjointGradient:
     def test_stationary_at_generating_field(self, scene):
         problem, sample = scene["problem"], scene["sample"]
         gf = scene["gam_true"]
-        x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-9)
-        assert ok
-        state = fitting.adjoint_gradient(problem, sample, gf, x,
-                                         residual=resid)
+        eq = problem.solve_equilibrium(gf, sample, tol=1e-9)
+        assert eq.converged
+        state = fitting.adjoint_gradient(problem, sample, gf, eq)
         assert np.linalg.norm(state.grad) < 1e-6
 
     def test_single_element_chain_rule(self):
@@ -400,10 +398,9 @@ class TestAdjointGradient:
             x_init=np.vstack([pin_vals, mesh.nodes[3]]), op=problem.op)
         g0 = np.array([3.0, 1.5])
         gf = g0.reshape(2, -1)
-        x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-12)
-        assert ok
-        state = fitting.adjoint_gradient(problem, sample, gf, x,
-                                         residual=resid)
+        eq = problem.solve_equilibrium(gf, sample, tol=1e-12)
+        assert eq.converged
+        state = fitting.adjoint_gradient(problem, sample, gf, eq)
         fd = fd_gamma_gradient(problem, sample, g0, h=1e-4)
         assert np.allclose(state.grad, fd, rtol=1e-6, atol=1e-12)
 
@@ -427,10 +424,9 @@ class TestAdjointGradient:
         nE = mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.5), np.full(nE, 3.5)])
         gf = g0.reshape(2, -1)
-        x, resid, ok = p2.solve_equilibrium(gf, sample, tol=1e-10,
-                                            max_newton=150)
-        assert ok
-        state = fitting.adjoint_gradient(p2, sample, gf, x, residual=resid)
+        eq = p2.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
+        assert eq.converged
+        state = fitting.adjoint_gradient(p2, sample, gf, eq)
         fd = fd_gamma_gradient(p2, sample, g0)
         rel = np.linalg.norm(state.grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-3
@@ -438,41 +434,42 @@ class TestAdjointGradient:
     def test_gate_rejects_bad_equilibrium(self, scene):
         problem, sample = scene["problem"], scene["sample"]
         lg = fitting.FitLogger()
+        bad = fitting.Equilibrium(x=sample.x_init, residual=1.0, converged=False,
+                                  loss=problem.loss(sample.x_init, sample))
         with pytest.raises(fitting.EquilibriumGateError):
-            fitting.adjoint_gradient(problem, sample, scene["gam_true"],
-                                     sample.x_init, residual=1.0, logger=lg)
+            fitting.adjoint_gradient(problem, sample, scene["gam_true"], bad, logger=lg)
         assert lg.gate_violations == 1
         # clean evaluations pass and are logged as such
-        x, resid, ok = problem.solve_equilibrium(scene["gam_true"], sample)
-        fitting.adjoint_gradient(problem, sample, scene["gam_true"], x,
-                                 residual=resid, logger=lg)
+        eq = problem.solve_equilibrium(scene["gam_true"], sample)
+        fitting.adjoint_gradient(problem, sample, scene["gam_true"], eq, logger=lg)
         assert lg.gate_violations == 1
         assert len(lg.gate) == 2
 
     def test_failed_solve_retries_with_a_counted_ridge(self, small_scene, monkeypatch):
-        # spsolve reports an exactly singular matrix by raising or, with a
-        # MatrixRankWarning, by an all-NaN result; either retries on H + kI
+        # splu reports an exactly singular matrix by raising, and a factor
+        # with a tiny pivot can solve to a non-finite result; either retries
+        # on H + kI
         problem, sample = small_scene["problem"], small_scene["sample"]
         nE = problem.mesh.n_elements
         gf = oracles.uniform(nE, 2.0, 4.0)
-        x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
-        assert ok
-        plain = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid).grad
-        spsolve = fitting.spla.spsolve
+        eq = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
+        assert eq.converged
+        plain = fitting.adjoint_gradient(problem, sample, gf, eq).grad
+        splu = fitting.spla.splu
         for failure in ("raises", "nan"):
             calls = []
 
             def first_fails(*args, **kw):
                 calls.append(1)
                 if len(calls) > 1:
-                    return spsolve(*args, **kw)
+                    return splu(*args, **kw)
                 if failure == "raises":
                     raise RuntimeError("Factor is exactly singular")
-                return np.full(args[1].shape, np.nan)
+                return types.SimpleNamespace(solve=lambda b: np.full(b.shape, np.nan))
 
-            monkeypatch.setattr(fitting.spla, "spsolve", first_fails)
+            monkeypatch.setattr(fitting.spla, "splu", first_fails)
             before = problem.stats.ridges
-            state = fitting.adjoint_gradient(problem, sample, gf, x, residual=resid)
+            state = fitting.adjoint_gradient(problem, sample, gf, eq)
             assert problem.stats.ridges == before + 1, failure
             assert len(calls) == 2, failure
             assert np.all(np.isfinite(state.grad)), failure
@@ -488,10 +485,9 @@ class TestGaussNewton:
     def _state(self, sc, gvec):
         problem, sample = sc["problem"], sc["sample"]
         gf = gvec.reshape(2, -1)
-        x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
-                                                 max_newton=150)
-        assert ok
-        return fitting.adjoint_gradient(problem, sample, gf, x, residual=resid)
+        eq = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
+        assert eq.converged
+        return fitting.adjoint_gradient(problem, sample, gf, eq)
 
     def test_matches_dense_oracle(self, small_scene):
         problem, sample = small_scene["problem"], small_scene["sample"]
@@ -531,7 +527,8 @@ class TestGaussNewton:
 
     def test_nonpositive_kappa_rejected(self):
         # the full-space solve divides by kappa
-        state = fitting.AdjointState(H=sp.eye(6, format="csc"), J=sp.csr_matrix(np.ones((6, 4))),
+        H = sp.eye(6, format="csc")
+        state = fitting.AdjointState(H=H, lu=spla.splu(H), J=sp.csr_matrix(np.ones((6, 4))),
                                      G=sp.eye(6, format="csr"), grad=np.ones(4))
         for basis in (None, np.full((2, 1), np.sqrt(0.5))):
             for kappa in (0.0, -1e-6, np.nan):
@@ -646,7 +643,9 @@ class TestFitSample:
             if x0 is not None and x0 is not sample_.x_init:
                 trials.append(1)
                 if len(trials) == 1:
-                    return scene["xstar"].copy(), 2.0 * fitting.EQ_GATE, False
+                    x = scene["xstar"].copy()
+                    return fitting.Equilibrium(x, 2.0 * fitting.EQ_GATE, False,
+                                               problem.loss(x, sample_))
             return solve(gammas, sample_, x0=x0, **kw)
 
         monkeypatch.setattr(problem, "solve_equilibrium", stub)
@@ -659,7 +658,7 @@ class TestFitSample:
         assert all(r < fitting.EQ_GATE for _, r, _ in lg.gate)
         assert lg.rows[0]["phase"] == "gn"
         assert 0.0 < lg.rows[0]["step"] < fitting.GN_STEP
-        assert max(res.resids) < fitting.EQ_GATE
+        assert max(e.residual for e in res.equilibria) < fitting.EQ_GATE
 
     def test_rejected_gd_step_hands_its_adjoint_state_to_gn(self, scene,
                                                              monkeypatch):
@@ -685,7 +684,8 @@ class TestFitSample:
         def stub(gammas, sample_, x0=None, **kw):
             if x0 is not None and not missed:
                 missed.append(1)
-                return x0.copy(), 2.0 * fitting.EQ_GATE, False
+                return fitting.Equilibrium(x0.copy(), 2.0 * fitting.EQ_GATE, False,
+                                           problem.loss(x0, sample_))
             return solve(gammas, sample_, x0=x0, **kw)
 
         monkeypatch.setattr(problem, "solve_equilibrium", stub)
@@ -695,9 +695,10 @@ class TestFitSample:
                                  logger=lg)
         assert [(r["phase"], r["step"]) for r in lg.rows[:2]] == [("gd", 0.0), ("gn", 1.0)]
         assert len(calls) == len(lg.gate) == n_ref
-        for name in ("gamma", "xs"):
-            assert np.array_equal(getattr(res, name), getattr(ref, name))
-        assert (res.loss, res.resids, res.stalled) == (ref.loss, ref.resids, ref.stalled)
+        assert np.array_equal(res.gamma, ref.gamma)
+        assert np.array_equal([e.x for e in res.equilibria], [e.x for e in ref.equilibria])
+        assert ((res.loss, [e.residual for e in res.equilibria], res.stalled)
+                == (ref.loss, [e.residual for e in ref.equilibria], ref.stalled))
         # the rejected GD step logs the start's loss once more
         assert res.losses == ref.losses[:1] + ref.losses
 
@@ -770,11 +771,9 @@ class TestHarmonicBasis:
         assert gvec.min() > 0.5
 
         gf = gvec.reshape(2, -1)
-        x, resid, ok = problem.solve_equilibrium(gf, sample, tol=1e-10,
-                                                 max_newton=150)
-        assert ok
-        state = fitting.adjoint_gradient(problem, sample, gf, x,
-                                         residual=resid)
+        eq = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
+        assert eq.converged
+        state = fitting.adjoint_gradient(problem, sample, gf, eq)
         # chain-rule identity against the full-space gradient
         red = np.concatenate([H.T @ state.grad[:nE], H.T @ state.grad[nE:]])
 
@@ -855,15 +854,13 @@ class TestSummedObjective:
                                                        two_samples):
         problem = small_scene["problem"]
         gf = self._field(problem)
-        loss, xs, resids = problem.evaluate(gf, two_samples)
-        states, grad = fitting.objective_gradient(problem, two_samples, gf,
-                                                  xs, resids)
+        loss, eqs = problem.evaluate(gf, two_samples)
+        states, grad = fitting.objective_gradient(problem, two_samples, gf, eqs)
         singles = []
         for s in two_samples:
-            loss_k, xs_k, resids_k = problem.evaluate(gf, [s])
-            singles.append((loss_k, fitting.objective_gradient(
-                problem, [s], gf, xs_k, resids_k)[1]))
-            assert loss_k == problem.loss(xs_k[0], s)
+            loss_k, eqs_k = problem.evaluate(gf, [s])
+            singles.append((loss_k, fitting.objective_gradient(problem, [s], gf, eqs_k)[1]))
+            assert loss_k == problem.loss(eqs_k[0].x, s)
         (la, ga), (lb, gb) = singles
         assert la > 0.0 and lb > 0.0
         assert loss == la + lb
@@ -876,8 +873,8 @@ class TestSummedObjective:
         floored coefficients with a positive gradient), and that set."""
         gf = self._field(problem)
         gf[0, ::3] = gf[1, 1::3] = mat.GAMMA_FLOOR
-        _, xs, resids = problem.evaluate(gf, samples)
-        states, grad = fitting.objective_gradient(problem, samples, gf, xs, resids)
+        _, eqs = problem.evaluate(gf, samples)
+        states, grad = fitting.objective_gradient(problem, samples, gf, eqs)
         active = np.flatnonzero((grad > 0.0) & (gf.reshape(-1) <= mat.GAMMA_FLOOR))
         assert len(active)
         grad = grad.copy()
@@ -886,8 +883,8 @@ class TestSummedObjective:
 
     def _states(self, problem, samples):
         gf = self._field(problem)
-        _, xs, resids = problem.evaluate(gf, samples)
-        return fitting.objective_gradient(problem, samples, gf, xs, resids)[0]
+        return fitting.objective_gradient(problem, samples, gf,
+                                          problem.evaluate(gf, samples)[1])[0]
 
     @pytest.mark.parametrize("rank,frozen,scale", [
         pytest.param(rank, frozen, scale, id=name if scale == 1.0 else f"kappa{scale:g}-{name}",
@@ -915,8 +912,9 @@ class TestSummedObjective:
 
     def test_factorizes_each_hessian_or_the_eliminated_system(self, small_scene,
                                                               two_samples, monkeypatch):
-        # a spectral direction factorizes each n_k x n_k H_k, a full-space one
-        # the 2 sum_k n_k system: never the (2 sum_k n_k + m) block system
+        # a spectral direction solves with the adjoint's LU of each H_k and
+        # factorizes nothing; a full-space one factorizes the 2 sum_k n_k
+        # system: never the (2 sum_k n_k + m) block system
         problem = small_scene["problem"]
         states = self._states(problem, two_samples)
         basis = fitting.harmonic_basis(problem.mesh, 4)
@@ -924,10 +922,55 @@ class TestSummedObjective:
         monkeypatch.setattr(spla, "splu", lambda A, **kw: shapes.append(A.shape) or real(A, **kw))
         n = [st.H.shape[0] for st in states]
         assert fitting.adjoint_gauss_newton(states, basis=basis)[2]
-        assert shapes == [(nk, nk) for nk in n]
-        shapes.clear()
+        assert shapes == []
         assert fitting.adjoint_gauss_newton(states)[2]
         assert shapes == [(2 * sum(n), 2 * sum(n))]
+
+    def test_one_factorization_per_sample_per_point(self, small_scene, two_samples,
+                                                    monkeypatch):
+        # over a whole rank-4 fit, each point's adjoint factorizes each H_k
+        # once and the spectral directions reuse those LUs; only the fit's
+        # own sparse solves are counted, not the equilibrium polish's
+        problem = small_scene["problem"]
+        factorizations, points = [], []
+        counted = lambda f: lambda *a, **kw: factorizations.append(1) or f(*a, **kw)
+        monkeypatch.setattr(fitting, "spla", types.SimpleNamespace(
+            splu=counted(spla.splu), spsolve=counted(spla.spsolve)))
+        objective = fitting.objective_gradient
+        monkeypatch.setattr(fitting, "objective_gradient",
+                            lambda *a, **kw: points.append(1) or objective(*a, **kw))
+        res = fitting.fit_sample(problem, two_samples, self._field(problem).reshape(-1),
+                                 basis=fitting.harmonic_basis(problem.mesh, 4),
+                                 gd_iters=2, gn_iters=4)
+        assert res.losses[-1] < res.losses[0] and len(points) > 1
+        assert len(factorizations) == len(points) * len(two_samples)
+
+    def test_ridged_state_gives_a_first_rung_direction(self, small_scene):
+        # a free node that only zero-coefficient elements touch leaves H_k
+        # exactly singular; the adjoint ridges it, and the state's H and LU
+        # are the ridged matrix, so the spectral direction needs no escalation
+        problem, sample = small_scene["problem"], small_scene["sample"]
+        mesh = problem.mesh
+        free = np.setdiff1d(np.arange(mesh.n_nodes), sample.pins)
+        node = free[0]
+        gf = oracles.uniform(mesh.n_elements, 2.0, 4.0)
+        gf[:, np.flatnonzero((mesh.tets == node).any(axis=1))] = 0.0
+        rng = np.random.default_rng(5)
+        x = sample.x_init + 1e-3 * rng.standard_normal(sample.x_init.shape)
+        eq = fitting.Equilibrium(x=x, residual=0.0, converged=True, loss=problem.loss(x, sample))
+        before = problem.stats.ridges
+        state = fitting.adjoint_gradient(problem, sample, gf, eq)
+        assert problem.stats.ridges == before + 1
+        row = 3 * np.searchsorted(free, node)
+        assert state.H[row, row] > 0.0
+        v = rng.standard_normal(state.H.shape[0])
+        assert np.allclose(state.lu.solve(state.H @ v), v, rtol=0, atol=1e-8 * np.abs(v).max())
+        logger = fitting.FitLogger()
+        basis = fitting.harmonic_basis(mesh, 4)
+        grad = fitting._coords(basis, state.grad)
+        d, _ = fitting._gn_direction([state], grad, None, basis, [], logger)
+        assert logger.gauss_newton == dict(solves=1, escalations=0, exhausted=0)
+        assert float(d @ grad) < 0.0
 
     @pytest.mark.parametrize("fails", [0, 2, 5])
     def test_damping_ladder_escalates_then_falls_back(self, small_scene, two_samples,
@@ -995,9 +1038,10 @@ class TestFitSequence:
 
         def stalled(problem_, samples, gamma0, **kw):
             calls.append(list(samples))
+            eqs = [fitting.Equilibrium(s.x_init, 0.0, True, problem.loss(s.x_init, s))
+                   for s in samples]
             return fitting.FitResult(gamma=np.full(2 * nE, 4.0), loss=2.0,
-                                     xs=[s.x_init for s in samples], losses=[2.0],
-                                     stalled=True)
+                                     equilibria=eqs, losses=[2.0], stalled=True)
 
         monkeypatch.setattr(fitting, "fit_sample", stalled)
         gam, report = fitting.fit_sequence(problem, [sample, sample],

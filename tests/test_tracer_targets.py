@@ -8,8 +8,11 @@ import importlib
 import importlib.util
 import os
 
+import types
+
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 from volknit import fitting, pdsolver, volmesh, yarn_model
@@ -70,15 +73,18 @@ def test_polish_note_counts_the_iterations(monkeypatch):
 
 
 def test_gauss_newton_note_reads_the_ok_flag():
-    # a singular H fails the full-space solve and a spectral stage's LU alike
+    # a singular H fails the full-space solve and a spectral stage's LU alike;
+    # splu raises on it, so an LU that solves to NaN stands in for its LU
     tracer = load_tracer()
     n, nE = 4, 3
     rng = np.random.default_rng(0)
     J = sp.csr_matrix(rng.normal(size=(3 * n, 2 * nE)))
+    nan_lu = types.SimpleNamespace(solve=lambda b: np.full(b.shape, np.nan))
     for basis in (None, np.full((nE, 1), 1.0 / np.sqrt(nE))):
         for H, rejected in ((sp.eye(3 * n, format="csc"), 0),
                             (sp.csc_matrix((3 * n, 3 * n)), 1)):    # singular
-            state = fitting.AdjointState(H=H, J=J, G=sp.eye(3 * n, format="csr"),
+            state = fitting.AdjointState(H=H, lu=nan_lu if rejected else spla.splu(H), J=J,
+                                         G=sp.eye(3 * n, format="csr"),
                                          grad=rng.normal(size=2 * nE))
             out = fitting.adjoint_gauss_newton([state], basis=basis)
             assert out[2] == (not rejected)
