@@ -17,7 +17,9 @@ All commands operate on a workspace directory given with --out:
 
 The fit minimizes the summed loss of its samples, so convergence.csv rows
 name no sample; fit_report.json's `samples` entries give each sample's loss
-after the full-space pass, beside that pass's stalled and progressed flags.
+after the last full-space pass, which continues the staged fit warm, beside
+that pass's stalled and progressed flags.  A fit that exits 3 leaves no
+material.csv, and its report says `failed: true` with the `error`.
 
 Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.  Exit 2
 covers any config value outside its kind or domain.  Every artifact
@@ -533,29 +535,28 @@ def cmd_fit(cfg, out, chash):
         for i in indices
     ]
     problem = fitting.FitProblem(op, dt=seq.dt)
-    nE = mesh.n_elements
-    logger = fitting.FitLogger()
 
-    def write_fit_report(**fields):
-        # what the fit has done so far, failed or not
+    def write_fit_report(error=None, **fields):
+        # what the fit has done so far; an error fails it
+        if error is not None:
+            fields["error"] = error
         _write_report(os.path.join(out, "fit_report.json"), dict(
-            fields, total=len(samples), gate_violations=logger.gate_violations,
-            gate_evaluations=len(logger.gate),
-            gate_max_residual=max((g[1] for g in logger.gate), default=0.0),
-            equilibrium=asdict(problem.stats), gauss_newton=logger.gauss_newton,
+            fields, failed=error is not None, total=len(samples),
+            gate_violations=problem.gate_violations, gate_evaluations=len(problem.gate),
+            gate_max_residual=max((g[1] for g in problem.gate), default=0.0),
+            equilibrium=asdict(problem.stats), gauss_newton=problem.gauss_newton,
             elapsed_s=time.perf_counter() - t0), chash)
 
-    gamma0 = np.repeat(np.asarray(fc["gamma_init"], dtype=float), nE)
+    gamma0 = np.repeat(np.asarray(fc["gamma_init"], dtype=float), mesh.n_elements)
     try:
-        res0, stages = fitting.fit_staged(
+        staged, stages = fitting.fit_staged(
             problem, samples, gamma0, ranks=tuple(fc["ranks"]),
-            logger=logger, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
-        gammas, report = fitting.fit_sequence(
-            problem, samples, res0.gamma, logger=logger,
             gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
+        gammas, report = fitting.fit_sequence(
+            problem, samples, staged, gd_iters=fc["gd_iters"], gn_iters=fc["gn_iters"])
     except fitting.EquilibriumGateError as exc:
         # the last gate row is the one that missed; main still exits 3
-        write_fit_report(failed=True, error=str(exc), failed_sample=logger.gate[-1][0])
+        write_fit_report(str(exc), failed_sample=problem.gate[-1][0])
         raise
 
     # loss of the fitted material on every sample, each from a cold solve
@@ -564,29 +565,28 @@ def cmd_fit(cfg, out, chash):
     unconverged = [s.index for s, e in zip(samples, solved) if not e.converged]
     # the fit minimizes the sum of the per-sample losses
     final_loss = float(sum(finals))
+    ceiling = fc["loss_ceiling"]
+    error = None
+    if report["failed"]:
+        error = "the full-space pass stalled without lowering the loss"
+    elif unconverged:
+        error = f"final equilibrium did not converge for samples {unconverged}"
+    elif ceiling is not None and final_loss > ceiling:
+        error = f"final loss {final_loss:.3e} above ceiling {ceiling:.3e}"
 
-    write_material(ws["material"], gammas, chash)
+    # only a fit that succeeds leaves a material
+    if error is None:
+        write_material(ws["material"], gammas, chash)
     write_csv(os.path.join(out, "convergence.csv"),
               ["iteration", "phase", "loss", "step_size", "grad_norm"],
               [(r["iteration"], r["phase"], r["loss"], r["step"], r["grad_norm"])
-               for r in logger.rows], chash)
+               for r in problem.rows], chash)
     # the first stage's cold evaluation is the loss at gamma_init
-    write_fit_report(samples=report["samples"], failed=report["failed"],
-                     initial_loss=res0.losses[0], stage_losses=stages,
-                     final_losses=finals, final_loss=final_loss,
-                     final_unconverged=len(unconverged), loss_ceiling=fc["loss_ceiling"])
-
-    if report["failed"]:
-        print("error: the full-space pass stalled without lowering the loss",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    if unconverged:
-        print(f"error: final equilibrium did not converge for samples "
-              f"{unconverged}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if fc["loss_ceiling"] is not None and final_loss > fc["loss_ceiling"]:
-        print(f"error: final loss {final_loss:.3e} above ceiling "
-              f"{fc['loss_ceiling']:.3e}", file=sys.stderr)
+    write_fit_report(error, samples=report["samples"], initial_loss=staged.losses[0],
+                     stage_losses=stages, final_losses=finals, final_loss=final_loss,
+                     final_unconverged=len(unconverged), loss_ceiling=ceiling)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -11,15 +11,17 @@ one sparse direction solve.  The parameter is the per-element coefficient
 vector alone.  A spectral coarse-to-fine schedule (element-graph Laplacian
 eigenvectors, ranks 1 / 10 / 30 / full) initializes the material: each
 stage's basis only restricts the direction, and each stage starts at the
-previous stage's coefficients.  One cold full-space pass from them ends the
-fit (without that pass the bench training loss was 10 % higher).
+previous stage's coefficients and states.  A last full-space pass
+continues warm from the staged result, so a fit solves each sample cold
+once.
 
 A sample's first equilibrium is a cold solve: proximal rounds from the
 transferred pose, then Newton.  Every trial after it is a warm solve from
 the current converged state, straight to Newton with at least one step.
 Gradient descent tries its fixed step once and stops when it fails;
 Gauss-Newton halves its step until the loss falls.  A trial that misses
-the adjoint gate on any sample fails.  The problem counts its solves.  The
+the adjoint gate on any sample fails.  The problem keeps the fit's one
+record: its solves, gate checks, direction solves and convergence rows.  The
 per-element coefficients keep to GAMMA_FLOOR by projected Newton (Bertsekas
 1982): an active set taken from the current point alone, and every trial
 projected onto the floor.
@@ -138,7 +140,11 @@ class FitProblem:
     The loss is the y2v objective of `op` (a transfer.Y2VOperator) at the
     sample's targets and yarn pose, so at the transferred pose it is the
     reconstruction optimum; its weights and Hessian are the operator's.
-    `stats` counts the equilibrium solves.
+    It keeps the record of what a fit on it did: `stats` counts the
+    equilibrium solves, `gate` holds a (sample, residual, ok) row per
+    adjoint evaluation, `gauss_newton` counts the damping ladder's direction
+    solves, the failed ones and the fallbacks to -grad, and `rows` holds
+    the convergence rows.
     """
 
     def __init__(self, op, dt=1e-2):
@@ -148,6 +154,13 @@ class FitProblem:
         self.mesh = op.mesh
         self.dt = dt
         self.stats = EquilibriumStats()
+        self.gate = []
+        self.gauss_newton = dict(solves=0, escalations=0, exhausted=0)
+        self.rows = []
+
+    @property
+    def gate_violations(self):
+        return sum(1 for _, _, ok in self.gate if not ok)
 
     def loss(self, x, sample):
         return self.op.objective(x, sample.targets, sample.yarn_pose)
@@ -225,17 +238,16 @@ class AdjointState:
     grad: np.ndarray          # loss gradient in gamma, length 2nE
 
 
-def adjoint_gradient(problem, sample, gammas, eq, logger=None):
+def adjoint_gradient(problem, sample, gammas, eq):
     """One sample's loss gradient in the coefficients via one adjoint solve
-    at its Equilibrium `eq`, gated on eq.residual and logged.
+    at its Equilibrium `eq`, gated on eq.residual and recorded in problem.gate.
 
     The equilibrium Jacobian carries the projection sensitivities; with
     the frozen-projection form the gradient has order-one error.  An
     exactly singular H gives way to H + kappa I, in the state too.
     """
     ok = eq.residual < EQ_GATE
-    if logger is not None:
-        logger.gate.append((sample.index, eq.residual, ok))
+    problem.gate.append((sample.index, eq.residual, ok))
     if not ok:
         raise EquilibriumGateError(
             f"adjoint evaluation rejected: residual {eq.residual:.3e} >= {EQ_GATE:g}")
@@ -261,9 +273,9 @@ def adjoint_gradient(problem, sample, gammas, eq, logger=None):
     return AdjointState(H=Hff, lu=lu, J=J, G=sample.G, grad=grad)
 
 
-def objective_gradient(problem, samples, gammas, equilibria, logger=None):
+def objective_gradient(problem, samples, gammas, equilibria):
     """Adjoint states at every sample's Equilibrium and the summed gradient."""
-    states = [adjoint_gradient(problem, s, gammas, eq, logger=logger)
+    states = [adjoint_gradient(problem, s, gammas, eq)
               for s, eq in zip(samples, equilibria)]
     return states, _total([st.grad for st in states])
 
@@ -359,20 +371,6 @@ def safeguarded_update(gamma, d, step, eval_loss, current_loss,
 
 
 @dataclass
-class FitLogger:
-    """Collects gate checks and convergence rows for reporting."""
-
-    gate: list = field(default_factory=list)          # (sample, resid, ok)
-    rows: list = field(default_factory=list)          # convergence entries
-    # damping-ladder direction solves, the failed ones, and fallbacks to -grad
-    gauss_newton: dict = field(default_factory=lambda: dict(solves=0, escalations=0, exhausted=0))
-
-    @property
-    def gate_violations(self):
-        return sum(1 for _, _, ok in self.gate if not ok)
-
-
-@dataclass
 class FitResult:
     """A fit's end point; each sample's adjoint state and its one LU stay behind."""
 
@@ -383,15 +381,15 @@ class FitResult:
     stalled: bool
 
 
-def _gn_direction(states, grad, kappa, basis, active, logger):
+def _gn_direction(problem, states, grad, kappa, basis, active):
     """Gauss-Newton direction with the damping ladder, zero on `active`.
 
     Up to five solves with `active` frozen, kappa times ten after each
-    failed one, then -grad (`grad` is zero on `active`); `logger` counts
-    them.  The first call fixes the kappa every later iteration starts
-    from.  Returns (d, kappa).
+    failed one, then -grad (`grad` is zero on `active`); problem.gauss_newton
+    counts them.  The first call fixes the kappa every later iteration
+    starts from.  Returns (d, kappa).
     """
-    counts = logger.gauss_newton
+    counts = problem.gauss_newton
     kap = kappa
     for _ in range(5):
         counts["solves"] += 1
@@ -410,7 +408,7 @@ def _gn_direction(states, grad, kappa, basis, active, logger):
 
 
 def fit_sample(problem, samples, gamma0, *, basis=None,
-               gd_iters=GD_ITERS, gn_iters=GN_ITERS, logger=None, init_state=None):
+               gd_iters=GD_ITERS, gn_iters=GN_ITERS, init_state=None):
     """Two-phase fit of the summed loss of `samples`: gradient descent,
     then Gauss-Newton.
 
@@ -431,7 +429,6 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
     """
     if not len(samples):
         raise ValueError("need at least one sample")
-    logger = FitLogger() if logger is None else logger
 
     def lift(d):
         # a direction in the stage's coordinates steps gamma by basis @ d per field
@@ -460,7 +457,7 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
         for it in range(iters):
             if states is None:
                 states, grad_full = objective_gradient(
-                    problem, samples, gamma.reshape(2, -1), eqs, logger=logger)
+                    problem, samples, gamma.reshape(2, -1), eqs)
             grad = _coords(basis, grad_full).copy()
             active = (np.flatnonzero((grad > 0.0) & (gamma <= mat.GAMMA_FLOOR))
                       if basis is None else [])
@@ -471,14 +468,14 @@ def fit_sample(problem, samples, gamma0, *, basis=None,
             if phase == "gd":
                 d = -grad
             else:
-                d, kappa = _gn_direction(states, grad, kappa, basis, active, logger)
+                d, kappa = _gn_direction(problem, states, grad, kappa, basis, active)
             gamma, loss, accepted, t = safeguarded_update(
                 gamma, lift(d), step, eval_loss, loss, tries=tries)
             if accepted:
                 eqs = trial_eqs
                 states = None
-            logger.rows.append(dict(phase=phase, iteration=it, loss=loss,
-                                    step=step * t, grad_norm=gnorm))
+            problem.rows.append(dict(phase=phase, iteration=it, loss=loss,
+                                     step=step * t, grad_norm=gnorm))
             losses.append(loss)
             if not accepted:
                 # flat for GD, and GN may still move; a rejected GN step stalls
@@ -520,7 +517,7 @@ def harmonic_basis(mesh, r):
     return Q
 
 
-def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS, logger=None,
+def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS,
                gd_iters=GD_ITERS, gn_iters=GN_ITERS):
     """Coarse-to-fine fit of the summed loss through nested spectral
     subspaces.
@@ -531,7 +528,7 @@ def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS, logger=None,
     coefficients, loss and states, so stage-final losses can only decrease
     along the schedule.  Returns (FitResult, stage_losses dict); the
     result's `losses` run along the whole schedule, from the first stage's
-    cold evaluation.
+    cold evaluation, and fit_sequence continues from its states.
     """
     max_rank = max((rk for rk in ranks if rk is not None), default=0)
     H_full = harmonic_basis(problem.mesh, max_rank) if max_rank else None
@@ -544,22 +541,21 @@ def fit_staged(problem, samples, gamma0, *, ranks=STAGE_RANKS, logger=None,
     for rk in ranks:
         result = fit_sample(problem, samples, gamma,
                             basis=None if rk is None else H_full[:, :rk],
-                            logger=logger, gd_iters=gd_iters,
-                            gn_iters=gn_iters, init_state=start)
+                            gd_iters=gd_iters, gn_iters=gn_iters, init_state=start)
         stage_losses["full" if rk is None else f"r{rk}"] = result.loss
         losses += result.losses if start is None else result.losses[1:]
         gamma, start = result.gamma, (result.loss, result.equilibria)
     return replace(result, losses=losses), stage_losses
 
 
-def fit_sequence(problem, samples, gamma0, *, logger=None,
-                 gd_iters=GD_ITERS, gn_iters=GN_ITERS):
-    """One cold full-space pass over the summed loss from gamma0, the
-    staged material; it fails if GN stalled without lowering the loss, and
-    its material is returned either way.  Returns ((2, nE) gamma, report
-    dict); `logger` counts the gate checks."""
-    res = fit_sample(problem, samples, gamma0, logger=logger,
-                     gd_iters=gd_iters, gn_iters=gn_iters)
+def fit_sequence(problem, samples, staged, *, gd_iters=GD_ITERS, gn_iters=GN_ITERS):
+    """The fit's last pass: the full space once more from the FitResult
+    `staged` of fit_staged, warm from its coefficients, loss and states, so
+    it solves nothing cold.  It fails if GN stalled without lowering the
+    loss, and its material is returned either way.  Returns ((2, nE) gamma,
+    report dict)."""
+    res = fit_sample(problem, samples, staged.gamma, gd_iters=gd_iters,
+                     gn_iters=gn_iters, init_state=(staged.loss, staged.equilibria))
     progressed = res.losses[-1] < res.losses[0]
     failed = res.stalled and not progressed
     if failed:

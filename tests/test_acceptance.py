@@ -32,6 +32,17 @@ def tally(evaluations, violations, max_resid):
     GATE_TALLY.append((int(evaluations), int(violations), float(max_resid)))
 
 
+def tally_run(problem):
+    """Tally the gate rows of one run's own FitProblem."""
+    tally(len(problem.gate), problem.gate_violations,
+          max(g[1] for g in problem.gate))
+
+
+def own_problem(sc):
+    """A FitProblem of its own for one run, on the scene's factorized operator."""
+    return fitting.FitProblem(sc["problem"].op, dt=sc["problem"].dt)
+
+
 def report(name, ok, detail):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
@@ -69,12 +80,15 @@ def random_yarn_scene(seed, truth_span=(2.0, 10.0, 1.0, 5.0)):
     return sc
 
 
-def state_at(sc, gvec, logger=None):
-    problem, sample = sc["problem"], sc["sample"]
+def state_at(sc, gvec):
+    """The adjoint state at gvec, its gate row tallied."""
+    problem, sample = own_problem(sc), sc["sample"]
     gf = gvec.reshape(2, -1)
     eq = problem.solve_equilibrium(gf, sample, tol=1e-10, max_newton=150)
     assert eq.converged
-    return fitting.adjoint_gradient(problem, sample, gf, eq, logger=logger)
+    state = fitting.adjoint_gradient(problem, sample, gf, eq)
+    tally_run(problem)
+    return state
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +110,7 @@ def test_01_adjoint_gradient_matches_central_differences():
         assert nE <= 200
         sizes.append(nE)
         gvec = sc["rng"].uniform(1.0, 6.0, size=2 * nE)
-        lg = fitting.FitLogger()
-        state = state_at(sc, gvec, logger=lg)
-        tally(len(lg.gate), lg.gate_violations,
-              max(g[1] for g in lg.gate))
+        state = state_at(sc, gvec)
         fd = fd_gamma_gradient(sc["problem"], sc["sample"], gvec)
         rel = np.linalg.norm(state.grad - fd) / np.linalg.norm(fd)
         worst = max(worst, rel)
@@ -122,10 +133,7 @@ def test_02_gauss_newton_direction_matches_dense_oracle():
         rng = np.random.default_rng(seed)
         for _ in range(2):
             gvec = rng.uniform(1.5, 5.0, size=2 * nE)
-            lg = fitting.FitLogger()
-            state = state_at(sc, gvec, logger=lg)
-            tally(len(lg.gate), lg.gate_violations,
-                  max(g[1] for g in lg.gate))
+            state = state_at(sc, gvec)
             d, kappa, ok = fitting.adjoint_gauss_newton([state])
             assert ok
             dense = oracles.dense_gauss_newton_direction([state], kappa)
@@ -250,22 +258,18 @@ def test_06_lumped_mesh_mass_matches_yarn_mass_on_all_assets():
 
 def test_07_two_stage_schedule_beats_first_order_only(bar_scene):
     t0 = time.perf_counter()
-    problem, sample = bar_scene["problem"], bar_scene["sample"]
+    problem, sample = own_problem(bar_scene), bar_scene["sample"]
     nE = problem.mesh.n_elements
     g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
     initial = loss_at(problem, sample, g0)
 
-    lg = fitting.FitLogger()
-    res = fitting.fit_sample(problem, [sample], g0, gd_iters=12, gn_iters=30,
-                             logger=lg)
-    tally(len(lg.gate), lg.gate_violations, max(g[1] for g in lg.gate))
+    res = fitting.fit_sample(problem, [sample], g0, gd_iters=12, gn_iters=30)
+    tally_run(problem)
     two_stage = res.loss / initial
 
-    lg_gd = fitting.FitLogger()
-    res_gd = fitting.fit_sample(problem, [sample], g0, gd_iters=300,
-                                gn_iters=0, logger=lg_gd)
-    tally(len(lg_gd.gate), lg_gd.gate_violations,
-          max(g[1] for g in lg_gd.gate))
+    problem = own_problem(bar_scene)
+    res_gd = fitting.fit_sample(problem, [sample], g0, gd_iters=300, gn_iters=0)
+    tally_run(problem)
     gd_only = res_gd.loss / initial
     elapsed = time.perf_counter() - t0
     report("two-stage schedule vs first-order only",
@@ -340,13 +344,11 @@ def test_09_stage_losses_monotone_on_every_run(round_trip, bar_scene):
     st = round_trip["fit"]["stage_losses"]
     chains.append([st["r1"], st["r10"], st["r30"], st["full"]])
 
-    problem, sample = bar_scene["problem"], bar_scene["sample"]
+    problem, sample = own_problem(bar_scene), bar_scene["sample"]
     nE = problem.mesh.n_elements
     g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
-    lg = fitting.FitLogger()
-    _, stages = fitting.fit_staged(problem, [sample], g0,
-                                   ranks=(1, 10, 30, None), logger=lg)
-    tally(len(lg.gate), lg.gate_violations, max(g[1] for g in lg.gate))
+    _, stages = fitting.fit_staged(problem, [sample], g0, ranks=(1, 10, 30, None))
+    tally_run(problem)
     chains.append([stages["r1"], stages["r10"], stages["r30"],
                    stages["full"]])
 

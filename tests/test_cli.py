@@ -281,10 +281,10 @@ def test_fit_report_counts_equilibrium_solves(block_ws):
                        "max_residual", "ridges"}
     assert all(np.isfinite(v) and v >= 0 for v in eq.values())
     # cold, once per sample each: the first evaluation of the staged fit,
-    # which also gives the initial loss, the first evaluation of the
-    # full-space pass, and the final loss; every trial is warm and takes at
-    # least one Newton step
-    assert eq["cold"] == 3 * rep["total"]
+    # which also gives the initial loss, and the final loss; the full-space
+    # pass continues warm from the staged states, and every trial is warm
+    # and takes at least one Newton step
+    assert eq["cold"] == 2 * rep["total"]
     assert eq["warm"] >= 1
     assert eq["newton_iters"] >= eq["warm"]
     assert eq["unconverged"] <= eq["cold"] + eq["warm"]
@@ -415,12 +415,13 @@ def test_sample_stride_with_explicit_samples_exits_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
-def test_fit_loss_ceiling_violation_exits_3(block_ws, tmp_path):
+def test_fit_loss_ceiling_violation_exits_3(block_ws, tmp_path, capsys):
     cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"], loss_ceiling=1e-30))
     cfg["paths"]["material"] = None
     rc, out = run_cli("fit", tmp_path / "ceiling", cfg)
     assert rc == cli.EXIT_NUMERIC
-    assert read_report(out, "fit_report.json")["final_loss"] > 1e-30
+    rep = assert_failed_without_material(out, capsys, "above ceiling")
+    assert rep["final_loss"] > 1e-30
 
 
 def test_fit_missing_the_gate_reports_and_exits_3(block_ws, tmp_path, monkeypatch,
@@ -463,6 +464,17 @@ def test_failed_fit_leaves_no_earlier_material(block_ws, tmp_path, monkeypatch, 
     assert "cannot read material file" in capsys.readouterr().err
 
 
+def assert_failed_without_material(out, capsys, error):
+    """A fit that exits 3 reports why, as on stderr, and leaves its
+    convergence rows but no material that simulate could run on."""
+    rep = read_report(out, "fit_report.json")
+    assert rep["failed"] is True and error in rep["error"]
+    assert f"error: {rep['error']}\n" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "material.csv"))
+    assert os.path.exists(os.path.join(out, "convergence.csv"))
+    return rep
+
+
 def quick_fit(stalled):
     """A fit_sample stand-in that returns gamma0 (floored) at once."""
     def fit(problem, samples, gamma0, **kw):
@@ -475,13 +487,13 @@ def quick_fit(stalled):
     return fit
 
 
-def test_fit_all_samples_stalled_exits_3(block_ws, tmp_path, monkeypatch):
+def test_fit_all_samples_stalled_exits_3(block_ws, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fitting, "fit_sample", quick_fit(stalled=True))
     cfg = alias_cfg(block_ws, fit=dict(BLOCK_FIT["fit"]))
     cfg["paths"]["material"] = None
     rc, out = run_cli("fit", tmp_path / "stall", cfg)
     assert rc == cli.EXIT_NUMERIC
-    rep = read_report(out, "fit_report.json")
+    rep = assert_failed_without_material(out, capsys, "stalled without lowering the loss")
     assert rep["failed"] is True
     assert all(r["stalled"] for r in rep["samples"])
 
@@ -523,11 +535,10 @@ def test_fit_unconverged_final_solve_exits_3(block_ws, tmp_path, monkeypatch,
     cfg["paths"]["material"] = None
     rc, out = run_cli("fit", tmp_path / "unconverged", cfg)
     assert rc == cli.EXIT_NUMERIC
-    rep = read_report(out, "fit_report.json")
-    assert rep["failed"] is False
+    # an unconverged final solve fails the fit
+    rep = assert_failed_without_material(out, capsys, "did not converge for samples [3]")
+    assert rep["failed"] is True
     assert rep["final_unconverged"] == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "[3]" in err
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,11 @@ def loss_at(problem, sample, gvec, tol=1e-10, warm=None):
     return problem.loss(eq.x, sample)
 
 
+def fresh(problem):
+    """A FitProblem on `problem`'s operator with an empty record."""
+    return fitting.FitProblem(problem.op, dt=problem.dt)
+
+
 def fd_gamma_gradient(problem, sample, gvec, h=1e-3):
     # h near sqrt(eps)*scale is too small here: the loss differences fall
     # into solver noise, so the oracle uses a coarser step
@@ -432,18 +437,28 @@ class TestAdjointGradient:
         assert rel < 1e-3
 
     def test_gate_rejects_bad_equilibrium(self, scene):
-        problem, sample = scene["problem"], scene["sample"]
-        lg = fitting.FitLogger()
+        problem, sample = fresh(scene["problem"]), scene["sample"]
         bad = fitting.Equilibrium(x=sample.x_init, residual=1.0, converged=False,
                                   loss=problem.loss(sample.x_init, sample))
         with pytest.raises(fitting.EquilibriumGateError):
-            fitting.adjoint_gradient(problem, sample, scene["gam_true"], bad, logger=lg)
-        assert lg.gate_violations == 1
-        # clean evaluations pass and are logged as such
+            fitting.adjoint_gradient(problem, sample, scene["gam_true"], bad)
+        assert problem.gate_violations == 1
+        # clean evaluations pass and are recorded as such
         eq = problem.solve_equilibrium(scene["gam_true"], sample)
-        fitting.adjoint_gradient(problem, sample, scene["gam_true"], eq, logger=lg)
-        assert lg.gate_violations == 1
-        assert len(lg.gate) == 2
+        fitting.adjoint_gradient(problem, sample, scene["gam_true"], eq)
+        assert problem.gate_violations == 1
+        assert len(problem.gate) == 2
+
+    def test_every_adjoint_evaluation_is_recorded(self, small_scene, two_samples):
+        # the problem keeps the record, so a plain call adds one gate row
+        # per sample
+        problem = fresh(small_scene["problem"])
+        gf = oracles.uniform(problem.mesh.n_elements, 2.0, 4.0)
+        _, eqs = problem.evaluate(gf, two_samples)
+        fitting.objective_gradient(problem, two_samples, gf, eqs)
+        assert [(i, r) for i, r, _ in problem.gate] == \
+            [(s.index, e.residual) for s, e in zip(two_samples, eqs)]
+        assert problem.gate_violations == 0
 
     def test_failed_solve_retries_with_a_counted_ridge(self, small_scene, monkeypatch):
         # splu reports an exactly singular matrix by raising, and a factor
@@ -610,19 +625,18 @@ class TestFitSample:
     def test_two_material_recovery(self, scene):
         # fit from scratch through the staged schedule; the flat two-phase
         # budget alone lands near 1e-3, the schedule goes well past it
-        problem, sample = scene["problem"], scene["sample"]
+        problem, sample = fresh(scene["problem"]), scene["sample"]
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
         initial = loss_at(problem, sample, g0)
-        lg = fitting.FitLogger()
-        res, _ = fitting.fit_staged(problem, [sample], g0, logger=lg)
+        res, _ = fitting.fit_staged(problem, [sample], g0)
         assert res.loss <= 1e-3 * initial
         assert np.all(res.gamma >= 0.0)
-        assert lg.gate_violations == 0
+        assert problem.gate_violations == 0
         # the running loss never increases, and every accepted step
         # strictly decreases it
         prev = None
-        for row in lg.rows:
+        for row in problem.rows:
             if prev is not None:
                 assert row["loss"] <= prev
                 if row["step"] > 0.0:
@@ -634,7 +648,7 @@ class TestFitSample:
         # the first GN trial reports a residual above the gate with a loss
         # below the current one; accepting it would make the next adjoint
         # gradient raise, so the search must halve past it
-        problem, sample = scene["problem"], scene["sample"]
+        problem, sample = fresh(scene["problem"]), scene["sample"]
         nE = problem.mesh.n_elements
         solve = problem.solve_equilibrium
         trials = []
@@ -650,14 +664,12 @@ class TestFitSample:
 
         monkeypatch.setattr(problem, "solve_equilibrium", stub)
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
-        lg = fitting.FitLogger()
-        res = fitting.fit_sample(problem, [sample], g0, gd_iters=0, gn_iters=2,
-                                 logger=lg)
+        res = fitting.fit_sample(problem, [sample], g0, gd_iters=0, gn_iters=2)
         assert len(trials) > 1
-        assert lg.gate_violations == 0
-        assert all(r < fitting.EQ_GATE for _, r, _ in lg.gate)
-        assert lg.rows[0]["phase"] == "gn"
-        assert 0.0 < lg.rows[0]["step"] < fitting.GN_STEP
+        assert problem.gate_violations == 0
+        assert all(r < fitting.EQ_GATE for _, r, _ in problem.gate)
+        assert problem.rows[0]["phase"] == "gn"
+        assert 0.0 < problem.rows[0]["step"] < fitting.GN_STEP
         assert max(e.residual for e in res.equilibria) < fitting.EQ_GATE
 
     def test_rejected_gd_step_hands_its_adjoint_state_to_gn(self, scene,
@@ -678,6 +690,7 @@ class TestFitSample:
         ref = fitting.fit_sample(problem, [sample], g0, gd_iters=0, gn_iters=3)
         n_ref = len(calls)
 
+        problem = fresh(problem)
         solve = problem.solve_equilibrium
         missed = []
 
@@ -690,11 +703,9 @@ class TestFitSample:
 
         monkeypatch.setattr(problem, "solve_equilibrium", stub)
         calls.clear()
-        lg = fitting.FitLogger()
-        res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=3,
-                                 logger=lg)
-        assert [(r["phase"], r["step"]) for r in lg.rows[:2]] == [("gd", 0.0), ("gn", 1.0)]
-        assert len(calls) == len(lg.gate) == n_ref
+        res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=3)
+        assert [(r["phase"], r["step"]) for r in problem.rows[:2]] == [("gd", 0.0), ("gn", 1.0)]
+        assert len(calls) == len(problem.gate) == n_ref
         assert np.array_equal(res.gamma, ref.gamma)
         assert np.array_equal([e.x for e in res.equilibria], [e.x for e in ref.equilibria])
         assert ((res.loss, [e.residual for e in res.equilibria], res.stalled)
@@ -792,14 +803,13 @@ class TestHarmonicBasis:
 
 class TestStaging:
     def test_monotone_stage_losses(self, scene):
-        problem, sample = scene["problem"], scene["sample"]
+        problem, sample = fresh(scene["problem"]), scene["sample"]
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
-        lg = fitting.FitLogger()
-        res, stages = fitting.fit_staged(problem, [sample], g0, logger=lg)
+        res, stages = fitting.fit_staged(problem, [sample], g0)
         assert stages["full"] <= stages["r30"] <= stages["r10"] <= stages["r1"]
         assert res.loss == stages["full"]
-        assert lg.gate_violations == 0
+        assert problem.gate_violations == 0
 
     def test_every_stage_starts_at_the_previous_optimum(self, scene):
         # a basis only restricts the direction, so even after a finer stage
@@ -965,11 +975,11 @@ class TestSummedObjective:
         assert state.H[row, row] > 0.0
         v = rng.standard_normal(state.H.shape[0])
         assert np.allclose(state.lu.solve(state.H @ v), v, rtol=0, atol=1e-8 * np.abs(v).max())
-        logger = fitting.FitLogger()
+        problem = fresh(problem)
         basis = fitting.harmonic_basis(mesh, 4)
         grad = fitting._coords(basis, state.grad)
-        d, _ = fitting._gn_direction([state], grad, None, basis, [], logger)
-        assert logger.gauss_newton == dict(solves=1, escalations=0, exhausted=0)
+        d, _ = fitting._gn_direction(problem, [state], grad, None, basis, [])
+        assert problem.gauss_newton == dict(solves=1, escalations=0, exhausted=0)
         assert float(d @ grad) < 0.0
 
     @pytest.mark.parametrize("fails", [0, 2, 5])
@@ -985,14 +995,14 @@ class TestSummedObjective:
             return (None, kap, False) if len(kappas) <= fails else (d, kap, ok)
 
         monkeypatch.setattr(fitting, "adjoint_gauss_newton", flaky)
-        logger = fitting.FitLogger()
-        d, kappa = fitting._gn_direction(states, grad, None, None, active, logger)
+        problem = fresh(small_scene["problem"])
+        d, kappa = fitting._gn_direction(problem, states, grad, None, None, active)
         solves = min(fails + 1, 5)
         # kappa grows ten times per rung; the first call keeps the last one
         assert kappas == pytest.approx([kappas[0] * 10.0 ** j for j in range(solves)],
                                        rel=1e-12)
         assert kappa == pytest.approx(kappas[-1] * (10.0 if fails >= 5 else 1.0), rel=1e-12)
-        assert logger.gauss_newton == dict(solves=solves, escalations=min(fails, 5),
+        assert problem.gauss_newton == dict(solves=solves, escalations=min(fails, 5),
                                            exhausted=int(fails >= 5))
         assert not d[active].any()
         if fails >= 5:
@@ -1008,23 +1018,49 @@ class TestSummedObjective:
 
 class TestFitSequence:
     def test_single_sample_taken_wholesale(self, scene):
-        problem, sample = scene["problem"], scene["sample"]
+        problem, sample = fresh(scene["problem"]), scene["sample"]
         nE = problem.mesh.n_elements
         g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
-        res = fitting.fit_sample(problem, [sample], g0, gd_iters=2, gn_iters=4)
-        logger = fitting.FitLogger()
-        gam, report = fitting.fit_sequence(problem, [sample], g0, logger=logger,
+        staged = fitting.fit_sample(problem, [sample], g0, gd_iters=1, gn_iters=2)
+        start = (staged.loss, staged.equilibria)
+        res = fitting.fit_sample(fresh(problem), [sample], staged.gamma, gd_iters=2,
+                                 gn_iters=4, init_state=start)
+        gam, report = fitting.fit_sequence(problem, [sample], staged,
                                            gd_iters=2, gn_iters=4)
         assert gam.shape == (2, nE) and np.array_equal(gam.reshape(-1), res.gamma)
         assert not report["failed"]
-        assert logger.gate and logger.gate_violations == 0
+        assert problem.gate and problem.gate_violations == 0
         assert [r["loss"] for r in report["samples"]] == [res.loss]
+
+    def test_continues_warm_from_the_staged_result(self, scene, monkeypatch):
+        # the pass starts at the staged loss and states, so it solves
+        # nothing cold
+        problem, sample = fresh(scene["problem"]), scene["sample"]
+        nE = problem.mesh.n_elements
+        g0 = np.concatenate([np.full(nE, 2.0), np.full(nE, 4.0)])
+        staged, _ = fitting.fit_staged(problem, [sample], g0, ranks=(1, None),
+                                       gd_iters=1, gn_iters=2)
+        results = []
+        fit_sample = fitting.fit_sample
+
+        def spy(*args, **kw):
+            results.append(fit_sample(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(fitting, "fit_sample", spy)
+        cold, warm = problem.stats.cold, problem.stats.warm
+        gam, _ = fitting.fit_sequence(problem, [sample], staged, gd_iters=1, gn_iters=2)
+        assert problem.stats.cold == cold and problem.stats.warm > warm
+        assert len(results) == 1 and results[0].losses[0] == staged.loss
+        assert np.array_equal(gam.reshape(-1), results[0].gamma)
 
     def test_identical_samples_idempotent(self, scene):
         problem, sample = scene["problem"], scene["sample"]
         g0 = scene["gam_true"].reshape(-1)
-        gam, report = fitting.fit_sequence(problem, [sample, sample], g0,
-                                             gd_iters=2, gn_iters=4)
+        staged, _ = fitting.fit_staged(problem, [sample, sample], g0,
+                                       gd_iters=0, gn_iters=0)
+        gam, report = fitting.fit_sequence(problem, [sample, sample], staged,
+                                           gd_iters=2, gn_iters=4)
         assert np.allclose(gam.reshape(-1), g0, rtol=0, atol=1e-12)
         assert not report["failed"]
 
@@ -1034,24 +1070,27 @@ class TestFitSequence:
         # lowering the loss fails, and its own field is what comes back
         problem, sample = scene["problem"], scene["sample"]
         nE = problem.mesh.n_elements
+        eqs = [fitting.Equilibrium(s.x_init, 0.0, True, problem.loss(s.x_init, s))
+               for s in (sample, sample)]
+        staged = fitting.FitResult(gamma=np.full(2 * nE, 1.0), loss=2.0,
+                                   equilibria=eqs, losses=[3.0, 2.0], stalled=False)
         calls = []
 
         def stalled(problem_, samples, gamma0, **kw):
-            calls.append(list(samples))
-            eqs = [fitting.Equilibrium(s.x_init, 0.0, True, problem.loss(s.x_init, s))
-                   for s in samples]
+            calls.append((list(samples), kw["init_state"]))
             return fitting.FitResult(gamma=np.full(2 * nE, 4.0), loss=2.0,
                                      equilibria=eqs, losses=[2.0], stalled=True)
 
         monkeypatch.setattr(fitting, "fit_sample", stalled)
-        gam, report = fitting.fit_sequence(problem, [sample, sample],
-                                             np.full(2 * nE, 1.0))
-        assert calls == [[sample, sample]]
+        gam, report = fitting.fit_sequence(problem, [sample, sample], staged)
+        assert calls == [([sample, sample], (2.0, eqs))]
         assert report["failed"]
         assert np.array_equal(gam.reshape(-1), np.full(2 * nE, 4.0))
         assert [r["loss"] for r in report["samples"]] == \
             [problem.loss(sample.x_init, sample)] * 2
 
     def test_empty_rejected(self, scene):
+        staged = fitting.FitResult(gamma=np.ones(4), loss=0.0, equilibria=[],
+                                   losses=[0.0], stalled=False)
         with pytest.raises(ValueError, match="at least one"):
-            fitting.fit_sequence(scene["problem"], [], np.ones(4))
+            fitting.fit_sequence(scene["problem"], [], staged)
